@@ -130,7 +130,8 @@ def is_flexible_path(space, path_or_track) -> bool:
             fam = fams.get(tok.edge)
             if fam is None:
                 fam = fams[tok.edge] = family(norm, tok.edge)
-            if fragment_span_ok(fam, [tok]) or closed_token_ok(norm, tok):
+            if fragment_span_ok(fam, tok.lo, tok.hi, tok, tok) \
+                    or closed_token_ok(norm, tok):
                 continue
             return False
         return True

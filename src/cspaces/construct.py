@@ -729,7 +729,8 @@ def _image_flexible(g: GraphPresentation, seg: Seg) -> bool:
     toks = _cut_seg(g, seg)
     fam = family(g, seg.edge)
     for tok in toks:
-        if fragment_span_ok(fam, [tok]) or closed_token_ok(g, tok):
+        if fragment_span_ok(fam, tok.lo, tok.hi, tok, tok) \
+                or closed_token_ok(g, tok):
             continue
         return False
     return True

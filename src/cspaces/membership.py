@@ -114,11 +114,9 @@ def match_trace(tr: RigidTrace, toks, i: int) -> Optional[int]:
     return pos
 
 
-def fragment_span_ok(fam, edge_toks) -> bool:
-    """Can one flexible-fragment instance cover this same-edge stretch?"""
-    first, last = edge_toks[0], edge_toks[-1]
-    lo = min(t.lo for t in edge_toks)
-    hi = max(t.hi for t in edge_toks)
+def fragment_span_ok(fam, lo: Rat, hi: Rat, first: Seg, last: Seg) -> bool:
+    """Can one flexible-fragment instance cover the same-edge stretch that
+    spans [lo, hi], begins with token `first` and ends with token `last`?"""
     for f in fam.fragments:
         if f.admits(lo, hi, first.dir) and first.a not in f.start_not \
                 and last.b not in f.end_not:
@@ -215,14 +213,17 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
                 dq.append(j)
 
         fam = family(pres, tok.edge)
-        # flexible-fragment stretches
-        j = i
-        while j < n and isinstance(toks[j], Seg) and toks[j].edge == tok.edge \
-                and toks[j].dir == tok.dir \
-                and (j == i or toks[j].a == toks[j - 1].b):
-            j += 1
-            if fragment_span_ok(fam, toks[i:j]):
-                relax(j, ("fragment", tok.edge, toks[i].a, toks[j - 1].b))
+        if fam.fragments:
+            # flexible-fragment stretches; their bounds grow with j
+            lo, hi = tok.lo, tok.hi
+            j = i
+            while j < n and isinstance(toks[j], Seg) and toks[j].edge == tok.edge \
+                    and toks[j].dir == tok.dir \
+                    and (j == i or toks[j].a == toks[j - 1].b):
+                lo, hi = min(lo, toks[j].lo), max(hi, toks[j].hi)
+                j += 1
+                if fragment_span_ok(fam, lo, hi, tok, toks[j - 1]):
+                    relax(j, ("fragment", tok.edge, tok.a, toks[j - 1].b))
         # restriction-closed trace pieces
         if closed_token_ok(pres, tok):
             relax(i + 1, ("trace-fragment", tok.edge, tok.a, tok.b))
@@ -254,7 +255,7 @@ def _seg_fragment_free(pres: GraphPresentation, seg: Seg) -> bool:
         pos_point(pres, seg.edge, seg.b)))
             if isinstance(t, Seg)]
     fam = family(pres, seg.edge)
-    return all(fragment_span_ok(fam, [t]) for t in toks)
+    return all(fragment_span_ok(fam, t.lo, t.hi, t, t) for t in toks)
 
 
 def _seg_hat_ok(hat_pres: GraphPresentation, seg: Seg) -> bool:
@@ -263,7 +264,8 @@ def _seg_hat_ok(hat_pres: GraphPresentation, seg: Seg) -> bool:
         pos_point(hat_pres, seg.edge, seg.b)))
             if isinstance(t, Seg)]
     fam = family(hat_pres, seg.edge)
-    return all(fragment_span_ok(fam, [t]) or closed_token_ok(hat_pres, t)
+    return all(fragment_span_ok(fam, t.lo, t.hi, t, t)
+               or closed_token_ok(hat_pres, t)
                for t in toks)
 
 
@@ -434,7 +436,11 @@ def _brute_normal(norm, path, depth, grid):
                         and toks[j].edge == tok.edge and toks[j].dir == tok.dir \
                         and (j == i or toks[j].a == toks[j - 1].b):
                     j += 1
-                    if fragment_span_ok(fam, toks[i:j]) and dfs(j, used + 1):
+                    stretch = toks[i:j]
+                    if fragment_span_ok(fam, min(t.lo for t in stretch),
+                                        max(t.hi for t in stretch),
+                                        stretch[0], stretch[-1]) \
+                            and dfs(j, used + 1):
                         ok = True
         memo[key] = ok
         return ok

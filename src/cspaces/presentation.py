@@ -10,7 +10,7 @@ forms; the membership/classification engines work on normal forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 from . import kinds as K
@@ -18,7 +18,7 @@ from .kinds import ALL, EdgeKind, Family, Fragment
 from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     Pause, Position, ProdSeg, PTuple, Rat, RigidTrace, Run,
                     Seg, Track, TraceStep, UnsupportedConstruction, Vertex,
-                    assemble, rat_str)
+                    assemble, concat, rat_str)
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class GraphPresentation:
+    """A finite graph presentation.
+
+    Every field is immutable (frozensets and tuples of frozen values), so
+    the hash cannot change after construction.  ``__hash__`` therefore
+    computes it once and stores it on the instance, outside the dataclass
+    fields: ``==``, ``repr`` and ``replace()`` never see it.  The engines
+    look presentations up in caches many times per query.
+    """
     vertices: frozenset
     edges: tuple  # of Edge
     generators: tuple = ()        # of RigidTrace (may be restriction_closed)
@@ -42,6 +50,20 @@ class GraphPresentation:
     absorbing: frozenset = frozenset()  # reachable only as a path's final point
     emitting: frozenset = frozenset()   # reachable only as a path's start point
     blocked: frozenset = frozenset()    # no controlled path may touch these
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # string hashes are salted per process: a pickled hash would be stale
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -384,14 +406,8 @@ def _split_edge(g: GraphPresentation, edge: str, t: Rat):
             if s.edge != edge:
                 steps.append(s)
                 continue
-            pieces = []
-            lo, hi = min(s.a, s.b), max(s.a, s.b)
-            if lo < t < hi:
-                pieces = [(s.a, t), (t, s.b)] if s.dir > 0 else [(s.a, t), (t, s.b)]
-                if s.dir > 0:
-                    pieces = [(s.a, t), (t, s.b)]
-                else:
-                    pieces = [(s.a, t), (t, s.b)]
+            if min(s.a, s.b) < t < max(s.a, s.b):
+                pieces = [(s.a, t), (t, s.b)]
             else:
                 pieces = [(s.a, s.b)]
             for a, b in pieces:
@@ -714,9 +730,8 @@ def _part_motion(norm, p, q):
 
 
 def _factors(norm):
-    if isinstance(norm, ProductN):
-        return norm.left, norm.right
-    return norm.left, norm.right  # HatProductN exposes the same attributes
+    """The two factors of a ProductN or HatProductN."""
+    return norm.left, norm.right
 
 
 def canonicalize(path_or_track, space) -> CanonicalPath:
@@ -847,7 +862,6 @@ def _boundary_point(norm, path: CanonicalPath, item: int):
 def insert_pause(space, path: CanonicalPath, pos: Position) -> CanonicalPath:
     left, right = split_path(space, path, pos)
     mid = assemble(left.end, [PAUSE], left.end)
-    from .model import concat
     return concat(concat(left, mid), right)
 
 

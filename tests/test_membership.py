@@ -5,12 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from cspaces import kinds as K
+from cspaces import membership
 from cspaces.corpus import build
 from cspaces.construct import exclude_endpoints
-from cspaces.membership import is_controlled, parse_controlled
+from cspaces.kinds import Family, Fragment
+from cspaces.membership import (brute_force_controlled, is_controlled,
+                                parse_controlled)
 from cspaces.model import (PAUSE, EdgePoint, Seg, Track, Vertex, assemble,
                            reverse_path)
-from cspaces.presentation import normalize
+from cspaces.presentation import Edge, GraphPresentation, normalize, pos_point
 
 from helpers import Z, O, H
 
@@ -271,3 +275,80 @@ class TestParseOutcome:
         # a natural edge admits a single fragment covering; count is finite
         out = parse_controlled(build("natural_interval"), FULL_UP)
         assert out.controlled and out.count >= 1
+
+
+class TestGrowthCounts:
+    """The parse's work, pinned by call counts rather than clock times."""
+
+    def test_n_stop_sweep_scans_no_fragment_stretch(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(membership, "fragment_span_ok",
+                            counting("fragment_span_ok", membership.fragment_span_ok))
+        monkeypatch.setattr(Fragment, "admits", counting("admits", Fragment.admits))
+        sp = build("c_line_window", lo=0, hi=256)
+        out = parse_controlled(sp, path(Seg("e0", Z, O), start=V0, end=Vertex("v256")))
+        assert out.controlled and out.count == 256
+        assert calls == []
+
+
+CUTS = 24
+OPEN_WINDOWS = K.custom(Family(fragments=(
+    Fragment(1, Z, H, hi_open=True),
+    Fragment(1, F(1, 4), O, lo_open=True, end_not=frozenset({H, O})),
+    Fragment(-1, F(1, 4), F(3, 4), hi_open=True))))
+
+
+def _cut_edge(kind):
+    """One edge of `kind`, cut at every k/CUTS by flexible-point overrides."""
+    return GraphPresentation(
+        frozenset({"v0", "v1"}), (Edge("e0", "v0", "v1", kind),),
+        flexible=frozenset(EdgePoint("e0", F(k, CUTS)) for k in range(1, CUTS)))
+
+
+def _walk(pres, *stops):
+    """Monotone runs on e0 through the given positions; a repeat is a pause."""
+    stops = [F(x) for x in stops]
+    atoms = [PAUSE if a == b else Seg("e0", a, b) for a, b in zip(stops, stops[1:])]
+    return assemble(pos_point(pres, "e0", stops[0]), atoms,
+                    pos_point(pres, "e0", stops[-1]))
+
+
+@pytest.mark.parametrize("kind, stops, controlled, count", [
+    (K.NATURAL, ("0", "1"), True, 1),
+    (K.NATURAL, ("0", "3/4", "1/4", "1"), True, 3),
+    (K.NATURAL, ("1/8", "1/2", "1/2", "7/8"), True, 2),
+    (K.NATURAL, ("1", "0", "1", "0"), True, 3),
+    (K.SIPHON_OSC, ("1", "1/4"), False, None),
+    (K.SIPHON_OSC, ("3/4", "0"), True, 1),
+    (K.SIPHON_OSC, ("0", "1", "0"), True, 2),
+    (K.SIPHON_OSC, ("0", "1", "1/8"), False, None),
+    (K.SIPHON_OSC, ("1/2", "1", "0", "1/3"), True, 3),
+    (K.SIPHON_OSC, ("1", "1", "1/4"), False, None),
+    (OPEN_WINDOWS, ("0", "3/4"), True, 2),
+    (OPEN_WINDOWS, ("0", "1/2"), False, None),
+    (OPEN_WINDOWS, ("0", "1"), False, None),
+    (OPEN_WINDOWS, ("1/3", "7/8"), True, 1),
+    (OPEN_WINDOWS, ("1/4", "3/4"), True, 2),
+    (OPEN_WINDOWS, ("0", "1/3"), True, 1),
+    (OPEN_WINDOWS, ("1/8", "5/8", "5/8", "15/16"), True, 3),
+    (OPEN_WINDOWS, ("5/8", "1/4"), True, 1),
+    (OPEN_WINDOWS, ("5/8", "1/8"), False, None),
+    (OPEN_WINDOWS, ("3/4", "1/2"), False, None),
+    (OPEN_WINDOWS, ("1/8", "2/3", "1/3"), True, 3),
+])
+def test_long_fragment_stretches(kind, stops, controlled, count):
+    """Stretches of up to CUTS tokens on fragment edges: start_not on
+    siphon_osc's fall; open window ends, end_not and a falling window on
+    the custom family."""
+    sp = _cut_edge(kind)
+    p = _walk(sp, *stops)
+    out = parse_controlled(sp, p)
+    assert (out.controlled, out.count) == (controlled, count)
+    assert brute_force_controlled(sp, p) == controlled

@@ -9,6 +9,7 @@ case.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -29,7 +30,8 @@ GRAPH_MODELS = sorted(n for n in names()
 @pytest.mark.parametrize("name", GRAPH_MODELS)
 def test_engine_agrees_with_brute_force(name):
     sp = normalize(build(name))
-    rng = random.Random(SEED + hash(name) % 10 ** 6)
+    # crc32, unlike hash(), is not salted per process: a failure replays
+    rng = random.Random(SEED + zlib.crc32(name.encode()) % 10 ** 6)
     compared = both = 0
     while compared < PER_MODEL:
         p = random_graph_path(sp, rng)
