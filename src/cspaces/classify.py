@@ -6,12 +6,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .construct import flexible_part
-from .membership import (closed_token_ok, explode, boundaries,
-                         fragment_span_ok, is_controlled)
-from .model import (ZERO, CanonicalPath, ModelError, Pause, Position,
-                    PTuple, Rat, Run, Seg, UnsupportedConstruction)
+from .membership import (_ensure_path, boundaries, explode, is_controlled,
+                         seg_flexible)
+from .model import (ZERO, CanonicalPath, ModelError, Position, PTuple, Rat,
+                    Run, Seg, UnsupportedConstruction)
 from .presentation import (GraphPresentation, HatProductN, ProductN, cuts,
-                           family, flexible_point, normalize, split_path)
+                           family, flexible_point, normalize, project,
+                           split_path, trace_path)
+from .presentation import is_flexible_point  # noqa: F401  (public here too)
 from .reach import exists_c_from, exists_c_through, exists_c_to
 
 
@@ -28,24 +30,6 @@ class PointClassification:
 
 # ---------------------------------------------------------------------------
 # Points
-
-def is_flexible_point(space, x) -> bool:
-    """Is the constant path at x controlled?"""
-    norm = normalize(space)
-    if isinstance(norm, GraphPresentation):
-        return flexible_point(norm, x)
-    if isinstance(norm, ProductN):
-        if not isinstance(x, PTuple):
-            raise ModelError("product points must be pairs")
-        return (is_flexible_point(norm.left, x.parts[0])
-                and is_flexible_point(norm.right, x.parts[1]))
-    if isinstance(norm, HatProductN):
-        if not isinstance(x, PTuple):
-            raise ModelError("product points must be pairs")
-        return (flexible_point(norm.hat_left, x.parts[0])
-                and flexible_point(norm.hat_right, x.parts[1]))
-    raise UnsupportedConstruction("cannot classify points here")
-
 
 @lru_cache(maxsize=None)
 def _fl(pres: GraphPresentation) -> GraphPresentation:
@@ -111,7 +95,6 @@ def classify_point(space, x) -> PointClassification:
 
 def is_flexible_path(space, path_or_track) -> bool:
     """Is every contiguous portion of the path controlled?"""
-    from .membership import _ensure_path
     norm = normalize(space)
     path = _ensure_path(norm, path_or_track)
     if isinstance(norm, GraphPresentation):
@@ -123,20 +106,9 @@ def is_flexible_path(space, path_or_track) -> bool:
         bpts = boundaries(norm, path.start, toks)
         if any(p in norm.excluded for p in bpts):
             return False
-        fams = {}
-        for tok in toks:
-            if isinstance(tok, Pause):
-                continue
-            fam = fams.get(tok.edge)
-            if fam is None:
-                fam = fams[tok.edge] = family(norm, tok.edge)
-            if fragment_span_ok(fam, tok.lo, tok.hi, tok, tok) \
-                    or closed_token_ok(norm, tok):
-                continue
-            return False
-        return True
+        return all(seg_flexible(norm, seg)
+                   for run in path.runs() for seg in run.segs)
     if isinstance(norm, ProductN):
-        from .presentation import project
         return (is_flexible_path(norm.left, project(path, norm, 0))
                 and is_flexible_path(norm.right, project(path, norm, 1)))
     if isinstance(norm, HatProductN):
@@ -148,7 +120,6 @@ def is_flexible_path(space, path_or_track) -> bool:
 
 def is_splittable(space, path_or_track, cut: Position) -> bool:
     """Are both portions of the path at the cut controlled?"""
-    from .membership import _ensure_path
     norm = normalize(space)
     path = _ensure_path(norm, path_or_track)
     if not is_controlled(norm, path):
@@ -189,7 +160,6 @@ def is_rigid_path(space, path_or_track) -> bool:
     For product paths the segment-interior cut search is sampled at
     traversal midpoints; cuts at run and segment boundaries are exact.
     """
-    from .membership import _ensure_path
     norm = normalize(space)
     path = _ensure_path(norm, path_or_track)
     if path.is_trivial():
@@ -214,7 +184,6 @@ def is_rigid_space(space) -> bool:
     for e in norm.edges:
         if family(norm, e.id).fragments:
             return False
-    from .presentation import trace_path
     for tr in norm.generators:
         if tr.restriction_closed:
             return False

@@ -11,17 +11,16 @@ the same support (``is_finer``), and verification of controlled maps
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import kinds as K
 from .kinds import ALL, EdgeKind, Family, Fragment
-from .membership import closed_token_ok, fragment_span_ok, is_controlled
+from .membership import fragment_span_ok, is_controlled, seg_flexible
 from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
-                    Rat, RigidTrace, Seg, TraceStep, UnsupportedConstruction,
-                    Vertex, assemble)
+                    Rat, RigidTrace, Seg, UnsupportedConstruction, Vertex,
+                    assemble)
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
                            HatProductN, Opposite, Product, ProductN, Quotient,
-                           Subspace, Sum, bound_rigid, closed_traces, cuts,
+                           Subspace, Sum, bound_rigid, closed_traces,
                            edge_map, family, flexible_point, in_support,
                            normalize, point_on_step, point_positions,
                            pos_point, trace_end, trace_path, trace_start)
@@ -57,52 +56,26 @@ def exclude_endpoints(space, points) -> GraphPresentation:
 # ---------------------------------------------------------------------------
 # Generated d-space
 
-def _hat_family(fam: Family) -> tuple:
-    """Rewrite one family for the generated d-space.
-
-    Returns (family, promoted_traces): rigid generators lose their dwell
-    requirements and become restriction-closed presentation generators;
-    fragments and their boundary constraints survive restriction closure.
-    """
-    promoted = tuple(RigidTrace(tr.steps, frozenset(), restriction_closed=True)
-                     for tr in fam.rigid)
-    return Family(fragments=fam.fragments, flexible=ALL), promoted
-
-
-_HAT_KIND = {
-    "natural": K.NATURAL,
-    "directed": K.DIRECTED,
-    "still": K.STILL,
-    "discrete_c": K.STILL,
-    "one_jump": K.DIRECTED,
-    "n_stop": K.DIRECTED,
-    "delayed_minus": K.DIRECTED,
-    "delayed_plus": K.DIRECTED,
-    "reversible_one_jump": K.NATURAL,
-    "siphon": K.NATURAL,
-    "siphon_osc": K.NATURAL,
-}
+def _hat_family(fam: Family) -> Family:
+    """Generated d-space of one edge: each rigid step becomes a closed
+    fragment in its direction, and every point is flexible."""
+    steps = tuple(Fragment(1, s.a, s.b) if s.dir > 0 else Fragment(-1, s.b, s.a)
+                  for tr in fam.rigid for s in tr.steps)
+    return Family(fragments=K.merge_fragments(fam.fragments + steps),
+                  flexible=ALL)
 
 
 def hat_graph(g: GraphPresentation) -> GraphPresentation:
-    edges = []
-    extra = []
+    hats = {}  # by edge kind: a hat family has no rigid trace to name its edge
     for e in g.edges:
-        if e.kind.name == "custom":
-            fam, promoted = _hat_family(e.kind.family)
-            extra.extend(promoted)
-            edges.append(replace(e, kind=K.custom(fam)))
-        else:
-            edges.append(replace(e, kind=_HAT_KIND[e.kind.name]))
-    gens = tuple(RigidTrace(tr.steps, frozenset(), restriction_closed=True)
-                 for tr in g.generators) + tuple(extra)
-    seen, uniq = set(), []
-    for tr in gens:
-        if tr not in seen:
-            seen.add(tr)
-            uniq.append(tr)
+        if e.kind not in hats:
+            hats[e.kind] = K.kind_of(_hat_family(family(g, e.id)), e.id)
+    edges = tuple(Edge(e.id, e.src, e.dst, hats[e.kind]) for e in g.edges)
+    gens = tuple(dict.fromkeys(
+        RigidTrace(tr.steps, frozenset(), restriction_closed=True)
+        for tr in g.generators))
     return GraphPresentation(
-        vertices=g.vertices, edges=tuple(edges), generators=tuple(uniq),
+        vertices=g.vertices, edges=edges, generators=gens,
         flexible=g.flexible, excluded=frozenset(),
         absorbing=g.absorbing, emitting=g.emitting, blocked=g.blocked)
 
@@ -127,59 +100,43 @@ def hat(space):
 # ---------------------------------------------------------------------------
 # Flexible part
 
-def _fl_edge(e: Edge):
-    """Rewrite one edge for the flexible part.
+def _edge_kind(g: GraphPresentation, e: Edge, fam: Family, points=()):
+    """(kind, new flexible points) for edge e carrying the family `fam`.
 
-    Returns (kind, extra_flexible_points, extra_absorbing_points).
+    If `fam` is no named kind but becomes one once its finite flexible
+    positions move onto the presentation, they move.  `points` are more
+    positions on e that must stay flexible; each comes back as a point
+    unless the kind already makes it flexible.
     """
-    name = e.kind.name
-    ends = (Vertex(e.src), Vertex(e.dst))
-    if name in ("natural", "directed", "still", "discrete_c"):
-        return e.kind, (), ()
-    if name in ("one_jump", "delayed_minus", "delayed_plus",
-                "reversible_one_jump"):
-        return K.DISCRETE_C, ends, ()
-    if name == "n_stop":
-        anchors = [Fraction(i, e.kind.n) for i in range(1, e.kind.n)]
-        flex = ends + tuple(EdgePoint(e.id, a) for a in anchors)
-        return K.DISCRETE_C, flex, ()
-    if name == "siphon":
-        return K.DIRECTED, (), ()
-    if name == "siphon_osc":
-        return K.NATURAL, (), (Vertex(e.dst),)
-    if name == "custom":
-        fam = e.kind.family
-        flex = []
-        for tr in fam.rigid:
-            flex.append(_trace_pt(e, tr.steps[0].edge, tr.steps[0].a))
-            flex.append(_trace_pt(e, tr.steps[-1].edge, tr.steps[-1].b))
-        new = Family(fragments=fam.fragments, flexible=fam.flexible)
-        return K.custom(new), tuple(flex), ()
-    raise ModelError(f"unknown kind {name!r}")
-
-
-def _trace_pt(e: Edge, edge: str, t: Rat):
-    if t == ZERO:
-        return Vertex(e.src)
-    if t == ONE:
-        return Vertex(e.dst)
-    return EdgePoint(edge, t)
+    kind = K.kind_of(fam, e.id)
+    if not kind.named and fam.flexible != ALL and fam.flexible:
+        bare = Family(fam.rigid, fam.fragments)
+        named = K.kind_of(bare, e.id)
+        if named.named:
+            kind, points, fam = named, (*points, *fam.flexible), bare
+    return kind, {pos_point(g, e.id, t) for t in points
+                  if not fam.position_flexible(t)}
 
 
 def flexible_part(space):
-    """The space of flexible paths: same support, drop all rigid motion."""
+    """The space of flexible paths: same support, drop all rigid motion.
+
+    The endpoints of the dropped rigid traces stay flexible points.
+    """
     norm = normalize(space)
     if isinstance(norm, ProductN):
         return ProductN(flexible_part(norm.left), flexible_part(norm.right))
     if isinstance(norm, HatProductN):
         return norm  # every path of a generated d-space is flexible
     g = norm
-    edges, flex, absorbing = [], set(norm.flexible), set(norm.absorbing)
+    edges, flex = [], set(g.flexible)
     for e in g.edges:
-        kind, extra_flex, extra_abs = _fl_edge(e)
-        edges.append(replace(e, kind=kind))
-        flex.update(extra_flex)
-        absorbing.update(extra_abs)
+        fam = family(g, e.id)
+        ends = [x for tr in fam.rigid for x in (tr.steps[0].a, tr.steps[-1].b)]
+        kind, points = _edge_kind(
+            g, e, Family(fragments=fam.fragments, flexible=fam.flexible), ends)
+        edges.append(Edge(e.id, e.src, e.dst, kind))
+        flex |= points
     gens = []
     for tr in g.generators:
         if tr.restriction_closed:
@@ -191,7 +148,7 @@ def flexible_part(space):
     return GraphPresentation(
         vertices=g.vertices, edges=tuple(edges), generators=tuple(gens),
         flexible=frozenset(flex), excluded=g.excluded,
-        absorbing=frozenset(absorbing), emitting=g.emitting,
+        absorbing=g.absorbing, emitting=g.emitting,
         blocked=frozenset(g.blocked | g.excluded))
 
 
@@ -226,27 +183,32 @@ def functor_Dc(space) -> GraphPresentation:
 # ---------------------------------------------------------------------------
 # Reversible closure / reversible part
 
-def _rc_edge(e: Edge):
-    """Rewrite one edge for the reversible closure.
+def _step_covered(frags, tr: RigidTrace) -> bool:
+    """Is a one-step trace a run that one of the fragments admits?"""
+    if len(tr.steps) != 1 or not frags:
+        return False
+    s = tr.steps[0]
+    run = Seg(s.edge, s.a, s.b)
+    return fragment_span_ok(Family(fragments=frags), run.lo, run.hi, run, run)
 
-    Returns (kind, extra_generator_traces).
+
+def _rc_kind(e: Edge, fam: Family):
+    """Reversible closure of one edge: (kind, extra generator traces).
+
+    The edge gets the named kind of its family joined with the reversed
+    family, if there is one; otherwise it keeps its own rigid traces and
+    the reversed ones go onto the presentation.
     """
-    name = e.kind.name
-    if name in ("natural", "still", "discrete_c", "reversible_one_jump"):
-        return e.kind, ()
-    if name == "directed":
-        return K.NATURAL, ()
-    if name == "one_jump":
-        return K.REVERSIBLE_ONE_JUMP, ()
-    if name in ("siphon", "siphon_osc"):
-        return K.NATURAL, ()
-    if name in ("delayed_minus", "delayed_plus", "n_stop"):
-        fam = K.kind_generators(e.kind, e.id)
-        return e.kind, tuple(tr.reversed() for tr in fam.rigid)
-    if name == "custom":
-        fam = e.kind.family
-        return K.custom(K.family_union(fam, K.family_reversed(fam))), ()
-    raise ModelError(f"unknown kind {name!r}")
+    rev = K.family_reversed(fam)
+    frags = K.merge_fragments(fam.fragments + rev.fragments)
+    own = dict.fromkeys(fam.rigid)
+    rigid = tuple(tr for tr in dict.fromkeys((*own, *rev.rigid))
+                  if not _step_covered(frags, tr))
+    kind = K.kind_of(Family(rigid, frags, fam.flexible), e.id)
+    if kind.named:
+        return kind, ()
+    kind = K.kind_of(Family(fam.rigid, frags, fam.flexible), e.id)
+    return kind, tuple(tr for tr in rigid if tr not in own)
 
 
 def reversible_closure(space) -> GraphPresentation:
@@ -256,24 +218,18 @@ def reversible_closure(space) -> GraphPresentation:
             "reversible closure needs a graph presentation")
     edges, extra = [], []
     for e in g.edges:
-        kind, more = _rc_edge(e)
-        edges.append(replace(e, kind=kind))
+        kind, more = _rc_kind(e, family(g, e.id))
+        edges.append(Edge(e.id, e.src, e.dst, kind))
         extra.extend(more)
-    gens = list(g.generators)
-    for tr in g.generators:
-        gens.append(tr.reversed())
-    gens.extend(extra)
-    seen, uniq = set(), []
-    for tr in gens:
-        if tr not in seen:
-            seen.add(tr)
-            uniq.append(tr)
-    return replace(g, edges=tuple(edges), generators=tuple(uniq))
+    gens = (g.generators + tuple(tr.reversed() for tr in g.generators)
+            + tuple(extra))
+    return replace(g, edges=tuple(edges), generators=tuple(dict.fromkeys(gens)))
 
 
-def _rp_custom(g: GraphPresentation, e: Edge, fam: Family) -> Family:
-    """Reversible part of a custom family: keep generators whose reverse
-    is controlled, and add the reverses."""
+def _rp_family(g: GraphPresentation, fam: Family) -> Family:
+    """Reversible part of one edge family: the rigid traces whose reverse
+    is controlled, with their reverses, and the overlaps of fragments of
+    opposite directions."""
     rigid = []
     for tr in fam.rigid:
         if is_controlled(g, trace_path(g, tr.reversed())):
@@ -295,44 +251,8 @@ def _rp_custom(g: GraphPresentation, e: Edge, fam: Family) -> Family:
                 f.dir, lo, hi, lo_open, hi_open,
                 start_not=frozenset(f.start_not | h.end_not),
                 end_not=frozenset(f.end_not | h.start_not)))
-    seen, uniq = set(), []
-    for x in rigid:
-        if x not in seen:
-            seen.add(x)
-            uniq.append(x)
-    return Family(rigid=tuple(uniq), fragments=tuple(frags),
+    return Family(rigid=tuple(dict.fromkeys(rigid)), fragments=tuple(frags),
                   flexible=fam.flexible)
-
-
-def _rp_edge(g: GraphPresentation, e: Edge):
-    """Rewrite one edge for the reversible part.
-
-    Returns (kind, extra_flexible_points).
-    """
-    name = e.kind.name
-    ends = (Vertex(e.src), Vertex(e.dst))
-    if name in ("natural", "still", "discrete_c", "reversible_one_jump"):
-        return e.kind, ()
-    if name == "directed":
-        return K.STILL, ()
-    if name in ("one_jump", "delayed_minus", "delayed_plus"):
-        return K.DISCRETE_C, ends
-    if name == "n_stop":
-        anchors = [Fraction(i, e.kind.n) for i in range(1, e.kind.n)]
-        flex = ends + tuple(EdgePoint(e.id, a) for a in anchors)
-        return K.DISCRETE_C, flex
-    if name == "siphon":
-        fam = Family(rigid=(K._full(e.id, 1), K._full(e.id, -1)), flexible=ALL)
-        return K.custom(fam), ()
-    if name == "siphon_osc":
-        fam = Family(
-            rigid=(K._full(e.id, 1), K._full(e.id, -1)),
-            fragments=(Fragment(1, hi_open=True), Fragment(-1, hi_open=True)),
-            flexible=ALL)
-        return K.custom(fam), ()
-    if name == "custom":
-        return K.custom(_rp_custom(g, e, e.kind.family)), ()
-    raise ModelError(f"unknown kind {name!r}")
 
 
 def reversible_part(space) -> GraphPresentation:
@@ -342,9 +262,9 @@ def reversible_part(space) -> GraphPresentation:
             "reversible part needs a graph presentation")
     edges, flex = [], set(g.flexible)
     for e in g.edges:
-        kind, extra = _rp_edge(g, e)
-        edges.append(replace(e, kind=kind))
-        flex.update(extra)
+        kind, points = _edge_kind(g, e, _rp_family(g, family(g, e.id)))
+        edges.append(Edge(e.id, e.src, e.dst, kind))
+        flex |= points
     gens = []
     for tr in g.generators:
         if tr.restriction_closed:
@@ -362,13 +282,8 @@ def reversible_part(space) -> GraphPresentation:
         else:
             flex.add(trace_start(g, tr))
             flex.add(trace_end(g, tr))
-    seen, uniq = set(), []
-    for tr in gens:
-        if tr not in seen:
-            seen.add(tr)
-            uniq.append(tr)
     flex -= set(g.excluded) | set(g.blocked)
-    return replace(g, edges=tuple(edges), generators=tuple(uniq),
+    return replace(g, edges=tuple(edges), generators=tuple(dict.fromkeys(gens)),
                    flexible=frozenset(flex))
 
 
@@ -403,21 +318,8 @@ def _closed_cover(g: GraphPresentation, edge: str, lo: Rat, hi: Rat,
 
 def _fragment_contained(f1: Fragment, g2: GraphPresentation,
                         edge: str) -> bool:
-    for f2 in family(g2, edge).fragments:
-        if f2.dir != f1.dir:
-            continue
-        if f2.lo > f1.lo or (f2.lo == f1.lo and f2.lo_open and not f1.lo_open):
-            continue
-        if f2.hi < f1.hi or (f2.hi == f1.hi and f2.hi_open and not f1.hi_open):
-            continue
-        bad = {x for x in f2.start_not if f1.lo <= x <= f1.hi} - f1.start_not
-        if bad:
-            continue
-        bad = {x for x in f2.end_not if f1.lo <= x <= f1.hi} - f1.end_not
-        if bad:
-            continue
-        return True
-    return _closed_cover(g2, edge, f1.lo, f1.hi, f1.dir)
+    return (any(K.covers(f2, f1) for f2 in family(g2, edge).fragments)
+            or _closed_cover(g2, edge, f1.lo, f1.hi, f1.dir))
 
 
 def _edge_all_flexible(g: GraphPresentation, edge: str) -> bool:
@@ -682,7 +584,7 @@ def check_cmap(f: CMap, src, dst):
             run = Seg(e.id, frag.lo, frag.hi) if frag.dir > 0 \
                 else Seg(e.id, frag.hi, frag.lo)
             for seg in _map_seg(f, g2, run):
-                if not _image_flexible(g2, seg):
+                if not seg_flexible(g2, seg):
                     out.append(
                         f"edge {e.id!r}: flexible motion maps onto "
                         f"non-flexible motion of {seg.edge!r}")
@@ -691,7 +593,7 @@ def check_cmap(f: CMap, src, dst):
         for s in tr.steps:
             seg = Seg(s.edge, s.a, s.b)
             for iseg in _map_seg(f, g2, seg):
-                if not _image_flexible(g2, iseg):
+                if not seg_flexible(g2, iseg):
                     out.append(
                         f"closed generator step {s} maps onto "
                         f"non-flexible motion of {iseg.edge!r}")
@@ -722,23 +624,3 @@ def check_cmap(f: CMap, src, dst):
                 g2, map_point(f, g1, g2, p)):
             out.append(f"flexible point {p!r} maps to a rigid point")
     return not out, out
-
-
-def _image_flexible(g: GraphPresentation, seg: Seg) -> bool:
-    """Is every sub-run of this image seg flexibly controlled in g?"""
-    toks = _cut_seg(g, seg)
-    fam = family(g, seg.edge)
-    for tok in toks:
-        if fragment_span_ok(fam, tok.lo, tok.hi, tok, tok) \
-                or closed_token_ok(g, tok):
-            continue
-        return False
-    return True
-
-
-def _cut_seg(g: GraphPresentation, seg: Seg):
-    marks = [x for x in cuts(g, seg.edge) if seg.lo < x < seg.hi]
-    pts = [seg.lo] + marks + [seg.hi]
-    if seg.dir < 0:
-        pts = list(reversed(pts))
-    return [Seg(seg.edge, a, b) for a, b in zip(pts, pts[1:])]

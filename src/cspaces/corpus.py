@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import kinds as K
-from .model import ModelError, RigidTrace, TraceStep, rat
+from .model import ModelError, RigidTrace, TraceStep, Vertex, rat
 from .presentation import (Edge, GraphPresentation, Product, Quotient, Sum,
                            normalize)
 
@@ -82,7 +82,8 @@ def d_circle() -> GraphPresentation:
 
 def c_circle() -> GraphPresentation:
     """Circle generated by the full loop (quotient of the jump interval)."""
-    return normalize(Quotient(c_interval(), (frozenset({_v("v0"), _v("v1")}),)))
+    return normalize(Quotient(c_interval(),
+                              (frozenset({Vertex("v0"), Vertex("v1")}),)))
 
 
 def n_stop_circle(n=3) -> GraphPresentation:
@@ -196,14 +197,9 @@ def dual_carriageway() -> GraphPresentation:
     x3 = _graph({"v1x3", "v2x3"}, [Edge("x3", "v2x3", "v1x3", K.DIRECTED)])
     x4 = _graph({"v2", "v3"}, [Edge("x4", "v2", "v3", K.NATURAL)])
     total = Sum(Sum(x1, x2), Sum(x3, x4))
-    classes = (frozenset({_v("v1"), _v("v1x2"), _v("v1x3")}),
-               frozenset({_v("v2"), _v("v2x2"), _v("v2x3")}))
+    classes = (frozenset({Vertex("v1"), Vertex("v1x2"), Vertex("v1x3")}),
+               frozenset({Vertex("v2"), Vertex("v2x2"), Vertex("v2x3")}))
     return normalize(Quotient(total, classes))
-
-
-def _v(name):
-    from .model import Vertex
-    return Vertex(name)
 
 
 _BUILDERS = {

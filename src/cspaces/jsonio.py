@@ -8,15 +8,18 @@ paths as {"track": [...]} or {"start", "items"} documents.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from . import kinds as K
 from .kinds import ALL, Family, Fragment
 from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     Pause, ProdSeg, PTuple, RigidTrace, Seg, Track,
                     TraceStep, Vertex, assemble, rat, rat_str)
-from .presentation import (Edge, GraphPresentation, HatProductN, ProductN,
-                           canonicalize, check_path_geometry, normalize,
-                           pos_point)
+from .construct import hat
+from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
+                           HatProductN, Opposite, Product, ProductN, Quotient,
+                           Subspace, Sum, _point_of_seg, canonicalize,
+                           check_path_geometry, normalize, pos_point)
 
 
 def dumps(obj) -> str:
@@ -171,7 +174,6 @@ def _graph_from_json(d: dict) -> GraphPresentation:
         generators=tuple(_trace_from_json(t) for t in d.get("generators", ())))
     def pts(key):
         return frozenset(point_from_str(s, g) for s in d.get(key, ()))
-    from dataclasses import replace
     return replace(g, flexible=pts("flexible"), excluded=pts("excluded"),
                    absorbing=pts("absorbing"), emitting=pts("emitting"),
                    blocked=pts("blocked"))
@@ -200,8 +202,6 @@ def space_from_json(d: dict):
         ex = d["expr"]
         op = ex.get("op")
         args = [space_from_json(a) for a in ex.get("args", ())]
-        from .presentation import (ExcludeEndpoints, Opposite, Product,
-                                   Quotient, Subspace, Sum)
         if op == "product":
             return Product(args[0], args[1])
         if op == "sum":
@@ -209,7 +209,6 @@ def space_from_json(d: dict):
         if op == "opposite":
             return Opposite(args[0])
         if op == "hat":
-            from .construct import hat
             return hat(args[0])
         if op == "quotient":
             classes = tuple(
@@ -284,7 +283,6 @@ def _atom_end(norm, atom):
             return pos_point(norm, atom.edge, atom.b)
         return None
     if isinstance(atom, ProdSeg):
-        from .presentation import _point_of_seg
         return _point_of_seg(norm, atom, ONE)
     return None
 

@@ -19,6 +19,10 @@ controlled.  Built-in kinds:
   still       trivial loops everywhere, nothing moves
   discrete_c  no controlled path at all, not even trivial loops
   custom      an explicit Family (used by derived constructions)
+
+This module alone gives kinds their meaning.  Constructions rewrite an
+edge's Family without looking at its kind, and ``kind_of`` turns the
+rewritten family back into a named kind when one generates exactly it.
 """
 from __future__ import annotations
 
@@ -89,6 +93,11 @@ class EdgeKind:
             raise ModelError("n_stop needs n >= 1")
         if self.name == "custom" and self.family is None:
             raise ModelError("custom kind needs a family")
+
+    @property
+    def named(self) -> bool:
+        """False for a custom kind, which carries its own family."""
+        return self.family is None
 
 
 _KIND_NAMES = {
@@ -167,16 +176,6 @@ def kind_generators(k: EdgeKind, edge: str) -> Family:
     raise ModelError(f"unknown kind {name!r}")
 
 
-def kind_flexible_points(k: EdgeKind, edge: str = "e"):
-    """ALL, or the frozenset of flexible positions on the edge."""
-    return kind_generators(k, edge).flexible
-
-
-def kind_flexible_fragment(k: EdgeKind, edge: str = "e") -> tuple:
-    """The kind's flexible fragments (possibly empty)."""
-    return kind_generators(k, edge).fragments
-
-
 def family_reversed(fam: Family) -> Family:
     """The family generating exactly the reversed paths (same coordinates)."""
     return Family(rigid=tuple(t.reversed() for t in fam.rigid),
@@ -184,13 +183,80 @@ def family_reversed(fam: Family) -> Family:
                   flexible=fam.flexible)
 
 
-def family_union(f1: Family, f2: Family) -> Family:
-    def key(x):
-        return repr(x)
-    rigid = tuple(sorted(set(f1.rigid) | set(f2.rigid), key=key))
-    frags = tuple(sorted(set(f1.fragments) | set(f2.fragments), key=key))
-    if f1.flexible == ALL or f2.flexible == ALL:
-        flex = ALL
-    else:
-        flex = frozenset(f1.flexible | f2.flexible)
-    return Family(rigid=rigid, fragments=frags, flexible=flex)
+def covers(h: Fragment, f: Fragment) -> bool:
+    """Does window h admit every run that window f admits?"""
+    return (h.dir == f.dir
+            and (h.lo < f.lo or (h.lo == f.lo and (f.lo_open or not h.lo_open)))
+            and (h.hi > f.hi or (h.hi == f.hi and (f.hi_open or not h.hi_open)))
+            and {x for x in h.start_not if f.lo <= x <= f.hi} <= f.start_not
+            and {x for x in h.end_not if f.lo <= x <= f.hi} <= f.end_not)
+
+
+def _plain(f: Fragment) -> bool:
+    return not (f.lo_open or f.hi_open or f.start_not or f.end_not)
+
+
+def merge_fragments(frags) -> tuple:
+    """Fewer fragments generating the same paths.
+
+    Closed windows without boundary constraints that overlap or touch are
+    joined, by one sorted sweep per direction (runs across the joint are
+    concatenations); then every window that another one covers is
+    dropped.  Survivors keep the order of their first input fragment.
+    """
+    if len({f.dir for f in frags}) == len(frags):
+        return tuple(frags)  # nothing to join or drop
+    ranked = [(i, f) for i, f in enumerate(frags) if not _plain(f)]
+    for d in (1, -1):
+        joined = []  # (rank, window)
+        plain = sorted((f.lo, f.hi, i, f) for i, f in enumerate(frags)
+                       if f.dir == d and _plain(f))
+        for lo, hi, i, f in plain:
+            if joined and lo <= joined[-1][1].hi:
+                rank, w = joined[-1]
+                joined[-1] = (min(rank, i),
+                              Fragment(d, w.lo, hi) if hi > w.hi else w)
+            else:
+                joined.append((i, f))
+        ranked += joined
+    kept = []
+    for _, f in sorted(ranked, key=lambda rf: rf[0]):
+        if not any(covers(h, f) for h in kept):
+            kept = [h for h in kept if not covers(f, h)] + [f]
+    return tuple(kept)
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    """Equal up to order."""
+    return a == b or (len(a) == len(b) and a[0] in b and set(a) == set(b))
+
+
+def _shape(fam: Family) -> tuple:
+    return len(fam.rigid), len(fam.fragments), fam.flexible == ALL
+
+
+def _named_by_shape() -> dict:
+    """Named kinds of fixed arity, keyed by the shape of their families
+    (which does not depend on the edge name)."""
+    out = {}
+    for k in (NATURAL, DIRECTED, ONE_JUMP, DELAYED_MINUS, DELAYED_PLUS,
+              REVERSIBLE_ONE_JUMP, SIPHON, SIPHON_OSC, STILL, DISCRETE_C):
+        out.setdefault(_shape(kind_generators(k, "e")), []).append(k)
+    return out
+
+
+_NAMED_BY_SHAPE = _named_by_shape()
+
+
+def kind_of(fam: Family, edge: str) -> EdgeKind:
+    """The named kind whose family on `edge` is `fam`, up to the order of
+    its rigid traces and fragments; ``custom(fam)`` when there is none."""
+    cands = list(_NAMED_BY_SHAPE.get(_shape(fam), ()))
+    if len(fam.rigid) > 1:
+        cands.append(n_stop(len(fam.rigid)))
+    for k in cands:
+        g = kind_generators(k, edge)
+        if g.flexible == fam.flexible and _same(g.fragments, fam.fragments) \
+                and _same(g.rigid, fam.rigid):
+            return k
+    return custom(fam)

@@ -248,25 +248,14 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
 # ---------------------------------------------------------------------------
 # Hat products
 
-def _seg_fragment_free(pres: GraphPresentation, seg: Seg) -> bool:
-    """Is every cut-atom of the segment inside a flexible fragment?"""
-    toks = [t for t in explode(pres, CanonicalPath(
-        pos_point(pres, seg.edge, seg.a), (Run((seg,)),),
-        pos_point(pres, seg.edge, seg.b)))
-            if isinstance(t, Seg)]
+def seg_flexible(pres: GraphPresentation, seg: Seg) -> bool:
+    """Is every cut-atom of the segment inside a flexible fragment or a
+    step of a restriction-closed trace?"""
     fam = family(pres, seg.edge)
-    return all(fragment_span_ok(fam, t.lo, t.hi, t, t) for t in toks)
-
-
-def _seg_hat_ok(hat_pres: GraphPresentation, seg: Seg) -> bool:
-    toks = [t for t in explode(hat_pres, CanonicalPath(
-        pos_point(hat_pres, seg.edge, seg.a), (Run((seg,)),),
-        pos_point(hat_pres, seg.edge, seg.b)))
-            if isinstance(t, Seg)]
-    fam = family(hat_pres, seg.edge)
+    path = CanonicalPath(pos_point(pres, seg.edge, seg.a), (Run((seg,)),),
+                         pos_point(pres, seg.edge, seg.b))
     return all(fragment_span_ok(fam, t.lo, t.hi, t, t)
-               or closed_token_ok(hat_pres, t)
-               for t in toks)
+               or closed_token_ok(pres, t) for t in explode(pres, path))
 
 
 def _trace_param(tr: RigidTrace, edge: str, x: Rat):
@@ -295,17 +284,17 @@ def _prodseg_hat_ok(hp: HatProductN, seg: ProdSeg) -> bool:
     lp, rp = seg.parts
     lmove, rmove = isinstance(lp, Seg), isinstance(rp, Seg)
     if lmove and not rmove:
-        return _seg_hat_ok(hp.hat_left, lp)
+        return seg_flexible(hp.hat_left, lp)
     if rmove and not lmove:
-        return _seg_hat_ok(hp.hat_right, rp)
+        return seg_flexible(hp.hat_right, rp)
     if not lmove and not rmove:
         return True
-    lfree = _seg_fragment_free(hp.left, lp)
-    rfree = _seg_fragment_free(hp.right, rp)
+    lfree = seg_flexible(hp.left, lp)
+    rfree = seg_flexible(hp.right, rp)
     if lfree and rfree:
         return True
     if lfree:
-        return bool(_rigid_windows(hp.right, rp)) or _seg_fragment_free(hp.right, rp)
+        return bool(_rigid_windows(hp.right, rp))
     if rfree:
         return bool(_rigid_windows(hp.left, lp))
     # both coordinates ride rigid generators: they must advance in sync

@@ -257,6 +257,24 @@ def flexible_point(pres: GraphPresentation, p) -> bool:
     return False
 
 
+def is_flexible_point(space, x) -> bool:
+    """Is the constant path at x controlled?"""
+    norm = normalize(space)
+    if isinstance(norm, GraphPresentation):
+        return flexible_point(norm, x)
+    if isinstance(norm, ProductN):
+        if not isinstance(x, PTuple):
+            raise ModelError("product points must be pairs")
+        return (is_flexible_point(norm.left, x.parts[0])
+                and is_flexible_point(norm.right, x.parts[1]))
+    if isinstance(norm, HatProductN):
+        if not isinstance(x, PTuple):
+            raise ModelError("product points must be pairs")
+        return (flexible_point(norm.hat_left, x.parts[0])
+                and flexible_point(norm.hat_right, x.parts[1]))
+    raise UnsupportedConstruction("cannot classify points here")
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 
@@ -359,22 +377,20 @@ def _split_edge(g: GraphPresentation, edge: str, t: Rat):
     e = edge_map(g)[edge]
     if not (ZERO < t < ONE):
         raise ModelError("split position must be interior")
-    name = e.kind.name
+    fam = family(g, edge)
+    for tr in fam.rigid:
+        ends = [x for s in tr.steps for x in (s.a, s.b)]
+        if min(ends) < t < max(ends):
+            raise UnsupportedConstruction(
+                f"a rigid generator of edge {edge!r} crosses {t}")
+    for f in fam.fragments:
+        if f.lo < t < f.hi and t in f.start_not | f.end_not:
+            raise UnsupportedConstruction(
+                f"a fragment of edge {edge!r} may not start or end at {t}")
     mid = f"{edge}@{t.numerator}_{t.denominator}"
     lid, rid = f"{edge}.l", f"{edge}.r"
-    if name in ("natural", "directed", "still", "discrete_c"):
-        lkind = rkind = e.kind
-    elif name == "n_stop":
-        k = t * e.kind.n
-        if k.denominator != 1:
-            raise UnsupportedConstruction("n_stop edges split only at anchors")
-        k = int(k)
-        if not (0 < k < e.kind.n):
-            raise ModelError("split position out of range")
-        lkind = K.n_stop(k) if k > 1 else K.ONE_JUMP
-        rkind = K.n_stop(e.kind.n - k) if e.kind.n - k > 1 else K.ONE_JUMP
-    else:
-        raise UnsupportedConstruction(f"cannot split an edge of kind {name!r}")
+    lkind = K.kind_of(_rebind_family_edge(_sub_family(fam, ZERO, t), lid), lid)
+    rkind = K.kind_of(_rebind_family_edge(_sub_family(fam, t, ONE), rid), rid)
 
     def remap_t(s: Rat):
         if s < t:
@@ -561,24 +577,18 @@ def _subspace_normal(g: GraphPresentation, region) -> GraphPresentation:
         blocked=remap_set(g.blocked))
 
 
-_SELF_DUAL_KINDS = {"natural", "still", "discrete_c", "reversible_one_jump"}
-
-
 def _opposite_normal(norm):
     if isinstance(norm, ProductN):
         return ProductN(_opposite_normal(norm.left), _opposite_normal(norm.right))
     if not isinstance(norm, GraphPresentation):
         raise UnsupportedConstruction("opposite of this construction is unsupported")
-    edges = []
-    for e in norm.edges:
-        if e.kind.name in _SELF_DUAL_KINDS:
-            edges.append(e)
-        else:
-            fam = K.family_reversed(family(norm, e.id))
-            edges.append(Edge(e.id, e.src, e.dst, K.custom(fam)))
+    edges = tuple(
+        Edge(e.id, e.src, e.dst,
+             K.kind_of(K.family_reversed(family(norm, e.id)), e.id))
+        for e in norm.edges)
     return GraphPresentation(
         vertices=norm.vertices,
-        edges=tuple(edges),
+        edges=edges,
         generators=tuple(tr.reversed() for tr in norm.generators),
         flexible=norm.flexible,
         excluded=norm.excluded,
@@ -650,11 +660,10 @@ def _validate_graph(g: GraphPresentation, out):
         for v in (e.src, e.dst):
             if v not in g.vertices:
                 out.append(f"edge {e.id!r} endpoint {v!r} is not a vertex")
-        if e.kind.name == "custom":
-            for tr in e.kind.family.rigid:
-                for s in tr.steps:
-                    if s.edge != e.id:
-                        out.append(f"custom family of {e.id!r} references {s.edge!r}")
+        for tr in K.kind_generators(e.kind, e.id).rigid:
+            for s in tr.steps:
+                if s.edge != e.id:
+                    out.append(f"custom family of {e.id!r} references {s.edge!r}")
     for tr in g.generators:
         prev = None
         for s in tr.steps:
@@ -721,17 +730,11 @@ def _part_motion(norm, p, q):
             raise ModelError("product track needs breakpoints at vertex crossings")
         return segs[0]
     if isinstance(norm, (ProductN, HatProductN)):
-        ln, rn = _factors(norm)
         if not isinstance(p, PTuple) or not isinstance(q, PTuple):
             raise ModelError("product point expected")
-        return ProdSeg((_part_motion(ln, p.parts[0], q.parts[0]),
-                        _part_motion(rn, p.parts[1], q.parts[1])))
+        return ProdSeg((_part_motion(norm.left, p.parts[0], q.parts[0]),
+                        _part_motion(norm.right, p.parts[1], q.parts[1])))
     raise ModelError("unsupported factor")
-
-
-def _factors(norm):
-    """The two factors of a ProductN or HatProductN."""
-    return norm.left, norm.right
 
 
 def canonicalize(path_or_track, space) -> CanonicalPath:
@@ -761,7 +764,7 @@ def project(path_or_track, space, index: int) -> CanonicalPath:
     norm = normalize(space)
     if not isinstance(norm, (ProductN, HatProductN)):
         raise ModelError("project needs a product space")
-    factor = _factors(norm)[index]
+    factor = (norm.left, norm.right)[index]
     if isinstance(path_or_track, Track):
         pts = tuple((t, p.parts[index]) for t, p in path_or_track.points)
         return canonicalize(Track(pts), factor)
@@ -789,8 +792,7 @@ def _point_of_seg(norm, seg, t):
         return pos_point(norm, seg.edge, t)
     lam = t
     parts = []
-    ln, rn = _factors(norm)
-    for sub, fnorm in zip(seg.parts, (ln, rn)):
+    for sub, fnorm in zip(seg.parts, (norm.left, norm.right)):
         if isinstance(sub, Seg):
             parts.append(pos_point(fnorm, sub.edge, sub.a + (sub.b - sub.a) * lam))
         elif isinstance(sub, ProdSeg):

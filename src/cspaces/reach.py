@@ -21,9 +21,9 @@ from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     ProdSeg, PTuple, Rat, Seg, UnsupportedConstruction,
                     Vertex, assemble)
 from .presentation import (GraphPresentation, HatProductN, ProductN,
-                           cuts, edge_map, family, flexible_point, normalize,
-                           point_positions, trace_end, trace_path,
-                           trace_start)
+                           cuts, edge_map, family, flexible_point,
+                           is_flexible_point, normalize, point_positions,
+                           trace_end, trace_path, trace_start)
 
 
 @dataclass(frozen=True)
@@ -395,7 +395,6 @@ def c_reachable(space, x, y) -> ReachResult:
 
 
 def _trivial_if_flex(norm, x):
-    from .classify import is_flexible_point
     if is_flexible_point(norm, x):
         return assemble(x, [], x)
     return None

@@ -5,29 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .model import (ONE, PAUSE, ZERO, CanonicalPath, ModelError, ProdSeg,
-                    PTuple, Seg, Vertex, assemble)
+from .model import (PAUSE, CanonicalPath, ModelError, ProdSeg, PTuple, Seg,
+                    assemble)
 from .presentation import (GraphPresentation, HatProductN, ProductN, cuts,
-                           pos_point)
+                           point_positions, pos_point)
 
 
 def _edge_values(pres: GraphPresentation, edge: str, grid: int) -> list:
     vals = set(cuts(pres, edge))
     vals.update(Fraction(i, grid) for i in range(grid + 1))
     return sorted(vals)
-
-
-def _positions_at(pres: GraphPresentation, p):
-    """(edge, t) incarnations of a point, for continuing a walk."""
-    if isinstance(p, Vertex):
-        out = []
-        for e in pres.edges:
-            if e.src == p.name:
-                out.append((e.id, ZERO))
-            if e.dst == p.name:
-                out.append((e.id, ONE))
-        return out
-    return [(p.edge, p.t)]
 
 
 def random_graph_path(pres: GraphPresentation, rng: random.Random,
@@ -44,7 +31,7 @@ def random_graph_path(pres: GraphPresentation, rng: random.Random,
         if rng.random() < 0.2:
             atoms.append(PAUSE)
             continue
-        spots = _positions_at(pres, cur)
+        spots = point_positions(pres, cur)
         if not spots:
             break
         edge, t = rng.choice(spots)
@@ -95,7 +82,7 @@ def random_product_path(norm, rng: random.Random, max_atoms: int = 3,
 
 
 def _step_from(pres, p, rng, grid):
-    spots = _positions_at(pres, p)
+    spots = point_positions(pres, p)
     if not spots:
         return None
     edge, t = rng.choice(spots)

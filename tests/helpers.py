@@ -3,10 +3,18 @@ hand-coded membership predicates used as cross-checks."""
 
 from fractions import Fraction as F
 
+from cspaces import kinds as K
+from cspaces.kinds import Family, Fragment
 from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, Pause, ProdSeg,
                            PTuple, Run, Seg, Vertex, assemble)
 
 Z, O, H = F(0), F(1), F(1, 2)
+
+# A custom family with open window ends, end_not and a falling window.
+OPEN_WINDOWS = K.custom(Family(fragments=(
+    Fragment(1, Z, H, hi_open=True),
+    Fragment(1, F(1, 4), O, lo_open=True, end_not=frozenset({H, O})),
+    Fragment(-1, F(1, 4), F(3, 4), hi_open=True))))
 
 
 def run(start, *atoms, end):

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from cspaces import kinds as K
+from cspaces.classify import is_flexible_path
 from cspaces.construct import (EdgeImage, check_cmap, cmap, exclude_endpoints,
                                flexible_part, functor_D, functor_Dc,
                                functor_Dprime, hat, is_finer, map_path,
@@ -12,11 +14,13 @@ from cspaces.construct import (EdgeImage, check_cmap, cmap, exclude_endpoints,
                                quotient_identify, reversible_closure,
                                reversible_part, subspace, sum_space)
 from cspaces.corpus import build
+from cspaces.kinds import Family
 from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple,
-                           Seg, TraceStep, UnsupportedConstruction, Vertex,
-                           assemble, reverse_path)
-from cspaces.presentation import HatProductN, normalize
+                           RigidTrace, Seg, TraceStep, UnsupportedConstruction,
+                           Vertex, assemble, reverse_path)
+from cspaces.presentation import (Edge, GraphPresentation, HatProductN,
+                                  normalize)
 
 from helpers import Z, O, H
 
@@ -60,7 +64,7 @@ class TestFlexiblePart:
         assert kinds(flexible_part(build("c_interval"))) == {"e0": "discrete_c"}
         assert kinds(flexible_part(build("c_line_window"))) == {"e0": "discrete_c"}
         assert kinds(flexible_part(build("siphon"))) == {"e0": "directed"}
-        assert kinds(flexible_part(build("siphon_osc"))) == {"e0": "natural"}
+        assert kinds(flexible_part(build("siphon_osc"))) == {"e0": "custom"}
         assert kinds(flexible_part(build("natural_interval"))) == {"e0": "natural"}
 
     def test_flexible_part_of_jump_keeps_endpoints_only(self):
@@ -76,6 +80,27 @@ class TestFlexiblePart:
         assert set(fl.flexible) == {Vertex("v0"), Vertex("v3"),
                                     EdgePoint("e0", F(1, 3)),
                                     EdgePoint("e0", F(2, 3))}
+
+    def test_flexible_part_of_oscillating_siphon_runs_through_the_top(self):
+        # the top of siphon_osc is not absorbing: a flexible rise may go on
+        g = GraphPresentation(
+            frozenset({"v0", "v1", "v2"}),
+            (Edge("e0", "v0", "v1", K.SIPHON_OSC),
+             Edge("e1", "v1", "v2", K.NATURAL)))
+        p = assemble(V0, [Seg("e0", Z, O), Seg("e1", Z, H)], EdgePoint("e1", H))
+        assert is_controlled(g, p) and is_flexible_path(g, p)
+        assert is_controlled(flexible_part(g), p)
+
+    def test_flexible_part_keeps_rigid_trace_ends_flexible(self):
+        q1, q3 = EdgePoint("e0", F(1, 4)), EdgePoint("e0", F(3, 4))
+        jump = RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),))
+        fl = flexible_part(GraphPresentation(
+            frozenset({"v0", "v1"}),
+            (Edge("e0", "v0", "v1", K.custom(Family(rigid=(jump,)))),)))
+        assert is_controlled(fl, assemble(q1, [], q1))
+        assert is_controlled(fl, assemble(q3, [], q3))
+        assert not is_controlled(fl, assemble(V0, [], V0))
+        assert not is_controlled(fl, assemble(q1, [Seg("e0", F(1, 4), F(3, 4))], q3))
 
     def test_flexible_part_of_siphon_keeps_rises_only(self):
         fl = flexible_part(build("siphon"))

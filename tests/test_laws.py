@@ -1,0 +1,153 @@
+"""Laws of the constructions on a one-edge interval of every kind.
+
+Seeded random paths (``zlib.crc32`` of the case name, so a failure
+replays) check that a space sits inside its generated d-space, contains
+its flexible part and its reversible part, sits inside its reversible
+closure, and that reversing a path maps it onto the opposite space.
+Quotients at an interior anchor split the edge; their membership must
+agree with the brute-force oracle.
+"""
+
+import random
+import zlib
+from fractions import Fraction as F
+
+import pytest
+
+from cspaces import kinds as K
+from cspaces.classify import is_flexible_path
+from cspaces.construct import (flexible_part, hat, opposite, quotient_identify,
+                               reversible_closure, reversible_part)
+from cspaces.kinds import ALL, Family, Fragment
+from cspaces.membership import (brute_force_controlled, is_controlled,
+                                parse_controlled)
+from cspaces.model import (EdgePoint, UnsupportedConstruction, Vertex,
+                           reverse_path)
+from cspaces.presentation import Edge, GraphPresentation, _split_edge, normalize
+from cspaces.sampling import random_graph_path
+
+from helpers import OPEN_WINDOWS, H
+
+KINDS = {name: K.kind(name) for name in (
+    "natural", "directed", "one_jump", "delayed_minus", "delayed_plus",
+    "reversible_one_jump", "siphon", "siphon_osc", "still", "discrete_c")}
+KINDS["n_stop3"] = K.n_stop(3)
+KINDS["open_windows"] = OPEN_WINDOWS
+PATHS = 150
+DEPTH = 5
+
+
+def interval(kind) -> GraphPresentation:
+    return GraphPresentation(frozenset({"v0", "v1"}),
+                             (Edge("e0", "v0", "v1", kind),))
+
+
+def paths(case: str, space):
+    rng = random.Random(zlib.crc32(case.encode()))
+    norm = normalize(space)
+    return [random_graph_path(norm, rng) for _ in range(PATHS)]
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+class TestLaws:
+    def test_space_inside_its_generated_d_space(self, name):
+        sp = interval(KINDS[name])
+        h = hat(sp)
+        for p in paths(name + "/hat", sp):
+            if is_controlled(sp, p):
+                assert is_controlled(h, p), p
+
+    def test_flexible_part_holds_the_flexible_paths(self, name):
+        sp = interval(KINDS[name])
+        fl = flexible_part(sp)
+        for p in paths(name + "/fl", sp):
+            inside = is_controlled(sp, p)
+            if is_controlled(fl, p):
+                assert inside, p
+            if inside and is_flexible_path(sp, p):
+                assert is_controlled(fl, p), p
+
+    def test_reversible_part_and_closure_bracket_the_space(self, name):
+        sp = interval(KINDS[name])
+        rp, rc = reversible_part(sp), reversible_closure(sp)
+        for p in paths(name + "/rev", sp):
+            inside = is_controlled(sp, p)
+            if is_controlled(rp, p):
+                assert inside, p
+            if inside:
+                assert is_controlled(rc, p), p
+
+    def test_reversal_maps_onto_the_opposite(self, name):
+        sp = interval(KINDS[name])
+        op = opposite(sp)
+        for p in paths(name + "/op", sp):
+            assert is_controlled(sp, p) == is_controlled(op, reverse_path(p)), p
+        assert normalize(opposite(op)) == sp
+
+    def test_quotient_at_anchor_agrees_with_oracle(self, name):
+        sp = interval(KINDS[name])
+        fam = K.kind_generators(KINDS[name], "e0")
+        anchor = EdgePoint("e0", F(1, 3))
+        if fam.rigid and name != "n_stop3":
+            # a rigid generator runs across 1/3
+            with pytest.raises(UnsupportedConstruction):
+                quotient_identify(sp, [[Vertex("v0"), anchor]])
+            return
+        q = normalize(quotient_identify(sp, [[Vertex("v0"), anchor]]))
+        assert len(q.edges) == 2
+        compared = 0
+        for p in paths(name + "/quotient", q):
+            out = parse_controlled(q, p)
+            if out.controlled and out.count > DEPTH:
+                continue  # beyond the oracle's horizon
+            assert out.controlled == brute_force_controlled(q, p, depth=DEPTH), p
+            compared += 1
+        assert compared > PATHS // 2
+
+
+def test_n_stop_splits_into_two_n_stops():
+    g, _ = _split_edge(interval(K.n_stop(4)), "e0", H)
+    assert [e.kind for e in g.edges] == [K.n_stop(2), K.n_stop(2)]
+    g, _ = _split_edge(interval(K.n_stop(4)), "e0", F(1, 4))
+    assert [e.kind for e in g.edges] == [K.ONE_JUMP, K.n_stop(3)]
+
+
+def test_split_refuses_a_forbidden_instance_start():
+    kind = K.custom(Family(fragments=(Fragment(1, start_not=frozenset({H})),),
+                           flexible=ALL))
+    with pytest.raises(UnsupportedConstruction):
+        _split_edge(interval(kind), "e0", H)
+    g, _ = _split_edge(interval(kind), "e0", F(1, 3))
+    assert len(g.edges) == 2
+
+
+# kind of the rewritten edge: hat, flexible part, reversible part and
+# closure, opposite (named kinds keep their names where a named kind
+# generates exactly the rewritten family)
+KIND_TABLE = {
+    "natural": ("natural", "natural", "natural", "natural", "natural"),
+    "directed": ("directed", "directed", "still", "natural", "custom"),
+    "one_jump": ("directed", "discrete_c", "discrete_c",
+                 "reversible_one_jump", "custom"),
+    "delayed_minus": ("directed", "discrete_c", "discrete_c",
+                      "delayed_minus", "custom"),
+    "delayed_plus": ("directed", "discrete_c", "discrete_c", "delayed_plus",
+                     "custom"),
+    "reversible_one_jump": ("natural", "discrete_c", "reversible_one_jump",
+                            "reversible_one_jump", "reversible_one_jump"),
+    "siphon": ("natural", "directed", "custom", "natural", "custom"),
+    "siphon_osc": ("natural", "custom", "custom", "natural", "custom"),
+    "still": ("still", "still", "still", "still", "still"),
+    "discrete_c": ("still", "discrete_c", "discrete_c", "discrete_c",
+                   "discrete_c"),
+    "n_stop3": ("directed", "discrete_c", "discrete_c", "n_stop", "custom"),
+    "open_windows": ("custom",) * 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_TABLE))
+def test_constructions_name_the_rewritten_kind(name):
+    sp = interval(KINDS[name])
+    got = tuple(normalize(c(sp)).edges[0].kind.name for c in (
+        hat, flexible_part, reversible_part, reversible_closure, opposite))
+    assert got == KIND_TABLE[name]

@@ -9,14 +9,14 @@ from cspaces import kinds as K
 from cspaces import membership
 from cspaces.corpus import build
 from cspaces.construct import exclude_endpoints
-from cspaces.kinds import Family, Fragment
+from cspaces.kinds import Fragment
 from cspaces.membership import (brute_force_controlled, is_controlled,
                                 parse_controlled)
 from cspaces.model import (PAUSE, EdgePoint, Seg, Track, Vertex, assemble,
                            reverse_path)
 from cspaces.presentation import Edge, GraphPresentation, normalize, pos_point
 
-from helpers import Z, O, H
+from helpers import OPEN_WINDOWS, Z, O, H
 
 
 def path(*atoms, start, end):
@@ -299,10 +299,6 @@ class TestGrowthCounts:
 
 
 CUTS = 24
-OPEN_WINDOWS = K.custom(Family(fragments=(
-    Fragment(1, Z, H, hi_open=True),
-    Fragment(1, F(1, 4), O, lo_open=True, end_not=frozenset({H, O})),
-    Fragment(-1, F(1, 4), F(3, 4), hi_open=True))))
 
 
 def _cut_edge(kind):
