@@ -236,7 +236,7 @@ def main(argv=None) -> int:
         sys.stdout.write(dumps(
             {"error": {"type": "input", "message": str(exc)}}))
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         sys.stdout.write(dumps(
             {"error": {"type": "input", "message": f"{type(exc).__name__}: {exc}"}}))
         return 2

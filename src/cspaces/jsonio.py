@@ -19,11 +19,67 @@ from .construct import hat
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
                            HatProductN, Opposite, Product, ProductN, Quotient,
                            Subspace, Sum, _point_of_seg, canonicalize,
-                           check_path_geometry, normalize, pos_point)
+                           check_path_geometry, edge_map, normalize, pos_point)
 
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reading fields: a missing key or a value of the wrong JSON type is a
+# ModelError naming its place in the document, e.g. "space.graph.edges[0]".
+
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number", bool: "true or false",
+               type(None): "null"}
+
+
+def _check(value, types: tuple, where: str):
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and bool not in types):
+        want = " or ".join(_JSON_TYPES[t] for t in types)
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ModelError(f"{where} must be {want}, not {got}")
+    return value
+
+
+def _field(doc: dict, key: str, types: tuple, where: str,
+           default=_REQUIRED):
+    """doc[key], of one of `types`; `default` when the key is absent."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ModelError(f"{where} has no {key!r} key")
+        return default
+    return _check(doc[key], types, f"{where}.{key}")
+
+
+def _items(doc: dict, key: str, types: tuple, where: str) -> list:
+    """The array doc[key] (empty when absent), each item of `types`."""
+    items = _field(doc, key, (list,), where, [])
+    for i, item in enumerate(items):
+        _check(item, types, f"{where}.{key}[{i}]")
+    return items
+
+
+def _rat(value, where: str):
+    """A rational from a "p/q" string or an integer."""
+    _check(value, (str, int), where)
+    try:
+        return rat(value)
+    except ModelError as exc:
+        raise ModelError(f"{where}: {exc}") from None
+
+
+def _rat_field(doc: dict, key: str, where: str, default=_REQUIRED):
+    value = _field(doc, key, (str, int), where, default)
+    return value if value is default else _rat(value, f"{where}.{key}")
+
+
+def _rats(doc: dict, key: str, where: str) -> frozenset:
+    return frozenset(_rat(x, f"{where}.{key}[{i}]")
+                     for i, x in enumerate(_field(doc, key, (list,), where, [])))
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +131,8 @@ def point_from_str(s: str, space=None):
             norm = normalize(space)
             if not isinstance(norm, GraphPresentation):
                 raise ModelError(f"cannot resolve {s!r} here")
+            if edge not in edge_map(norm):
+                raise ModelError(f"unknown edge {edge!r} in {s!r}")
             return pos_point(norm, edge, t)
         return EdgePoint(edge, t)
     raise ModelError(f"bad point syntax {s!r}")
@@ -92,11 +150,16 @@ def _trace_to_json(tr: RigidTrace) -> dict:
     return d
 
 
-def _trace_from_json(d: dict) -> RigidTrace:
-    steps = tuple(TraceStep(s["edge"], rat(s["from"]), rat(s["to"]))
-                  for s in d.get("steps", ()))
-    return RigidTrace(steps, frozenset(int(i) for i in d.get("pauses", ())),
-                      bool(d.get("closed", False)))
+def _trace_from_json(d: dict, where: str) -> RigidTrace:
+    steps = []
+    for i, s in enumerate(_items(d, "steps", (dict,), where)):
+        at = f"{where}.steps[{i}]"
+        steps.append(TraceStep(_field(s, "edge", (str,), at),
+                               _rat_field(s, "from", at),
+                               _rat_field(s, "to", at)))
+    return RigidTrace(tuple(steps),
+                      frozenset(_items(d, "pauses", (int,), where)),
+                      _field(d, "closed", (bool,), where, False))
 
 
 def _fragment_to_json(f: Fragment) -> dict:
@@ -106,12 +169,13 @@ def _fragment_to_json(f: Fragment) -> dict:
             "end_not": sorted(rat_str(x) for x in f.end_not)}
 
 
-def _fragment_from_json(d: dict) -> Fragment:
-    return Fragment(int(d["dir"]), rat(d.get("lo", "0/1")),
-                    rat(d.get("hi", "1/1")),
-                    bool(d.get("lo_open", False)), bool(d.get("hi_open", False)),
-                    frozenset(rat(x) for x in d.get("start_not", ())),
-                    frozenset(rat(x) for x in d.get("end_not", ())))
+def _fragment_from_json(d: dict, where: str) -> Fragment:
+    return Fragment(_field(d, "dir", (int,), where),
+                    _rat_field(d, "lo", where, ZERO),
+                    _rat_field(d, "hi", where, ONE),
+                    _field(d, "lo_open", (bool,), where, False),
+                    _field(d, "hi_open", (bool,), where, False),
+                    _rats(d, "start_not", where), _rats(d, "end_not", where))
 
 
 def _family_to_json(fam: Family) -> dict:
@@ -121,12 +185,17 @@ def _family_to_json(fam: Family) -> dict:
                          else sorted(rat_str(x) for x in fam.flexible))}
 
 
-def _family_from_json(d: dict) -> Family:
-    flex = d.get("flexible", [])
+def _family_from_json(d: dict, where: str) -> Family:
+    flex = _field(d, "flexible", (str, list), where, [])
+    if isinstance(flex, str) and flex != "all":
+        raise ModelError(f"{where}.flexible must be \"all\" or an array")
     return Family(
-        rigid=tuple(_trace_from_json(t) for t in d.get("rigid", ())),
-        fragments=tuple(_fragment_from_json(f) for f in d.get("fragments", ())),
-        flexible=ALL if flex == "all" else frozenset(rat(x) for x in flex))
+        rigid=tuple(_trace_from_json(t, f"{where}.rigid[{i}]") for i, t
+                    in enumerate(_items(d, "rigid", (dict,), where))),
+        fragments=tuple(_fragment_from_json(f, f"{where}.fragments[{i}]")
+                        for i, f in enumerate(
+                            _items(d, "fragments", (dict,), where))),
+        flexible=ALL if flex == "all" else _rats(d, "flexible", where))
 
 
 def _kind_to_json(kind) -> tuple:
@@ -137,11 +206,12 @@ def _kind_to_json(kind) -> tuple:
     return kind.name, {}
 
 
-def _kind_from_json(name: str, params: dict):
+def _kind_from_json(name: str, params: dict, where: str):
     if name == "n_stop":
-        return K.n_stop(int(params["n"]))
+        return K.n_stop(_field(params, "n", (int,), where))
     if name == "custom":
-        return K.custom(_family_from_json(params["family"]))
+        return K.custom(_family_from_json(
+            _field(params, "family", (dict,), where), f"{where}.family"))
     return K.kind(name)
 
 
@@ -165,15 +235,25 @@ def _graph_to_json(g: GraphPresentation) -> dict:
             "blocked": pts(g.blocked)}
 
 
-def _graph_from_json(d: dict) -> GraphPresentation:
-    edges = tuple(Edge(e["id"], e["from"], e["to"],
-                       _kind_from_json(e["kind"], e.get("params", {})))
-                  for e in d.get("edges", ()))
+def _graph_from_json(d: dict, where: str) -> GraphPresentation:
+    edges = []
+    for i, e in enumerate(_items(d, "edges", (dict,), where)):
+        at = f"{where}.edges[{i}]"
+        edges.append(Edge(_field(e, "id", (str,), at),
+                          _field(e, "from", (str,), at),
+                          _field(e, "to", (str,), at),
+                          _kind_from_json(_field(e, "kind", (str,), at),
+                                          _field(e, "params", (dict,), at, {}),
+                                          f"{at}.params")))
     g = GraphPresentation(
-        vertices=frozenset(d.get("vertices", ())), edges=edges,
-        generators=tuple(_trace_from_json(t) for t in d.get("generators", ())))
+        vertices=frozenset(_items(d, "vertices", (str,), where)),
+        edges=tuple(edges),
+        generators=tuple(_trace_from_json(t, f"{where}.generators[{i}]")
+                         for i, t in enumerate(
+                             _items(d, "generators", (dict,), where))))
     def pts(key):
-        return frozenset(point_from_str(s, g) for s in d.get(key, ()))
+        return frozenset(point_from_str(s, g)
+                         for s in _items(d, key, (str,), where))
     return replace(g, flexible=pts("flexible"), excluded=pts("excluded"),
                    absorbing=pts("absorbing"), emitting=pts("emitting"),
                    blocked=pts("blocked"))
@@ -195,13 +275,30 @@ def space_to_json(space) -> dict:
     raise ModelError(f"cannot serialize {type(norm).__name__}")
 
 
+_ARITY = {"product": 2, "sum": 2, "opposite": 1, "hat": 1, "quotient": 1,
+          "subspace": 1, "exclude": 1}
+
+
 def space_from_json(d: dict):
+    return _space_from_json(d, "space")
+
+
+def _space_from_json(d: dict, where: str):
+    _check(d, (dict,), where)
     if "graph" in d:
-        return _graph_from_json(d["graph"])
+        return _graph_from_json(_field(d, "graph", (dict,), where),
+                                f"{where}.graph")
     if "expr" in d:
-        ex = d["expr"]
-        op = ex.get("op")
-        args = [space_from_json(a) for a in ex.get("args", ())]
+        at = f"{where}.expr"
+        ex = _field(d, "expr", (dict,), where)
+        op = _field(ex, "op", (str,), at)
+        if op not in _ARITY:
+            raise ModelError(f"unknown space op {op!r}")
+        args = [_space_from_json(a, f"{at}.args[{i}]")
+                for i, a in enumerate(_items(ex, "args", (dict,), at))]
+        if len(args) != _ARITY[op]:
+            raise ModelError(f"{at}.args must hold {_ARITY[op]} space(s) "
+                             f"for {op!r}, not {len(args)}")
         if op == "product":
             return Product(args[0], args[1])
         if op == "sum":
@@ -212,23 +309,27 @@ def space_from_json(d: dict):
             return hat(args[0])
         if op == "quotient":
             classes = tuple(
-                frozenset(point_from_str(p, args[0]) for p in cls)
-                for cls in ex.get("classes", ()))
+                frozenset(point_from_str(_check(p, (str,),
+                                                f"{at}.classes[{i}][{j}]"),
+                                         args[0]) for j, p in enumerate(cls))
+                for i, cls in enumerate(_items(ex, "classes", (list,), at)))
             return Quotient(args[0], classes)
         if op == "subspace":
             region = []
-            for r in ex.get("region", ()):
+            for i, r in enumerate(_items(ex, "region", (str, list), at)):
                 if isinstance(r, str):
                     region.append(point_from_str(r, args[0]))
-                else:
-                    region.append((r[0], rat(r[1]), rat(r[2])))
+                    continue
+                ri = f"{at}.region[{i}]"
+                if len(r) != 3:
+                    raise ModelError(f"{ri} must be a point or [edge, lo, hi]")
+                region.append((_check(r[0], (str,), f"{ri}[0]"),
+                               _rat(r[1], f"{ri}[1]"), _rat(r[2], f"{ri}[2]")))
             return Subspace(args[0], tuple(region))
-        if op == "exclude":
-            pts = frozenset(point_from_str(p, args[0])
-                            for p in ex.get("points", ()))
-            return ExcludeEndpoints(args[0], pts)
-        raise ModelError(f"unknown space op {op!r}")
-    raise ModelError("space document needs a 'graph' or 'expr' key")
+        pts = frozenset(point_from_str(p, args[0])
+                        for p in _items(ex, "points", (str,), at))
+        return ExcludeEndpoints(args[0], pts)
+    raise ModelError(f"{where} needs a 'graph' or 'expr' key")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +350,7 @@ def _seg_to_json(seg):
     raise ModelError(f"cannot serialize segment {seg!r}")
 
 
-def _seg_from_json(d: dict, space=None):
+def _seg_from_json(d: dict, where: str, space=None):
     if "parts" in d:
         parts = []
         factors = (None, None)
@@ -257,13 +358,17 @@ def _seg_from_json(d: dict, space=None):
             norm = normalize(space)
             if isinstance(norm, (ProductN, HatProductN)):
                 factors = (norm.left, norm.right)
-        for part, fac in zip(d["parts"], factors):
+        items = _items(d, "parts", (dict,), where)
+        for i, (part, fac) in enumerate(zip(items, factors)):
+            at = f"{where}.parts[{i}]"
             if "stay" in part:
-                parts.append(point_from_str(part["stay"], fac))
+                parts.append(point_from_str(_field(part, "stay", (str,), at),
+                                            fac))
             else:
-                parts.append(_seg_from_json(part, fac))
+                parts.append(_seg_from_json(part, at, fac))
         return ProdSeg(tuple(parts))
-    return Seg(d["edge"], rat(d["from"]), rat(d["to"]))
+    return Seg(_field(d, "edge", (str,), where), _rat_field(d, "from", where),
+               _rat_field(d, "to", where))
 
 
 def path_to_json(path: CanonicalPath) -> dict:
@@ -290,20 +395,25 @@ def _atom_end(norm, atom):
 def path_from_json(d: dict, space):
     """Read a path document; returns a CanonicalPath."""
     norm = normalize(space)
+    _check(d, (dict,), "path")
     if "track" in d:
-        pts = tuple((rat(row["t"]), point_from_str(row["at"], norm))
-                    for row in d["track"])
-        return canonicalize(Track(pts), norm)
+        pts = []
+        for i, row in enumerate(_items(d, "track", (dict,), "path")):
+            at = f"path.track[{i}]"
+            pts.append((_rat_field(row, "t", at),
+                        point_from_str(_field(row, "at", (str,), at), norm)))
+        return canonicalize(Track(tuple(pts)), norm)
     if "start" not in d:
         raise ModelError("path document needs 'track' or 'start'+'items'")
-    start = point_from_str(d["start"], norm)
+    start = point_from_str(_field(d, "start", (str,), "path"), norm)
     atoms = []
-    for item in d.get("items", ()):
-        if item.get("pause"):
+    for i, item in enumerate(_items(d, "items", (dict,), "path")):
+        at = f"path.items[{i}]"
+        if _field(item, "pause", (bool,), at, False):
             atoms.append(PAUSE)
             continue
-        for sd in item.get("run", ()):
-            atoms.append(_seg_from_json(sd, norm))
+        for j, sd in enumerate(_items(item, "run", (dict,), at)):
+            atoms.append(_seg_from_json(sd, f"{at}.run[{j}]", norm))
     end = start
     for atom in reversed(atoms):
         e = _atom_end(norm, atom)
@@ -311,7 +421,7 @@ def path_from_json(d: dict, space):
             end = e
             break
     if "end" in d:
-        end = point_from_str(d["end"], norm)
+        end = point_from_str(_field(d, "end", (str,), "path"), norm)
     path = assemble(start, atoms, end)
     check_path_geometry(norm, path)
     return path

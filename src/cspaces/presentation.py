@@ -215,7 +215,29 @@ def cuts(pres: GraphPresentation, edge: str) -> tuple:
                 vals.add(s.a)
                 vals.add(s.b)
     vals.update(_point_values_on_edge(pres, edge))
+    if len(fam.fragments) > 1:
+        vals.update(_overlap_cuts(fam.fragments, vals))
     return tuple(sorted(vals))
+
+
+def _overlap_cuts(frags, vals) -> set:
+    """A cut inside each stretch between consecutive cut values where two
+    windows of one direction overlap.
+
+    A run across such an overlap may have to pass from one window to the
+    other inside it, where no window end offers a cut (the windows [0, ½)
+    and (¼, 1] join only strictly between ¼ and ½).  Every point of a
+    stretch serves equally, since no window or constraint ends inside it.
+    """
+    out = set()
+    for d in (1, -1):
+        wins = [f for f in frags if f.dir == d]
+        for n, f in enumerate(wins):
+            for h in wins[n + 1:]:
+                lo, hi = max(f.lo, h.lo), min(f.hi, h.hi)
+                inner = sorted(v for v in vals if lo <= v <= hi)
+                out.update((a + b) / 2 for a, b in zip(inner, inner[1:]))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -338,6 +360,8 @@ def _quotient_normal(g: GraphPresentation, classes) -> GraphPresentation:
     for cls in classes:
         for p in cls:
             if isinstance(p, EdgePoint):
+                if p.edge not in edge_map(g):
+                    raise ModelError(f"unknown edge {p.edge!r} in quotient class")
                 g, repl = _split_edge(g, p.edge, p.t)
                 classes = tuple(frozenset(repl.get(q, q) for q in c) for c in classes)
             elif not isinstance(p, Vertex):

@@ -1,16 +1,37 @@
 """Reachability along controlled and generated-d-space paths.
 
-The engine abstracts a graph presentation into *cells*: vertices, marked
-edge positions (generator boundaries, annotations, query points) and the
-open segments between them.  Every generator family contributes
-transitions between cells, each carrying the set of cells it covers and
-a concrete witness piece.  Reachability is breadth-first search over
-this cell graph; witnesses concatenate the pieces with pauses between
-them (pauses can always be inserted, so this never breaks membership).
+Each question compiles the graph presentation, cut at its query points,
+into one integer-indexed *cell graph* (``transitions``) and searches it.
+
+Cells are ints: one per vertex, then, edge by edge, one per interior cut
+value and one per open segment between two consecutive cut values.  An
+edge's cut values (``cuts`` plus the query points on it) are sorted once
+per graph.  Its position ``r`` is its ``r // 2``-th cut value when ``r``
+is even and the open segment after that value when ``r`` is odd, and the
+positions of all edges are numbered consecutively, so a stretch of an
+edge is a range of position numbers.
+
+Every generator contributes transitions ``(src, dst, cover, recipe)``
+over ints: the cells the motion starts and ends in, the position ranges
+it passes (one per trace step), and how to build its witness atoms.  A
+fragment gives one transition for every pair of positions in its window,
+in its direction; a rigid trace one for its whole traversal; a
+restriction-closed trace one for every pair of positions along it.
+Transitions that touch a blocked point, pass an absorbing point before
+their end or an emitting point after their start are dropped.  Forward
+and reverse adjacency are built with the graph, so a question is a
+breadth-first search over ints: one from the source, one multi-source
+search each way for ``exists_c_through``, one per representative point
+for ``ReachRelation.pairs``.
+
+Witness atoms (``Seg`` / ``PAUSE``) are built only along the chain of
+transitions a witness returns, with pauses between the pieces; pauses
+can always be inserted, so this never breaks membership.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,12 +39,15 @@ from typing import Optional
 
 from .construct import hat
 from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
-                    ProdSeg, PTuple, Rat, Seg, UnsupportedConstruction,
-                    Vertex, assemble)
-from .presentation import (GraphPresentation, HatProductN, ProductN,
-                           cuts, edge_map, family, flexible_point,
-                           is_flexible_point, normalize, point_positions,
-                           trace_end, trace_path, trace_start)
+                    ProdSeg, PTuple, Seg, UnsupportedConstruction, Vertex,
+                    assemble)
+from .presentation import (GraphPresentation, HatProductN, ProductN, cuts,
+                           family, flexible_point, is_flexible_point,
+                           normalize, point_positions, trace_path)
+
+# Cell graphs kept by ``transitions``.  ``classify_point`` asks for the
+# graph of a space and of its flexible part three times each.
+GRAPH_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -35,251 +59,239 @@ class ReachResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class Transition:
-    src: tuple
-    dst: tuple
-    cover: frozenset   # of cells touched, including src and dst
-    atoms: tuple       # concrete witness atoms (Seg / Pause)
-    label: str
-
-
 # ---------------------------------------------------------------------------
-# Cells
+# The cell graph
 
-def _cutvals(pres: GraphPresentation, edge: str, extra: frozenset) -> tuple:
-    vals = set(cuts(pres, edge))
-    vals.update(t for e, t in extra if e == edge)
-    return tuple(sorted(vals))
+class CellGraph:
+    """A graph presentation cut at its cut values and at extra points.
 
+    ``len()`` is the number of transitions.
+    """
 
-def _val_node(pres: GraphPresentation, edge: str, t: Rat) -> tuple:
-    e = edge_map(pres)[edge]
-    if t == ZERO:
-        return ("v", e.src)
-    if t == ONE:
-        return ("v", e.dst)
-    return ("p", edge, t)
+    def __init__(self, pres: GraphPresentation, extra: frozenset):
+        self.pres = pres
+        names = sorted(pres.vertices.union(*((e.src, e.dst)
+                                             for e in pres.edges)))
+        self.vertex = {v: c for c, v in enumerate(names)}
+        added = {}
+        for e, t in extra:
+            added.setdefault(e, set()).add(t)
+        self.index = {}      # edge id -> edge number
+        self.ids = []        # edge number -> edge id
+        self.vals = []       # edge number -> sorted cut values
+        self.offset = []     # edge number -> number of its position 0
+        self.ranks = []      # edge number -> {cut value: position}, on demand
+        self.pos_edge = []   # position -> edge number
+        self.cell_at = []    # position -> cell
+        self.places = [[] for _ in names]  # cell -> its positions
+        for i, e in enumerate(pres.edges):
+            vals = cuts(pres, e.id)
+            if e.id in added:
+                vals = list(vals)
+                for t in added[e.id]:
+                    k = bisect_left(vals, t)
+                    if k == len(vals) or vals[k] != t:
+                        vals.insert(k, t)
+            self.index[e.id] = i
+            self.ids.append(e.id)
+            self.vals.append(vals)
+            self.ranks.append(None)
+            base = len(self.cell_at)
+            self.offset.append(base)
+            last = 2 * len(vals) - 2
+            for r in range(last + 1):
+                if r == 0 or r == last:
+                    c = self.vertex[e.src if r == 0 else e.dst]
+                else:
+                    c = len(self.places)
+                    self.places.append([])
+                self.places[c].append(base + r)
+                self.cell_at.append(c)
+                self.pos_edge.append(i)
+        self.src, self.dst, self.cover, self.recipe = [], [], [], []
+        self.fwd = [[] for _ in self.places]
+        self.rev = [[] for _ in self.places]
+        self.excluded = self._cells(pres.excluded)
+        self.absorbing = self._cells(pres.absorbing)
+        self.emitting = self._cells(pres.emitting)
+        self.blocked = self._cells(pres.blocked)
+        self.filtered = bool(self.blocked or self.absorbing or self.emitting)
+        for i, e in enumerate(pres.edges):
+            fam = family(pres, e.id)
+            for frag in fam.fragments:
+                self._fragment(i, frag)
+            for tr in fam.rigid:
+                self._rigid(tr)
+        for tr in pres.generators:
+            if tr.restriction_closed:
+                self._closed(tr)
+            else:
+                self._rigid(tr)
 
+    def __len__(self):
+        return len(self.src)
 
-def node_for(pres: GraphPresentation, p, extra: frozenset = frozenset()):
-    if isinstance(p, Vertex):
-        if p.name not in pres.vertices:
-            raise ModelError(f"unknown vertex {p.name!r}")
-        return ("v", p.name)
-    if isinstance(p, EdgePoint):
-        vals = _cutvals(pres, p.edge, extra)
-        if p.t in vals:
-            return _val_node(pres, p.edge, p.t)
-        for i in range(len(vals) - 1):
-            if vals[i] < p.t < vals[i + 1]:
-                return ("s", p.edge, i)
-    raise ModelError(f"not a point of this space: {p!r}")
+    # -- cells and positions -------------------------------------------------
 
+    def cell(self, p) -> int:
+        """The cell holding a point of the presentation."""
+        if isinstance(p, Vertex):
+            if p.name not in self.pres.vertices:
+                raise ModelError(f"unknown vertex {p.name!r}")
+            return self.vertex[p.name]
+        if isinstance(p, EdgePoint) and p.edge in self.index:
+            i = self.index[p.edge]
+            vals = self.vals[i]
+            h = bisect_left(vals, p.t)
+            r = 2 * h if vals[h] == p.t else 2 * h - 1
+            return self.cell_at[self.offset[i] + r]
+        raise ModelError(f"not a point of this space: {p!r}")
 
-def node_point(pres: GraphPresentation, node: tuple, extra: frozenset):
-    """A representative point of a cell (midpoint for open segments)."""
-    kind = node[0]
-    if kind == "v":
-        return Vertex(node[1])
-    if kind == "p":
-        return EdgePoint(node[1], node[2])
-    _, edge, i = node
-    vals = _cutvals(pres, edge, extra)
-    return EdgePoint(edge, (vals[i] + vals[i + 1]) / 2)
+    def _cells(self, points) -> frozenset:
+        out = set()
+        for p in points:
+            try:
+                out.add(self.cell(p))
+            except ModelError:
+                pass
+        return frozenset(out)
 
+    def _at(self, i: int, t) -> int:
+        """The position of cut value t on edge number i."""
+        rank = self.ranks[i]
+        if rank is None:
+            base = self.offset[i]
+            rank = self.ranks[i] = {v: base + 2 * k
+                                    for k, v in enumerate(self.vals[i])}
+        return rank[t]
 
-def _edge_cells(pres: GraphPresentation, edge: str, extra: frozenset):
-    """Alternating (node, value) cells along an edge, ascending."""
-    vals = _cutvals(pres, edge, extra)
-    out = [(_val_node(pres, edge, vals[0]), vals[0])]
-    for i in range(len(vals) - 1):
-        mid = (vals[i] + vals[i + 1]) / 2
-        out.append((("s", edge, i), mid))
-        out.append((_val_node(pres, edge, vals[i + 1]), vals[i + 1]))
-    return out
+    def value(self, g: int):
+        """The edge parameter of position g (the midpoint of a segment)."""
+        i = self.pos_edge[g]
+        r = g - self.offset[i]
+        vals = self.vals[i]
+        h = r // 2
+        return vals[h] if r % 2 == 0 else (vals[h] + vals[h + 1]) / 2
 
+    # -- transitions ---------------------------------------------------------
 
-def _window_cells(pres, edge, extra, frag):
-    cells = [(n, v) for n, v in _edge_cells(pres, edge, extra)
-             if frag.lo <= v <= frag.hi]
-    if frag.lo_open and cells and cells[0][1] == frag.lo:
-        cells = cells[1:]
-    if frag.hi_open and cells and cells[-1][1] == frag.hi:
-        cells = cells[:-1]
-    if frag.dir < 0:
-        cells = list(reversed(cells))
-    return cells
+    def _add(self, src: int, dst: int, cover: tuple, recipe) -> None:
+        if self.filtered and not self._allowed(src, dst, cover):
+            return
+        k = len(self.src)
+        self.src.append(src)
+        self.dst.append(dst)
+        self.cover.append(cover)
+        self.recipe.append(recipe)
+        self.fwd[src].append(k)
+        self.rev[dst].append(k)
 
+    def _allowed(self, src: int, dst: int, cover: tuple) -> bool:
+        touched = {self.cell_at[g] for a, b in cover
+                   for g in range(min(a, b), max(a, b) + 1)}
+        return not (touched & self.blocked
+                    or any(c != dst for c in touched & self.absorbing)
+                    or any(c != src for c in touched & self.emitting))
 
-def _pair_transitions(edge, cells, frag, label):
-    out = []
-    for i in range(len(cells)):
-        ni, vi = cells[i]
-        if ni[0] != "s" and vi in frag.start_not:
-            continue
-        for j in range(i + 1, len(cells)):
-            nj, vj = cells[j]
-            if nj[0] != "s" and vj in frag.end_not:
+    def _fragment(self, i: int, frag) -> None:
+        lo = self._at(i, frag.lo) + frag.lo_open
+        hi = self._at(i, frag.hi) - frag.hi_open
+        no_start = {self._at(i, t) for t in frag.start_not}
+        no_end = {self._at(i, t) for t in frag.end_not}
+        window = range(lo, hi + 1) if frag.dir > 0 else range(hi, lo - 1, -1)
+        cell_at = self.cell_at
+        for n, a in enumerate(window):
+            if a in no_start:
                 continue
-            cover = frozenset(n for n, _ in cells[i:j + 1])
-            out.append(Transition(ni, nj, cover,
-                                  (Seg(edge, vi, vj),), label))
-    return out
+            for b in window[n + 1:]:
+                if b not in no_end:
+                    self._add(cell_at[a], cell_at[b], ((a, b),), None)
+
+    def _steps(self, tr) -> tuple:
+        """(start, end) positions of each step of a trace."""
+        return tuple((self._at(self.index[s.edge], s.a),
+                      self._at(self.index[s.edge], s.b)) for s in tr.steps)
+
+    def _rigid(self, tr) -> None:
+        steps = self._steps(tr)
+        self._add(self.cell_at[steps[0][0]], self.cell_at[steps[-1][1]],
+                  steps, tr)
+
+    def _closed(self, tr) -> None:
+        steps = self._steps(tr)
+        seq = []  # (position, step) along the trace, junctions once
+        for k, (a, b) in enumerate(steps):
+            d = 1 if b > a else -1
+            seq.extend((g, k) for g in range(a if k == 0 else a + d, b + d, d))
+        cell_at = self.cell_at
+        for n, (ga, ka) in enumerate(seq):
+            for gb, kb in seq[n + 1:]:
+                if ka == kb:
+                    cover = ((ga, gb),)
+                else:
+                    head = ((ga, steps[ka][1]),) if ga != steps[ka][1] else ()
+                    cover = head + steps[ka + 1:kb] + ((steps[kb][0], gb),)
+                self._add(cell_at[ga], cell_at[gb], cover, None)
+
+    def touches(self, k: int, c: int) -> bool:
+        """Does transition k pass through cell c?"""
+        for g in self.places[c]:
+            for a, b in self.cover[k]:
+                if a <= g <= b or b <= g <= a:
+                    return True
+        return False
+
+    def atoms(self, k: int):
+        """Witness atoms of transition k."""
+        tr = self.recipe[k]
+        if tr is not None:  # a rigid trace, traversed whole
+            return trace_path(self.pres, tr).items
+        return [Seg(self.ids[self.pos_edge[a]], self.value(a), self.value(b))
+                for a, b in self.cover[k]]
 
 
-def _trace_cells(pres, tr, extra):
-    """Cells along a whole trace, with per-cell (step_index, value)."""
-    seq = []
-    for k, s in enumerate(tr.steps):
-        lo, hi = min(s.a, s.b), max(s.a, s.b)
-        cells = [(n, v) for n, v in _edge_cells(pres, s.edge, extra)
-                 if lo <= v <= hi]
-        if s.b < s.a:
-            cells = list(reversed(cells))
-        for idx, (n, v) in enumerate(cells):
-            if seq and idx == 0:
-                continue  # junction cell already present from previous step
-            seq.append((n, k, v))
-    return seq
-
-
-def _trace_atoms(tr, seq, i, j):
-    """Witness atoms for moving along the trace from seq[i] to seq[j]."""
-    atoms = []
-    cur_k = seq[i][1]
-    cur_v = seq[i][2]
-    for pos in range(i + 1, j + 1):
-        _, k, v = seq[pos]
-        if k != cur_k:
-            end_v = tr.steps[cur_k].b
-            if end_v != cur_v:
-                atoms.append(Seg(tr.steps[cur_k].edge, cur_v, end_v))
-            cur_k = k
-            cur_v = tr.steps[k].a
-        if pos == j and v != cur_v:
-            atoms.append(Seg(tr.steps[k].edge, cur_v, v))
-    return tuple(atoms)
-
-
-def _closed_transitions(pres, tr, extra):
-    seq = _trace_cells(pres, tr, extra)
-    out = []
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            cover = frozenset(n for n, _, _ in seq[i:j + 1])
-            atoms = _trace_atoms(tr, seq, i, j)
-            if atoms:
-                out.append(Transition(seq[i][0], seq[j][0], cover, atoms,
-                                      "closed"))
-    return out
-
-
-def _rigid_transition(pres, tr, extra):
-    seq = _trace_cells(pres, tr, extra)
-    cover = frozenset(n for n, _, _ in seq)
-    path = trace_path(pres, tr)
-    atoms = tuple(path.items)
-    return Transition(node_for(pres, trace_start(pres, tr), extra),
-                      node_for(pres, trace_end(pres, tr), extra),
-                      cover, atoms, "rigid")
-
-
-def _annot_nodes(pres, points, extra):
-    out = set()
-    for p in points:
-        try:
-            out.add(node_for(pres, p, extra))
-        except ModelError:
-            pass
-    return out
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def transitions(pres: GraphPresentation, extra: frozenset = frozenset()):
-    """All cell transitions, filtered for blocked/absorbing/emitting."""
-    out = []
-    for e in pres.edges:
-        fam = family(pres, e.id)
-        for frag in fam.fragments:
-            cells = _window_cells(pres, e.id, extra, frag)
-            out.extend(_pair_transitions(e.id, cells, frag, "fragment"))
-        for tr in fam.rigid:
-            out.append(_rigid_transition(pres, tr, extra))
-    for tr in pres.generators:
-        if tr.restriction_closed:
-            out.extend(_closed_transitions(pres, tr, extra))
-        else:
-            out.append(_rigid_transition(pres, tr, extra))
-    blocked = _annot_nodes(pres, pres.blocked, extra)
-    absorbing = _annot_nodes(pres, pres.absorbing, extra)
-    emitting = _annot_nodes(pres, pres.emitting, extra)
-    kept = []
-    for t in out:
-        if t.cover & blocked:
-            continue
-        if any(a != t.dst for a in t.cover & absorbing):
-            continue
-        if any(m != t.src for m in t.cover & emitting):
-            continue
-        kept.append(t)
-    return tuple(kept)
+    """The cell graph of pres cut at the (edge, t) positions in extra."""
+    return CellGraph(pres, extra)
 
 
-def _adjacency(trans):
-    adj = {}
-    for t in trans:
-        adj.setdefault(t.src, []).append(t)
-    for lst in adj.values():
-        lst.sort(key=lambda t: (t.label, repr(t.atoms), repr(t.dst)))
-    return adj
+def _query_extra(pres: GraphPresentation, points) -> frozenset:
+    return frozenset((e, t) for p in points
+                     for e, t in point_positions(pres, p)
+                     if t != ZERO and t != ONE)
 
 
-def _bfs(trans, source, avoid=frozenset()):
-    """Shortest transition chains from source; returns parent map."""
-    adj = _adjacency(trans)
-    parent = {source: None}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for t in adj.get(u, ()):
-            if t.dst in parent or t.dst in avoid or (t.cover & avoid):
+def _graph(pres: GraphPresentation, points) -> CellGraph:
+    return transitions(pres, _query_extra(pres, points))
+
+
+def _search(g: CellGraph, sources, forward: bool = True,
+            avoid: Optional[int] = None) -> dict:
+    """The transition by which each cell reached from `sources` was
+    reached (-1 at a source), in breadth-first order.  Backwards
+    (``forward=False``) a cell maps to the transition leaving it towards
+    the sources.  Transitions through the cell `avoid` are not taken."""
+    adj, ends = (g.fwd, g.dst) if forward else (g.rev, g.src)
+    parent = dict.fromkeys(sources, -1)
+    queue = deque(parent)
+    while queue:
+        for k in adj[queue.popleft()]:
+            c = ends[k]
+            if c in parent or (avoid is not None and g.touches(k, avoid)):
                 continue
-            parent[t.dst] = t
-            q.append(t.dst)
+            parent[c] = k
+            queue.append(c)
     return parent
 
 
-def _reached_nontrivially(trans, source):
-    """Nodes reachable from source via at least one transition."""
-    adj = _adjacency(trans)
-    reached = set()
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for t in adj.get(u, ()):
-            if t.dst not in reached:
-                reached.add(t.dst)
-                q.append(t.dst)
-    return reached
-
-
-def _chain_path(pres, extra, source_point, parent, target):
-    """Assemble a witness from the BFS parent chain ending at target."""
-    chain = []
-    node = target
-    while parent[node] is not None:
-        t = parent[node]
-        chain.append(t)
-        node = t.src
-    chain.reverse()
+def _witness(g: CellGraph, start, chain, end) -> CanonicalPath:
     atoms = []
-    for i, t in enumerate(chain):
-        if i:
+    for n, k in enumerate(chain):
+        if n:
             atoms.append(PAUSE)
-        atoms.extend(t.atoms)
-    end = node_point(pres, target, extra)
-    return assemble(source_point, atoms, end)
+        atoms.extend(g.atoms(k))
+    return assemble(start, atoms, end)
 
 
 # ---------------------------------------------------------------------------
@@ -293,39 +305,36 @@ def _graph_reach(pres: GraphPresentation, x, y) -> ReachResult:
     bad = pres.excluded | pres.blocked
     if x in bad or y in bad:
         return ReachResult(False)
-    extra = frozenset((e, t) for p in (x, y)
-                      for e, t in point_positions(pres, p)
-                      if t != ZERO and t != ONE)
-    trans = transitions(pres, extra)
-    nx, ny = node_for(pres, x, extra), node_for(pres, y, extra)
-    parent = _bfs(trans, nx)
+    g = _graph(pres, (x, y))
+    ny = g.cell(y)
+    parent = _search(g, (g.cell(x),))
     if ny not in parent:
         return ReachResult(False)
-    return ReachResult(True, _chain_path(pres, extra, x, parent, ny))
+    chain = []
+    k = parent[ny]
+    while k >= 0:
+        chain.append(k)
+        k = parent[g.src[k]]
+    return ReachResult(True, _witness(g, x, chain[::-1], y))
 
 
 def _graph_loop(pres: GraphPresentation, x) -> ReachResult:
     """A nontrivial controlled loop at x, if one exists."""
     if x in pres.excluded or x in pres.blocked:
         return ReachResult(False)
-    extra = frozenset((e, t) for e, t in point_positions(pres, x)
-                      if t != ZERO and t != ONE)
-    trans = transitions(pres, extra)
-    nx = node_for(pres, x, extra)
-    adj = _adjacency(trans)
-    best = None
-    for t in adj.get(nx, ()):
-        if t.dst == nx:
-            return ReachResult(True, assemble(x, list(t.atoms), x))
-        back = _bfs(trans, t.dst)
-        if nx in back:
-            tail = _chain_path(pres, extra, node_point(pres, t.dst, extra),
-                               back, nx)
-            atoms = list(t.atoms) + [PAUSE] + list(tail.items)
-            cand = assemble(x, atoms, x)
-            if best is None or len(cand.items) < len(best.items):
-                best = cand
-    return ReachResult(best is not None, best)
+    g = _graph(pres, (x,))
+    nx = g.cell(x)
+    back = _search(g, (nx,), forward=False)
+    order = {c: n for n, c in enumerate(back)}
+    out = [k for k in g.fwd[nx] if g.dst[k] in order]
+    if not out:
+        return ReachResult(False)
+    chain = [min(out, key=lambda k: order[g.dst[k]])]
+    c = g.dst[chain[0]]
+    while c != nx:
+        chain.append(back[c])
+        c = g.dst[back[c]]
+    return ReachResult(True, _witness(g, x, chain, x))
 
 
 def _wait_path(space, p) -> ReachResult:
@@ -411,21 +420,17 @@ def unavoidable_point(space, x, y, p, mode: str = "c") -> bool:
     if not isinstance(norm, GraphPresentation):
         raise UnsupportedConstruction(
             "unavoidable-point queries need a graph presentation")
-    base = _graph_reach(norm, x, y)
-    if not base.ok:
+    if x == y:
+        return p == x
+    if x in norm.excluded | norm.blocked or y in norm.excluded | norm.blocked:
+        raise ModelError("y is not reachable from x")
+    g = _graph(norm, (x, y) if p in (x, y) else (x, y, p))
+    nx, ny = g.cell(x), g.cell(y)
+    if ny not in _search(g, (nx,)):
         raise ModelError("y is not reachable from x")
     if p == x or p == y:
         return True
-    if x == y:
-        return False
-    extra = frozenset((e, t) for q in (x, y, p)
-                      for e, t in point_positions(norm, q)
-                      if t != ZERO and t != ONE)
-    trans = transitions(norm, extra)
-    np_, nx, ny = (node_for(norm, p, extra), node_for(norm, x, extra),
-                   node_for(norm, y, extra))
-    parent = _bfs(trans, nx, avoid=frozenset({np_}))
-    return ny not in parent
+    return ny not in _search(g, (nx,), avoid=g.cell(p))
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +453,33 @@ class ReachRelation:
         if not isinstance(pres, GraphPresentation):
             raise UnsupportedConstruction(
                 "cell enumeration needs a graph presentation")
-        seen, out = set(), []
-        for v in sorted(pres.vertices):
-            seen.add(("v", v))
-            out.append(Vertex(v))
+        out = [Vertex(v) for v in sorted(pres.vertices)]
         for e in pres.edges:
-            for n, val in _edge_cells(pres, e.id, frozenset()):
-                if n not in seen:
-                    seen.add(n)
-                    out.append(EdgePoint(e.id, val))
+            vals = cuts(pres, e.id)
+            for k in range(len(vals) - 1):
+                if k:
+                    out.append(EdgePoint(e.id, vals[k]))
+                out.append(EdgePoint(e.id, (vals[k] + vals[k + 1]) / 2))
         return tuple(out)
 
     def pairs(self) -> tuple:
-        """All (x, y) node-representative pairs with x ⤳ y."""
+        """All (x, y) node-representative pairs with x ⤳ y.
+
+        One cell graph of the target, cut at every representative, and
+        one search per representative: cutting a segment at more points
+        changes no answer, since all points of an open segment are alike.
+        """
         reps = self.nodes()
-        return tuple((x, y) for x in reps for y in reps if self.holds(x, y))
+        norm = normalize(hat(self.space) if self.mode == "d" else self.space)
+        bad = norm.excluded | norm.blocked
+        g = _graph(norm, reps)
+        cells = [g.cell(x) for x in reps]
+        out = []
+        for x, cx in zip(reps, cells):
+            reached = {} if x in bad else _search(g, (cx,))
+            out.extend((x, y) for y, cy in zip(reps, cells)
+                       if x == y or (cy in reached and y not in bad))
+        return tuple(out)
 
 
 def reach_relation(space, mode: str = "c") -> ReachRelation:
@@ -472,72 +489,45 @@ def reach_relation(space, mode: str = "c") -> ReachRelation:
 # ---------------------------------------------------------------------------
 # Existence queries (used by point classification)
 
-def _stop_ok(pres, node, extra) -> bool:
-    if node[0] == "s":
-        return True
-    return node_point(pres, node, extra) not in pres.excluded
+def _leaves(g: CellGraph, c: int) -> bool:
+    """Does a nontrivial path from cell c end where a path may end?"""
+    reached = _search(g, [g.dst[k] for k in g.fwd[c]])
+    return any(n not in g.excluded for n in reached)
 
 
-def _start_ok(pres, node, extra) -> bool:
-    if node[0] == "s":
-        return True
-    p = node_point(pres, node, extra)
-    return p not in pres.excluded and p not in pres.absorbing
-
-
-def _query_extra(pres, x):
-    return frozenset((e, t) for e, t in point_positions(pres, x)
-                     if t != ZERO and t != ONE)
+def _arrives(g: CellGraph, c: int) -> bool:
+    """Does a nontrivial path to cell c start where a path may start?"""
+    reached = _search(g, [g.src[k] for k in g.rev[c]], forward=False)
+    return any(n not in g.excluded and n not in g.absorbing for n in reached)
 
 
 def exists_c_from(pres: GraphPresentation, x) -> bool:
     """Is there a nontrivial controlled path starting at x?"""
     if x in pres.excluded or x in pres.blocked:
         return False
-    extra = _query_extra(pres, x)
-    trans = transitions(pres, extra)
-    reached = _reached_nontrivially(trans, node_for(pres, x, extra))
-    return any(_stop_ok(pres, n, extra) for n in reached)
+    g = _graph(pres, (x,))
+    return _leaves(g, g.cell(x))
 
 
 def exists_c_to(pres: GraphPresentation, x) -> bool:
     """Is there a nontrivial controlled path ending at x?"""
     if x in pres.excluded or x in pres.blocked:
         return False
-    extra = _query_extra(pres, x)
-    trans = transitions(pres, extra)
-    rev = tuple(Transition(t.dst, t.src, t.cover, t.atoms, t.label)
-                for t in trans)
-    reached = _reached_nontrivially(rev, node_for(pres, x, extra))
-    return any(_start_ok(pres, n, extra) for n in reached)
+    g = _graph(pres, (x,))
+    return _arrives(g, g.cell(x))
 
 
 def exists_c_through(pres: GraphPresentation, x) -> bool:
     """Is there a nontrivial controlled path visiting x?"""
     if x in pres.blocked:
         return False
-    if exists_c_from(pres, x) or exists_c_to(pres, x):
+    g = _graph(pres, (x,))
+    nx = g.cell(x)
+    if x not in pres.excluded and (_leaves(g, nx) or _arrives(g, nx)):
         return True
-    extra = _query_extra(pres, x)
-    trans = transitions(pres, extra)
-    nx = node_for(pres, x, extra)
-    startable = set()
-    for t in trans:
-        if _start_ok(pres, t.src, extra):
-            startable.add(t.src)
-    for seed in list(startable):
-        for n in _bfs(trans, seed):
-            startable.add(n)
-    rev = tuple(Transition(t.dst, t.src, t.cover, t.atoms, t.label)
-                for t in trans)
-    stoppable = set()
-    for t in trans:
-        if _stop_ok(pres, t.dst, extra):
-            stoppable.add(t.dst)
-    for seed in list(stoppable):
-        for n in _bfs(rev, seed):
-            stoppable.add(n)
-    for t in trans:
-        if nx in t.cover and t.src in startable and t.dst in stoppable:
-            return True
-    return False
+    startable = _search(g, [c for c in g.src if c not in g.excluded
+                            and c not in g.absorbing])
+    stoppable = _search(g, [c for c in g.dst if c not in g.excluded],
+                        forward=False)
+    return any(s in startable and d in stoppable and g.touches(k, nx)
+               for k, (s, d) in enumerate(zip(g.src, g.dst)))

@@ -137,3 +137,46 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     f.write_text("{nope")
     code, doc = run_cli(capsys, "validate", "--space", str(f))
     assert code == 2 and "error" in doc
+
+
+def test_edge_without_id_names_the_key(tmp_path, capsys):
+    f = tmp_path / "noid.json"
+    f.write_text(json.dumps({"graph": {
+        "vertices": ["v0", "v1"],
+        "edges": [{"from": "v0", "to": "v1", "kind": "directed"}]}}))
+    code, doc = run_cli(capsys, "validate", "--space", str(f))
+    assert code == 2
+    assert doc["error"]["type"] == "input"
+    assert "'id'" in doc["error"]["message"]
+    assert "edges[0]" in doc["error"]["message"]
+
+
+def test_ill_typed_field_names_the_field(tmp_path, capsys):
+    f = tmp_path / "badn.json"
+    f.write_text(json.dumps({"graph": {
+        "vertices": ["v0", "v1"],
+        "edges": [{"id": "e0", "from": "v0", "to": "v1", "kind": "n_stop",
+                   "params": {"n": "three"}}]}}))
+    code, doc = run_cli(capsys, "validate", "--space", str(f))
+    assert code == 2
+    assert "params.n must be an integer" in doc["error"]["message"]
+
+
+def test_internal_key_error_is_not_an_input_error(space_file, monkeypatch,
+                                                  capsys):
+    import cspaces.cli as cli
+    f = space_file("c_interval")
+
+    def broken(space):
+        raise KeyError("x0")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    with pytest.raises(KeyError):
+        main(["validate", "--space", f])
+
+
+def test_quotient_at_a_point_of_an_unknown_edge_exits_2(space_file, capsys):
+    f = space_file("c_interval")
+    code, doc = run_cli(capsys, "quotient", "--space", f,
+                        "--identify", "e9@1/2=v:v0")
+    assert code == 2 and "unknown edge 'e9'" in doc["error"]["message"]

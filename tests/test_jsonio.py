@@ -104,3 +104,52 @@ class TestSpaces:
     def test_bad_document_rejected(self):
         with pytest.raises((ModelError, KeyError)):
             space_from_json({"neither": {}})
+
+
+EDGE = {"id": "e0", "from": "v0", "to": "v1", "kind": "directed"}
+
+
+def _graph_doc(**graph):
+    return {"graph": {"vertices": ["v0", "v1"], "edges": [EDGE], **graph}}
+
+
+class TestDocumentErrors:
+    """A document that lacks a key or has a field of the wrong JSON type
+    is a ModelError that names the field."""
+
+    @pytest.mark.parametrize("doc, words", [
+        ([], "space must be an object"),
+        ({}, "space needs a 'graph' or 'expr' key"),
+        ({"graph": {"edges": [{"id": "e0", "from": "v0", "to": "v1"}]}},
+         "space.graph.edges[0] has no 'kind' key"),
+        (_graph_doc(vertices="v0"), "space.graph.vertices must be an array"),
+        (_graph_doc(generators=[{"steps": [{"edge": "e0", "from": "0/1"}]}]),
+         "space.graph.generators[0].steps[0] has no 'to' key"),
+        (_graph_doc(flexible=[{"at": "e0@1/2"}]),
+         "space.graph.flexible[0] must be a string"),
+        ({"graph": {"edges": [dict(EDGE, kind="custom", params={
+            "family": {"fragments": [{"dir": 1, "lo": "a/b"}]}})]}},
+         "space.graph.edges[0].params.family.fragments[0].lo: bad rational"),
+        ({"expr": {"op": "sum", "args": [_graph_doc()]}},
+         "space.expr.args must hold 2"),
+        ({"expr": {"args": []}}, "space.expr has no 'op' key"),
+    ])
+    def test_space_errors_name_the_field(self, doc, words):
+        with pytest.raises(ModelError) as err:
+            space_from_json(doc)
+        assert words in str(err.value)
+
+    @pytest.mark.parametrize("doc, words", [
+        ({"start": 0}, "path.start must be a string"),
+        ({"start": "v:v0", "items": [{"run": [{"edge": "e0", "to": "1/1"}]}]},
+         "path.items[0].run[0] has no 'from' key"),
+        ({"track": [{"at": "v:v0"}]}, "path.track[0] has no 't' key"),
+    ])
+    def test_path_errors_name_the_field(self, doc, words):
+        with pytest.raises(ModelError) as err:
+            path_from_json(doc, build("c_interval"))
+        assert words in str(err.value)
+
+    def test_endpoint_on_an_unknown_edge(self):
+        with pytest.raises(ModelError, match="unknown edge 'e9'"):
+            point_from_str("e9@1/1", build("c_interval"))

@@ -14,7 +14,8 @@ from cspaces.membership import (brute_force_controlled, is_controlled,
                                 parse_controlled)
 from cspaces.model import (PAUSE, EdgePoint, Seg, Track, Vertex, assemble,
                            reverse_path)
-from cspaces.presentation import Edge, GraphPresentation, normalize, pos_point
+from cspaces.presentation import (Edge, GraphPresentation, cuts, family,
+                                  normalize, pos_point)
 
 from helpers import OPEN_WINDOWS, Z, O, H
 
@@ -348,3 +349,28 @@ def test_long_fragment_stretches(kind, stops, controlled, count):
     out = parse_controlled(sp, p)
     assert (out.controlled, out.count) == (controlled, count)
     assert brute_force_controlled(sp, p) == controlled
+
+
+class TestOverlapCut:
+    """Two rising windows [0, ½) and (¼, 1] join only strictly inside
+    (¼, ½), where neither window ends: the parse needs a cut there."""
+    sp = GraphPresentation(frozenset({"v0", "v1"}),
+                           (Edge("e0", "v0", "v1", OPEN_WINDOWS),))
+
+    def test_run_across_the_overlap_is_controlled(self):
+        p = _walk(self.sp, "1/4", "5/8")
+        out = parse_controlled(self.sp, p)
+        assert (out.controlled, out.count) == (True, 2)
+        assert brute_force_controlled(self.sp, p)
+
+    def test_one_cut_inside_the_overlap(self):
+        assert [c for c in cuts(self.sp, "e0") if F(1, 4) < c < H] == [F(3, 8)]
+
+    def test_single_window_edges_get_no_extra_cut(self):
+        for kind in (K.DIRECTED, K.NATURAL, K.SIPHON_OSC, K.n_stop(3)):
+            sp = GraphPresentation(frozenset({"v0", "v1"}),
+                                   (Edge("e0", "v0", "v1", kind),))
+            fam = family(sp, "e0")
+            ends = {Z, O} | {v for f in fam.fragments for v in (f.lo, f.hi)}
+            ends |= {v for tr in fam.rigid for s in tr.steps for v in (s.a, s.b)}
+            assert set(cuts(sp, "e0")) == ends

@@ -15,8 +15,10 @@ import pytest
 
 from cspaces.corpus import build, names
 from cspaces.membership import brute_force_controlled, parse_controlled
-from cspaces.presentation import GraphPresentation, normalize
+from cspaces.presentation import Edge, GraphPresentation, normalize
 from cspaces.sampling import random_graph_path
+
+from helpers import OPEN_WINDOWS
 
 SEED = 973
 DEPTH = 5
@@ -27,13 +29,11 @@ GRAPH_MODELS = sorted(n for n in names()
                       if isinstance(normalize(build(n)), GraphPresentation))
 
 
-@pytest.mark.parametrize("name", GRAPH_MODELS)
-def test_engine_agrees_with_brute_force(name):
-    sp = normalize(build(name))
+def _agree(sp, name, count):
     # crc32, unlike hash(), is not salted per process: a failure replays
     rng = random.Random(SEED + zlib.crc32(name.encode()) % 10 ** 6)
     compared = both = 0
-    while compared < PER_MODEL:
+    while compared < count:
         p = random_graph_path(sp, rng)
         out = parse_controlled(sp, p)
         if out.controlled and out.count is not None and out.count > DEPTH:
@@ -42,4 +42,19 @@ def test_engine_agrees_with_brute_force(name):
             sp, p, depth=DEPTH, grid=GRID), p
         compared += 1
         both += out.controlled
-    assert compared == PER_MODEL
+    assert compared == count
+    return both
+
+
+@pytest.mark.parametrize("name", GRAPH_MODELS)
+def test_engine_agrees_with_brute_force(name):
+    _agree(normalize(build(name)), name, PER_MODEL)
+
+
+def test_engine_agrees_with_brute_force_on_open_windows():
+    """Open window ends, an interior end_not and two overlapping rising
+    windows, which no corpus model has; runs across the overlap change
+    windows strictly inside it."""
+    sp = GraphPresentation(frozenset({"v0", "v1"}),
+                           (Edge("e0", "v0", "v1", OPEN_WINDOWS),))
+    assert _agree(sp, "open_windows", 300) > 0

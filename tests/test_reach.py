@@ -4,14 +4,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from cspaces.construct import hat
-from cspaces.corpus import build
+from cspaces import kinds as K
+from cspaces import reach
+from cspaces.construct import exclude_endpoints, hat, product
+from cspaces.corpus import build, names
+from cspaces.kinds import Family
 from cspaces.membership import is_controlled
-from cspaces.model import EdgePoint, ModelError, PTuple, Vertex
-from cspaces.reach import (c_reachable, d_reachable, reach_relation,
+from cspaces.model import (EdgePoint, ModelError, PTuple, RigidTrace,
+                           TraceStep, Vertex)
+from cspaces.presentation import Edge, GraphPresentation, cuts, normalize
+from cspaces.reach import (c_reachable, d_reachable, exists_c_from,
+                           exists_c_through, exists_c_to, reach_relation,
                            unavoidable_point)
 
-from helpers import Z, O, H
+from helpers import OPEN_WINDOWS, Z, O, H
 
 V0, V1 = Vertex("v0"), Vertex("v1")
 
@@ -167,3 +173,123 @@ class TestReachRelation:
                 for (c, d) in pairs:
                     if b == c:
                         assert (a, d) in pairs
+
+
+# ---------------------------------------------------------------------------
+# One cell graph per question
+
+def _interval(kind):
+    return GraphPresentation(frozenset({"v0", "v1"}),
+                             (Edge("e0", "v0", "v1", kind),))
+
+
+def _directed_chain(n):
+    return GraphPresentation(
+        frozenset(f"v{i}" for i in range(n + 1)),
+        tuple(Edge(f"e{i}", f"v{i}", f"v{i + 1}", K.DIRECTED)
+              for i in range(n)))
+
+
+GRAPH_MODELS = (
+    [(n, normalize(build(n))) for n in names()
+     if isinstance(normalize(build(n)), GraphPresentation)]
+    + [(f"n_stop({n})", normalize(build("c_line_window", lo=0, hi=n)))
+       for n in range(2, 8)]
+    + [("open_windows", _interval(OPEN_WINDOWS))])
+
+
+class TestOneGraphPerQuestion:
+    def test_each_edge_is_cut_once_per_graph(self, monkeypatch):
+        sp = build("c_line_window", lo=0, hi=256)
+        calls = []
+
+        def counting(pres, edge):
+            calls.append(edge)
+            return cuts(pres, edge)
+
+        monkeypatch.setattr(reach, "cuts", counting)
+        reach.transitions.cache_clear()
+        x, y = EdgePoint("e0", F(1, 256)), EdgePoint("e0", F(255, 256))
+        r = c_reachable(sp, x, y)
+        assert r and is_controlled(sp, r.witness)
+        assert calls == ["e0"]
+
+    def test_pairs_builds_one_graph(self, monkeypatch):
+        sp = _directed_chain(12)
+        calls = []
+        real = reach.transitions
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(reach, "transitions", counting)
+        pairs = reach_relation(sp).pairs()
+        assert len(calls) <= 2
+        # 13 vertices and 12 segment midpoints, ordered along the chain
+        assert len(pairs) == 25 * 26 // 2
+
+    @pytest.mark.parametrize("name, sp", GRAPH_MODELS,
+                             ids=[n for n, _ in GRAPH_MODELS])
+    @pytest.mark.parametrize("mode", ["c", "d"])
+    def test_pairs_agree_with_holds(self, name, sp, mode):
+        rel = reach_relation(sp, mode)
+        nodes = rel.nodes()
+        assert rel.pairs() == tuple((x, y) for x in nodes for y in nodes
+                                    if rel.holds(x, y))
+
+    def test_graph_cache_is_bounded(self):
+        sp = build("c_line_window", lo=0, hi=32)
+        for k in range(300):
+            c_reachable(sp, EdgePoint("e0", F(1, 40 + k)),
+                        EdgePoint("e0", F(2, 3)))
+        info = reach.transitions.cache_info()
+        assert info.currsize <= reach.GRAPH_CACHE_SIZE
+
+
+class TestLoops:
+    """Rigid traces 0 -> 1 and 1 -> 0 and no flexible point: waiting at a
+    vertex takes a round trip.  In the corpus models (and their hats)
+    every point with a nontrivial loop is flexible, so none of them asks
+    ``_graph_loop`` for a loop that exists."""
+    sp = _interval(K.custom(Family(rigid=(
+        RigidTrace((TraceStep("e0", Z, O),)),
+        RigidTrace((TraceStep("e0", O, Z),))))))
+
+    def test_loop_at_either_vertex(self):
+        for v in (V0, V1):
+            r = reach._graph_loop(self.sp, v)
+            assert r and r.witness.start == v == r.witness.end
+            assert not r.witness.is_trivial()
+            assert is_controlled(self.sp, r.witness)
+
+    def test_no_loop_at_the_midpoint(self):
+        assert not reach._graph_loop(self.sp, EdgePoint("e0", H))
+
+    def test_product_waits_with_a_loop(self):
+        sp = product(self.sp, build("c_interval"))
+        r = c_reachable(sp, PTuple((V0, V0)), PTuple((V0, V1)))
+        assert r and is_controlled(sp, r.witness)
+
+
+class TestExistence:
+    """Windows [0, ½) and (¼, 1] rising (the second may not end at ½ or 1)
+    and [¼, ¾) falling; no point is flexible."""
+    sp = _interval(OPEN_WINDOWS)
+
+    @pytest.mark.parametrize("x, through, start, end", [
+        (V0, True, True, False),
+        (EdgePoint("e0", F(1, 8)), True, True, True),
+        (EdgePoint("e0", H), True, True, True),   # entered falling only
+        (EdgePoint("e0", F(7, 8)), True, True, True),
+        (V1, False, False, False),                # end_not 1
+    ])
+    def test_existence_triple(self, x, through, start, end):
+        assert (exists_c_through(self.sp, x), exists_c_from(self.sp, x),
+                exists_c_to(self.sp, x)) == (through, start, end)
+
+    def test_excluded_point_is_only_passed_through(self):
+        half = EdgePoint("e0", H)
+        sp = normalize(exclude_endpoints(self.sp, frozenset({half})))
+        assert (exists_c_through(sp, half), exists_c_from(sp, half),
+                exists_c_to(sp, half)) == (True, False, False)
