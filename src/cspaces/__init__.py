@@ -18,9 +18,9 @@ from .model import (CanonicalPath, EdgePoint, ModelError, Pause, PAUSE,
                     Track, TraceStep, UnsupportedConstruction, Vertex,
                     assemble, concat, rat, rat_str, reverse_path)
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
-                           HatProductN, Opposite, Product, ProductN, Quotient,
-                           Subspace, Sum, canonicalize, insert_pause,
-                           normalize, project, split_path, validate)
+                           Opposite, Product, ProductN, Quotient, Subspace,
+                           Sum, canonicalize, insert_pause, normalize,
+                           project, split_path, validate)
 from .reach import (ReachRelation, ReachResult, c_reachable, d_reachable,
                     reach_relation, unavoidable_point)
 

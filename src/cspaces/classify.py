@@ -10,9 +10,9 @@ from .membership import (_ensure_path, boundaries, explode, is_controlled,
                          seg_flexible)
 from .model import (ZERO, CanonicalPath, ModelError, Position, PTuple, Rat,
                     Run, Seg, UnsupportedConstruction)
-from .presentation import (GraphPresentation, HatProductN, ProductN, cuts,
-                           family, flexible_point, normalize, project,
-                           split_path, trace_path)
+from .presentation import (GraphPresentation, ProductN, cuts, family,
+                           flexible_point, normalize, project, split_path,
+                           trace_path)
 from .presentation import is_flexible_point  # noqa: F401  (public here too)
 from .reach import exists_c_from, exists_c_through, exists_c_to
 
@@ -59,22 +59,16 @@ def _combine(l, r):
 
 def _point_data(norm, x):
     """((flexible, c-existence triple), (flexible, flexible-existence triple))."""
-    if isinstance(norm, GraphPresentation):
-        flex = flexible_point(norm, x)
-        c = _graph_exists(norm, x)
-        f = _graph_exists(_fl(norm), x)
-        return (flex, c), (flex, f)
-    if isinstance(norm, (ProductN, HatProductN)):
+    if isinstance(norm, ProductN):
         if not isinstance(x, PTuple):
             raise ModelError("product points must be pairs")
-        if isinstance(norm, HatProductN):
-            factors = (norm.hat_left, norm.hat_right)
-        else:
-            factors = (normalize(norm.left), normalize(norm.right))
-        (cl, fll) = _point_data(factors[0], x.parts[0])
-        (cr, flr) = _point_data(factors[1], x.parts[1])
+        (cl, fll) = _point_data(norm.left, x.parts[0])
+        (cr, flr) = _point_data(norm.right, x.parts[1])
         return _combine(cl, cr), _combine(fll, flr)
-    raise UnsupportedConstruction("cannot classify points here")
+    flex = flexible_point(norm, x)
+    c = _graph_exists(norm, x)
+    f = _graph_exists(_fl(norm), x)
+    return (flex, c), (flex, f)
 
 
 def classify_point(space, x) -> PointClassification:
@@ -97,25 +91,19 @@ def is_flexible_path(space, path_or_track) -> bool:
     """Is every contiguous portion of the path controlled?"""
     norm = normalize(space)
     path = _ensure_path(norm, path_or_track)
-    if isinstance(norm, GraphPresentation):
-        if not is_controlled(norm, path):
-            raise ModelError("path is not controlled")
-        if path.is_trivial():
-            return True
-        toks = explode(norm, path)
-        bpts = boundaries(norm, path.start, toks)
-        if any(p in norm.excluded for p in bpts):
-            return False
-        return all(seg_flexible(norm, seg)
-                   for run in path.runs() for seg in run.segs)
     if isinstance(norm, ProductN):
         return (is_flexible_path(norm.left, project(path, norm, 0))
                 and is_flexible_path(norm.right, project(path, norm, 1)))
-    if isinstance(norm, HatProductN):
-        if not is_controlled(norm, path):
-            raise ModelError("path is not controlled")
+    if not is_controlled(norm, path):
+        raise ModelError("path is not controlled")
+    if path.is_trivial():
         return True
-    raise UnsupportedConstruction("cannot classify paths here")
+    toks = explode(norm, path)
+    bpts = boundaries(norm, path.start, toks)
+    if any(p in norm.excluded for p in bpts):
+        return False
+    return all(seg_flexible(norm, seg)
+               for run in path.runs() for seg in run.segs)
 
 
 def is_splittable(space, path_or_track, cut: Position) -> bool:

@@ -19,11 +19,11 @@ from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
                     Rat, RigidTrace, Seg, UnsupportedConstruction, Vertex,
                     assemble)
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
-                           HatProductN, Opposite, Product, ProductN, Quotient,
-                           Subspace, Sum, bound_rigid, closed_traces,
-                           edge_map, family, flexible_point, in_support,
-                           normalize, point_on_step, point_positions,
-                           pos_point, trace_end, trace_path, trace_start)
+                           Opposite, Product, ProductN, Quotient, Subspace,
+                           Sum, bound_rigid, closed_traces, edge_map, family,
+                           flexible_point, in_support, normalize,
+                           point_on_step, point_positions, pos_point,
+                           trace_end, trace_path, trace_start)
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +56,24 @@ def exclude_endpoints(space, points) -> GraphPresentation:
 # ---------------------------------------------------------------------------
 # Generated d-space
 
+def _hat_window(f: Fragment) -> Fragment:
+    """The window of every sub-run of an instance of f.  A sub-run may
+    start or end where an instance may not, inside the window (a longer
+    instance passes there), but not at an end that no instance reaches."""
+    at_lo, at_hi = ((f.start_not, f.end_not) if f.dir > 0
+                    else (f.end_not, f.start_not))
+    return Fragment(f.dir, f.lo, f.hi, f.lo_open or f.lo in at_lo,
+                    f.hi_open or f.hi in at_hi)
+
+
 def _hat_family(fam: Family) -> Family:
-    """Generated d-space of one edge: each rigid step becomes a closed
-    fragment in its direction, and every point is flexible."""
+    """Generated d-space of one edge: each fragment admits the sub-runs of
+    its instances, each rigid step becomes a closed fragment in its
+    direction, and every point is flexible."""
     steps = tuple(Fragment(1, s.a, s.b) if s.dir > 0 else Fragment(-1, s.b, s.a)
                   for tr in fam.rigid for s in tr.steps)
-    return Family(fragments=K.merge_fragments(fam.fragments + steps),
-                  flexible=ALL)
+    frags = tuple(_hat_window(f) for f in fam.fragments)
+    return Family(fragments=K.merge_fragments(frags + steps), flexible=ALL)
 
 
 def hat_graph(g: GraphPresentation) -> GraphPresentation:
@@ -81,20 +92,16 @@ def hat_graph(g: GraphPresentation) -> GraphPresentation:
 
 
 def hat(space):
-    """The d-space generated by a controlled space."""
+    """The d-space generated by a controlled space.
+
+    The hat of a product is the product of the hats: restrictions of the
+    two coordinates of a controlled pair can be padded with pauses until
+    both run over one interval, where they restrict one controlled pair.
+    """
     norm = normalize(space)
-    if isinstance(norm, GraphPresentation):
-        return hat_graph(norm)
-    if isinstance(norm, HatProductN):
-        return norm
     if isinstance(norm, ProductN):
-        l, r = norm.left, norm.right
-        if isinstance(l, GraphPresentation) and isinstance(r, GraphPresentation):
-            return HatProductN(l, r, hat_graph(l), hat_graph(r))
-        raise UnsupportedConstruction(
-            "generated d-space of a product is only supported for "
-            "graph-presented factors")
-    raise UnsupportedConstruction("cannot take the generated d-space here")
+        return ProductN(hat(norm.left), hat(norm.right))
+    return hat_graph(norm)
 
 
 # ---------------------------------------------------------------------------
@@ -118,23 +125,43 @@ def _edge_kind(g: GraphPresentation, e: Edge, fam: Family, points=()):
                   if not fam.position_flexible(t)}
 
 
+def _flexible_windows(frags) -> tuple:
+    """The fragments cut at their interior ``start_not`` / ``end_not``
+    points: a run across such a point has a portion that starts or ends
+    there, so it is not flexible, while every sub-run of a piece is an
+    instance of the fragment."""
+    out = []
+    for f in frags:
+        marks = sorted(x for x in f.start_not | f.end_not if f.lo < x < f.hi)
+        if not marks:
+            out.append(f)
+            continue
+        ends = [f.lo, *marks, f.hi]
+        out.extend(Fragment(
+            f.dir, lo, hi, f.lo_open and lo == f.lo, f.hi_open and hi == f.hi,
+            start_not=frozenset(x for x in f.start_not if lo <= x <= hi),
+            end_not=frozenset(x for x in f.end_not if lo <= x <= hi))
+            for lo, hi in zip(ends, ends[1:]))
+    return tuple(out)
+
+
 def flexible_part(space):
-    """The space of flexible paths: same support, drop all rigid motion.
+    """The space of flexible paths: same support, drop all rigid motion
+    and cut each fragment where a portion of a run may not start or end.
 
     The endpoints of the dropped rigid traces stay flexible points.
     """
     norm = normalize(space)
     if isinstance(norm, ProductN):
         return ProductN(flexible_part(norm.left), flexible_part(norm.right))
-    if isinstance(norm, HatProductN):
-        return norm  # every path of a generated d-space is flexible
     g = norm
     edges, flex = [], set(g.flexible)
     for e in g.edges:
         fam = family(g, e.id)
         ends = [x for tr in fam.rigid for x in (tr.steps[0].a, tr.steps[-1].b)]
         kind, points = _edge_kind(
-            g, e, Family(fragments=fam.fragments, flexible=fam.flexible), ends)
+            g, e, Family(fragments=_flexible_windows(fam.fragments),
+                         flexible=fam.flexible), ends)
         edges.append(Edge(e.id, e.src, e.dst, kind))
         flex |= points
     gens = []

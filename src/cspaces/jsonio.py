@@ -17,8 +17,8 @@ from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     TraceStep, Vertex, assemble, rat, rat_str)
 from .construct import hat
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
-                           HatProductN, Opposite, Product, ProductN, Quotient,
-                           Subspace, Sum, _point_of_seg, canonicalize,
+                           Opposite, Product, ProductN, Quotient, Subspace,
+                           Sum, _point_of_seg, canonicalize,
                            check_path_geometry, edge_map, normalize, pos_point)
 
 
@@ -115,8 +115,6 @@ def point_from_str(s: str, space=None):
         if space is not None:
             norm = normalize(space)
             if isinstance(norm, ProductN):
-                lspace, rspace = norm.left, norm.right
-            elif isinstance(norm, HatProductN):
                 lspace, rspace = norm.left, norm.right
         return PTuple((point_from_str(a, lspace), point_from_str(b, rspace)))
     if s.startswith("v:"):
@@ -261,18 +259,11 @@ def _graph_from_json(d: dict, where: str) -> GraphPresentation:
 
 def space_to_json(space) -> dict:
     norm = normalize(space)
-    if isinstance(norm, GraphPresentation):
-        return {"graph": _graph_to_json(norm)}
     if isinstance(norm, ProductN):
         return {"expr": {"op": "product",
                          "args": [space_to_json(norm.left),
                                   space_to_json(norm.right)]}}
-    if isinstance(norm, HatProductN):
-        inner = {"expr": {"op": "product",
-                          "args": [space_to_json(norm.left),
-                                   space_to_json(norm.right)]}}
-        return {"expr": {"op": "hat", "args": [inner]}}
-    raise ModelError(f"cannot serialize {type(norm).__name__}")
+    return {"graph": _graph_to_json(norm)}
 
 
 _ARITY = {"product": 2, "sum": 2, "opposite": 1, "hat": 1, "quotient": 1,
@@ -356,7 +347,7 @@ def _seg_from_json(d: dict, where: str, space=None):
         factors = (None, None)
         if space is not None:
             norm = normalize(space)
-            if isinstance(norm, (ProductN, HatProductN)):
+            if isinstance(norm, ProductN):
                 factors = (norm.left, norm.right)
         items = _items(d, "parts", (dict,), where)
         for i, (part, fac) in enumerate(zip(items, factors)):

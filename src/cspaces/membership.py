@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import (PAUSE, CanonicalPath, ModelError, Pause, ProdSeg,
-                    Rat, RigidTrace, Run, Seg, Track)
-from .presentation import (GraphPresentation, HatProductN, ProductN,
-                           bound_rigid, canonicalize, check_path_geometry,
-                           closed_traces, cuts, family,
-                           flexible_point, normalize, pos_point, project)
+from .model import (PAUSE, CanonicalPath, Pause, Rat, RigidTrace, Run, Seg,
+                    Track)
+from .presentation import (GraphPresentation, ProductN, bound_rigid,
+                           canonicalize, check_path_geometry, closed_traces,
+                           cuts, family, flexible_point, normalize,
+                           pos_point, project)
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Hat products
+# Flexible segments
 
 def seg_flexible(pres: GraphPresentation, seg: Seg) -> bool:
     """Is every cut-atom of the segment inside a flexible fragment or a
@@ -256,67 +256,6 @@ def seg_flexible(pres: GraphPresentation, seg: Seg) -> bool:
                          pos_point(pres, seg.edge, seg.b))
     return all(fragment_span_ok(fam, t.lo, t.hi, t, t)
                or closed_token_ok(pres, t) for t in explode(pres, path))
-
-
-def _trace_param(tr: RigidTrace, edge: str, x: Rat):
-    """Global [0,1] parameter values of position x on steps of the trace."""
-    n = len(tr.steps)
-    out = []
-    for k, s in enumerate(tr.steps):
-        if s.edge == edge and min(s.a, s.b) <= x <= max(s.a, s.b):
-            out.append((Fraction(k, n) + Fraction(x - s.a, s.b - s.a) / n, k))
-    return out
-
-
-def _rigid_windows(pres: GraphPresentation, seg: Seg):
-    """(trace, param_at_seg.a, param_at_seg.b) for rigid traces that the
-    segment traverses forwards."""
-    out = []
-    for tr in bound_rigid(pres):
-        for pa, ka in _trace_param(tr, seg.edge, seg.a):
-            for pb, kb in _trace_param(tr, seg.edge, seg.b):
-                if ka == kb and pa < pb and tr.steps[ka].dir == seg.dir:
-                    out.append((tr, pa, pb))
-    return out
-
-
-def _prodseg_hat_ok(hp: HatProductN, seg: ProdSeg) -> bool:
-    lp, rp = seg.parts
-    lmove, rmove = isinstance(lp, Seg), isinstance(rp, Seg)
-    if lmove and not rmove:
-        return seg_flexible(hp.hat_left, lp)
-    if rmove and not lmove:
-        return seg_flexible(hp.hat_right, rp)
-    if not lmove and not rmove:
-        return True
-    lfree = seg_flexible(hp.left, lp)
-    rfree = seg_flexible(hp.right, rp)
-    if lfree and rfree:
-        return True
-    if lfree:
-        return bool(_rigid_windows(hp.right, rp))
-    if rfree:
-        return bool(_rigid_windows(hp.left, lp))
-    # both coordinates ride rigid generators: they must advance in sync
-    for tr_l, a_l, b_l in _rigid_windows(hp.left, lp):
-        for tr_r, a_r, b_r in _rigid_windows(hp.right, rp):
-            if a_l == a_r and b_l == b_r:
-                return True
-    return False
-
-
-def _hat_product_controlled(hp: HatProductN, path: CanonicalPath) -> bool:
-    if path.is_trivial():
-        return True  # a generated d-space has constants everywhere
-    for item in path.items:
-        if isinstance(item, Pause):
-            continue
-        for seg in item.segs:
-            if not isinstance(seg, ProdSeg):
-                raise ModelError("hat-product paths are product paths")
-            if not _prodseg_hat_ok(hp, seg):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +276,6 @@ def parse_controlled(space, path_or_track) -> ParseOutcome:
 
 
 def _parse_normal(norm, path: CanonicalPath) -> ParseOutcome:
-    if isinstance(norm, GraphPresentation):
-        return graph_parse(norm, path)
     if isinstance(norm, ProductN):
         subs = []
         for i, factor in enumerate((norm.left, norm.right)):
@@ -351,10 +288,7 @@ def _parse_normal(norm, path: CanonicalPath) -> ParseOutcome:
                             instances=tuple(("projection", i, s.instances)
                                             for i, s in enumerate(subs)),
                             count=count)
-    if isinstance(norm, HatProductN):
-        ok = _hat_product_controlled(norm, path)
-        return ParseOutcome(ok, fail_at=None if ok else path.start)
-    raise ModelError(f"cannot decide membership for {type(norm).__name__}")
+    return graph_parse(norm, path)
 
 
 def is_controlled(space, path_or_track) -> bool:
@@ -382,8 +316,6 @@ def _brute_normal(norm, path, depth, grid):
     if isinstance(norm, ProductN):
         return all(_brute_normal(f, project(path, norm, i), depth, grid)
                    for i, f in enumerate((norm.left, norm.right)))
-    if not isinstance(norm, GraphPresentation):
-        raise ModelError("the oracle handles graph presentations and products")
     pres = norm
     if path.is_trivial():
         return flexible_point(pres, path.start)

@@ -108,20 +108,6 @@ class ProductN:
     right: object
 
 
-@dataclass(frozen=True)
-class HatProductN:
-    """Generated d-space of a product of graph presentations.
-
-    Keeps the original factors (whose rigid generators constrain the
-    diagonal moves) and their generated d-space presentations (which
-    govern moves with one coordinate at rest).
-    """
-    left: GraphPresentation
-    right: GraphPresentation
-    hat_left: GraphPresentation
-    hat_right: GraphPresentation
-
-
 SpaceExpr = object  # any of the above
 
 
@@ -282,19 +268,12 @@ def flexible_point(pres: GraphPresentation, p) -> bool:
 def is_flexible_point(space, x) -> bool:
     """Is the constant path at x controlled?"""
     norm = normalize(space)
-    if isinstance(norm, GraphPresentation):
-        return flexible_point(norm, x)
     if isinstance(norm, ProductN):
         if not isinstance(x, PTuple):
             raise ModelError("product points must be pairs")
         return (is_flexible_point(norm.left, x.parts[0])
                 and is_flexible_point(norm.right, x.parts[1]))
-    if isinstance(norm, HatProductN):
-        if not isinstance(x, PTuple):
-            raise ModelError("product points must be pairs")
-        return (flexible_point(norm.hat_left, x.parts[0])
-                and flexible_point(norm.hat_right, x.parts[1]))
-    raise UnsupportedConstruction("cannot classify points here")
+    return flexible_point(norm, x)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +281,11 @@ def is_flexible_point(space, x) -> bool:
 
 @lru_cache(maxsize=None)
 def normalize(space):
-    """Reduce a space expression to a graph presentation or (hat-)product."""
-    if isinstance(space, (GraphPresentation, ProductN, HatProductN)):
-        if isinstance(space, ProductN):
-            return ProductN(normalize(space.left), normalize(space.right))
+    """Reduce a space expression to a graph presentation or a product of
+    normal forms."""
+    if isinstance(space, GraphPresentation):
         return space
-    if isinstance(space, Product):
+    if isinstance(space, (Product, ProductN)):
         return ProductN(normalize(space.left), normalize(space.right))
     if isinstance(space, Sum):
         return _sum_normal(_as_graph(space.left, "sum"),
@@ -551,7 +529,7 @@ def _subspace_normal(g: GraphPresentation, region) -> GraphPresentation:
             src = e.src if lo == ZERO else f"{e.id}@{lo.numerator}_{lo.denominator}"
             dst = e.dst if hi == ONE else f"{e.id}@{hi.numerator}_{hi.denominator}"
             sub = _rebind_family_edge(_sub_family(family(g, e.id), lo, hi), nid)
-            edges.append(Edge(nid, src, dst, K.custom(sub)))
+            edges.append(Edge(nid, src, dst, K.kind_of(sub, nid)))
             pmap_edges.setdefault(e.id, []).append((lo, hi, nid, src, dst))
             kept_vertices.update({src, dst})
 
@@ -604,8 +582,6 @@ def _subspace_normal(g: GraphPresentation, region) -> GraphPresentation:
 def _opposite_normal(norm):
     if isinstance(norm, ProductN):
         return ProductN(_opposite_normal(norm.left), _opposite_normal(norm.right))
-    if not isinstance(norm, GraphPresentation):
-        raise UnsupportedConstruction("opposite of this construction is unsupported")
     edges = tuple(
         Edge(e.id, e.src, e.dst,
              K.kind_of(K.family_reversed(family(norm, e.id)), e.id))
@@ -669,8 +645,6 @@ def _validate(space, out):
             for p in space.points:
                 if not in_support(base, p):
                     out.append(f"excluded point {p!r} outside support")
-    elif isinstance(space, HatProductN):
-        pass
     else:
         out.append(f"unknown space expression {type(space).__name__}")
 
@@ -748,17 +722,15 @@ def _part_motion(norm, p, q):
     """One factor's contribution to a product segment."""
     if p == q:
         return p  # stationary
-    if isinstance(norm, GraphPresentation):
-        segs = _segs_between(norm, p, q)
-        if len(segs) != 1:
-            raise ModelError("product track needs breakpoints at vertex crossings")
-        return segs[0]
-    if isinstance(norm, (ProductN, HatProductN)):
+    if isinstance(norm, ProductN):
         if not isinstance(p, PTuple) or not isinstance(q, PTuple):
             raise ModelError("product point expected")
         return ProdSeg((_part_motion(norm.left, p.parts[0], q.parts[0]),
                         _part_motion(norm.right, p.parts[1], q.parts[1])))
-    raise ModelError("unsupported factor")
+    segs = _segs_between(norm, p, q)
+    if len(segs) != 1:
+        raise ModelError("product track needs breakpoints at vertex crossings")
+    return segs[0]
 
 
 def canonicalize(path_or_track, space) -> CanonicalPath:
@@ -786,7 +758,7 @@ def canonicalize(path_or_track, space) -> CanonicalPath:
 def project(path_or_track, space, index: int) -> CanonicalPath:
     """Project a path of a binary product onto factor 0 or 1."""
     norm = normalize(space)
-    if not isinstance(norm, (ProductN, HatProductN)):
+    if not isinstance(norm, ProductN):
         raise ModelError("project needs a product space")
     factor = (norm.left, norm.right)[index]
     if isinstance(path_or_track, Track):

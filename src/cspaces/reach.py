@@ -41,9 +41,9 @@ from .construct import hat
 from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     ProdSeg, PTuple, Seg, UnsupportedConstruction, Vertex,
                     assemble)
-from .presentation import (GraphPresentation, HatProductN, ProductN, cuts,
-                           family, flexible_point, is_flexible_point,
-                           normalize, point_positions, trace_path)
+from .presentation import (GraphPresentation, ProductN, cuts, family,
+                           flexible_point, is_flexible_point, normalize,
+                           point_positions, trace_path)
 
 # Cell graphs kept by ``transitions``.  ``classify_point`` asks for the
 # graph of a space and of its flexible part three times each.
@@ -340,11 +340,11 @@ def _graph_loop(pres: GraphPresentation, x) -> ReachResult:
 def _wait_path(space, p) -> ReachResult:
     """A controlled path staying at p: trivial if p is flexible, else a loop."""
     norm = normalize(space)
-    if isinstance(norm, GraphPresentation):
-        if flexible_point(norm, p):
-            return ReachResult(True, assemble(p, [], p))
-        return _graph_loop(norm, p)
-    raise UnsupportedConstruction("waiting needs a graph factor")
+    if isinstance(norm, ProductN):
+        return _product_reach((norm.left, norm.right), p, p, c_reachable)
+    if flexible_point(norm, p):
+        return ReachResult(True, assemble(p, [], p))
+    return _graph_loop(norm, p)
 
 
 def _stage_product(w1: CanonicalPath, w2: CanonicalPath) -> CanonicalPath:
@@ -389,18 +389,11 @@ def _product_reach(factors, x: PTuple, y: PTuple, reach_fn) -> ReachResult:
 def c_reachable(space, x, y) -> ReachResult:
     """Is there a controlled path from x to y?  Reflexive by convention."""
     norm = normalize(space)
-    if isinstance(norm, GraphPresentation):
-        return _graph_reach(norm, x, y)
     if isinstance(norm, ProductN):
         if x == y:
             return ReachResult(True, _trivial_if_flex(norm, x))
         return _product_reach((norm.left, norm.right), x, y, c_reachable)
-    if isinstance(norm, HatProductN):
-        if x == y:
-            return ReachResult(True, _trivial_if_flex(norm, x))
-        return _product_reach((norm.hat_left, norm.hat_right), x, y,
-                              c_reachable)
-    raise UnsupportedConstruction("reachability needs a normalized space")
+    return _graph_reach(norm, x, y)
 
 
 def _trivial_if_flex(norm, x):

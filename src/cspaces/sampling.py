@@ -7,8 +7,8 @@ from fractions import Fraction
 
 from .model import (PAUSE, CanonicalPath, ModelError, ProdSeg, PTuple, Seg,
                     assemble)
-from .presentation import (GraphPresentation, HatProductN, ProductN, cuts,
-                           point_positions, pos_point)
+from .presentation import (GraphPresentation, ProductN, cuts, point_positions,
+                           pos_point)
 
 
 def _edge_values(pres: GraphPresentation, edge: str, grid: int) -> list:
@@ -52,12 +52,9 @@ def _random_point(pres: GraphPresentation, rng: random.Random, grid: int):
 def random_product_path(norm, rng: random.Random, max_atoms: int = 3,
                         grid: int = 8) -> CanonicalPath:
     """A random canonical path of a binary product of graph presentations."""
-    if isinstance(norm, HatProductN):
-        left, right = norm.left, norm.right
-    elif isinstance(norm, ProductN):
-        left, right = norm.left, norm.right
-    else:
+    if not isinstance(norm, ProductN):
         raise ModelError("not a product")
+    left, right = norm.left, norm.right
     p1 = _random_point(left, rng, grid)
     p2 = _random_point(right, rng, grid)
     start = PTuple((p1, p2))

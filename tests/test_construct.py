@@ -19,8 +19,8 @@ from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple,
                            RigidTrace, Seg, TraceStep, UnsupportedConstruction,
                            Vertex, assemble, reverse_path)
-from cspaces.presentation import (Edge, GraphPresentation, HatProductN,
-                                  normalize)
+from cspaces.presentation import Edge, GraphPresentation, ProductN, normalize
+from cspaces.reach import c_reachable, d_reachable
 
 from helpers import Z, O, H
 
@@ -50,9 +50,29 @@ class TestHat:
         assert is_controlled(h, HALF_UP)
         assert not is_controlled(h, DOWN)
 
-    def test_hat_of_graph_products_is_synchronized(self):
-        h = hat(product(build("c_interval"), build("two_jump")))
-        assert isinstance(normalize(h), HatProductN)
+    def test_hat_of_product_is_product_of_hats(self):
+        ci, cj = build("c_interval"), build("two_jump")
+        h = normalize(hat(product(ci, cj)))
+        assert h == normalize(product(hat(ci), hat(cj)))
+        assert h == ProductN(hat(ci), hat(cj))
+
+    def test_hat_of_nested_product(self):
+        ci, cj = build("c_interval"), build("two_jump")
+        sp = product(product(ci, ci), cj)
+        h = hat(sp)
+        assert normalize(h) == normalize(
+            product(product(hat(ci), hat(ci)), hat(cj)))
+        m = EdgePoint("e0", H)
+        start, mid = PTuple((PTuple((V0, V0)), V0)), PTuple((PTuple((m, m)), m))
+        halves = assemble(start, [ProdSeg((ProdSeg((Seg("e0", Z, H),
+                                                    Seg("e0", Z, H))),
+                                           Seg("e0", Z, H)))], mid)
+        assert is_controlled(h, halves)
+        assert not is_controlled(sp, halves)
+        # the factor ci x ci waits at (m, m) while two_jump's jump runs
+        end = PTuple((PTuple((m, m)), Vertex("vm")))
+        assert d_reachable(sp, mid, end).ok
+        assert not c_reachable(sp, mid, end).ok
 
     def test_hat_clears_excluded(self):
         sp = exclude_endpoints(build("siphon"), [V1])
@@ -264,6 +284,15 @@ class TestBasicConstructors:
         assert e.src == "v0" and e.id != "e0"
         clipped = assemble(V0, [Seg(e.id, Z, O)], Vertex(e.dst))
         assert is_controlled(sub, clipped)
+
+    def test_subspace_names_the_clipped_kind(self):
+        def clipped_kind(name, lo, hi):
+            (kind,) = kinds(subspace(build(name), [("e0", lo, hi)])).values()
+            return kind
+        assert clipped_kind("d_interval", Z, H) == "directed"
+        assert clipped_kind("natural_interval", H, O) == "natural"
+        # a clipped rigid jump leaves no named kind behind
+        assert clipped_kind("c_interval", Z, H) == "custom"
 
     def test_exclude_endpoints_blocks_stopping(self):
         sp = exclude_endpoints(build("siphon"), [V1])

@@ -1,13 +1,18 @@
-"""Laws of the constructions on a one-edge interval of every kind.
+"""Laws of the constructions on a one-edge interval of every kind, and
+on products of two such intervals and of the corpus products.
 
 Seeded random paths (``zlib.crc32`` of the case name, so a failure
-replays) check that a space sits inside its generated d-space, contains
-its flexible part and its reversible part, sits inside its reversible
-closure, and that reversing a path maps it onto the opposite space.
-Quotients at an interior anchor split the edge; their membership must
-agree with the brute-force oracle.
+replays) check that a space sits inside its generated d-space, that its
+flexible part holds exactly its flexible paths, that it contains its
+reversible part and sits inside its reversible closure, and that
+reversing a path maps it onto the opposite space.  Quotients at an
+interior anchor split the edge; their membership must agree with the
+brute-force oracle.  On products, the hat is idempotent, holds the
+product and is closed under restriction, a path is controlled exactly
+when each projection is, and opposite is an involution.
 """
 
+import itertools
 import random
 import zlib
 from fractions import Fraction as F
@@ -16,15 +21,19 @@ import pytest
 
 from cspaces import kinds as K
 from cspaces.classify import is_flexible_path
-from cspaces.construct import (flexible_part, hat, opposite, quotient_identify,
-                               reversible_closure, reversible_part)
+from cspaces.construct import (flexible_part, hat, opposite, product,
+                               quotient_identify, reversible_closure,
+                               reversible_part)
+from cspaces.corpus import build
 from cspaces.kinds import ALL, Family, Fragment
 from cspaces.membership import (brute_force_controlled, is_controlled,
                                 parse_controlled)
-from cspaces.model import (EdgePoint, UnsupportedConstruction, Vertex,
+from cspaces.model import (PAUSE, EdgePoint, Position, Run, Seg,
+                           UnsupportedConstruction, Vertex, assemble,
                            reverse_path)
-from cspaces.presentation import Edge, GraphPresentation, _split_edge, normalize
-from cspaces.sampling import random_graph_path
+from cspaces.presentation import (Edge, GraphPresentation, _split_edge,
+                                  normalize, project, split_path)
+from cspaces.sampling import random_graph_path, random_product_path
 
 from helpers import OPEN_WINDOWS, H
 
@@ -48,6 +57,25 @@ def paths(case: str, space):
     return [random_graph_path(norm, rng) for _ in range(PATHS)]
 
 
+def _cuts(p):
+    """Run boundaries and segment midpoints of a path (an edge parameter
+    on a graph segment, a traversal fraction on a product segment)."""
+    out = [Position(k) for k in range(1, len(p.items))]
+    out += [Position(k, si, (seg.a + seg.b) / 2 if isinstance(seg, Seg)
+                     else F(1, 2))
+            for k, item in enumerate(p.items) if isinstance(item, Run)
+            for si, seg in enumerate(item.segs)]
+    return out
+
+
+def assert_restriction_closed(space, p):
+    """Both portions of the path p of `space` at each of its cuts are
+    paths of `space`."""
+    for pos in _cuts(p):
+        for half in split_path(space, p, pos):
+            assert is_controlled(space, half), (p, pos)
+
+
 @pytest.mark.parametrize("name", sorted(KINDS))
 class TestLaws:
     def test_space_inside_its_generated_d_space(self, name):
@@ -57,15 +85,19 @@ class TestLaws:
             if is_controlled(sp, p):
                 assert is_controlled(h, p), p
 
+    def test_generated_d_space_is_idempotent_and_restriction_closed(self, name):
+        h = hat(interval(KINDS[name]))
+        assert normalize(hat(h)) == h
+        for p in paths(name + "/restrict", h):
+            if is_controlled(h, p):
+                assert_restriction_closed(h, p)
+
     def test_flexible_part_holds_the_flexible_paths(self, name):
         sp = interval(KINDS[name])
         fl = flexible_part(sp)
         for p in paths(name + "/fl", sp):
-            inside = is_controlled(sp, p)
-            if is_controlled(fl, p):
-                assert inside, p
-            if inside and is_flexible_path(sp, p):
-                assert is_controlled(fl, p), p
+            flexible = is_controlled(sp, p) and is_flexible_path(sp, p)
+            assert is_controlled(fl, p) == flexible, p
 
     def test_reversible_part_and_closure_bracket_the_space(self, name):
         sp = interval(KINDS[name])
@@ -103,6 +135,63 @@ class TestLaws:
             assert out.controlled == brute_force_controlled(q, p, depth=DEPTH), p
             compared += 1
         assert compared > PATHS // 2
+
+
+def test_flexible_part_cuts_fragments_where_no_portion_may_end():
+    # the rising window (1/4, 1] may not end at 1/2, and [0, 1/2) never
+    # reaches it: the portion 3/8 -> 1/2 of the first run is not controlled
+    sp = interval(OPEN_WINDOWS)
+    at = {k: EdgePoint("e0", F(k, 8)) for k in range(1, 8)}
+    p = assemble(at[3], [Seg("e0", F(3, 8), F(5, 8)), PAUSE,
+                         Seg("e0", F(5, 8), F(1, 4))], at[2])
+    assert is_controlled(sp, p) and not is_flexible_path(sp, p)
+    assert not is_controlled(flexible_part(sp), p)
+    # a run that stops short of 1/2 stays flexible
+    q = assemble(at[3], [Seg("e0", F(3, 8), F(7, 16))],
+                 EdgePoint("e0", F(7, 16)))
+    assert is_flexible_path(sp, q) and is_controlled(flexible_part(sp), q)
+
+
+# Products: every pair of the interval kinds above, and the corpus products.
+PRODUCTS = {f"{a}*{b}": product(interval(KINDS[a]), interval(KINDS[b]))
+            for a, b in itertools.combinations_with_replacement(sorted(KINDS), 2)}
+PRODUCTS.update((name, build(name)) for name in ("c_square", "hybrid_square"))
+PRODUCTS["c_torus2"] = build("c_torus", n=2)
+PRODUCT_PATHS = 40
+
+
+def product_paths(case: str, space):
+    rng = random.Random(zlib.crc32(case.encode()))
+    norm = normalize(space)
+    return [random_product_path(norm, rng) for _ in range(PRODUCT_PATHS)]
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+class TestProductLaws:
+    def test_product_inside_its_idempotent_restriction_closed_hat(self, name):
+        sp = PRODUCTS[name]
+        h = normalize(hat(sp))
+        assert normalize(hat(h)) == h
+        for p in product_paths(name + "/hat", sp):
+            if is_controlled(sp, p):
+                assert is_controlled(h, p), p
+            if is_controlled(h, p):
+                assert_restriction_closed(h, p)
+
+    def test_controlled_iff_each_projection_is(self, name):
+        for space in (PRODUCTS[name], hat(PRODUCTS[name])):
+            norm = normalize(space)
+            for p in product_paths(name + "/projection", space):
+                each = all(is_controlled(f, project(p, norm, i))
+                           for i, f in enumerate((norm.left, norm.right)))
+                assert is_controlled(norm, p) == each, p
+
+    def test_opposite_is_an_involution(self, name):
+        sp = PRODUCTS[name]
+        op = opposite(sp)
+        assert normalize(opposite(op)) == normalize(sp)
+        for p in product_paths(name + "/op", sp):
+            assert is_controlled(sp, p) == is_controlled(op, reverse_path(p)), p
 
 
 def test_n_stop_splits_into_two_n_stops():
