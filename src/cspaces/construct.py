@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 from . import kinds as K
 from .kinds import ALL, EdgeKind, Family, Fragment
-from .membership import fragment_span_ok, is_controlled, seg_flexible
+from .membership import (closed_token_ok, fragment_span_ok, is_controlled,
+                         seg_flexible)
 from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
                     Rat, RigidTrace, Seg, UnsupportedConstruction, Vertex,
                     assemble)
@@ -158,10 +159,9 @@ def flexible_part(space):
     edges, flex = [], set(g.flexible)
     for e in g.edges:
         fam = family(g, e.id)
-        ends = [x for tr in fam.rigid for x in (tr.steps[0].a, tr.steps[-1].b)]
         kind, points = _edge_kind(
             g, e, Family(fragments=_flexible_windows(fam.fragments),
-                         flexible=fam.flexible), ends)
+                         flexible=fam.flexible), K.rigid_ends(fam))
         edges.append(Edge(e.id, e.src, e.dst, kind))
         flex |= points
     gens = []
@@ -328,32 +328,14 @@ def _same_support(g1: GraphPresentation, g2: GraphPresentation) -> bool:
     return True
 
 
-def _closed_cover(g: GraphPresentation, edge: str, lo: Rat, hi: Rat,
-                  direction: int) -> bool:
-    """Is [lo,hi] of `edge` inside one step of a closed trace in `direction`?"""
-    for tr in closed_traces(g):
-        for s in tr.steps:
-            if s.edge != edge:
-                continue
-            sd = 1 if s.b > s.a else -1
-            if sd != direction:
-                continue
-            if min(s.a, s.b) <= lo and hi <= max(s.a, s.b):
-                return True
-    return False
-
-
 def _fragment_contained(f1: Fragment, g2: GraphPresentation,
                         edge: str) -> bool:
-    return (any(K.covers(f2, f1) for f2 in family(g2, edge).fragments)
-            or _closed_cover(g2, edge, f1.lo, f1.hi, f1.dir))
-
-
-def _edge_all_flexible(g: GraphPresentation, edge: str) -> bool:
-    if family(g, edge).flexible == ALL:
+    """Is every run of f1 a run of one window or closed-trace step of g2?
+    A window of one point has no run."""
+    if any(K.covers(f2, f1) for f2 in family(g2, edge).fragments):
         return True
-    return (_closed_cover(g, edge, ZERO, ONE, 1)
-            or _closed_cover(g, edge, ZERO, ONE, -1))
+    lo, hi = (f1.lo, f1.hi) if f1.dir > 0 else (f1.hi, f1.lo)
+    return lo == hi or closed_token_ok(g2, Seg(edge, lo, hi))
 
 
 def is_finer(fine, coarse) -> bool:
@@ -376,10 +358,10 @@ def is_finer(fine, coarse) -> bool:
     for e in g1.edges:
         fam1 = family(g1, e.id)
         if fam1.flexible == ALL:
-            if not _edge_all_flexible(g2, e.id):
+            if not _interval_flexible(g2, e.id, ZERO, ONE):
                 return False
         else:
-            for t in fam1.flexible:
+            for t in fam1.flexible | K.rigid_ends(fam1):
                 if not flexible_point(g2, pos_point(g1, e.id, t)):
                     return False
     for p in g1.flexible:
@@ -576,8 +558,8 @@ def _interval_flexible(dst: GraphPresentation, edge: str,
         return True
     if lo == hi:
         return flexible_point(dst, pos_point(dst, edge, lo))
-    return (_closed_cover(dst, edge, lo, hi, 1)
-            or _closed_cover(dst, edge, lo, hi, -1))
+    return (closed_token_ok(dst, Seg(edge, lo, hi))
+            or closed_token_ok(dst, Seg(edge, hi, lo)))
 
 
 def check_cmap(f: CMap, src, dst):
@@ -641,7 +623,7 @@ def check_cmap(f: CMap, src, dst):
                         f"non-flexible stretch of {step.edge!r}")
                     break
         else:
-            for t in fam.flexible:
+            for t in fam.flexible | K.rigid_ends(fam):
                 p = pos_point(g1, e.id, t)
                 if flexible_point(g1, p) and not flexible_point(
                         g2, map_point(f, g1, g2, p)):

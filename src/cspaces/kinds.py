@@ -176,6 +176,12 @@ def kind_generators(k: EdgeKind, edge: str) -> Family:
     raise ModelError(f"unknown kind {name!r}")
 
 
+def rigid_ends(fam: Family) -> set:
+    """Where the family's rigid traces start and end: the trivial loops
+    there are controlled, like those of every generator's end points."""
+    return {x for tr in fam.rigid for x in (tr.steps[0].a, tr.steps[-1].b)}
+
+
 def family_reversed(fam: Family) -> Family:
     """The family generating exactly the reversed paths (same coordinates)."""
     return Family(rigid=tuple(t.reversed() for t in fam.rigid),

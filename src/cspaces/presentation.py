@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kinds as K
 from .kinds import ALL, EdgeKind, Family, Fragment
@@ -253,7 +254,8 @@ def flexible_point(pres: GraphPresentation, p) -> bool:
         return True
     positions = point_positions(pres, p)
     for edge, t in positions:
-        if family(pres, edge).position_flexible(t):
+        fam = family(pres, edge)
+        if fam.position_flexible(t) or t in K.rigid_ends(fam):
             return True
     for tr in pres.generators:
         if trace_start(pres, tr) == p or trace_end(pres, tr) == p:
@@ -293,7 +295,7 @@ def normalize(space):
     if isinstance(space, Quotient):
         return _quotient_normal(_as_graph(space.base, "quotient"), space.classes)
     if isinstance(space, Subspace):
-        return _subspace_normal(_as_graph(space.base, "subspace"), space.region)
+        return _subspace(_as_graph(space.base, "subspace"), space.region)[0]
     if isinstance(space, Opposite):
         inner = normalize(space.base)
         return _opposite_normal(inner)
@@ -334,17 +336,24 @@ def _remap_point(p, vmap):
 
 
 def _quotient_normal(g: GraphPresentation, classes) -> GraphPresentation:
-    # identifications at anchor points require splitting the edge first
+    # identifications at anchor points cut their edges there first, all at once
+    anchors = {}
     for cls in classes:
         for p in cls:
             if isinstance(p, EdgePoint):
                 if p.edge not in edge_map(g):
                     raise ModelError(f"unknown edge {p.edge!r} in quotient class")
-                g, repl = _split_edge(g, p.edge, p.t)
-                classes = tuple(frozenset(repl.get(q, q) for q in c) for c in classes)
+                anchors.setdefault(p.edge, set()).add(p.t)
             elif not isinstance(p, Vertex):
                 raise UnsupportedConstruction(
                     "quotients may only identify vertices or anchor points")
+    if anchors:
+        region = [Vertex(v) for v in g.vertices]
+        for e in g.edges:
+            ends = [ZERO, *sorted(anchors.get(e.id, ())), ONE]
+            region.extend((e.id, lo, hi) for lo, hi in zip(ends, ends[1:]))
+        g, remap = _subspace(g, region)
+        classes = tuple(frozenset(remap(p) or p for p in c) for c in classes)
     parent = {v: v for v in g.vertices}
 
     def find(v):
@@ -374,95 +383,13 @@ def _quotient_normal(g: GraphPresentation, classes) -> GraphPresentation:
         blocked=frozenset(_remap_point(p, vmap) for p in g.blocked))
 
 
-def _split_edge(g: GraphPresentation, edge: str, t: Rat):
-    """Split an edge at an interior anchor; returns (graph, point remapping)."""
-    e = edge_map(g)[edge]
-    if not (ZERO < t < ONE):
-        raise ModelError("split position must be interior")
-    fam = family(g, edge)
-    for tr in fam.rigid:
-        ends = [x for s in tr.steps for x in (s.a, s.b)]
-        if min(ends) < t < max(ends):
-            raise UnsupportedConstruction(
-                f"a rigid generator of edge {edge!r} crosses {t}")
-    for f in fam.fragments:
-        if f.lo < t < f.hi and t in f.start_not | f.end_not:
-            raise UnsupportedConstruction(
-                f"a fragment of edge {edge!r} may not start or end at {t}")
-    mid = f"{edge}@{t.numerator}_{t.denominator}"
-    lid, rid = f"{edge}.l", f"{edge}.r"
-    lkind = K.kind_of(_rebind_family_edge(_sub_family(fam, ZERO, t), lid), lid)
-    rkind = K.kind_of(_rebind_family_edge(_sub_family(fam, t, ONE), rid), rid)
-
-    def remap_t(s: Rat):
-        if s < t:
-            return (lid, s / t)
-        if s > t:
-            return (rid, (s - t) / (ONE - t))
-        return (None, None)  # the split point itself
-
-    def remap_point(p):
-        if isinstance(p, EdgePoint) and p.edge == edge:
-            ne, ns = remap_t(p.t)
-            if ne is None:
-                return Vertex(mid)
-            return pos_point_raw(ne, ns, e.src if ne == lid else mid,
-                                 mid if ne == lid else e.dst)
-        return p
-
-    def pos_point_raw(eid, s, src, dst):
-        if s == ZERO:
-            return Vertex(src)
-        if s == ONE:
-            return Vertex(dst)
-        return EdgePoint(eid, s)
-
-    gens = []
-    for tr in g.generators:
-        steps = []
-        for s in tr.steps:
-            if s.edge != edge:
-                steps.append(s)
-                continue
-            if min(s.a, s.b) < t < max(s.a, s.b):
-                pieces = [(s.a, t), (t, s.b)]
-            else:
-                pieces = [(s.a, s.b)]
-            for a, b in pieces:
-                sub = sorted((a, b))
-                if sub[1] <= t:
-                    steps.append(TraceStep(lid, a / t, b / t))
-                else:
-                    steps.append(TraceStep(rid, (a - t) / (ONE - t), (b - t) / (ONE - t)))
-        if tr.pauses and len(steps) != len(tr.steps):
-            raise UnsupportedConstruction("cannot split a trace with dwell marks")
-        gens.append(RigidTrace(tuple(steps), tr.pauses, tr.restriction_closed))
-
-    edges = tuple(x for e2 in g.edges for x in
-                  ((Edge(lid, e.src, mid, lkind), Edge(rid, mid, e.dst, rkind))
-                   if e2.id == edge else (e2,)))
-    repl = {}
-    for pts in (g.flexible, g.excluded, g.absorbing, g.emitting, g.blocked):
-        for p in pts:
-            repl[p] = remap_point(p)
-    out = GraphPresentation(
-        vertices=frozenset(g.vertices | {mid}),
-        edges=edges,
-        generators=tuple(gens),
-        flexible=frozenset(remap_point(p) for p in g.flexible),
-        excluded=frozenset(remap_point(p) for p in g.excluded),
-        absorbing=frozenset(remap_point(p) for p in g.absorbing),
-        emitting=frozenset(remap_point(p) for p in g.emitting),
-        blocked=frozenset(remap_point(p) for p in g.blocked))
-    repl[EdgePoint(edge, t)] = Vertex(mid)
-    return out, repl
-
-
 def _rescale(v: Rat, lo: Rat, hi: Rat) -> Rat:
     return (v - lo) / (hi - lo)
 
 
-def _sub_family(fam: Family, lo: Rat, hi: Rat) -> Family:
+def _sub_family(fam: Family, lo: Rat, hi: Rat, rigid: tuple) -> Family:
+    """The fragments and flexible positions of `fam` on [lo, hi], rescaled
+    to [0, 1], with the rigid traces `rigid` (already cut)."""
     frags = []
     for f in fam.fragments:
         wlo, whi = max(f.lo, lo), min(f.hi, hi)
@@ -476,107 +403,162 @@ def _sub_family(fam: Family, lo: Rat, hi: Rat) -> Family:
                                 if lo <= v <= hi),
             end_not=frozenset(_rescale(v, lo, hi) for v in f.end_not
                               if lo <= v <= hi)))
-    rigid = []
-    for tr in fam.rigid:
-        ok = all(lo <= min(s.a, s.b) and max(s.a, s.b) <= hi for s in tr.steps)
-        if ok:
-            steps = tuple(TraceStep(s.edge, _rescale(s.a, lo, hi),
-                                    _rescale(s.b, lo, hi)) for s in tr.steps)
-            rigid.append(RigidTrace(steps, tr.pauses, tr.restriction_closed))
     flex = ALL if fam.flexible == ALL else frozenset(
         _rescale(v, lo, hi) for v in fam.flexible if lo <= v <= hi)
-    return Family(rigid=tuple(rigid), fragments=tuple(frags), flexible=flex)
+    return Family(rigid=rigid, fragments=tuple(frags), flexible=flex)
 
 
-def _rebind_family_edge(fam: Family, new_edge: str) -> Family:
-    def rebind(tr):
-        return RigidTrace(tuple(TraceStep(new_edge, s.a, s.b) for s in tr.steps),
-                          tr.pauses, tr.restriction_closed)
-    return Family(rigid=tuple(rebind(t) for t in fam.rigid),
-                  fragments=fam.fragments, flexible=fam.flexible)
+def _region_intervals(g: GraphPresentation, region):
+    """(kept vertex names, {edge: sorted [(lo, hi)]}) of a subspace region.
 
-
-def _subspace_normal(g: GraphPresentation, region) -> GraphPresentation:
-    kept_vertices = set()
-    intervals = {}
+    Raises ModelError on a vertex or edge that g lacks, on an interval
+    outside 0 <= lo < hi <= 1 and on overlapping intervals; intervals of
+    one edge may touch.
+    """
+    kept, intervals = set(), {}
     for part in region:
         if isinstance(part, Vertex):
             if part.name not in g.vertices:
                 raise ModelError(f"unknown vertex {part.name!r} in region")
-            kept_vertices.add(part.name)
-        else:
-            eid, lo, hi = part
-            if eid not in edge_map(g):
-                raise ModelError(f"unknown edge {eid!r} in region")
-            if not (ZERO <= lo < hi <= ONE):
-                raise ModelError("region interval must satisfy 0 <= lo < hi <= 1")
-            intervals.setdefault(eid, []).append((lo, hi))
+            kept.add(part.name)
+            continue
+        if not (isinstance(part, tuple) and len(part) == 3):
+            raise ModelError(
+                f"region part {part!r} is neither a vertex nor (edge, lo, hi)")
+        eid, lo, hi = part
+        if eid not in edge_map(g):
+            raise ModelError(f"unknown edge {eid!r} in region")
+        if not (ZERO <= lo < hi <= ONE):
+            raise ModelError("region interval must satisfy 0 <= lo < hi <= 1")
+        intervals.setdefault(eid, []).append((lo, hi))
     for eid, ivs in intervals.items():
         ivs.sort()
-        for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
+        for (_, b1), (a2, _) in zip(ivs, ivs[1:]):
             if a2 < b1:
                 raise ModelError(f"overlapping region intervals on edge {eid!r}")
+    return kept, intervals
 
-    edges, pmap_edges = [], {}  # pmap: (edge) -> list of (lo, hi, new_id, src, dst)
+
+class _Piece(NamedTuple):
+    """The part [lo, hi] of an edge, as the edge `id` from `src` to `dst`."""
+    lo: Rat
+    hi: Rat
+    id: str
+    src: str
+    dst: str
+
+    def at(self, t: Rat):
+        """The point at parameter t of the old edge, lo <= t <= hi."""
+        s = _rescale(t, self.lo, self.hi)
+        if s == ZERO:
+            return Vertex(self.src)
+        if s == ONE:
+            return Vertex(self.dst)
+        return EdgePoint(self.id, s)
+
+
+def _cut_vertex(e: Edge, t: Rat) -> str:
+    if t == ZERO:
+        return e.src
+    if t == ONE:
+        return e.dst
+    return f"{e.id}@{t.numerator}_{t.denominator}"
+
+
+def _cut_trace(pieces: dict, tr: RigidTrace):
+    """A trace on the pieces of its edges: each step cut where it crosses
+    from one piece into the next, dwell marks renumbered.  None when part
+    of the trace lies outside the pieces."""
+    steps, at = [], {}
+    for i, s in enumerate(tr.steps):
+        at[i] = len(steps)
+        ps = pieces.get(s.edge, ())
+        lo, hi = min(s.a, s.b), max(s.a, s.b)
+        marks = sorted({s.a, s.b} | {x for p in ps for x in (p.lo, p.hi)
+                                     if lo < x < hi}, reverse=s.dir < 0)
+        for a, b in zip(marks, marks[1:]):
+            p = next((p for p in ps if p.lo <= min(a, b) and max(a, b) <= p.hi),
+                     None)
+            if p is None:
+                return None
+            steps.append(TraceStep(p.id, _rescale(a, p.lo, p.hi),
+                                   _rescale(b, p.lo, p.hi)))
+    at[len(tr.steps)] = len(steps)
+    return RigidTrace(tuple(steps), frozenset(at[i] for i in tr.pauses),
+                      tr.restriction_closed)
+
+
+def _subspace(g: GraphPresentation, region):
+    """The subspace of g on a region, and the map of g's points into it
+    (None outside).
+
+    This is the one rewrite that cuts edges.  An edge covered by [0, 1]
+    stays whole; any other interval [lo, hi] becomes the edge
+    ``e[lo..hi]``, and touching intervals meet at the vertex
+    ``e@num_den``.  A rigid trace of the edge's family that lies in the
+    region but crosses such a vertex moves onto the presentation.
+    """
+    kept, intervals = _region_intervals(g, region)
+    pieces = {}  # edge id -> [_Piece], sorted
     for e in g.edges:
-        for lo, hi in intervals.get(e.id, []):
-            if (lo, hi) == (ZERO, ONE):
-                edges.append(e)
-                pmap_edges.setdefault(e.id, []).append((lo, hi, e.id, e.src, e.dst))
-                kept_vertices.update({e.src, e.dst})
+        pieces[e.id] = [
+            _Piece(lo, hi, e.id if (lo, hi) == (ZERO, ONE)
+                   else f"{e.id}[{rat_str(lo)}..{rat_str(hi)}]",
+                   _cut_vertex(e, lo), _cut_vertex(e, hi))
+            for lo, hi in intervals.get(e.id, ())]
+    edges, moved = [], []
+    for e in g.edges:
+        ps = pieces[e.id]
+        kept.update(x for p in ps for x in (p.src, p.dst))
+        if not ps:
+            continue
+        if ps[0].id == e.id:
+            edges.append(e)
+            continue
+        fam = family(g, e.id)
+        for p, q in zip(ps, ps[1:]):
+            if p.hi == q.lo and any(f.lo < p.hi < f.hi
+                                    and p.hi in f.start_not | f.end_not
+                                    for f in fam.fragments):
+                raise UnsupportedConstruction(
+                    f"a fragment of edge {e.id!r} may not start or end at {p.hi}")
+        own = {}
+        for tr in fam.rigid:
+            cut = _cut_trace(pieces, tr)
+            if cut is None:
                 continue
-            nid = f"{e.id}[{rat_str(lo)}..{rat_str(hi)}]"
-            src = e.src if lo == ZERO else f"{e.id}@{lo.numerator}_{lo.denominator}"
-            dst = e.dst if hi == ONE else f"{e.id}@{hi.numerator}_{hi.denominator}"
-            sub = _rebind_family_edge(_sub_family(family(g, e.id), lo, hi), nid)
-            edges.append(Edge(nid, src, dst, K.kind_of(sub, nid)))
-            pmap_edges.setdefault(e.id, []).append((lo, hi, nid, src, dst))
-            kept_vertices.update({src, dst})
+            ids = {s.edge for s in cut.steps}
+            if len(ids) > 1:
+                moved.append(cut)
+            else:
+                own.setdefault(ids.pop(), []).append(cut)
+        for p in ps:
+            sub = _sub_family(fam, p.lo, p.hi, tuple(own.get(p.id, ())))
+            edges.append(Edge(p.id, p.src, p.dst, K.kind_of(sub, p.id)))
+    gens = [c for c in (_cut_trace(pieces, tr) for tr in g.generators)
+            if c is not None]
 
     def remap(p):
-        """Map an ambient point into the subspace, or None if outside."""
         if isinstance(p, Vertex):
-            return p if p.name in kept_vertices else None
+            return p if p.name in kept else None
         if isinstance(p, EdgePoint):
-            for lo, hi, nid, src, dst in pmap_edges.get(p.edge, []):
-                if lo <= p.t <= hi:
-                    s = _rescale(p.t, lo, hi)
-                    if s == ZERO:
-                        return Vertex(src)
-                    if s == ONE:
-                        return Vertex(dst)
-                    return EdgePoint(nid, s)
+            for piece in pieces.get(p.edge, ()):
+                if piece.lo <= p.t <= piece.hi:
+                    return piece.at(p.t)
         return None
 
-    gens = []
-    for tr in g.generators:
-        steps = []
-        ok = True
-        for s in tr.steps:
-            hit = None
-            for lo, hi, nid, _, _ in pmap_edges.get(s.edge, []):
-                if lo <= min(s.a, s.b) and max(s.a, s.b) <= hi:
-                    hit = TraceStep(nid, _rescale(s.a, lo, hi), _rescale(s.b, lo, hi))
-                    break
-            if hit is None:
-                ok = False
-                break
-            steps.append(hit)
-        if ok:
-            gens.append(RigidTrace(tuple(steps), tr.pauses, tr.restriction_closed))
-
     def remap_set(pts):
-        return frozenset(q for q in (remap(p) for p in pts) if q is not None)
+        return frozenset(q for q in map(remap, pts) if q is not None)
 
     return GraphPresentation(
-        vertices=frozenset(kept_vertices),
+        vertices=frozenset(kept),
         edges=tuple(edges),
-        generators=tuple(gens),
+        generators=tuple(gens + moved),
         flexible=remap_set(g.flexible),
         excluded=remap_set(g.excluded),
         absorbing=remap_set(g.absorbing),
         emitting=remap_set(g.emitting),
-        blocked=remap_set(g.blocked))
+        blocked=remap_set(g.blocked)), remap
 
 
 def _opposite_normal(norm):
@@ -636,6 +618,12 @@ def _validate(space, out):
                     out.append(f"quotient class member {p!r} outside support")
     elif isinstance(space, Subspace):
         _validate(space.base, out)
+        base = normalize(space.base)
+        if isinstance(base, GraphPresentation):
+            try:
+                _region_intervals(base, space.region)
+            except ModelError as exc:
+                out.append(str(exc))
     elif isinstance(space, Opposite):
         _validate(space.base, out)
     elif isinstance(space, ExcludeEndpoints):

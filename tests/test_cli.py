@@ -180,3 +180,24 @@ def test_quotient_at_a_point_of_an_unknown_edge_exits_2(space_file, capsys):
     code, doc = run_cli(capsys, "quotient", "--space", f,
                         "--identify", "e9@1/2=v:v0")
     assert code == 2 and "unknown edge 'e9'" in doc["error"]["message"]
+
+
+def test_quotient_at_two_anchors_of_one_edge(space_file, tmp_path, capsys):
+    f = space_file("natural_interval")
+    code, doc = run_cli(capsys, "quotient", "--space", f, "--identify",
+                        "v:v0=e0@1/3;v:v1=e0@2/3",
+                        "-o", str(tmp_path / "q.json"))
+    assert code == 0
+    assert sorted(e["id"] for e in doc["graph"]["edges"]) == [
+        "e0[0/1..1/3]", "e0[1/3..2/3]", "e0[2/3..1/1]"]
+
+
+def test_validate_reports_a_region_on_an_unknown_edge(space_file, tmp_path,
+                                                      capsys):
+    f = tmp_path / "sub.json"
+    f.write_text(json.dumps({"expr": {
+        "op": "subspace", "args": [json.load(open(space_file("c_interval")))],
+        "region": [["e9", "0/1", "1/2"]]}}))
+    code, doc = run_cli(capsys, "validate", "--space", str(f))
+    assert code == 0 and doc["valid"] is False
+    assert any("unknown edge 'e9'" in v for v in doc["violations"])

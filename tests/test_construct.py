@@ -19,7 +19,8 @@ from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple,
                            RigidTrace, Seg, TraceStep, UnsupportedConstruction,
                            Vertex, assemble, reverse_path)
-from cspaces.presentation import Edge, GraphPresentation, ProductN, normalize
+from cspaces.presentation import (Edge, GraphPresentation, ProductN,
+                                  Subspace, normalize, validate)
 from cspaces.reach import c_reachable, d_reachable
 
 from helpers import Z, O, H
@@ -259,6 +260,21 @@ class TestFiner:
             sp = build(name)
             assert is_finer(sp, hat(sp))
 
+    def test_trivial_loops_at_rigid_trace_ends_must_stay_controlled(self):
+        # the jump 1/4 -> 3/4 runs in the rising window, but the coarse
+        # space has no trivial loop at 1/4 or 3/4
+        def interval(fam):
+            return GraphPresentation(frozenset({"v0", "v1"}), (
+                Edge("e0", "v0", "v1", K.custom(fam)),))
+        jump = interval(Family(rigid=(
+            RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),)),)))
+        window = interval(Family(fragments=(K.Fragment(1),)))
+        assert not is_finer(jump, window)
+        f = cmap({"v0": "v0", "v1": "v1"},
+                 {"e0": EdgeImage(((Z, O, TraceStep("e0", Z, O)),))})
+        ok, failures = check_cmap(f, jump, window)
+        assert not ok and "maps to a rigid point" in failures[0]
+
 
 class TestBasicConstructors:
     def test_sum_disjoint_union(self):
@@ -293,6 +309,55 @@ class TestBasicConstructors:
         assert clipped_kind("natural_interval", H, O) == "natural"
         # a clipped rigid jump leaves no named kind behind
         assert clipped_kind("c_interval", Z, H) == "custom"
+
+    def test_touching_halves_keep_the_full_jump(self):
+        sub = subspace(build("c_interval"), [V0, V1, ("e0", Z, H), ("e0", H, O)])
+        mid = Vertex("e0@1_2")
+        up = assemble(V0, [Seg("e0[0/1..1/2]", Z, O),
+                           Seg("e0[1/2..1/1]", Z, O)], V1)
+        assert is_controlled(sub, up)
+        assert not is_controlled(sub, assemble(V0, [Seg("e0[0/1..1/2]", Z, O)],
+                                               mid))
+
+    def test_crossing_square_cut_on_a_diagonal_keeps_both_diagonals(self):
+        sq = build("crossing_square")
+        region = [Vertex(v) for v in sq.vertices] + [
+            ("d0", Z, H), ("d0", H, O),
+            ("d1", Z, O), ("d2", Z, O), ("d3", Z, O)]
+        sub = subspace(sq, region)
+        assert len(sub.generators) == 2
+        diagonal = assemble(Vertex("c00"), [
+            Seg("d0[0/1..1/2]", Z, O), Seg("d0[1/2..1/1]", Z, O),
+            Seg("d1", Z, O)], Vertex("c11"))
+        assert is_controlled(sub, diagonal)
+        assert is_controlled(sub, assemble(Vertex("c01"), [
+            Seg("d2", Z, O), Seg("d3", Z, O)], Vertex("c10")))
+
+    def test_quotient_at_two_anchors_of_one_edge(self):
+        third, two_thirds = F(1, 3), F(2, 3)
+        q = quotient_identify(build("natural_interval"), [
+            [V0, EdgePoint("e0", third)], [V1, EdgePoint("e0", two_thirds)]])
+        # each class is named after its least member
+        a, b = "e0@1_3", "e0@2_3"
+        assert q.vertices == {a, b}
+        assert {(e.id, e.src, e.dst) for e in q.edges} == {
+            ("e0[0/1..1/3]", a, a), ("e0[1/3..2/3]", a, b),
+            ("e0[2/3..1/1]", b, b)}
+        assert is_controlled(q, assemble(Vertex(a), [Seg("e0[1/3..2/3]", Z, O)],
+                                         Vertex(b)))
+
+    def test_validate_reports_bad_regions(self):
+        base = build("c_interval")
+        for region, message in (
+                ([("e9", Z, O)], "unknown edge 'e9'"),
+                ([Vertex("v9")], "unknown vertex 'v9'"),
+                ([("e0", H, Z)], "0 <= lo < hi <= 1"),
+                ([("e0", Z, H), ("e0", F(1, 4), O)], "overlapping")):
+            report = validate(Subspace(base, tuple(region)))
+            assert len(report) == 1 and message in report[0], region
+            with pytest.raises(ModelError, match=message):
+                normalize(Subspace(base, tuple(region)))
+        assert validate(Subspace(base, ((("e0", Z, H), ("e0", H, O))))) == []
 
     def test_exclude_endpoints_blocks_stopping(self):
         sp = exclude_endpoints(build("siphon"), [V1])

@@ -5,9 +5,12 @@ Seeded random paths (``zlib.crc32`` of the case name, so a failure
 replays) check that a space sits inside its generated d-space, that its
 flexible part holds exactly its flexible paths, that it contains its
 reversible part and sits inside its reversible closure, and that
-reversing a path maps it onto the opposite space.  Quotients at an
-interior anchor split the edge; their membership must agree with the
-brute-force oracle.  On products, the hat is idempotent, holds the
+reversing a path maps it onto the opposite space, and that the trivial
+loops at the ends of every generator are controlled.  Cutting the edge
+at 1/3 into two touching subspace intervals keeps exactly the
+controlled paths; quotients at an interior anchor cut the edge there,
+and their membership must agree with the brute-force oracle.  On
+products, nested ones included, the hat is idempotent, holds the
 product and is closed under restriction, a path is controlled exactly
 when each projection is, and opposite is an involution.
 """
@@ -23,16 +26,18 @@ from cspaces import kinds as K
 from cspaces.classify import is_flexible_path
 from cspaces.construct import (flexible_part, hat, opposite, product,
                                quotient_identify, reversible_closure,
-                               reversible_part)
+                               reversible_part, subspace)
 from cspaces.corpus import build
 from cspaces.kinds import ALL, Family, Fragment
 from cspaces.membership import (brute_force_controlled, is_controlled,
                                 parse_controlled)
-from cspaces.model import (PAUSE, EdgePoint, Position, Run, Seg,
-                           UnsupportedConstruction, Vertex, assemble,
-                           reverse_path)
-from cspaces.presentation import (Edge, GraphPresentation, _split_edge,
-                                  normalize, project, split_path)
+from cspaces.model import (PAUSE, EdgePoint, Pause, Position, RigidTrace, Run,
+                           Seg, TraceStep, UnsupportedConstruction, Vertex,
+                           assemble, reverse_path)
+from cspaces.presentation import (Edge, GraphPresentation, bound_rigid,
+                                  flexible_point, normalize, project,
+                                  split_path, trace_end, trace_path,
+                                  trace_start)
 from cspaces.sampling import random_graph_path, random_product_path
 
 from helpers import OPEN_WINDOWS, H
@@ -42,6 +47,9 @@ KINDS = {name: K.kind(name) for name in (
     "reversible_one_jump", "siphon", "siphon_osc", "still", "discrete_c")}
 KINDS["n_stop3"] = K.n_stop(3)
 KINDS["open_windows"] = OPEN_WINDOWS
+# a rigid trace from 1/4 to 3/4 and no flexible position
+KINDS["quarter_jump"] = K.custom(Family(rigid=(
+    RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),)),)))
 PATHS = 150
 DEPTH = 5
 
@@ -51,10 +59,49 @@ def interval(kind) -> GraphPresentation:
                              (Edge("e0", "v0", "v1", kind),))
 
 
-def paths(case: str, space):
+def paths(case: str, space, grid: int = 8):
     rng = random.Random(zlib.crc32(case.encode()))
     norm = normalize(space)
-    return [random_graph_path(norm, rng) for _ in range(PATHS)]
+    return [random_graph_path(norm, rng, grid=grid) for _ in range(PATHS)]
+
+
+def cut_at(space, t):
+    """The interval cut at t: the subspace on both touching halves."""
+    return subspace(space, [Vertex("v0"), Vertex("v1"),
+                            ("e0", F(0), t), ("e0", t, F(1))])
+
+
+THIRD = F(1, 3)
+LEFT, RIGHT, MID = "e0[0/1..1/3]", "e0[1/3..1/1]", Vertex("e0@1_3")
+
+
+def on_halves(p):
+    """A path of the interval, re-expressed on its halves cut at 1/3."""
+    def at(x):
+        t = x.t if isinstance(x, EdgePoint) else F(x.name == "v1")
+        if t == THIRD:
+            return MID
+        if t in (0, 1):
+            return x
+        return EdgePoint(LEFT, t * 3) if t < THIRD \
+            else EdgePoint(RIGHT, (t - THIRD) * F(3, 2))
+
+    def pieces(seg):
+        ends = [seg.a, THIRD, seg.b] if seg.lo < THIRD < seg.hi \
+            else [seg.a, seg.b]
+        for a, b in zip(ends, ends[1:]):
+            if max(a, b) <= THIRD:
+                yield Seg(LEFT, a * 3, b * 3)
+            else:
+                yield Seg(RIGHT, (a - THIRD) * F(3, 2), (b - THIRD) * F(3, 2))
+
+    atoms = []
+    for item in p.items:
+        if isinstance(item, Pause):
+            atoms.append(PAUSE)
+        else:
+            atoms.extend(piece for seg in item.segs for piece in pieces(seg))
+    return assemble(at(p.start), atoms, at(p.end))
 
 
 def _cuts(p):
@@ -116,15 +163,22 @@ class TestLaws:
             assert is_controlled(sp, p) == is_controlled(op, reverse_path(p)), p
         assert normalize(opposite(op)) == sp
 
+    def test_trivial_loops_at_generator_ends_are_controlled(self, name):
+        g = interval(KINDS[name])
+        for tr in K.kind_generators(KINDS[name], "e0").rigid:
+            assert flexible_point(g, trace_start(g, tr)), tr
+            assert flexible_point(g, trace_end(g, tr)), tr
+
+    def test_cut_at_a_third_keeps_the_controlled_paths(self, name):
+        sp = interval(KINDS[name])
+        cut = cut_at(sp, THIRD)
+        whole = [trace_path(sp, tr) for tr in bound_rigid(sp)]
+        for p in paths(name + "/cut", sp, grid=12) + whole:
+            assert is_controlled(cut, on_halves(p)) == is_controlled(sp, p), p
+
     def test_quotient_at_anchor_agrees_with_oracle(self, name):
         sp = interval(KINDS[name])
-        fam = K.kind_generators(KINDS[name], "e0")
         anchor = EdgePoint("e0", F(1, 3))
-        if fam.rigid and name != "n_stop3":
-            # a rigid generator runs across 1/3
-            with pytest.raises(UnsupportedConstruction):
-                quotient_identify(sp, [[Vertex("v0"), anchor]])
-            return
         q = normalize(quotient_identify(sp, [[Vertex("v0"), anchor]]))
         assert len(q.edges) == 2
         compared = 0
@@ -157,6 +211,8 @@ PRODUCTS = {f"{a}*{b}": product(interval(KINDS[a]), interval(KINDS[b]))
             for a, b in itertools.combinations_with_replacement(sorted(KINDS), 2)}
 PRODUCTS.update((name, build(name)) for name in ("c_square", "hybrid_square"))
 PRODUCTS["c_torus2"] = build("c_torus", n=2)
+PRODUCTS["c_torus3"] = build("c_torus", n=3)
+PRODUCTS["c_square*two_jump"] = product(build("c_square"), build("two_jump"))
 PRODUCT_PATHS = 40
 
 
@@ -195,9 +251,9 @@ class TestProductLaws:
 
 
 def test_n_stop_splits_into_two_n_stops():
-    g, _ = _split_edge(interval(K.n_stop(4)), "e0", H)
+    g = cut_at(interval(K.n_stop(4)), H)
     assert [e.kind for e in g.edges] == [K.n_stop(2), K.n_stop(2)]
-    g, _ = _split_edge(interval(K.n_stop(4)), "e0", F(1, 4))
+    g = cut_at(interval(K.n_stop(4)), F(1, 4))
     assert [e.kind for e in g.edges] == [K.ONE_JUMP, K.n_stop(3)]
 
 
@@ -205,8 +261,8 @@ def test_split_refuses_a_forbidden_instance_start():
     kind = K.custom(Family(fragments=(Fragment(1, start_not=frozenset({H})),),
                            flexible=ALL))
     with pytest.raises(UnsupportedConstruction):
-        _split_edge(interval(kind), "e0", H)
-    g, _ = _split_edge(interval(kind), "e0", F(1, 3))
+        cut_at(interval(kind), H)
+    g = cut_at(interval(kind), F(1, 3))
     assert len(g.edges) == 2
 
 
