@@ -11,20 +11,19 @@ the same support (``is_finer``), and verification of controlled maps
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import kinds as K
 from .kinds import ALL, EdgeKind, Family, Fragment
-from .membership import (closed_token_ok, fragment_span_ok, is_controlled,
-                         seg_flexible)
+from .membership import fragment_span_ok, is_controlled
 from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
-                    Rat, RigidTrace, Seg, UnsupportedConstruction, Vertex,
-                    assemble)
+                    RigidTrace, Seg, TraceStep, UnsupportedConstruction,
+                    Vertex, assemble, rat_str)
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
                            Opposite, Product, ProductN, Quotient, Subspace,
-                           Sum, bound_rigid, closed_traces, edge_map, family,
-                           flexible_point, in_support, normalize,
-                           point_on_step, point_positions, pos_point,
-                           trace_end, trace_path, trace_start)
+                           Sum, bound_rigid, closed_traces, cuts, edge_map,
+                           family, flexible_point, in_support, normalize,
+                           pos_point, trace_end, trace_path, trace_start)
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +327,11 @@ def _same_support(g1: GraphPresentation, g2: GraphPresentation) -> bool:
     return True
 
 
-def _fragment_contained(f1: Fragment, g2: GraphPresentation,
-                        edge: str) -> bool:
-    """Is every run of f1 a run of one window or closed-trace step of g2?
-    A window of one point has no run."""
-    if any(K.covers(f2, f1) for f2 in family(g2, edge).fragments):
-        return True
-    lo, hi = (f1.lo, f1.hi) if f1.dir > 0 else (f1.hi, f1.lo)
-    return lo == hi or closed_token_ok(g2, Seg(edge, lo, hi))
-
-
 def is_finer(fine, coarse) -> bool:
     """Does every controlled path of `fine` stay controlled in `coarse`?
 
-    Both spaces must share the same support (vertices and edges).
+    Both spaces must share the same support (vertices and edges); then
+    the question is whether the identity is a controlled map.
     """
     g1, g2 = normalize(fine), normalize(coarse)
     if isinstance(g1, ProductN) and isinstance(g2, ProductN):
@@ -351,69 +341,10 @@ def is_finer(fine, coarse) -> bool:
         raise UnsupportedConstruction("is_finer needs matching presentations")
     if not _same_support(g1, g2):
         raise ModelError("is_finer requires identical supports")
-    # flexible points
-    for v in g1.vertices:
-        if flexible_point(g1, Vertex(v)) and not flexible_point(g2, Vertex(v)):
-            return False
-    for e in g1.edges:
-        fam1 = family(g1, e.id)
-        if fam1.flexible == ALL:
-            if not _interval_flexible(g2, e.id, ZERO, ONE):
-                return False
-        else:
-            for t in fam1.flexible | K.rigid_ends(fam1):
-                if not flexible_point(g2, pos_point(g1, e.id, t)):
-                    return False
-    for p in g1.flexible:
-        if flexible_point(g1, p) and not flexible_point(g2, p):
-            return False
-    # rigid generators of the finer space must be controlled in the coarser
-    for tr in bound_rigid(g1):
-        if not is_controlled(g2, trace_path(g1, tr)):
-            return False
-    for tr in closed_traces(g1):
-        for s in tr.steps:
-            d = 1 if s.b > s.a else -1
-            probe = Fragment(d, min(s.a, s.b), max(s.a, s.b))
-            if not _fragment_contained(probe, g2, s.edge):
-                return False
-    # fragments of the finer space must embed in fragments of the coarser
-    for e in g1.edges:
-        for f in family(g1, e.id).fragments:
-            if not _fragment_contained(f, g2, e.id):
-                return False
-    # stricter occurrence constraints on the coarse side break inclusion
-    for name, pts2, pts1 in (("blocked", g2.blocked, g1.blocked),
-                             ("absorbing", g2.absorbing, g1.absorbing),
-                             ("emitting", g2.emitting, g1.emitting)):
-        for q in pts2 - pts1:
-            if in_support(g1, q) and _point_used(g1, q):
-                return False
-    for q in g2.excluded - g1.excluded:
-        if in_support(g1, q) and flexible_point(g1, q):
-            return False
-    return True
-
-
-def _point_used(g: GraphPresentation, q) -> bool:
-    """Does some nontrivial or trivial controlled path of g touch q?"""
-    if flexible_point(g, q):
-        return True
-    for edge, t in point_positions(g, q):
-        fam = family(g, edge)
-        for f in fam.fragments:
-            lo_ok = t > f.lo or (t == f.lo and not f.lo_open)
-            hi_ok = t < f.hi or (t == f.hi and not f.hi_open)
-            if lo_ok and hi_ok:
-                return True
-        for tr in fam.rigid:
-            if any(point_on_step(s, edge, t) for s in tr.steps):
-                return True
-    for tr in g.generators:
-        for edge, t in point_positions(g, q):
-            if any(point_on_step(s, edge, t) for s in tr.steps):
-                return True
-    return False
+    identity = cmap({v: v for v in g1.vertices},
+                    {e.id: EdgeImage(((ZERO, ONE, TraceStep(e.id, ZERO, ONE)),))
+                     for e in g1.edges})
+    return check_cmap(identity, g1, g2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +362,13 @@ class CMap:
     vertex_map: tuple   # of (vertex_name, Point)
     edge_images: tuple  # of (edge_id, EdgeImage)
 
-    def vmap(self):
+    @cached_property
+    def vmap(self) -> dict:
         return {k: Vertex(v) if isinstance(v, str) else v
                 for k, v in self.vertex_map}
 
-    def emap(self):
+    @cached_property
+    def emap(self) -> dict:
         return dict(self.edge_images)
 
 
@@ -447,11 +380,11 @@ def cmap(vertex_map: dict, edge_images: dict) -> CMap:
 def map_point(f: CMap, src: GraphPresentation, dst: GraphPresentation, p):
     if isinstance(p, Vertex):
         try:
-            return f.vmap()[p.name]
+            return f.vmap[p.name]
         except KeyError:
             raise ModelError(f"vertex {p.name!r} has no image")
     if isinstance(p, EdgePoint):
-        img = f.emap().get(p.edge)
+        img = f.emap.get(p.edge)
         if img is None:
             raise ModelError(f"edge {p.edge!r} has no image")
         for lo, hi, step in img.pieces:
@@ -466,7 +399,7 @@ def map_point(f: CMap, src: GraphPresentation, dst: GraphPresentation, p):
 
 def _map_seg(f: CMap, dst: GraphPresentation, seg: Seg):
     """Image atoms (Segs, possibly empty for collapsed pieces) of one seg."""
-    img = f.emap().get(seg.edge)
+    img = f.emap.get(seg.edge)
     if img is None:
         raise ModelError(f"edge {seg.edge!r} has no image")
     pieces = img.pieces if seg.dir > 0 else tuple(reversed(img.pieces))
@@ -502,8 +435,8 @@ def map_path(f: CMap, src: GraphPresentation, dst: GraphPresentation,
 
 def _check_cmap_geometry(f: CMap, src: GraphPresentation,
                          dst: GraphPresentation, out: list):
-    vmap = f.vmap()
-    emap = f.emap()
+    vmap = f.vmap
+    emap = f.emap
     for v in src.vertices:
         if v not in vmap:
             out.append(f"vertex {v!r} has no image")
@@ -551,19 +484,54 @@ def _piece_point(dst: GraphPresentation, piece, start: bool):
     return pos_point(dst, step.edge, t)
 
 
-def _interval_flexible(dst: GraphPresentation, edge: str,
-                       lo: Rat, hi: Rat) -> bool:
-    fam = family(dst, edge)
-    if fam.flexible == ALL:
-        return True
-    if lo == hi:
-        return flexible_point(dst, pos_point(dst, edge, lo))
-    return (closed_token_ok(dst, Seg(edge, lo, hi))
-            or closed_token_ok(dst, Seg(edge, hi, lo)))
+def _grid(f: CMap, src: GraphPresentation, dst: GraphPresentation,
+          edge: str) -> list:
+    """Sorted parameters on a source edge where src, dst or f may change:
+    src's cut values, the piece ends of f, the preimages of dst's cut
+    values, and two points inside each gap between neighbours.
+
+    Inside a gap neither space changes and f is affine, so every run of
+    the edge has a representative with ends on the grid: the same gaps,
+    or two points of one gap (a window open at both ends of a gap admits
+    only runs inside it).
+    """
+    vals = set(cuts(src, edge))
+    for lo, hi, step in f.emap[edge].pieces:
+        vals.update((lo, hi))
+        a, b = min(step.a, step.b), max(step.a, step.b)
+        vals.update(lo + (c - step.a) / (step.b - step.a) * (hi - lo)
+                    for c in cuts(dst, step.edge) if a <= c <= b)
+    base = sorted(vals)
+    return sorted(vals | {a + (b - a) * k / 3 for a, b in zip(base, base[1:])
+                          for k in (1, 2)})
+
+
+def _runs(g: GraphPresentation, edge: str, grid: list):
+    """The runs between two grid points in each direction that a fragment
+    or a restriction-closed step of the edge moves."""
+    dirs = {fr.dir for fr in family(g, edge).fragments}
+    dirs.update(s.dir for tr in closed_traces(g) for s in tr.steps
+                if s.edge == edge)
+    for d in dirs:
+        for n, lo in enumerate(grid):
+            for hi in grid[n + 1:]:
+                a, b = (lo, hi) if d > 0 else (hi, lo)
+                yield assemble(pos_point(g, edge, a), [Seg(edge, a, b)],
+                               pos_point(g, edge, b))
 
 
 def check_cmap(f: CMap, src, dst):
     """Verify that f maps every controlled path of src to one of dst.
+
+    A controlled path is a concatenation of generator instances whose end
+    points are flexible.  So f is controlled when every instance of src
+    that src controls maps to a path that dst controls, and every
+    flexible point maps to a flexible point.  Instances may end at
+    excluded points inside a longer path, so both sides clear them for
+    that test.  The instances are the rigid traces and the ``_runs``
+    between points of each edge's ``_grid``, and the flexible points are
+    tested at the vertices and grid points; the membership engine decides
+    each test.
 
     Returns (ok, failures).
     """
@@ -575,61 +543,36 @@ def check_cmap(f: CMap, src, dst):
     _check_cmap_geometry(f, g1, g2, out)
     if out:
         return False, out
-    # rigid generators map to controlled paths
+    open1 = replace(g1, excluded=frozenset())
+    open2 = replace(g2, excluded=frozenset())
+
+    # the target answers first: the source is then rarely asked
+    def kept(p) -> bool:
+        if is_controlled(open2, map_path(f, g1, g2, p)):
+            return True
+        return not is_controlled(open1, p)
+
+    def flexible_kept(p) -> bool:
+        if flexible_point(g2, map_point(f, g1, g2, p)):
+            return True
+        return not flexible_point(g1, p)
+
     for tr in bound_rigid(g1):
-        p = trace_path(g1, tr)
-        try:
-            q = map_path(f, g1, g2, p)
-        except ModelError as exc:
-            out.append(f"generator image failed: {exc}")
-            continue
-        if not is_controlled(g2, q):
+        if not kept(trace_path(g1, tr)):
             out.append(f"image of rigid generator {tr} is not controlled")
-    # fragments map into flexible motion of the target
+    for v in sorted(g1.vertices):
+        if not flexible_kept(Vertex(v)):
+            out.append(f"flexible vertex {v!r} maps to a rigid point")
     for e in g1.edges:
-        for frag in family(g1, e.id).fragments:
-            if frag.lo == frag.hi:
-                continue
-            run = Seg(e.id, frag.lo, frag.hi) if frag.dir > 0 \
-                else Seg(e.id, frag.hi, frag.lo)
-            for seg in _map_seg(f, g2, run):
-                if not seg_flexible(g2, seg):
-                    out.append(
-                        f"edge {e.id!r}: flexible motion maps onto "
-                        f"non-flexible motion of {seg.edge!r}")
-                    break
-    for tr in closed_traces(g1):
-        for s in tr.steps:
-            seg = Seg(s.edge, s.a, s.b)
-            for iseg in _map_seg(f, g2, seg):
-                if not seg_flexible(g2, iseg):
-                    out.append(
-                        f"closed generator step {s} maps onto "
-                        f"non-flexible motion of {iseg.edge!r}")
-                    break
-    # flexible points map to flexible points
-    for v in g1.vertices:
-        if flexible_point(g1, Vertex(v)):
-            if not flexible_point(g2, map_point(f, g1, g2, Vertex(v))):
-                out.append(f"flexible vertex {v!r} maps to a rigid point")
-    for e in g1.edges:
-        fam = family(g1, e.id)
-        if fam.flexible == ALL:
-            for lo, hi, step in f.emap()[e.id].pieces:
-                a, b = min(step.a, step.b), max(step.a, step.b)
-                if not _interval_flexible(g2, step.edge, a, b):
-                    out.append(
-                        f"edge {e.id!r}: flexible points map onto "
-                        f"non-flexible stretch of {step.edge!r}")
-                    break
-        else:
-            for t in fam.flexible | K.rigid_ends(fam):
-                p = pos_point(g1, e.id, t)
-                if flexible_point(g1, p) and not flexible_point(
-                        g2, map_point(f, g1, g2, p)):
-                    out.append(f"flexible point {p!r} maps to a rigid point")
-    for p in g1.flexible:
-        if flexible_point(g1, p) and not flexible_point(
-                g2, map_point(f, g1, g2, p)):
-            out.append(f"flexible point {p!r} maps to a rigid point")
+        grid = _grid(f, g1, g2, e.id)
+        bad = next((r for r in _runs(g1, e.id, grid) if not kept(r)), None)
+        if bad is not None:
+            s = bad.items[0].segs[0]
+            out.append(f"edge {e.id!r}: image of the run {rat_str(s.a)} -> "
+                       f"{rat_str(s.b)} is not controlled")
+        bad = next((t for t in grid[1:-1]
+                    if not flexible_kept(EdgePoint(e.id, t))), None)
+        if bad is not None:
+            out.append(f"flexible point {EdgePoint(e.id, bad)!r} maps to a "
+                       f"rigid point")
     return not out, out

@@ -66,6 +66,14 @@ class Fragment:
         return Fragment(-self.dir, self.lo, self.hi, self.lo_open, self.hi_open,
                         start_not=self.end_not, end_not=self.start_not)
 
+    def run_end(self, t: Rat) -> bool:
+        """Does a run of the window start or end at t?"""
+        below = self.lo < t <= self.hi and not (self.hi_open and t == self.hi)
+        above = self.lo <= t < self.hi and not (self.lo_open and t == self.lo)
+        first, last = (above, below) if self.dir > 0 else (below, above)
+        return ((first and t not in self.start_not)
+                or (last and t not in self.end_not))
+
 
 @dataclass(frozen=True)
 class Family:
@@ -78,6 +86,13 @@ class Family:
         if self.flexible == ALL:
             return True
         return t in self.flexible
+
+    def instance_end(self, t: Rat) -> bool:
+        """Does a generator instance start or end at t?  The trivial loops
+        there are controlled, like those at every generator's end points."""
+        return (any(t == tr.steps[0].a or t == tr.steps[-1].b
+                    for tr in self.rigid)
+                or any(f.run_end(t) for f in self.fragments))
 
 
 @dataclass(frozen=True)

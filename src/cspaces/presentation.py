@@ -120,13 +120,22 @@ def edge_map(pres: GraphPresentation):
     return {e.id: e for e in pres.edges}
 
 
+def edge_of(pres: GraphPresentation, edge: str) -> Edge:
+    e = edge_map(pres).get(edge)
+    if e is None:
+        raise ModelError(f"unknown edge {edge!r}")
+    return e
+
+
 @lru_cache(maxsize=None)
 def family(pres: GraphPresentation, edge: str) -> Family:
-    return K.kind_generators(edge_map(pres)[edge].kind, edge)
+    return K.kind_generators(edge_of(pres, edge).kind, edge)
 
 
 def pos_point(pres: GraphPresentation, edge: str, t: Rat):
-    e = edge_map(pres)[edge]
+    e = edge_map(pres).get(edge)  # not edge_of: this is a hot path
+    if e is None:
+        raise ModelError(f"unknown edge {edge!r}")
     if t == ZERO:
         return Vertex(e.src)
     if t == ONE:
@@ -255,7 +264,7 @@ def flexible_point(pres: GraphPresentation, p) -> bool:
     positions = point_positions(pres, p)
     for edge, t in positions:
         fam = family(pres, edge)
-        if fam.position_flexible(t) or t in K.rigid_ends(fam):
+        if fam.position_flexible(t) or fam.instance_end(t):
             return True
     for tr in pres.generators:
         if trace_start(pres, tr) == p or trace_end(pres, tr) == p:
@@ -465,13 +474,13 @@ def _cut_vertex(e: Edge, t: Rat) -> str:
     return f"{e.id}@{t.numerator}_{t.denominator}"
 
 
-def _cut_trace(pieces: dict, tr: RigidTrace):
-    """A trace on the pieces of its edges: each step cut where it crosses
-    from one piece into the next, dwell marks renumbered.  None when part
-    of the trace lies outside the pieces."""
-    steps, at = [], {}
-    for i, s in enumerate(tr.steps):
-        at[i] = len(steps)
+def _cut_steps(pieces: dict, tr: RigidTrace):
+    """The steps of a trace on the pieces of its edges, each cut where it
+    crosses from one piece into the next, None for each part outside the
+    pieces; and where in that list each step of the trace begins."""
+    steps, at = [], []
+    for s in tr.steps:
+        at.append(len(steps))
         ps = pieces.get(s.edge, ())
         lo, hi = min(s.a, s.b), max(s.a, s.b)
         marks = sorted({s.a, s.b} | {x for p in ps for x in (p.lo, p.hi)
@@ -479,13 +488,36 @@ def _cut_trace(pieces: dict, tr: RigidTrace):
         for a, b in zip(marks, marks[1:]):
             p = next((p for p in ps if p.lo <= min(a, b) and max(a, b) <= p.hi),
                      None)
-            if p is None:
-                return None
-            steps.append(TraceStep(p.id, _rescale(a, p.lo, p.hi),
-                                   _rescale(b, p.lo, p.hi)))
-    at[len(tr.steps)] = len(steps)
+            steps.append(None if p is None else TraceStep(
+                p.id, _rescale(a, p.lo, p.hi), _rescale(b, p.lo, p.hi)))
+    at.append(len(steps))
+    return steps, at
+
+
+def _cut_trace(pieces: dict, tr: RigidTrace):
+    """A trace on the pieces of its edges, dwell marks renumbered.  None
+    when part of the trace lies outside the pieces."""
+    steps, at = _cut_steps(pieces, tr)
+    if None in steps:
+        return None
     return RigidTrace(tuple(steps), frozenset(at[i] for i in tr.pauses),
                       tr.restriction_closed)
+
+
+def _clip_closed(pieces: dict, tr: RigidTrace) -> list:
+    """A restriction-closed trace clipped to the pieces: one trace per
+    stretch of it that stays inside them, since its sub-runs there are
+    controlled paths of the subspace."""
+    steps, _ = _cut_steps(pieces, tr)
+    out, cur = [], []
+    for s in steps + [None]:
+        if s is not None:
+            cur.append(s)
+        elif cur:
+            out.append(RigidTrace(tuple(cur), frozenset(),
+                                  restriction_closed=True))
+            cur = []
+    return out
 
 
 def _subspace(g: GraphPresentation, region):
@@ -496,7 +528,9 @@ def _subspace(g: GraphPresentation, region):
     stays whole; any other interval [lo, hi] becomes the edge
     ``e[lo..hi]``, and touching intervals meet at the vertex
     ``e@num_den``.  A rigid trace of the edge's family that lies in the
-    region but crosses such a vertex moves onto the presentation.
+    region but crosses such a vertex moves onto the presentation.  Rigid
+    traces that leave the region are dropped; restriction-closed ones are
+    clipped to it.
     """
     kept, intervals = _region_intervals(g, region)
     pieces = {}  # edge id -> [_Piece], sorted
@@ -535,8 +569,13 @@ def _subspace(g: GraphPresentation, region):
         for p in ps:
             sub = _sub_family(fam, p.lo, p.hi, tuple(own.get(p.id, ())))
             edges.append(Edge(p.id, p.src, p.dst, K.kind_of(sub, p.id)))
-    gens = [c for c in (_cut_trace(pieces, tr) for tr in g.generators)
-            if c is not None]
+    gens = []
+    for tr in g.generators:
+        cut = _cut_trace(pieces, tr)
+        if cut is not None:
+            gens.append(cut)
+        elif tr.restriction_closed:
+            gens.extend(_clip_closed(pieces, tr))
 
     def remap(p):
         if isinstance(p, Vertex):
@@ -684,7 +723,7 @@ def _segs_between(pres: GraphPresentation, p, q):
             raise ModelError("track jumps between edges without a vertex breakpoint")
         return [Seg(p.edge, p.t, q.t)]
     if isinstance(p, EdgePoint) and isinstance(q, Vertex):
-        e = edge_map(pres)[p.edge]
+        e = edge_of(pres, p.edge)
         if q.name == e.src and q.name == e.dst:
             raise ModelError(f"ambiguous motion on loop edge {p.edge!r}; add a breakpoint")
         if q.name == e.src:

@@ -4,9 +4,11 @@ hand-coded membership predicates used as cross-checks."""
 from fractions import Fraction as F
 
 from cspaces import kinds as K
+from cspaces.construct import CMap, EdgeImage, cmap
 from cspaces.kinds import Family, Fragment
 from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, Pause, ProdSeg,
-                           PTuple, Run, Seg, Vertex, assemble)
+                           PTuple, Seg, TraceStep, Vertex, assemble)
+from cspaces.presentation import Edge, GraphPresentation, normalize, pos_point
 
 Z, O, H = F(0), F(1), F(1, 2)
 
@@ -17,13 +19,26 @@ OPEN_WINDOWS = K.custom(Family(fragments=(
     Fragment(-1, F(1, 4), F(3, 4), hi_open=True))))
 
 
+def interval(kind) -> GraphPresentation:
+    """The interval v0 -e0-> v1 carrying one edge kind."""
+    return GraphPresentation(frozenset({"v0", "v1"}),
+                             (Edge("e0", "v0", "v1", kind),))
+
+
+def identity(space) -> CMap:
+    """The identity map of a graph presentation."""
+    g = normalize(space)
+    return cmap({v: v for v in g.vertices},
+                {e.id: EdgeImage(((Z, O, TraceStep(e.id, Z, O)),))
+                 for e in g.edges})
+
+
 def run(start, *atoms, end):
     return assemble(start, list(atoms), end)
 
 
 def point_of(pres, edge, t):
     """Edge position as a point, resolving 0/1 to the incident vertices."""
-    from cspaces.presentation import normalize, pos_point
     return pos_point(normalize(pres), edge, F(t))
 
 

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from cspaces.cli import main
+from cspaces.corpus import build
+from cspaces.membership import is_controlled
+from cspaces.model import ModelError, Seg, Vertex, assemble
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +184,26 @@ def test_quotient_at_a_point_of_an_unknown_edge_exits_2(space_file, capsys):
     code, doc = run_cli(capsys, "quotient", "--space", f,
                         "--identify", "e9@1/2=v:v0")
     assert code == 2 and "unknown edge 'e9'" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"start": "v:v0",
+     "items": [{"run": [{"edge": "e9", "from": "0/1", "to": "1/1"}]}]},
+    {"track": [{"t": "0", "at": "e9@1/4"}, {"t": "1", "at": "v:v1"}]},
+], ids=("run", "track"))
+def test_path_on_an_unknown_edge_exits_2(space_file, tmp_path, capsys, doc):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "check-path", "--space",
+                        space_file("c_interval"), "--path", str(pf))
+    assert code == 2 and "unknown edge 'e9'" in out["error"]["message"]
+
+
+def test_controlled_path_on_an_unknown_edge_names_it():
+    up = assemble(Vertex("v0"), [Seg("e9", Fraction(0), Fraction(1))],
+                  Vertex("v1"))
+    with pytest.raises(ModelError, match="unknown edge 'e9'"):
+        is_controlled(build("c_interval"), up)
 
 
 def test_quotient_at_two_anchors_of_one_edge(space_file, tmp_path, capsys):

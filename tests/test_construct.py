@@ -1,6 +1,7 @@
 """Space constructions: hat, flexible part, opposite, reversible
 closure/part, reshaping comparison, controlled maps."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from cspaces.construct import (EdgeImage, check_cmap, cmap, exclude_endpoints,
                                quotient_identify, reversible_closure,
                                reversible_part, subspace, sum_space)
 from cspaces.corpus import build
-from cspaces.kinds import Family
+from cspaces.kinds import Family, Fragment
 from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple,
                            RigidTrace, Seg, TraceStep, UnsupportedConstruction,
@@ -23,7 +24,7 @@ from cspaces.presentation import (Edge, GraphPresentation, ProductN,
                                   Subspace, normalize, validate)
 from cspaces.reach import c_reachable, d_reachable
 
-from helpers import Z, O, H
+from helpers import Z, O, H, identity, interval
 
 V0, V1 = Vertex("v0"), Vertex("v1")
 UP = assemble(V0, [Seg("e0", Z, O)], V1)
@@ -261,19 +262,36 @@ class TestFiner:
             assert is_finer(sp, hat(sp))
 
     def test_trivial_loops_at_rigid_trace_ends_must_stay_controlled(self):
-        # the jump 1/4 -> 3/4 runs in the rising window, but the coarse
-        # space has no trivial loop at 1/4 or 3/4
-        def interval(fam):
-            return GraphPresentation(frozenset({"v0", "v1"}), (
-                Edge("e0", "v0", "v1", K.custom(fam)),))
-        jump = interval(Family(rigid=(
-            RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),)),)))
-        window = interval(Family(fragments=(K.Fragment(1),)))
-        assert not is_finer(jump, window)
-        f = cmap({"v0": "v0", "v1": "v1"},
-                 {"e0": EdgeImage(((Z, O, TraceStep("e0", Z, O)),))})
-        ok, failures = check_cmap(f, jump, window)
+        # the jump 1/4 -> 3/4 runs in the rising window, and so do the
+        # trivial loops at its ends, unless the coarse space excludes one
+        jump = interval(K.custom(Family(rigid=(
+            RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),)),))))
+        window = interval(K.custom(Family(fragments=(Fragment(1),))))
+        assert is_finer(jump, window)
+        coarse = exclude_endpoints(window, [EdgePoint("e0", F(1, 4))])
+        assert not is_finer(jump, coarse)
+        ok, failures = check_cmap(identity(jump), jump, coarse)
         assert not ok and "maps to a rigid point" in failures[0]
+
+    def test_a_window_is_finer_than_its_two_halves(self):
+        # 0 -> 1 is a run of [0, 1/2] followed by a run of [1/2, 1]
+        whole = interval(K.custom(Family(fragments=(Fragment(1),))))
+        halves = interval(K.custom(Family(fragments=(
+            Fragment(1, Z, H), Fragment(1, H, O)))))
+        assert is_finer(whole, halves) and is_finer(halves, whole)
+
+    def test_points_that_only_the_coarse_space_cuts_are_compared(self):
+        # 1/2 is a cut value of the coarse space alone, where no path may end
+        sp = build("natural_interval")
+        assert not is_finer(sp, exclude_endpoints(sp, [EdgePoint("e0", H)]))
+
+    def test_runs_inside_one_gap_between_cut_values_are_compared(self):
+        # the window (1/4, 1/2) is open at both cut values, so all of its
+        # runs start and end strictly between them
+        gap = interval(K.custom(Family(fragments=(
+            Fragment(1, F(1, 4), H, lo_open=True, hi_open=True),))))
+        assert not is_finer(gap, interval(K.STILL))
+        assert is_finer(gap, interval(K.DIRECTED))
 
 
 class TestBasicConstructors:
@@ -359,6 +377,15 @@ class TestBasicConstructors:
                 normalize(Subspace(base, tuple(region)))
         assert validate(Subspace(base, ((("e0", Z, H), ("e0", H, O))))) == []
 
+    def test_subspace_clips_a_restriction_closed_trace(self):
+        # the hat's diagonal c00 -> m -> c11 is restriction-closed, so its
+        # part on the region stays a controlled path there
+        sub = subspace(hat(build("crossing_square")),
+                       [Vertex("c00"), ("d0", Z, H)])
+        assert len(normalize(sub).generators) == 1
+        assert is_controlled(sub, assemble(
+            Vertex("c00"), [Seg("d0[0/1..1/2]", Z, O)], Vertex("d0@1_2")))
+
     def test_exclude_endpoints_blocks_stopping(self):
         sp = exclude_endpoints(build("siphon"), [V1])
         assert not is_controlled(sp, UP)
@@ -385,6 +412,23 @@ class TestControlledMaps:
                  {"e0": EdgeImage(((Z, O, TraceStep("e0", Z, O)),))})
         ok, failures = check_cmap(f, sp, sp)
         assert ok and not failures
+
+    def test_the_target_point_constraints_are_read(self):
+        sp = build("d_interval")
+        mid = frozenset({EdgePoint("e0", H)})
+        for field in ("blocked", "absorbing", "emitting"):
+            # the rise 0 -> 1 passes 1/2, where the target forbids it
+            ok, failures = check_cmap(identity(sp), sp,
+                                      replace(sp, **{field: mid}))
+            assert not ok and failures, field
+            # a source with the same constraint has no such path
+            same = replace(sp, **{field: mid})
+            assert check_cmap(identity(same), same, same) == (True, []), field
+
+    def test_identity_of_the_oscillating_siphon_is_controlled(self):
+        # its falling window may not start at 1, and no run does
+        sp = build("siphon_osc")
+        assert check_cmap(identity(sp), sp, sp) == (True, [])
 
     def test_collapse_to_coarser_space_checks(self):
         fine, coarse = build("delayed_minus"), build("c_interval")

@@ -6,9 +6,11 @@ replays) check that a space sits inside its generated d-space, that its
 flexible part holds exactly its flexible paths, that it contains its
 reversible part and sits inside its reversible closure, and that
 reversing a path maps it onto the opposite space, and that the trivial
-loops at the ends of every generator are controlled.  Cutting the edge
-at 1/3 into two touching subspace intervals keeps exactly the
-controlled paths; quotients at an interior anchor cut the edge there,
+loops at the ends of every generator and of every controlled path are
+controlled.  ``is_finer`` must place a space below its hat and its
+reversible closure and above its flexible and reversible parts.
+Cutting the edge at 1/3 into two touching subspace intervals keeps
+exactly the controlled paths; quotients at an interior anchor cut the edge there,
 and their membership must agree with the brute-force oracle.  On
 products, nested ones included, the hat is idempotent, holds the
 product and is closed under restriction, a path is controlled exactly
@@ -24,7 +26,8 @@ import pytest
 
 from cspaces import kinds as K
 from cspaces.classify import is_flexible_path
-from cspaces.construct import (flexible_part, hat, opposite, product,
+from cspaces.construct import (check_cmap, exclude_endpoints, flexible_part,
+                               hat, is_finer, opposite, product,
                                quotient_identify, reversible_closure,
                                reversible_part, subspace)
 from cspaces.corpus import build
@@ -34,13 +37,12 @@ from cspaces.membership import (brute_force_controlled, is_controlled,
 from cspaces.model import (PAUSE, EdgePoint, Pause, Position, RigidTrace, Run,
                            Seg, TraceStep, UnsupportedConstruction, Vertex,
                            assemble, reverse_path)
-from cspaces.presentation import (Edge, GraphPresentation, bound_rigid,
-                                  flexible_point, normalize, project,
-                                  split_path, trace_end, trace_path,
+from cspaces.presentation import (bound_rigid, flexible_point, normalize,
+                                  project, split_path, trace_end, trace_path,
                                   trace_start)
 from cspaces.sampling import random_graph_path, random_product_path
 
-from helpers import OPEN_WINDOWS, H
+from helpers import OPEN_WINDOWS, H, identity, interval
 
 KINDS = {name: K.kind(name) for name in (
     "natural", "directed", "one_jump", "delayed_minus", "delayed_plus",
@@ -52,11 +54,6 @@ KINDS["quarter_jump"] = K.custom(Family(rigid=(
     RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),)),)))
 PATHS = 150
 DEPTH = 5
-
-
-def interval(kind) -> GraphPresentation:
-    return GraphPresentation(frozenset({"v0", "v1"}),
-                             (Edge("e0", "v0", "v1", kind),))
 
 
 def paths(case: str, space, grid: int = 8):
@@ -168,6 +165,18 @@ class TestLaws:
         for tr in K.kind_generators(KINDS[name], "e0").rigid:
             assert flexible_point(g, trace_start(g, tr)), tr
             assert flexible_point(g, trace_end(g, tr)), tr
+        for p in paths(name + "/ends", g):
+            if is_controlled(g, p):
+                assert flexible_point(g, p.start), p
+                assert flexible_point(g, p.end), p
+
+    def test_finer_than_its_constructions(self, name):
+        sp = interval(KINDS[name])
+        assert check_cmap(identity(sp), sp, sp) == (True, [])
+        for fine, coarse in ((sp, sp), (sp, hat(sp)), (flexible_part(sp), sp),
+                             (reversible_part(sp), sp),
+                             (sp, reversible_closure(sp))):
+            assert is_finer(fine, coarse), (fine, coarse)
 
     def test_cut_at_a_third_keeps_the_controlled_paths(self, name):
         sp = interval(KINDS[name])
@@ -204,6 +213,16 @@ def test_flexible_part_cuts_fragments_where_no_portion_may_end():
     q = assemble(at[3], [Seg("e0", F(3, 8), F(7, 16))],
                  EdgePoint("e0", F(7, 16)))
     assert is_flexible_path(sp, q) and is_controlled(flexible_part(sp), q)
+
+
+def test_fragment_run_ends_are_flexible_points():
+    # 3/8 -> 5/8 is a run of the window (1/4, 1], so the trivial loops at
+    # its ends are controlled, and excluding 3/8 loses controlled paths
+    sp = interval(OPEN_WINDOWS)
+    a, b = EdgePoint("e0", F(3, 8)), EdgePoint("e0", F(5, 8))
+    assert is_controlled(sp, assemble(a, [Seg("e0", F(3, 8), F(5, 8))], b))
+    assert flexible_point(sp, a) and flexible_point(sp, b)
+    assert not is_finer(sp, exclude_endpoints(sp, [a]))
 
 
 # Products: every pair of the interval kinds above, and the corpus products.

@@ -17,7 +17,7 @@ from cspaces.model import (PAUSE, EdgePoint, Seg, Track, Vertex, assemble,
 from cspaces.presentation import (Edge, GraphPresentation, cuts, family,
                                   normalize, pos_point)
 
-from helpers import OPEN_WINDOWS, Z, O, H
+from helpers import OPEN_WINDOWS, Z, O, H, interval
 
 
 def path(*atoms, start, end):
@@ -354,8 +354,7 @@ def test_long_fragment_stretches(kind, stops, controlled, count):
 class TestOverlapCut:
     """Two rising windows [0, ½) and (¼, 1] join only strictly inside
     (¼, ½), where neither window ends: the parse needs a cut there."""
-    sp = GraphPresentation(frozenset({"v0", "v1"}),
-                           (Edge("e0", "v0", "v1", OPEN_WINDOWS),))
+    sp = interval(OPEN_WINDOWS)
 
     def test_run_across_the_overlap_is_controlled(self):
         p = _walk(self.sp, "1/4", "5/8")
@@ -368,8 +367,7 @@ class TestOverlapCut:
 
     def test_single_window_edges_get_no_extra_cut(self):
         for kind in (K.DIRECTED, K.NATURAL, K.SIPHON_OSC, K.n_stop(3)):
-            sp = GraphPresentation(frozenset({"v0", "v1"}),
-                                   (Edge("e0", "v0", "v1", kind),))
+            sp = interval(kind)
             fam = family(sp, "e0")
             ends = {Z, O} | {v for f in fam.fragments for v in (f.lo, f.hi)}
             ends |= {v for tr in fam.rigid for s in tr.steps for v in (s.a, s.b)}

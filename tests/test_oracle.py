@@ -15,10 +15,10 @@ import pytest
 
 from cspaces.corpus import build, names
 from cspaces.membership import brute_force_controlled, parse_controlled
-from cspaces.presentation import Edge, GraphPresentation, normalize
+from cspaces.presentation import GraphPresentation, normalize
 from cspaces.sampling import random_graph_path
 
-from helpers import OPEN_WINDOWS
+from helpers import OPEN_WINDOWS, interval
 
 SEED = 973
 DEPTH = 5
@@ -55,6 +55,4 @@ def test_engine_agrees_with_brute_force_on_open_windows():
     """Open window ends, an interior end_not and two overlapping rising
     windows, which no corpus model has; runs across the overlap change
     windows strictly inside it."""
-    sp = GraphPresentation(frozenset({"v0", "v1"}),
-                           (Edge("e0", "v0", "v1", OPEN_WINDOWS),))
-    assert _agree(sp, "open_windows", 300) > 0
+    assert _agree(interval(OPEN_WINDOWS), "open_windows", 300) > 0

@@ -1,5 +1,8 @@
 """Reachability: witnesses, generated-path preorder, unavoidable points."""
 
+import random
+import zlib
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +15,14 @@ from cspaces.kinds import Family
 from cspaces.membership import is_controlled
 from cspaces.model import (EdgePoint, ModelError, PTuple, RigidTrace,
                            TraceStep, Vertex)
-from cspaces.presentation import Edge, GraphPresentation, cuts, normalize
+from cspaces.presentation import (Edge, GraphPresentation, cuts, normalize,
+                                  pos_point)
 from cspaces.reach import (c_reachable, d_reachable, exists_c_from,
                            exists_c_through, exists_c_to, reach_relation,
                            unavoidable_point)
+from cspaces.sampling import random_graph_path
 
-from helpers import OPEN_WINDOWS, Z, O, H
+from helpers import OPEN_WINDOWS, Z, O, H, interval
 
 V0, V1 = Vertex("v0"), Vertex("v1")
 
@@ -178,11 +183,6 @@ class TestReachRelation:
 # ---------------------------------------------------------------------------
 # One cell graph per question
 
-def _interval(kind):
-    return GraphPresentation(frozenset({"v0", "v1"}),
-                             (Edge("e0", "v0", "v1", kind),))
-
-
 def _directed_chain(n):
     return GraphPresentation(
         frozenset(f"v{i}" for i in range(n + 1)),
@@ -195,7 +195,7 @@ GRAPH_MODELS = (
      if isinstance(normalize(build(n)), GraphPresentation)]
     + [(f"n_stop({n})", normalize(build("c_line_window", lo=0, hi=n)))
        for n in range(2, 8)]
-    + [("open_windows", _interval(OPEN_WINDOWS))])
+    + [("open_windows", interval(OPEN_WINDOWS))])
 
 
 class TestOneGraphPerQuestion:
@@ -252,7 +252,7 @@ class TestLoops:
     vertex takes a round trip.  In the corpus models (and their hats)
     every point with a nontrivial loop is flexible, so none of them asks
     ``_graph_loop`` for a loop that exists."""
-    sp = _interval(K.custom(Family(rigid=(
+    sp = interval(K.custom(Family(rigid=(
         RigidTrace((TraceStep("e0", Z, O),)),
         RigidTrace((TraceStep("e0", O, Z),))))))
 
@@ -275,7 +275,7 @@ class TestLoops:
 class TestExistence:
     """Windows [0, ½) and (¼, 1] rising (the second may not end at ½ or 1)
     and [¼, ¾) falling; no point is flexible."""
-    sp = _interval(OPEN_WINDOWS)
+    sp = interval(OPEN_WINDOWS)
 
     @pytest.mark.parametrize("x, through, start, end", [
         (V0, True, True, False),
@@ -293,3 +293,30 @@ class TestExistence:
         sp = normalize(exclude_endpoints(self.sp, frozenset({half})))
         assert (exists_c_through(sp, half), exists_c_from(sp, half),
                 exists_c_to(sp, half)) == (True, False, False)
+
+
+# ---------------------------------------------------------------------------
+# Occurrence constraints: the parse and the cell graph agree
+
+CORPUS_GRAPHS = [(n, sp) for n, sp in GRAPH_MODELS if n in names()]
+OCCURRENCE_PATHS = 100
+
+
+@pytest.mark.parametrize("name, base", CORPUS_GRAPHS,
+                         ids=[n for n, _ in CORPUS_GRAPHS])
+@pytest.mark.parametrize("field", ["absorbing", "emitting", "blocked"])
+def test_parse_and_reach_agree_on_one_constrained_point(name, base, field):
+    """One point of the model (seeded with ``zlib.crc32``) is absorbing,
+    emitting or blocked: each parsed path has a controlled witness for
+    its ends, and each witness of ``c_reachable`` parses."""
+    rng = random.Random(zlib.crc32(f"{name}/{field}".encode()))
+    e = rng.choice(base.edges)
+    point = pos_point(base, e.id, rng.choice((Z, F(1, 4), H, O)))
+    sp = replace(base, **{field: frozenset({point})})
+    for _ in range(OCCURRENCE_PATHS):
+        p = random_graph_path(sp, rng)
+        r = c_reachable(sp, p.start, p.end)
+        if is_controlled(sp, p):
+            assert r, p
+        if r.witness is not None:
+            assert is_controlled(sp, r.witness), (p, r.witness)
