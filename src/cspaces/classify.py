@@ -6,13 +6,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .construct import flexible_part
-from .membership import (_ensure_path, boundaries, explode, is_controlled,
-                         seg_flexible)
+from .membership import _ensure_path, is_controlled
 from .model import (ZERO, CanonicalPath, ModelError, Position, PTuple, Rat,
                     Run, Seg, UnsupportedConstruction)
 from .presentation import (GraphPresentation, ProductN, cuts, family,
-                           flexible_point, normalize, project, split_path,
-                           trace_path)
+                           flexible_point, normalize, split_path, trace_path)
 from .presentation import is_flexible_point  # noqa: F401  (public here too)
 from .reach import exists_c_from, exists_c_through, exists_c_to
 
@@ -32,8 +30,8 @@ class PointClassification:
 # Points
 
 @lru_cache(maxsize=None)
-def _fl(pres: GraphPresentation) -> GraphPresentation:
-    return normalize(flexible_part(pres))
+def _fl(norm):
+    return normalize(flexible_part(norm))
 
 
 def _graph_exists(pres: GraphPresentation, x):
@@ -88,22 +86,13 @@ def classify_point(space, x) -> PointClassification:
 # Paths
 
 def is_flexible_path(space, path_or_track) -> bool:
-    """Is every contiguous portion of the path controlled?"""
+    """Is every contiguous portion of the path controlled?  Exactly when
+    the flexible part of the space controls it."""
     norm = normalize(space)
     path = _ensure_path(norm, path_or_track)
-    if isinstance(norm, ProductN):
-        return (is_flexible_path(norm.left, project(path, norm, 0))
-                and is_flexible_path(norm.right, project(path, norm, 1)))
     if not is_controlled(norm, path):
         raise ModelError("path is not controlled")
-    if path.is_trivial():
-        return True
-    toks = explode(norm, path)
-    bpts = boundaries(norm, path.start, toks)
-    if any(p in norm.excluded for p in bpts):
-        return False
-    return all(seg_flexible(norm, seg)
-               for run in path.runs() for seg in run.segs)
+    return is_controlled(_fl(norm), path)
 
 
 def is_splittable(space, path_or_track, cut: Position) -> bool:
@@ -173,8 +162,6 @@ def is_rigid_space(space) -> bool:
         if family(norm, e.id).fragments:
             return False
     for tr in norm.generators:
-        if tr.restriction_closed:
-            return False
         if not is_rigid_path(norm, trace_path(norm, tr)):
             return False
     return True

@@ -71,7 +71,7 @@ def _instance_json(desc) -> dict:
         return {"kind": "rigid",
                 "steps": [{"edge": s.edge, "from": rat_str(s.a),
                            "to": rat_str(s.b)} for s in tr.steps]}
-    if kind in ("fragment", "trace-fragment"):
+    if kind == "fragment":
         _, edge, a, b = desc
         return {"kind": kind, "edge": edge,
                 "from": rat_str(a), "to": rat_str(b)}

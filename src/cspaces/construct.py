@@ -21,9 +21,9 @@ from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
                     Vertex, assemble, rat_str)
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
                            Opposite, Product, ProductN, Quotient, Subspace,
-                           Sum, bound_rigid, closed_traces, cuts, edge_map,
-                           family, flexible_point, in_support, normalize,
-                           pos_point, trace_end, trace_path, trace_start)
+                           Sum, bound_rigid, cuts, edge_map, family,
+                           flexible_point, in_support, normalize, pos_point,
+                           trace_end, trace_path, trace_start)
 
 
 # ---------------------------------------------------------------------------
@@ -68,27 +68,33 @@ def _hat_window(f: Fragment) -> Fragment:
 
 def _hat_family(fam: Family) -> Family:
     """Generated d-space of one edge: each fragment admits the sub-runs of
-    its instances, each rigid step becomes a closed fragment in its
+    its instances, each rigid step becomes a closed window in its
     direction, and every point is flexible."""
-    steps = tuple(Fragment(1, s.a, s.b) if s.dir > 0 else Fragment(-1, s.b, s.a)
-                  for tr in fam.rigid for s in tr.steps)
     frags = tuple(_hat_window(f) for f in fam.fragments)
-    return Family(fragments=K.merge_fragments(frags + steps), flexible=ALL)
+    return K.add_windows(Family(fragments=frags, flexible=ALL),
+                         [(s.a, s.b) for tr in fam.rigid for s in tr.steps])
 
 
 def hat_graph(g: GraphPresentation) -> GraphPresentation:
-    hats = {}  # by edge kind: a hat family has no rigid trace to name its edge
+    """The hat of a graph presentation.  Its generators' steps become
+    windows of their edges, so the hat has no generators."""
+    steps = {}  # edge id -> (from, to) of each generator step on it
+    for tr in g.generators:
+        for s in tr.steps:
+            steps.setdefault(s.edge, []).append((s.a, s.b))
+    hats = {}  # a hat family has no rigid trace to name its edge
+    edges = []
     for e in g.edges:
-        if e.kind not in hats:
-            hats[e.kind] = K.kind_of(_hat_family(family(g, e.id)), e.id)
-    edges = tuple(Edge(e.id, e.src, e.dst, hats[e.kind]) for e in g.edges)
-    gens = tuple(dict.fromkeys(
-        RigidTrace(tr.steps, frozenset(), restriction_closed=True)
-        for tr in g.generators))
+        key = (e.kind, *steps.get(e.id, ()))
+        kind = hats.get(key)
+        if kind is None:
+            kind = hats[key] = K.kind_of(
+                K.add_windows(_hat_family(family(g, e.id)), key[1:]), e.id)
+        edges.append(Edge(e.id, e.src, e.dst, kind))
     return GraphPresentation(
-        vertices=g.vertices, edges=edges, generators=gens,
-        flexible=g.flexible, excluded=frozenset(),
-        absorbing=g.absorbing, emitting=g.emitting, blocked=g.blocked)
+        vertices=g.vertices, edges=tuple(edges), flexible=g.flexible,
+        excluded=frozenset(), absorbing=g.absorbing, emitting=g.emitting,
+        blocked=g.blocked)
 
 
 def hat(space):
@@ -163,16 +169,12 @@ def flexible_part(space):
                          flexible=fam.flexible), K.rigid_ends(fam))
         edges.append(Edge(e.id, e.src, e.dst, kind))
         flex |= points
-    gens = []
     for tr in g.generators:
-        if tr.restriction_closed:
-            gens.append(tr)
-        else:
-            flex.add(trace_start(g, tr))
-            flex.add(trace_end(g, tr))
+        flex.add(trace_start(g, tr))
+        flex.add(trace_end(g, tr))
     flex -= set(g.excluded) | set(g.blocked)
     return GraphPresentation(
-        vertices=g.vertices, edges=tuple(edges), generators=tuple(gens),
+        vertices=g.vertices, edges=tuple(edges),
         flexible=frozenset(flex), excluded=g.excluded,
         absorbing=g.absorbing, emitting=g.emitting,
         blocked=frozenset(g.blocked | g.excluded))
@@ -288,21 +290,15 @@ def reversible_part(space) -> GraphPresentation:
             "reversible part needs a graph presentation")
     edges, flex = [], set(g.flexible)
     for e in g.edges:
-        kind, points = _edge_kind(g, e, _rp_family(g, family(g, e.id)))
+        fam = family(g, e.id)
+        rp = _rp_family(g, fam)
+        dropped = Family(tuple(tr for tr in fam.rigid if tr not in rp.rigid))
+        kind, points = _edge_kind(g, e, rp, K.rigid_ends(dropped))
         edges.append(Edge(e.id, e.src, e.dst, kind))
         flex |= points
     gens = []
     for tr in g.generators:
-        if tr.restriction_closed:
-            # keep only if its pointwise reverse is also available
-            if tr.reversed() in g.generators or is_controlled(
-                    g, trace_path(g, tr.reversed())):
-                gens.append(tr)
-                gens.append(tr.reversed())
-            else:
-                flex.add(trace_start(g, tr))
-                flex.add(trace_end(g, tr))
-        elif is_controlled(g, trace_path(g, tr.reversed())):
+        if is_controlled(g, trace_path(g, tr.reversed())):
             gens.append(tr)
             gens.append(tr.reversed())
         else:
@@ -508,11 +504,8 @@ def _grid(f: CMap, src: GraphPresentation, dst: GraphPresentation,
 
 def _runs(g: GraphPresentation, edge: str, grid: list):
     """The runs between two grid points in each direction that a fragment
-    or a restriction-closed step of the edge moves."""
-    dirs = {fr.dir for fr in family(g, edge).fragments}
-    dirs.update(s.dir for tr in closed_traces(g) for s in tr.steps
-                if s.edge == edge)
-    for d in dirs:
+    of the edge moves."""
+    for d in {fr.dir for fr in family(g, edge).fragments}:
         for n, lo in enumerate(grid):
             for hi in grid[n + 1:]:
                 a, b = (lo, hi) if d > 0 else (hi, lo)

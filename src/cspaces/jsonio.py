@@ -140,12 +140,9 @@ def point_from_str(s: str, space=None):
 # Kinds, families, traces
 
 def _trace_to_json(tr: RigidTrace) -> dict:
-    d = {"steps": [{"edge": s.edge, "from": rat_str(s.a), "to": rat_str(s.b)}
-                   for s in tr.steps],
-         "pauses": sorted(tr.pauses)}
-    if tr.restriction_closed:
-        d["closed"] = True
-    return d
+    return {"steps": [{"edge": s.edge, "from": rat_str(s.a), "to": rat_str(s.b)}
+                      for s in tr.steps],
+            "pauses": sorted(tr.pauses)}
 
 
 def _trace_from_json(d: dict, where: str) -> RigidTrace:
@@ -156,8 +153,7 @@ def _trace_from_json(d: dict, where: str) -> RigidTrace:
                                _rat_field(s, "from", at),
                                _rat_field(s, "to", at)))
     return RigidTrace(tuple(steps),
-                      frozenset(_items(d, "pauses", (int,), where)),
-                      _field(d, "closed", (bool,), where, False))
+                      frozenset(_items(d, "pauses", (int,), where)))
 
 
 def _fragment_to_json(f: Fragment) -> dict:
@@ -243,12 +239,25 @@ def _graph_from_json(d: dict, where: str) -> GraphPresentation:
                           _kind_from_json(_field(e, "kind", (str,), at),
                                           _field(e, "params", (dict,), at, {}),
                                           f"{at}.params")))
+    gens, closed = [], {e.id: [] for e in edges}
+    for i, t in enumerate(_items(d, "generators", (dict,), where)):
+        at = f"{where}.generators[{i}]"
+        tr = _trace_from_json(t, at)
+        if not _field(t, "closed", (bool,), at, False):
+            gens.append(tr)
+            continue
+        # A closed generator (every sub-run of its steps, written by older
+        # versions) generates the same paths as one window per step.
+        for j, s in enumerate(tr.steps):
+            if s.edge not in closed:
+                raise ModelError(f"{at}.steps[{j}]: unknown edge {s.edge!r}")
+            closed[s.edge].append((s.a, s.b))
+    edges = [Edge(e.id, e.src, e.dst, K.kind_of(K.add_windows(
+        K.kind_generators(e.kind, e.id), closed[e.id]), e.id))
+        if closed[e.id] else e for e in edges]
     g = GraphPresentation(
         vertices=frozenset(_items(d, "vertices", (str,), where)),
-        edges=tuple(edges),
-        generators=tuple(_trace_from_json(t, f"{where}.generators[{i}]")
-                         for i, t in enumerate(
-                             _items(d, "generators", (dict,), where))))
+        edges=tuple(edges), generators=tuple(gens))
     def pts(key):
         return frozenset(point_from_str(s, g)
                          for s in _items(d, key, (str,), where))

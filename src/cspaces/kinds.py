@@ -247,6 +247,16 @@ def merge_fragments(frags) -> tuple:
     return tuple(kept)
 
 
+def add_windows(fam: Family, steps) -> Family:
+    """The family with a closed window for each trace step (a, b) in
+    `steps`, in the step's direction: it then also generates every sub-run
+    of those steps, and runs across them are concatenations."""
+    wins = tuple(Fragment(1, a, b) if a < b else Fragment(-1, b, a)
+                 for a, b in steps)
+    return Family(fam.rigid, merge_fragments(fam.fragments + wins),
+                  fam.flexible)
+
+
 def _same(a: tuple, b: tuple) -> bool:
     """Equal up to order."""
     return a == b or (len(a) == len(b) and a[0] in b and set(a) == set(b))

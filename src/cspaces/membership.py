@@ -5,8 +5,8 @@ every position where a generator-instance boundary can occur (run
 boundaries, anchors of the edge kind, explicit trace step endpoints,
 annotated points).  A shortest-parse search then covers the tokens by
 generator instances: rigid traces matched step by step (with dwell
-requirements), flexible-fragment stretches, and sub-runs of
-restriction-closed traces.  Pauses move the parse forward for free.
+requirements) and flexible-fragment stretches.  Pauses move the parse
+forward for free.
 
 ``brute_force_controlled`` is an independent oracle: a depth-bounded
 enumeration of generator-instance concatenations with fragment
@@ -21,12 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import (PAUSE, CanonicalPath, Pause, Rat, RigidTrace, Run, Seg,
-                    Track)
+from .model import PAUSE, CanonicalPath, Pause, Rat, RigidTrace, Seg, Track
 from .presentation import (GraphPresentation, ProductN, bound_rigid,
-                           canonicalize, check_path_geometry, closed_traces,
-                           cuts, family, flexible_point, normalize,
-                           pos_point, project)
+                           canonicalize, check_path_geometry, cuts, family,
+                           flexible_point, normalize, pos_point, project)
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,6 @@ def match_trace(tr: RigidTrace, toks, i: int) -> Optional[int]:
 
     Pauses interleave freely; dwell requirements demand a pause token at
     the marked boundaries (a path-initial boundary has no pause)."""
-    if tr.restriction_closed:
-        return None
     if 0 in tr.pauses and not (i > 0 and isinstance(toks[i - 1], Pause)):
         return None
     pos = i
@@ -121,15 +117,6 @@ def fragment_span_ok(fam, lo: Rat, hi: Rat, first: Seg, last: Seg) -> bool:
         if f.admits(lo, hi, first.dir) and first.a not in f.start_not \
                 and last.b not in f.end_not:
             return True
-    return False
-
-
-def closed_token_ok(pres, tok: Seg) -> bool:
-    for tr in closed_traces(pres):
-        for s in tr.steps:
-            if s.edge == tok.edge and s.dir == tok.dir \
-                    and min(s.a, s.b) <= tok.lo and tok.hi <= max(s.a, s.b):
-                return True
     return False
 
 
@@ -224,9 +211,6 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
                 j += 1
                 if fragment_span_ok(fam, lo, hi, tok, toks[j - 1]):
                     relax(j, ("fragment", tok.edge, tok.a, toks[j - 1].b))
-        # restriction-closed trace pieces
-        if closed_token_ok(pres, tok):
-            relax(i + 1, ("trace-fragment", tok.edge, tok.a, tok.b))
         # rigid instances
         for tr in idx.get((tok.edge, tok.dir, tok.a), ()):
             end = match_trace(tr, toks, i)
@@ -243,19 +227,6 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
             steps.append(desc)
         k = i
     return ParseOutcome(True, instances=tuple(reversed(steps)), count=dist[n])
-
-
-# ---------------------------------------------------------------------------
-# Flexible segments
-
-def seg_flexible(pres: GraphPresentation, seg: Seg) -> bool:
-    """Is every cut-atom of the segment inside a flexible fragment or a
-    step of a restriction-closed trace?"""
-    fam = family(pres, seg.edge)
-    path = CanonicalPath(pos_point(pres, seg.edge, seg.a), (Run((seg,)),),
-                         pos_point(pres, seg.edge, seg.b))
-    return all(fragment_span_ok(fam, t.lo, t.hi, t, t)
-               or closed_token_ok(pres, t) for t in explode(pres, path))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +319,6 @@ def _brute_normal(norm, path, depth, grid):
                 if end is not None and dfs(end, used + 1):
                     ok = True
                     break
-            if not ok and closed_token_ok(pres, tok):
-                ok = dfs(i + 1, used + 1)
             if not ok:
                 fam = family(pres, tok.edge)
                 j = i

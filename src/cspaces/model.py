@@ -198,13 +198,10 @@ class RigidTrace:
     """A rigid generator: an exact step sequence, traversed whole.
 
     ``pauses`` holds boundary indices (0 = before the first step,
-    len(steps) = after the last) where an instance must dwell.  A trace
-    flagged ``restriction_closed`` instead contributes every sub-run of
-    its steps, with no dwell requirements.
+    len(steps) = after the last) where an instance must dwell.
     """
     steps: tuple  # of TraceStep
     pauses: frozenset = frozenset()
-    restriction_closed: bool = False
 
     def __post_init__(self):
         if not self.steps:
@@ -216,8 +213,7 @@ class RigidTrace:
     def reversed(self) -> "RigidTrace":
         n = len(self.steps)
         steps = tuple(TraceStep(s.edge, s.b, s.a) for s in reversed(self.steps))
-        return RigidTrace(steps, frozenset(n - i for i in self.pauses),
-                          self.restriction_closed)
+        return RigidTrace(steps, frozenset(n - i for i in self.pauses))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class GraphPresentation:
     """
     vertices: frozenset
     edges: tuple  # of Edge
-    generators: tuple = ()        # of RigidTrace (may be restriction_closed)
+    generators: tuple = ()        # of RigidTrace
     flexible: frozenset = frozenset()   # extra flexible points
     excluded: frozenset = frozenset()   # no controlled path may end here
     absorbing: frozenset = frozenset()  # reachable only as a path's final point
@@ -238,21 +238,20 @@ def _overlap_cuts(frags, vals) -> set:
 
 @lru_cache(maxsize=None)
 def bound_rigid(pres: GraphPresentation) -> tuple:
-    """All rigid (non-restriction-closed) generator traces."""
+    """All rigid generator traces: the edges' and the presentation's."""
     out = []
     for e in pres.edges:
         out.extend(family(pres, e.id).rigid)
-    out.extend(tr for tr in pres.generators if not tr.restriction_closed)
+    out.extend(pres.generators)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def closed_traces(pres: GraphPresentation) -> tuple:
-    return tuple(tr for tr in pres.generators if tr.restriction_closed)
-
-
-def point_on_step(step: TraceStep, edge: str, t: Rat) -> bool:
-    return step.edge == edge and min(step.a, step.b) <= t <= max(step.a, step.b)
+    # Nothing in the package calls this: the hat turns generator steps into
+    # windows of their edges.  It stays only because perfbench/spans.py
+    # wraps it by name and reads its cache_info().
+    return ()
 
 
 def flexible_point(pres: GraphPresentation, p) -> bool:
@@ -261,19 +260,12 @@ def flexible_point(pres: GraphPresentation, p) -> bool:
         return False
     if p in pres.flexible:
         return True
-    positions = point_positions(pres, p)
-    for edge, t in positions:
+    for edge, t in point_positions(pres, p):
         fam = family(pres, edge)
         if fam.position_flexible(t) or fam.instance_end(t):
             return True
-    for tr in pres.generators:
-        if trace_start(pres, tr) == p or trace_end(pres, tr) == p:
-            return True
-        if tr.restriction_closed:
-            for edge, t in positions:
-                if any(point_on_step(s, edge, t) for s in tr.steps):
-                    return True
-    return False
+    return any(trace_start(pres, tr) == p or trace_end(pres, tr) == p
+               for tr in pres.generators)
 
 
 def is_flexible_point(space, x) -> bool:
@@ -474,10 +466,10 @@ def _cut_vertex(e: Edge, t: Rat) -> str:
     return f"{e.id}@{t.numerator}_{t.denominator}"
 
 
-def _cut_steps(pieces: dict, tr: RigidTrace):
-    """The steps of a trace on the pieces of its edges, each cut where it
-    crosses from one piece into the next, None for each part outside the
-    pieces; and where in that list each step of the trace begins."""
+def _cut_trace(pieces: dict, tr: RigidTrace):
+    """A trace on the pieces of its edges, each step cut where it crosses
+    from one piece into the next, dwell marks renumbered.  None when part
+    of the trace lies outside the pieces."""
     steps, at = [], []
     for s in tr.steps:
         at.append(len(steps))
@@ -488,36 +480,12 @@ def _cut_steps(pieces: dict, tr: RigidTrace):
         for a, b in zip(marks, marks[1:]):
             p = next((p for p in ps if p.lo <= min(a, b) and max(a, b) <= p.hi),
                      None)
-            steps.append(None if p is None else TraceStep(
-                p.id, _rescale(a, p.lo, p.hi), _rescale(b, p.lo, p.hi)))
+            if p is None:
+                return None
+            steps.append(TraceStep(p.id, _rescale(a, p.lo, p.hi),
+                                   _rescale(b, p.lo, p.hi)))
     at.append(len(steps))
-    return steps, at
-
-
-def _cut_trace(pieces: dict, tr: RigidTrace):
-    """A trace on the pieces of its edges, dwell marks renumbered.  None
-    when part of the trace lies outside the pieces."""
-    steps, at = _cut_steps(pieces, tr)
-    if None in steps:
-        return None
-    return RigidTrace(tuple(steps), frozenset(at[i] for i in tr.pauses),
-                      tr.restriction_closed)
-
-
-def _clip_closed(pieces: dict, tr: RigidTrace) -> list:
-    """A restriction-closed trace clipped to the pieces: one trace per
-    stretch of it that stays inside them, since its sub-runs there are
-    controlled paths of the subspace."""
-    steps, _ = _cut_steps(pieces, tr)
-    out, cur = [], []
-    for s in steps + [None]:
-        if s is not None:
-            cur.append(s)
-        elif cur:
-            out.append(RigidTrace(tuple(cur), frozenset(),
-                                  restriction_closed=True))
-            cur = []
-    return out
+    return RigidTrace(tuple(steps), frozenset(at[i] for i in tr.pauses))
 
 
 def _subspace(g: GraphPresentation, region):
@@ -529,8 +497,7 @@ def _subspace(g: GraphPresentation, region):
     ``e[lo..hi]``, and touching intervals meet at the vertex
     ``e@num_den``.  A rigid trace of the edge's family that lies in the
     region but crosses such a vertex moves onto the presentation.  Rigid
-    traces that leave the region are dropped; restriction-closed ones are
-    clipped to it.
+    traces that leave the region are dropped.
     """
     kept, intervals = _region_intervals(g, region)
     pieces = {}  # edge id -> [_Piece], sorted
@@ -569,13 +536,8 @@ def _subspace(g: GraphPresentation, region):
         for p in ps:
             sub = _sub_family(fam, p.lo, p.hi, tuple(own.get(p.id, ())))
             edges.append(Edge(p.id, p.src, p.dst, K.kind_of(sub, p.id)))
-    gens = []
-    for tr in g.generators:
-        cut = _cut_trace(pieces, tr)
-        if cut is not None:
-            gens.append(cut)
-        elif tr.restriction_closed:
-            gens.extend(_clip_closed(pieces, tr))
+    gens = [cut for cut in (_cut_trace(pieces, tr) for tr in g.generators)
+            if cut is not None]
 
     def remap(p):
         if isinstance(p, Vertex):

@@ -15,8 +15,7 @@ Every generator contributes transitions ``(src, dst, cover, recipe)``
 over ints: the cells the motion starts and ends in, the position ranges
 it passes (one per trace step), and how to build its witness atoms.  A
 fragment gives one transition for every pair of positions in its window,
-in its direction; a rigid trace one for its whole traversal; a
-restriction-closed trace one for every pair of positions along it.
+in its direction; a rigid trace one for its whole traversal.
 Transitions that touch a blocked point, pass an absorbing point before
 their end or an emitting point after their start are dropped.  Forward
 and reverse adjacency are built with the graph, so a question is a
@@ -123,10 +122,7 @@ class CellGraph:
             for tr in fam.rigid:
                 self._rigid(tr)
         for tr in pres.generators:
-            if tr.restriction_closed:
-                self._closed(tr)
-            else:
-                self._rigid(tr)
+            self._rigid(tr)
 
     def __len__(self):
         return len(self.src)
@@ -216,22 +212,6 @@ class CellGraph:
         steps = self._steps(tr)
         self._add(self.cell_at[steps[0][0]], self.cell_at[steps[-1][1]],
                   steps, tr)
-
-    def _closed(self, tr) -> None:
-        steps = self._steps(tr)
-        seq = []  # (position, step) along the trace, junctions once
-        for k, (a, b) in enumerate(steps):
-            d = 1 if b > a else -1
-            seq.extend((g, k) for g in range(a if k == 0 else a + d, b + d, d))
-        cell_at = self.cell_at
-        for n, (ga, ka) in enumerate(seq):
-            for gb, kb in seq[n + 1:]:
-                if ka == kb:
-                    cover = ((ga, gb),)
-                else:
-                    head = ((ga, steps[ka][1]),) if ga != steps[ka][1] else ()
-                    cover = head + steps[ka + 1:kb] + ((steps[kb][0], gb),)
-                self._add(cell_at[ga], cell_at[gb], cover, None)
 
     def touches(self, k: int, c: int) -> bool:
         """Does transition k pass through cell c?"""

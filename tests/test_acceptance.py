@@ -14,7 +14,7 @@ from cspaces.corpus import build
 from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, Pause, ProdSeg, PTuple, Seg,
                            Vertex, assemble, reverse_path)
-from cspaces.presentation import GraphPresentation, normalize
+from cspaces.presentation import normalize
 from cspaces.reach import c_reachable, d_reachable, unavoidable_point
 from cspaces.sampling import random_graph_path, random_product_path
 

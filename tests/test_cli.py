@@ -199,6 +199,19 @@ def test_path_on_an_unknown_edge_exits_2(space_file, tmp_path, capsys, doc):
     assert code == 2 and "unknown edge 'e9'" in out["error"]["message"]
 
 
+def test_closed_generator_step_on_an_unknown_edge_exits_2(tmp_path, capsys):
+    sf = tmp_path / "s.json"
+    sf.write_text(json.dumps({"graph": {
+        "vertices": ["v0", "v1"],
+        "edges": [{"id": "e0", "from": "v0", "to": "v1", "kind": "still"}],
+        "generators": [{"closed": True, "steps": [
+            {"edge": "e9", "from": "0/1", "to": "1/1"}]}]}}))
+    code, out = run_cli(capsys, "transform", "--space", str(sf), "--op", "hat")
+    assert code == 2
+    assert out["error"]["message"] == (
+        "space.graph.generators[0].steps[0]: unknown edge 'e9'")
+
+
 def test_controlled_path_on_an_unknown_edge_names_it():
     up = assemble(Vertex("v0"), [Seg("e9", Fraction(0), Fraction(1))],
                   Vertex("v1"))

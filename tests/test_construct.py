@@ -377,12 +377,13 @@ class TestBasicConstructors:
                 normalize(Subspace(base, tuple(region)))
         assert validate(Subspace(base, ((("e0", Z, H), ("e0", H, O))))) == []
 
-    def test_subspace_clips_a_restriction_closed_trace(self):
-        # the hat's diagonal c00 -> m -> c11 is restriction-closed, so its
-        # part on the region stays a controlled path there
-        sub = subspace(hat(build("crossing_square")),
-                       [Vertex("c00"), ("d0", Z, H)])
-        assert len(normalize(sub).generators) == 1
+    def test_subspace_of_the_hat_keeps_the_runs_of_a_diagonal(self):
+        # the hat turns the diagonal c00 -> m -> c11 into rising windows
+        # of its edges, so its part on the region stays a controlled path
+        sub = normalize(subspace(hat(build("crossing_square")),
+                                 [Vertex("c00"), ("d0", Z, H)]))
+        assert sub.edges[0].kind == K.DIRECTED
+        assert sub.generators == ()
         assert is_controlled(sub, assemble(
             Vertex("c00"), [Seg("d0[0/1..1/2]", Z, O)], Vertex("d0@1_2")))
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from cspaces.corpus import build, names
-from cspaces.membership import is_controlled, parse_controlled
+from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple,
                            Pause, Seg, Vertex, assemble, reverse_path)
 from cspaces.presentation import GraphPresentation, ProductN, normalize, validate

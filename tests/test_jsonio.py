@@ -6,11 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from cspaces.construct import hat, reversible_part
 from cspaces.corpus import build, names
 from cspaces.jsonio import (dumps, path_from_json, path_to_json,
                             point_from_str, point_to_str, space_from_json,
                             space_to_json)
-from cspaces.membership import is_controlled, parse_controlled
+from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, PTuple, Seg, Vertex,
                            assemble)
 from cspaces.presentation import GraphPresentation, normalize
@@ -154,3 +155,51 @@ class TestDocumentErrors:
     def test_endpoint_on_an_unknown_edge(self):
         with pytest.raises(ModelError, match="unknown edge 'e9'"):
             point_from_str("e9@1/1", build("c_interval"))
+
+
+def _steps(*steps):
+    return [{"edge": e, "from": a, "to": b} for e, a, b in steps]
+
+
+# hat(build("crossing_square")) as written by the version whose hat kept
+# its generators as restriction-closed traces ("closed": true)
+CLOSED_HAT = {"graph": {
+    "vertices": ["c00", "c01", "c10", "c11", "m"],
+    "edges": [{"id": "d0", "from": "c00", "to": "m", "kind": "still"},
+              {"id": "d1", "from": "m", "to": "c11", "kind": "still"},
+              {"id": "d2", "from": "c01", "to": "m", "kind": "still"},
+              {"id": "d3", "from": "m", "to": "c10", "kind": "still"}],
+    "generators": [
+        {"steps": _steps(("d0", "0/1", "1/1"), ("d1", "0/1", "1/1")),
+         "pauses": [], "closed": True},
+        {"steps": _steps(("d2", "0/1", "1/1"), ("d3", "0/1", "1/1")),
+         "pauses": [], "closed": True}],
+    "flexible": [], "excluded": [], "absorbing": [], "emitting": [],
+    "blocked": []}}
+
+
+class TestClosedGenerators:
+    """A closed generator of an older document is read as one window per
+    step on the step's edge."""
+
+    def test_closed_hat_document_controls_the_paths_of_the_hat(self):
+        sp = space_from_json(CLOSED_HAT)
+        h = hat(build("crossing_square"))
+        assert normalize(sp) == normalize(h)
+        rng = random.Random(zlib.crc32(b"closed-hat"))
+        for _ in range(200):
+            p = random_graph_path(normalize(h), rng)
+            assert is_controlled(sp, p) == is_controlled(h, p), p
+
+    def test_reversible_part_keeps_no_fall_the_space_lacks(self):
+        # a closed rise on a reversible_one_jump edge: its sub-runs rise,
+        # and only the whole fall 1 -> 0 is controlled
+        sp = space_from_json(_graph_doc(
+            edges=[dict(EDGE, kind="reversible_one_jump")],
+            generators=[{"steps": _steps(("e0", "0/1", "1/1")),
+                         "closed": True}]))
+        fall = assemble(Vertex("v1"), [Seg("e0", O, H)], EdgePoint("e0", H))
+        assert is_controlled(sp, assemble(EdgePoint("e0", H),
+                                          [Seg("e0", H, O)], Vertex("v1")))
+        assert not is_controlled(sp, fall)
+        assert not is_controlled(reversible_part(sp), fall)

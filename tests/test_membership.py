@@ -12,10 +12,9 @@ from cspaces.construct import exclude_endpoints
 from cspaces.kinds import Fragment
 from cspaces.membership import (brute_force_controlled, is_controlled,
                                 parse_controlled)
-from cspaces.model import (PAUSE, EdgePoint, Seg, Track, Vertex, assemble,
-                           reverse_path)
+from cspaces.model import PAUSE, EdgePoint, Seg, Track, Vertex, assemble
 from cspaces.presentation import (Edge, GraphPresentation, cuts, family,
-                                  normalize, pos_point)
+                                  pos_point)
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
 

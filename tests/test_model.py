@@ -12,9 +12,9 @@ import pytest
 
 import cspaces
 from cspaces import kinds as K
-from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, ModelError, Pause,
-                           ProdSeg, PTuple, Run, Seg, Track, Vertex, assemble,
-                           concat, rat, rat_str, reverse_path)
+from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple, Seg,
+                           Track, Vertex, assemble, concat, rat, rat_str,
+                           reverse_path)
 from cspaces.presentation import Edge, GraphPresentation
 
 
