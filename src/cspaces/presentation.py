@@ -41,7 +41,10 @@ class GraphPresentation:
     the hash cannot change after construction.  ``__hash__`` therefore
     computes it once and stores it on the instance, outside the dataclass
     fields: ``==``, ``repr`` and ``replace()`` never see it.  The engines
-    look presentations up in caches many times per query.
+    look presentations up in caches many times per query.  The same
+    holds for the compiled cell graph that ``reach.compiled`` stores as
+    ``_cells``.  Pickles drop both: string hashes are salted per
+    process, and the graph is rebuilt on demand.
     """
     vertices: frozenset
     edges: tuple  # of Edge
@@ -64,6 +67,7 @@ class GraphPresentation:
         # string hashes are salted per process: a pickled hash would be stale
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_cells", None)
         return state
 
 

@@ -1,15 +1,18 @@
 """Reachability along controlled and generated-d-space paths.
 
-Each question compiles the graph presentation, cut at its query points,
-into one integer-indexed *cell graph* (``transitions``) and searches it.
+Each presentation is compiled once into an integer-indexed *cell graph*
+(``compiled``): the presentation cut at its own cut values, kept on the
+presentation instance like its hash.  A question cuts that graph again
+at its query points (``transitions``, ``CellGraph.cut``) and searches
+the result.
 
 Cells are ints: one per vertex, then, edge by edge, one per interior cut
 value and one per open segment between two consecutive cut values.  An
-edge's cut values (``cuts`` plus the query points on it) are sorted once
-per graph.  Its position ``r`` is its ``r // 2``-th cut value when ``r``
-is even and the open segment after that value when ``r`` is odd, and the
-positions of all edges are numbered consecutively, so a stretch of an
-edge is a range of position numbers.
+edge's cut values are sorted once per presentation.  Its position
+``r`` is its ``r // 2``-th cut value when ``r`` is even and the open
+segment after that value when ``r`` is odd, and the positions of one
+edge are numbered consecutively, so a stretch of an edge is a range of
+position numbers.
 
 Every generator contributes transitions ``(src, dst, cover, recipe)``
 over ints: the cells the motion starts and ends in, the position ranges
@@ -23,6 +26,17 @@ breadth-first search over ints: one from the source, one multi-source
 search each way for ``exists_c_through``, one per representative point
 for ``ReachRelation.pairs``.
 
+A cut re-lays only the edges that hold a query point which is not yet a
+cut value, on new positions after all others.  Their vertex and
+cut-value cells keep their ids.  So a rigid trace with a step on such an
+edge keeps its transition and its cells, and only its cover moves.
+Their fragment transitions are unlinked, keeping their numbers, and
+added again on the new positions.  The cut copies the graph's top-level
+lists and shares every inner list with the compiled graph until it
+changes it, so the compiled graph never changes.  A question thus costs
+the edges its points lie on and a copy of the top-level lists, not a
+rebuild of the graph.
+
 Witness atoms (``Seg`` / ``PAUSE``) are built only along the chain of
 transitions a witness returns, with pauses between the pieces; pauses
 can always be inserted, so this never breaks membership.
@@ -32,14 +46,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .construct import hat
-from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
-                    ProdSeg, PTuple, Seg, UnsupportedConstruction, Vertex,
-                    assemble)
+from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, ProdSeg,
+                    PTuple, Seg, UnsupportedConstruction, Vertex, assemble)
 from .presentation import (GraphPresentation, ProductN, cuts, family,
                            flexible_point, is_flexible_point, normalize,
                            point_positions, trace_path)
@@ -62,72 +76,82 @@ class ReachResult:
 # The cell graph
 
 class CellGraph:
-    """A graph presentation cut at its cut values and at extra points.
+    """A graph presentation cut at its cut values (``CellGraph(pres)``,
+    kept on pres by ``compiled``), or such a graph also cut at the query
+    points of one question (``cut``).
 
-    ``len()`` is the number of transitions.
+    ``len()`` is the number of live transitions: a cut graph keeps the
+    numbers of the transitions it unlinks, in ``dead``.
     """
 
-    def __init__(self, pres: GraphPresentation, extra: frozenset):
+    def __init__(self, pres: GraphPresentation):
         self.pres = pres
         names = sorted(pres.vertices.union(*((e.src, e.dst)
                                              for e in pres.edges)))
         self.vertex = {v: c for c, v in enumerate(names)}
-        added = {}
-        for e, t in extra:
-            added.setdefault(e, set()).add(t)
-        self.index = {}      # edge id -> edge number
-        self.ids = []        # edge number -> edge id
-        self.vals = []       # edge number -> sorted cut values
-        self.offset = []     # edge number -> number of its position 0
-        self.ranks = []      # edge number -> {cut value: position}, on demand
+        n = len(pres.edges)
+        self.index = {e.id: i for i, e in enumerate(pres.edges)}
+        self.ids = [e.id for e in pres.edges]  # edge number -> edge id
+        self.vals = [None] * n    # edge number -> sorted cut values
+        self.offset = [None] * n  # edge number -> number of its position 0
+        self.ranks = [None] * n   # edge number -> {cut value: position}
         self.pos_edge = []   # position -> edge number
         self.cell_at = []    # position -> cell
         self.places = [[] for _ in names]  # cell -> its positions
         for i, e in enumerate(pres.edges):
             vals = cuts(pres, e.id)
-            if e.id in added:
-                vals = list(vals)
-                for t in added[e.id]:
-                    k = bisect_left(vals, t)
-                    if k == len(vals) or vals[k] != t:
-                        vals.insert(k, t)
-            self.index[e.id] = i
-            self.ids.append(e.id)
-            self.vals.append(vals)
-            self.ranks.append(None)
-            base = len(self.cell_at)
-            self.offset.append(base)
-            last = 2 * len(vals) - 2
-            for r in range(last + 1):
-                if r == 0 or r == last:
-                    c = self.vertex[e.src if r == 0 else e.dst]
-                else:
-                    c = len(self.places)
-                    self.places.append([])
-                self.places[c].append(base + r)
-                self.cell_at.append(c)
-                self.pos_edge.append(i)
+            keep = [None] * len(vals)
+            keep[0], keep[-1] = self.vertex[e.src], self.vertex[e.dst]
+            self._place(i, vals, keep)
         self.src, self.dst, self.cover, self.recipe = [], [], [], []
-        self.fwd = [[] for _ in self.places]
-        self.rev = [[] for _ in self.places]
         self.excluded = self._cells(pres.excluded)
         self.absorbing = self._cells(pres.absorbing)
         self.emitting = self._cells(pres.emitting)
         self.blocked = self._cells(pres.blocked)
         self.filtered = bool(self.blocked or self.absorbing or self.emitting)
+        self.on_edge = [[] for _ in pres.edges]  # edge number -> transitions
         for i, e in enumerate(pres.edges):
             fam = family(pres, e.id)
+            first = len(self.src)
             for frag in fam.fragments:
                 self._fragment(i, frag)
+            self.on_edge[i].extend(range(first, len(self.src)))
             for tr in fam.rigid:
                 self._rigid(tr)
         for tr in pres.generators:
             self._rigid(tr)
+        for k, tr in enumerate(self.recipe):
+            if tr is not None:
+                for i in {self.index[s.edge] for s in tr.steps}:
+                    self.on_edge[i].append(k)
+        self.dead = frozenset()
+        self.fwd = [[] for _ in self.places]
+        self.rev = [[] for _ in self.places]
+        for k, (s, d) in enumerate(zip(self.src, self.dst)):
+            self.fwd[s].append(k)
+            self.rev[d].append(k)
 
     def __len__(self):
-        return len(self.src)
+        return len(self.src) - len(self.dead)
 
     # -- cells and positions -------------------------------------------------
+
+    def _place(self, i: int, vals, keep: list) -> None:
+        """Lay out edge number i cut at vals on new positions after all
+        others.  The k-th cut value stays in the cell keep[k] unless that
+        is None; every other position gets a new cell."""
+        base = len(self.cell_at)
+        self.vals[i] = vals
+        self.offset[i] = base
+        self.ranks[i] = None
+        for r in range(2 * len(vals) - 1):
+            c = keep[r // 2] if r % 2 == 0 else None
+            if c is None:
+                c = len(self.places)
+                self.places.append([])
+            self.places[c].append(base + r)
+            self.cell_at.append(c)
+            self.pos_edge.append(i)
 
     def cell(self, p) -> int:
         """The cell holding a point of the presentation."""
@@ -174,13 +198,10 @@ class CellGraph:
     def _add(self, src: int, dst: int, cover: tuple, recipe) -> None:
         if self.filtered and not self._allowed(src, dst, cover):
             return
-        k = len(self.src)
         self.src.append(src)
         self.dst.append(dst)
         self.cover.append(cover)
         self.recipe.append(recipe)
-        self.fwd[src].append(k)
-        self.rev[dst].append(k)
 
     def _allowed(self, src: int, dst: int, cover: tuple) -> bool:
         touched = {self.cell_at[g] for a, b in cover
@@ -213,6 +234,78 @@ class CellGraph:
         self._add(self.cell_at[steps[0][0]], self.cell_at[steps[-1][1]],
                   steps, tr)
 
+    # -- query points --------------------------------------------------------
+
+    def cut(self, extra: frozenset) -> "CellGraph":
+        """This graph also cut at the (edge, t) positions in extra.
+
+        Only an edge holding a position that is not yet a cut value is
+        cut again.  It gets new positions after all existing ones, and
+        its vertex and cut-value cells keep their ids, so the cell sets
+        of the filters hold as they are.  A rigid transition on it keeps
+        its number and its cells: only its cover moves to the new
+        positions.  Its fragment transitions are unlinked (they keep
+        their numbers, in ``dead``) and added again.  The result copies
+        each list before it changes it, so this graph never changes;
+        with nothing to cut, the result is this graph.  A cut graph is
+        not cut again.
+        """
+        added = {}
+        for e, t in extra:
+            i = self.index[e]
+            vals = self.vals[i]
+            if vals[bisect_left(vals, t)] != t:  # 0 < t < 1
+                added.setdefault(i, set()).add(t)
+        if not added:
+            return self
+        g = copy(self)
+        g._recut(added)
+        return g
+
+    def _recut(self, added: dict) -> None:
+        on = [k for i in added for k in self.on_edge[i]]
+        gone = {k for k in on if self.recipe[k] is None}
+        self.dead = frozenset(gone)
+        self.vals, self.offset = list(self.vals), list(self.offset)
+        self.ranks, self.pos_edge = list(self.ranks), list(self.pos_edge)
+        self.cell_at, self.places = list(self.cell_at), list(self.places)
+        self.fwd, self.rev = list(self.fwd), list(self.rev)
+        self.src, self.dst = list(self.src), list(self.dst)
+        self.cover, self.recipe = list(self.cover), list(self.recipe)
+        cells, first = len(self.places), len(self.src)
+        move = {}  # old position -> new position, of each kept cut value
+        for i, ts in sorted(added.items()):
+            vals, start = list(self.vals[i]), self.offset[i]
+            old = range(start, start + 2 * len(vals) - 1)
+            was = list(old[::2])  # the old position of each cut value
+            for c in {self.cell_at[g] for g in was}:
+                self.places[c] = [g for g in self.places[c] if g not in old]
+            for t in sorted(ts):
+                k = bisect_left(vals, t)
+                vals.insert(k, t)
+                was.insert(k, None)
+            base = len(self.cell_at)
+            move.update((g, base + 2 * k) for k, g in enumerate(was)
+                        if g is not None)
+            self._place(i, vals, [None if g is None else self.cell_at[g]
+                                  for g in was])
+        for k in set(on) - gone:
+            self.cover[k] = tuple((move.get(a, a), move.get(b, b))
+                                  for a, b in self.cover[k])
+        self.fwd.extend([] for _ in range(cells, len(self.places)))
+        self.rev.extend([] for _ in range(cells, len(self.places)))
+        for i in sorted(added):
+            for frag in family(self.pres, self.ids[i]).fragments:
+                self._fragment(i, frag)
+        for adj, ends in ((self.fwd, self.src), (self.rev, self.dst)):
+            relink = {ends[k]: [] for k in gone}
+            for k in range(first, len(self.src)):
+                relink.setdefault(ends[k], []).append(k)
+            for c, ks in relink.items():
+                adj[c] = [k for k in adj[c] if k not in gone] + ks
+
+    # -- witnesses -----------------------------------------------------------
+
     def touches(self, k: int, c: int) -> bool:
         """Does transition k pass through cell c?"""
         for g in self.places[c]:
@@ -230,16 +323,28 @@ class CellGraph:
                 for a, b in self.cover[k]]
 
 
+def compiled(pres: GraphPresentation) -> CellGraph:
+    """The cell graph of pres at its own cut values.  It is built once
+    and kept on pres, like its hash, and dropped from pickles."""
+    try:
+        return pres.__dict__["_cells"]
+    except KeyError:
+        g = CellGraph(pres)
+        object.__setattr__(pres, "_cells", g)
+        return g
+
+
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def transitions(pres: GraphPresentation, extra: frozenset = frozenset()):
-    """The cell graph of pres cut at the (edge, t) positions in extra."""
-    return CellGraph(pres, extra)
+    """The cell graph of pres also cut at the (edge, t) positions in extra."""
+    return compiled(pres).cut(extra)
 
 
 def _query_extra(pres: GraphPresentation, points) -> frozenset:
-    return frozenset((e, t) for p in points
-                     for e, t in point_positions(pres, p)
-                     if t != ZERO and t != ONE)
+    """The interior (edge, t) positions of points: vertices are cut
+    values of every edge they lie on."""
+    return frozenset((e, t) for p in points if isinstance(p, EdgePoint)
+                     for e, t in point_positions(pres, p))
 
 
 def _graph(pres: GraphPresentation, points) -> CellGraph:
@@ -393,6 +498,8 @@ def unavoidable_point(space, x, y, p, mode: str = "c") -> bool:
     if not isinstance(norm, GraphPresentation):
         raise UnsupportedConstruction(
             "unavoidable-point queries need a graph presentation")
+    for q in (x, y, p):
+        compiled(norm).cell(q)  # a ModelError names a point outside norm
     if x == y:
         return p == x
     if x in norm.excluded | norm.blocked or y in norm.excluded | norm.blocked:
@@ -498,9 +605,11 @@ def exists_c_through(pres: GraphPresentation, x) -> bool:
     nx = g.cell(x)
     if x not in pres.excluded and (_leaves(g, nx) or _arrives(g, nx)):
         return True
-    startable = _search(g, [c for c in g.src if c not in g.excluded
-                            and c not in g.absorbing])
-    stoppable = _search(g, [c for c in g.dst if c not in g.excluded],
+    live = [(k, s, d) for k, (s, d) in enumerate(zip(g.src, g.dst))
+            if k not in g.dead]
+    startable = _search(g, [s for _, s, _ in live if s not in g.excluded
+                            and s not in g.absorbing])
+    stoppable = _search(g, [d for _, _, d in live if d not in g.excluded],
                         forward=False)
     return any(s in startable and d in stoppable and g.touches(k, nx)
-               for k, (s, d) in enumerate(zip(g.src, g.dst)))
+               for k, s, d in live)

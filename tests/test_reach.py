@@ -1,5 +1,6 @@
 """Reachability: witnesses, generated-path preorder, unavoidable points."""
 
+import pickle
 import random
 import zlib
 from dataclasses import replace
@@ -9,14 +10,16 @@ import pytest
 
 from cspaces import kinds as K
 from cspaces import reach
-from cspaces.construct import exclude_endpoints, hat, product
+from cspaces.classify import classify_point
+from cspaces.construct import (exclude_endpoints, flexible_part, hat,
+                               opposite, product)
 from cspaces.corpus import build, names
 from cspaces.kinds import Family
 from cspaces.membership import is_controlled
 from cspaces.model import (EdgePoint, ModelError, PTuple, RigidTrace,
                            TraceStep, Vertex)
-from cspaces.presentation import (Edge, GraphPresentation, cuts, normalize,
-                                  pos_point)
+from cspaces.presentation import (Edge, GraphPresentation, _subspace, cuts,
+                                  normalize, pos_point)
 from cspaces.reach import (c_reachable, d_reachable, exists_c_from,
                            exists_c_through, exists_c_to, reach_relation,
                            unavoidable_point)
@@ -133,6 +136,20 @@ class TestUnreachablePair:
             unavoidable_point(sp, V1, V0, EdgePoint("e0", H))
 
 
+class TestPointsOutsideTheSpace:
+    """unavoidable_point checks its three points before any answer."""
+    sp = build("d_interval")
+
+    def test_unknown_vertex_with_x_equal_to_y(self):
+        zz = Vertex("zz")
+        with pytest.raises(ModelError, match="'zz'"):
+            unavoidable_point(self.sp, zz, zz, zz)
+
+    def test_point_on_an_unknown_edge(self):
+        with pytest.raises(ModelError, match="'zz'"):
+            unavoidable_point(self.sp, V0, V1, EdgePoint("zz", H))
+
+
 class TestProductReach:
     sp = build("c_square")
 
@@ -199,7 +216,7 @@ GRAPH_MODELS = (
 
 
 class TestOneGraphPerQuestion:
-    def test_each_edge_is_cut_once_per_graph(self, monkeypatch):
+    def test_each_edge_is_cut_once_per_presentation(self, monkeypatch):
         sp = build("c_line_window", lo=0, hi=256)
         calls = []
 
@@ -209,9 +226,14 @@ class TestOneGraphPerQuestion:
 
         monkeypatch.setattr(reach, "cuts", counting)
         reach.transitions.cache_clear()
+        vars(normalize(sp)).pop("_cells", None)  # start from no compiled graph
         x, y = EdgePoint("e0", F(1, 256)), EdgePoint("e0", F(255, 256))
         r = c_reachable(sp, x, y)
         assert r and is_controlled(sp, r.witness)
+        assert calls == ["e0"]
+        # points inside two unit jumps: no cut value, and no controlled path
+        x, y = EdgePoint("e0", F(3, 512)), EdgePoint("e0", F(509, 512))
+        assert not c_reachable(sp, x, y)
         assert calls == ["e0"]
 
     def test_pairs_builds_one_graph(self, monkeypatch):
@@ -320,3 +342,111 @@ def test_parse_and_reach_agree_on_one_constrained_point(name, base, field):
             assert r, p
         if r.witness is not None:
             assert is_controlled(sp, r.witness), (p, r.witness)
+
+
+# ---------------------------------------------------------------------------
+# One compiled cell graph per presentation, cut per question
+
+def _fresh_point(pres, rng):
+    e = rng.choice(pres.edges)
+    return EdgePoint(e.id, F(rng.randint(1, 10**6 - 1), 10**6))
+
+
+def _snapshot(g):
+    return (len(g.src), list(g.cell_at), list(g.cover),
+            [len(c) for c in g.fwd], [len(c) for c in g.rev],
+            [len(c) for c in g.places])
+
+
+@pytest.mark.parametrize("name, pres", [
+    ("directed(150)", normalize(_directed_chain(150))),
+    ("n_stop(64)", normalize(build("c_line_window", lo=0, hi=64)))])
+def test_a_cut_never_writes_into_the_compiled_graph(name, pres):
+    g = reach.compiled(pres)
+    before = _snapshot(g)
+    rng = random.Random(zlib.crc32(name.encode()))
+    for n in range(200):
+        x, y, p = (_fresh_point(pres, rng) for _ in range(3))
+        # A cut has as many transitions as a graph built with its points
+        # as cut values.  Flexible points add cut values; with at most
+        # one fragment per edge they add no transition and no other cut.
+        rebuilt = replace(pres, flexible=pres.flexible | {x, y, p})
+        assert (len(reach._graph(pres, (x, y, p)))
+                == len(reach.CellGraph(rebuilt)))
+        if n % 3 == 0:
+            c_reachable(pres, x, y)
+        elif n % 3 == 1:
+            try:
+                unavoidable_point(pres, x, y, p)
+            except ModelError:  # y is not reachable from x
+                pass
+        else:
+            classify_point(pres, x)
+    assert _snapshot(g) == before
+    assert reach.transitions(pres) is g
+
+
+EQUIVALENCE_MODELS = [
+    (f"{cname}({name})" if cname else name,
+     normalize(construct(sp)) if construct else sp)
+    for name, sp in GRAPH_MODELS
+    for cname, construct in (("", None), ("hat", hat),
+                             ("flexible_part", flexible_part),
+                             ("opposite", opposite))]
+EQUIVALENCE_QUESTIONS = 40
+
+
+def _cut_at(pres, points):
+    """The subspace of pres cut at points, which become vertices of it,
+    and the map of points into it."""
+    ts = {}
+    for q in points:
+        ts.setdefault(q.edge, set()).add(q.t)
+    region = [Vertex(v) for v in pres.vertices]
+    for e in pres.edges:
+        marks = [Z, *sorted(ts.get(e.id, ())), O]
+        region.extend((e.id, a, b) for a, b in zip(marks, marks[1:]))
+    return _subspace(pres, region)
+
+
+def _answers(pres, x, y, p):
+    r = c_reachable(pres, x, y)
+    if r.witness is not None:
+        assert is_controlled(pres, r.witness), (x, y, r.witness)
+    try:
+        unavoidable = unavoidable_point(pres, x, y, p)
+    except ModelError:  # y is not reachable from x
+        unavoidable = None
+    return (r.ok, unavoidable, exists_c_from(pres, x), exists_c_to(pres, x),
+            exists_c_through(pres, x), reach._graph_loop(pres, x).ok)
+
+
+@pytest.mark.parametrize("name, pres", EQUIVALENCE_MODELS,
+                         ids=[n for n, _ in EQUIVALENCE_MODELS])
+def test_cut_graph_answers_as_the_cut_subspace(name, pres):
+    """Each question at three random interior points has the same answers
+    on the space (a cut of its compiled graph) as on its subspace cut at
+    those points, where they are vertices and nothing is cut again."""
+    rng = random.Random(zlib.crc32(name.encode()))
+    for _ in range(EQUIVALENCE_QUESTIONS):
+        points = [EdgePoint(rng.choice(pres.edges).id,
+                            F(rng.randint(1, 100), 101)) for _ in range(3)]
+        sub, remap = _cut_at(pres, points)
+        assert (_answers(pres, *points)
+                == _answers(sub, *map(remap, points))), points
+
+
+def test_pickle_drops_the_compiled_graph():
+    sp = replace(normalize(build("dual_carriageway")))  # a fresh instance
+    text, data = repr(sp), pickle.dumps(sp)
+    reach.compiled(sp)
+    hash(sp)
+    assert "_hash" in vars(sp) and "_cells" in vars(sp)
+    assert repr(sp) == text and pickle.dumps(sp) == data
+    copy = pickle.loads(data)
+    assert "_hash" not in vars(copy) and "_cells" not in vars(copy)
+    assert copy == sp
+    x, y = V0, EdgePoint("x3", H)
+    r, r2 = c_reachable(sp, x, y), c_reachable(copy, x, y)
+    assert r.ok and r2.ok
+    assert is_controlled(copy, r2.witness)
