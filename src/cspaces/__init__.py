@@ -10,7 +10,7 @@ from .construct import (CMap, EdgeImage, check_cmap, cmap, exclude_endpoints,
                         quotient_identify, reversible_closure,
                         reversible_part, subspace, sum_space)
 from .corpus import build, names
-from .kinds import ALL, EdgeKind, Family, Fragment
+from .kinds import LOOPS, EdgeKind, Family, Fragment
 from .membership import (ParseOutcome, brute_force_controlled, is_controlled,
                          parse_controlled)
 from .model import (CanonicalPath, EdgePoint, ModelError, Pause, PAUSE,

@@ -159,7 +159,7 @@ def is_rigid_space(space) -> bool:
         raise UnsupportedConstruction(
             "rigidity of a space needs a graph presentation")
     for e in norm.edges:
-        if family(norm, e.id).fragments:
+        if any(f.dir for f in family(norm, e.id).fragments):
             return False
     for tr in norm.generators:
         if not is_rigid_path(norm, trace_path(norm, tr)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import kinds as K
-from .kinds import ALL, EdgeKind, Family, Fragment
+from .kinds import LOOPS, EdgeKind, Family, Fragment
 from .membership import fragment_span_ok, is_controlled
 from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
                     RigidTrace, Seg, TraceStep, UnsupportedConstruction,
@@ -71,7 +71,7 @@ def _hat_family(fam: Family) -> Family:
     its instances, each rigid step becomes a closed window in its
     direction, and every point is flexible."""
     frags = tuple(_hat_window(f) for f in fam.fragments)
-    return K.add_windows(Family(fragments=frags, flexible=ALL),
+    return K.add_windows(Family(fragments=frags + (LOOPS,)),
                          [(s.a, s.b) for tr in fam.rigid for s in tr.steps])
 
 
@@ -115,20 +115,10 @@ def hat(space):
 
 def _edge_kind(g: GraphPresentation, e: Edge, fam: Family, points=()):
     """(kind, new flexible points) for edge e carrying the family `fam`.
-
-    If `fam` is no named kind but becomes one once its finite flexible
-    positions move onto the presentation, they move.  `points` are more
-    positions on e that must stay flexible; each comes back as a point
-    unless the kind already makes it flexible.
-    """
-    kind = K.kind_of(fam, e.id)
-    if not kind.named and fam.flexible != ALL and fam.flexible:
-        bare = Family(fam.rigid, fam.fragments)
-        named = K.kind_of(bare, e.id)
-        if named.named:
-            kind, points, fam = named, (*points, *fam.flexible), bare
-    return kind, {pos_point(g, e.id, t) for t in points
-                  if not fam.position_flexible(t)}
+    `points` are positions on e that must stay flexible; each comes back
+    as a point unless `fam` already makes it flexible."""
+    return K.kind_of(fam, e.id), {pos_point(g, e.id, t) for t in points
+                                  if not fam.instance_end(t)}
 
 
 def _flexible_windows(frags) -> tuple:
@@ -165,8 +155,8 @@ def flexible_part(space):
     for e in g.edges:
         fam = family(g, e.id)
         kind, points = _edge_kind(
-            g, e, Family(fragments=_flexible_windows(fam.fragments),
-                         flexible=fam.flexible), K.rigid_ends(fam))
+            g, e, Family(fragments=_flexible_windows(fam.fragments)),
+            K.rigid_ends(fam))
         edges.append(Edge(e.id, e.src, e.dst, kind))
         flex |= points
     for tr in g.generators:
@@ -232,10 +222,10 @@ def _rc_kind(e: Edge, fam: Family):
     own = dict.fromkeys(fam.rigid)
     rigid = tuple(tr for tr in dict.fromkeys((*own, *rev.rigid))
                   if not _step_covered(frags, tr))
-    kind = K.kind_of(Family(rigid, frags, fam.flexible), e.id)
+    kind = K.kind_of(Family(rigid, frags), e.id)
     if kind.named:
         return kind, ()
-    kind = K.kind_of(Family(fam.rigid, frags, fam.flexible), e.id)
+    kind = K.kind_of(Family(fam.rigid, frags), e.id)
     return kind, tuple(tr for tr in rigid if tr not in own)
 
 
@@ -256,8 +246,9 @@ def reversible_closure(space) -> GraphPresentation:
 
 def _rp_family(g: GraphPresentation, fam: Family) -> Family:
     """Reversible part of one edge family: the rigid traces whose reverse
-    is controlled, with their reverses, and the overlaps of fragments of
-    opposite directions."""
+    is controlled, with their reverses, the overlaps of fragments of
+    opposite directions, and every trivial loop where a run starts or
+    ends (a constant path is its own reverse)."""
     rigid = []
     for tr in fam.rigid:
         if is_controlled(g, trace_path(g, tr.reversed())):
@@ -266,7 +257,7 @@ def _rp_family(g: GraphPresentation, fam: Family) -> Family:
     frags = []
     for f in fam.fragments:
         for h in fam.fragments:
-            if h.dir != -f.dir:
+            if not f.dir or h.dir != -f.dir:
                 continue
             lo, hi = max(f.lo, h.lo), min(f.hi, h.hi)
             if lo > hi:
@@ -279,8 +270,11 @@ def _rp_family(g: GraphPresentation, fam: Family) -> Family:
                 f.dir, lo, hi, lo_open, hi_open,
                 start_not=frozenset(f.start_not | h.end_not),
                 end_not=frozenset(f.end_not | h.start_not)))
-    return Family(rigid=tuple(dict.fromkeys(rigid)), fragments=tuple(frags),
-                  flexible=fam.flexible)
+    # a one-point window of a run direction holds no run, so no loop
+    loops = [replace(_hat_window(w), dir=0) for w in _flexible_windows(
+        fam.fragments) if w.lo < w.hi or not w.dir]
+    return Family(rigid=tuple(dict.fromkeys(rigid)),
+                  fragments=tuple(frags) + K.merge_fragments(loops))
 
 
 def reversible_part(space) -> GraphPresentation:
@@ -505,7 +499,7 @@ def _grid(f: CMap, src: GraphPresentation, dst: GraphPresentation,
 def _runs(g: GraphPresentation, edge: str, grid: list):
     """The runs between two grid points in each direction that a fragment
     of the edge moves."""
-    for d in {fr.dir for fr in family(g, edge).fragments}:
+    for d in {fr.dir for fr in family(g, edge).fragments} - {0}:
         for n, lo in enumerate(grid):
             for hi in grid[n + 1:]:
                 a, b = (lo, hi) if d > 0 else (hi, lo)

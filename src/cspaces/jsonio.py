@@ -11,7 +11,7 @@ import json
 from dataclasses import replace
 
 from . import kinds as K
-from .kinds import ALL, Family, Fragment
+from .kinds import LOOPS, Family, Fragment
 from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     Pause, ProdSeg, PTuple, RigidTrace, Seg, Track,
                     TraceStep, Vertex, assemble, rat, rat_str)
@@ -164,32 +164,40 @@ def _fragment_to_json(f: Fragment) -> dict:
 
 
 def _fragment_from_json(d: dict, where: str) -> Fragment:
-    return Fragment(_field(d, "dir", (int,), where),
-                    _rat_field(d, "lo", where, ZERO),
-                    _rat_field(d, "hi", where, ONE),
-                    _field(d, "lo_open", (bool,), where, False),
-                    _field(d, "hi_open", (bool,), where, False),
-                    _rats(d, "start_not", where), _rats(d, "end_not", where))
+    args = (_field(d, "dir", (int,), where), _rat_field(d, "lo", where, ZERO),
+            _rat_field(d, "hi", where, ONE),
+            _field(d, "lo_open", (bool,), where, False),
+            _field(d, "hi_open", (bool,), where, False),
+            _rats(d, "start_not", where), _rats(d, "end_not", where))
+    try:
+        return Fragment(*args)
+    except ModelError as exc:
+        raise ModelError(f"{where}: {exc}") from None
 
 
 def _family_to_json(fam: Family) -> dict:
+    """``LOOPS`` is written as "flexible": "all", closed one-point loop
+    windows as a list of positions, and any other window as a fragment."""
+    loops = [f for f in fam.fragments if f in (LOOPS, Fragment(0, f.lo, f.lo))]
     return {"rigid": [_trace_to_json(t) for t in fam.rigid],
-            "fragments": [_fragment_to_json(f) for f in fam.fragments],
-            "flexible": ("all" if fam.flexible == ALL
-                         else sorted(rat_str(x) for x in fam.flexible))}
+            "fragments": [_fragment_to_json(f) for f in fam.fragments
+                          if f not in loops],
+            "flexible": ("all" if LOOPS in loops
+                         else sorted(rat_str(f.lo) for f in loops))}
 
 
 def _family_from_json(d: dict, where: str) -> Family:
     flex = _field(d, "flexible", (str, list), where, [])
     if isinstance(flex, str) and flex != "all":
         raise ModelError(f"{where}.flexible must be \"all\" or an array")
+    loops = (LOOPS,) if flex == "all" else tuple(
+        Fragment(0, t, t) for t in sorted(_rats(d, "flexible", where)))
     return Family(
         rigid=tuple(_trace_from_json(t, f"{where}.rigid[{i}]") for i, t
                     in enumerate(_items(d, "rigid", (dict,), where))),
         fragments=tuple(_fragment_from_json(f, f"{where}.fragments[{i}]")
                         for i, f in enumerate(
-                            _items(d, "fragments", (dict,), where))),
-        flexible=ALL if flex == "all" else _rats(d, "flexible", where))
+                            _items(d, "fragments", (dict,), where))) + loops)
 
 
 def _kind_to_json(kind) -> tuple:

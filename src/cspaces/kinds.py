@@ -1,13 +1,14 @@
 """Interval structures carried by an oriented edge.
 
 Each kind expands into a Family: finitely many rigid generator traces
-plus flexible fragments (direction + window in which arbitrary monotone
-sub-runs are allowed) plus the set of positions whose trivial loops are
-controlled.  Built-in kinds:
+plus fragments (direction + window in which arbitrary monotone sub-runs
+are allowed).  The trivial loops where an instance starts or ends are
+controlled, and a window of direction 0 holds only trivial loops.
+Built-in kinds:
 
   natural     every path on the edge
   directed    every increasing path
-  one_jump    a single rigid full traversal; endpoints flexible
+  one_jump    a single rigid full traversal
   n_stop(n)   n rigid unit jumps between the anchors k/n
   delayed_minus / delayed_plus
               rigid full traversal that must dwell at its start / end
@@ -28,16 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .model import (ONE, ZERO, ModelError, Rat, RigidTrace, TraceStep)
-
-ALL = "all"
 
 
 @dataclass(frozen=True)
 class Fragment:
-    """Arbitrary monotone sub-runs of one edge within a window.
+    """Arbitrary monotone sub-runs of one edge within a window, in the
+    direction ``dir``; with ``dir == 0``, the trivial loops at the
+    window's positions and nothing else.
 
     ``start_not`` / ``end_not`` forbid a generator instance from
     starting / ending at the listed positions; they are only meaningful
@@ -50,6 +50,13 @@ class Fragment:
     hi_open: bool = False
     start_not: frozenset = frozenset()
     end_not: frozenset = frozenset()
+
+    def __post_init__(self):
+        if self.dir not in (-1, 0, 1):
+            raise ModelError(f"fragment direction {self.dir} is not -1, 0 or 1")
+        if not ZERO <= self.lo <= self.hi <= ONE:
+            raise ModelError(f"fragment window [{self.lo}, {self.hi}] is not "
+                             "inside [0,1] with lo <= hi")
 
     def admits(self, a: Rat, b: Rat, direction: int) -> bool:
         """Does the window admit a run covering [min,max] in `direction`?"""
@@ -67,12 +74,20 @@ class Fragment:
                         start_not=self.end_not, end_not=self.start_not)
 
     def run_end(self, t: Rat) -> bool:
-        """Does a run of the window start or end at t?"""
-        below = self.lo < t <= self.hi and not (self.hi_open and t == self.hi)
-        above = self.lo <= t < self.hi and not (self.lo_open and t == self.lo)
-        first, last = (above, below) if self.dir > 0 else (below, above)
-        return ((first and t not in self.start_not)
-                or (last and t not in self.end_not))
+        """Does a run of the window start or end at t?  A trivial loop of a
+        window of direction 0 does, at each of its positions."""
+        inside = (self.lo <= t <= self.hi
+                  and not (self.lo_open and t == self.lo)
+                  and not (self.hi_open and t == self.hi))
+        if not self.dir:
+            return inside
+        up, down = t != self.hi, t != self.lo  # the window goes on past t
+        first, last = (up, down) if self.dir > 0 else (down, up)
+        return inside and ((first and t not in self.start_not)
+                           or (last and t not in self.end_not))
+
+
+LOOPS = Fragment(0)  # the trivial loops at every position
 
 
 @dataclass(frozen=True)
@@ -80,16 +95,10 @@ class Family:
     """Generator family of one edge."""
     rigid: tuple = ()       # of RigidTrace, steps on this edge
     fragments: tuple = ()   # of Fragment
-    flexible: Union[str, frozenset] = frozenset()  # ALL or positions in [0,1]
-
-    def position_flexible(self, t: Rat) -> bool:
-        if self.flexible == ALL:
-            return True
-        return t in self.flexible
 
     def instance_end(self, t: Rat) -> bool:
-        """Does a generator instance start or end at t?  The trivial loops
-        there are controlled, like those at every generator's end points."""
+        """Does a generator instance start or end at t?  The trivial loop
+        there is controlled exactly when one does."""
         return (any(t == tr.steps[0].a or t == tr.steps[-1].b
                     for tr in self.rigid)
                 or any(f.run_end(t) for f in self.fragments))
@@ -120,9 +129,6 @@ _KIND_NAMES = {
     "delayed_plus", "reversible_one_jump", "siphon", "siphon_osc",
     "still", "discrete_c", "custom",
 }
-
-NATURAL = None  # assigned below, after EdgeKind exists
-
 
 def kind(name: str, n: int = 0, family: Family = None) -> EdgeKind:
     return EdgeKind(name, n, family)
@@ -158,32 +164,29 @@ def kind_generators(k: EdgeKind, edge: str) -> Family:
     """Expand a kind on a named edge into its generator family."""
     name = k.name
     if name == "natural":
-        return Family(fragments=(Fragment(1), Fragment(-1)), flexible=ALL)
+        return Family(fragments=(Fragment(1), Fragment(-1), LOOPS))
     if name == "directed":
-        return Family(fragments=(Fragment(1),), flexible=ALL)
+        return Family(fragments=(Fragment(1), LOOPS))
     if name == "one_jump":
-        return Family(rigid=(_full(edge, 1),), flexible=frozenset({ZERO, ONE}))
+        return Family(rigid=(_full(edge, 1),))
     if name == "n_stop":
         anchors = [Fraction(i, k.n) for i in range(k.n + 1)]
-        rigid = tuple(RigidTrace((TraceStep(edge, anchors[i], anchors[i + 1]),))
-                      for i in range(k.n))
-        return Family(rigid=rigid, flexible=frozenset(anchors))
+        return Family(rigid=tuple(
+            RigidTrace((TraceStep(edge, anchors[i], anchors[i + 1]),))
+            for i in range(k.n)))
     if name == "delayed_minus":
-        return Family(rigid=(_full(edge, 1, {0}),), flexible=frozenset({ZERO, ONE}))
+        return Family(rigid=(_full(edge, 1, {0}),))
     if name == "delayed_plus":
-        return Family(rigid=(_full(edge, 1, {1}),), flexible=frozenset({ZERO, ONE}))
+        return Family(rigid=(_full(edge, 1, {1}),))
     if name == "reversible_one_jump":
-        return Family(rigid=(_full(edge, 1), _full(edge, -1)),
-                      flexible=frozenset({ZERO, ONE}))
+        return Family(rigid=(_full(edge, 1), _full(edge, -1)))
     if name == "siphon":
-        return Family(rigid=(_full(edge, -1),), fragments=(Fragment(1),),
-                      flexible=ALL)
+        return Family(rigid=(_full(edge, -1),), fragments=(Fragment(1), LOOPS))
     if name == "siphon_osc":
-        return Family(rigid=(_full(edge, -1),),
-                      fragments=(Fragment(1), Fragment(-1, start_not=frozenset({ONE}))),
-                      flexible=ALL)
+        return Family(rigid=(_full(edge, -1),), fragments=(
+            Fragment(1), Fragment(-1, start_not=frozenset({ONE})), LOOPS))
     if name == "still":
-        return Family(flexible=ALL)
+        return Family(fragments=(LOOPS,))
     if name == "discrete_c":
         return Family()
     if name == "custom":
@@ -200,8 +203,7 @@ def rigid_ends(fam: Family) -> set:
 def family_reversed(fam: Family) -> Family:
     """The family generating exactly the reversed paths (same coordinates)."""
     return Family(rigid=tuple(t.reversed() for t in fam.rigid),
-                  fragments=tuple(f.reversed() for f in fam.fragments),
-                  flexible=fam.flexible)
+                  fragments=tuple(f.reversed() for f in fam.fragments))
 
 
 def covers(h: Fragment, f: Fragment) -> bool:
@@ -222,13 +224,13 @@ def merge_fragments(frags) -> tuple:
 
     Closed windows without boundary constraints that overlap or touch are
     joined, by one sorted sweep per direction (runs across the joint are
-    concatenations); then every window that another one covers is
-    dropped.  Survivors keep the order of their first input fragment.
+    concatenations, loops add up); then every window that another one
+    covers is dropped.  Survivors keep the order of their first input fragment.
     """
     if len({f.dir for f in frags}) == len(frags):
         return tuple(frags)  # nothing to join or drop
     ranked = [(i, f) for i, f in enumerate(frags) if not _plain(f)]
-    for d in (1, -1):
+    for d in (1, -1, 0):
         joined = []  # (rank, window)
         plain = sorted((f.lo, f.hi, i, f) for i, f in enumerate(frags)
                        if f.dir == d and _plain(f))
@@ -253,8 +255,7 @@ def add_windows(fam: Family, steps) -> Family:
     of those steps, and runs across them are concatenations."""
     wins = tuple(Fragment(1, a, b) if a < b else Fragment(-1, b, a)
                  for a, b in steps)
-    return Family(fam.rigid, merge_fragments(fam.fragments + wins),
-                  fam.flexible)
+    return Family(fam.rigid, merge_fragments(fam.fragments + wins))
 
 
 def _same(a: tuple, b: tuple) -> bool:
@@ -263,7 +264,7 @@ def _same(a: tuple, b: tuple) -> bool:
 
 
 def _shape(fam: Family) -> tuple:
-    return len(fam.rigid), len(fam.fragments), fam.flexible == ALL
+    return len(fam.rigid), len(fam.fragments)
 
 
 def _named_by_shape() -> dict:
@@ -287,7 +288,6 @@ def kind_of(fam: Family, edge: str) -> EdgeKind:
         cands.append(n_stop(len(fam.rigid)))
     for k in cands:
         g = kind_generators(k, edge)
-        if g.flexible == fam.flexible and _same(g.fragments, fam.fragments) \
-                and _same(g.rigid, fam.rigid):
+        if _same(g.fragments, fam.fragments) and _same(g.rigid, fam.rigid):
             return k
     return custom(fam)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 Rat = Fraction
 
@@ -72,7 +72,7 @@ class PTuple:
             raise ModelError("product points are pairs; build wider products by nesting")
 
 
-Point = Union[Vertex, EdgePoint, PTuple]
+Point = Vertex | EdgePoint | PTuple
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ class ProdSeg:
                              for p in self.parts))
 
 
-SegLike = Union[Seg, ProdSeg]
+SegLike = Seg | ProdSeg
 
 
 @dataclass(frozen=True)

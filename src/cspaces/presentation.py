@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import kinds as K
-from .kinds import ALL, EdgeKind, Family, Fragment
+from .kinds import EdgeKind, Family, Fragment
 from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     Pause, Position, ProdSeg, PTuple, Rat, RigidTrace, Run,
                     Seg, Track, TraceStep, UnsupportedConstruction, Vertex,
@@ -207,8 +207,6 @@ def cuts(pres: GraphPresentation, edge: str) -> tuple:
         vals.update({f.lo, f.hi})
         vals.update(f.start_not)
         vals.update(f.end_not)
-    if fam.flexible != ALL:
-        vals.update(fam.flexible)
     for tr in pres.generators:
         for s in tr.steps:
             if s.edge == edge:
@@ -265,8 +263,7 @@ def flexible_point(pres: GraphPresentation, p) -> bool:
     if p in pres.flexible:
         return True
     for edge, t in point_positions(pres, p):
-        fam = family(pres, edge)
-        if fam.position_flexible(t) or fam.instance_end(t):
+        if family(pres, edge).instance_end(t):
             return True
     return any(trace_start(pres, tr) == p or trace_end(pres, tr) == p
                for tr in pres.generators)
@@ -393,24 +390,22 @@ def _rescale(v: Rat, lo: Rat, hi: Rat) -> Rat:
 
 
 def _sub_family(fam: Family, lo: Rat, hi: Rat, rigid: tuple) -> Family:
-    """The fragments and flexible positions of `fam` on [lo, hi], rescaled
-    to [0, 1], with the rigid traces `rigid` (already cut)."""
+    """The fragments of `fam` on [lo, hi], rescaled to [0, 1], with the
+    rigid traces `rigid` (already cut); a loop window may shrink to a point."""
     frags = []
     for f in fam.fragments:
         wlo, whi = max(f.lo, lo), min(f.hi, hi)
-        if wlo >= whi:
+        lo_open, hi_open = f.lo_open and wlo == f.lo, f.hi_open and whi == f.hi
+        if wlo > whi or (wlo == whi and (f.dir or lo_open or hi_open)):
             continue
         frags.append(Fragment(
             f.dir, _rescale(wlo, lo, hi), _rescale(whi, lo, hi),
-            lo_open=f.lo_open and wlo == f.lo,
-            hi_open=f.hi_open and whi == f.hi,
+            lo_open, hi_open,
             start_not=frozenset(_rescale(v, lo, hi) for v in f.start_not
                                 if lo <= v <= hi),
             end_not=frozenset(_rescale(v, lo, hi) for v in f.end_not
                               if lo <= v <= hi)))
-    flex = ALL if fam.flexible == ALL else frozenset(
-        _rescale(v, lo, hi) for v in fam.flexible if lo <= v <= hi)
-    return Family(rigid=rigid, fragments=tuple(frags), flexible=flex)
+    return Family(rigid=rigid, fragments=tuple(frags))
 
 
 def _region_intervals(g: GraphPresentation, region):
@@ -501,7 +496,8 @@ def _subspace(g: GraphPresentation, region):
     ``e[lo..hi]``, and touching intervals meet at the vertex
     ``e@num_den``.  A rigid trace of the edge's family that lies in the
     region but crosses such a vertex moves onto the presentation.  Rigid
-    traces that leave the region are dropped.
+    traces that leave the region are dropped, but not the trivial loops at
+    their ends: they become loop windows or flexible points.
     """
     kept, intervals = _region_intervals(g, region)
     pieces = {}  # edge id -> [_Piece], sorted
@@ -527,10 +523,11 @@ def _subspace(g: GraphPresentation, region):
                                     for f in fam.fragments):
                 raise UnsupportedConstruction(
                     f"a fragment of edge {e.id!r} may not start or end at {p.hi}")
-        own = {}
+        own, ends = {}, set()
         for tr in fam.rigid:
             cut = _cut_trace(pieces, tr)
             if cut is None:
+                ends.update((tr.steps[0].a, tr.steps[-1].b))
                 continue
             ids = {s.edge for s in cut.steps}
             if len(ids) > 1:
@@ -539,9 +536,15 @@ def _subspace(g: GraphPresentation, region):
                 own.setdefault(ids.pop(), []).append(cut)
         for p in ps:
             sub = _sub_family(fam, p.lo, p.hi, tuple(own.get(p.id, ())))
+            loops = sorted(_rescale(t, p.lo, p.hi) for t in ends
+                           if p.lo <= t <= p.hi)
+            sub = Family(sub.rigid, sub.fragments + tuple(
+                Fragment(0, t, t) for t in loops if not sub.instance_end(t)))
             edges.append(Edge(p.id, p.src, p.dst, K.kind_of(sub, p.id)))
-    gens = [cut for cut in (_cut_trace(pieces, tr) for tr in g.generators)
-            if cut is not None]
+    gen_cuts = [(tr, _cut_trace(pieces, tr)) for tr in g.generators]
+    gens = [c for _, c in gen_cuts if c is not None]
+    lost = {x for tr, c in gen_cuts if c is None
+            for x in (trace_start(g, tr), trace_end(g, tr))}
 
     def remap(p):
         if isinstance(p, Vertex):
@@ -559,7 +562,7 @@ def _subspace(g: GraphPresentation, region):
         vertices=frozenset(kept),
         edges=tuple(edges),
         generators=tuple(gens + moved),
-        flexible=remap_set(g.flexible),
+        flexible=remap_set(g.flexible | (lost - g.excluded - g.blocked)),
         excluded=remap_set(g.excluded),
         absorbing=remap_set(g.absorbing),
         emitting=remap_set(g.emitting),
@@ -655,6 +658,10 @@ def _validate_graph(g: GraphPresentation, out):
             for s in tr.steps:
                 if s.edge != e.id:
                     out.append(f"custom family of {e.id!r} references {s.edge!r}")
+                for v in (s.a, s.b):
+                    if not (ZERO <= v <= ONE):
+                        out.append(f"custom family of {e.id!r}: step "
+                                   f"parameter {v} outside [0,1]")
     for tr in g.generators:
         prev = None
         for s in tr.steps:

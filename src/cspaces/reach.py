@@ -211,6 +211,8 @@ class CellGraph:
                     or any(c != src for c in touched & self.emitting))
 
     def _fragment(self, i: int, frag) -> None:
+        if not frag.dir:
+            return  # trivial loops move nowhere
         lo = self._at(i, frag.lo) + frag.lo_open
         hi = self._at(i, frag.hi) - frag.hi_open
         no_start = {self._at(i, t) for t in frag.start_not}
@@ -545,14 +547,14 @@ class ReachRelation:
     def pairs(self) -> tuple:
         """All (x, y) node-representative pairs with x ⤳ y.
 
-        One cell graph of the target, cut at every representative, and
-        one search per representative: cutting a segment at more points
-        changes no answer, since all points of an open segment are alike.
+        One cell graph of the target and one search per representative,
+        which has its own cell of the compiled graph.  The hat's graph
+        (mode ``d``) is cut at every representative first.
         """
         reps = self.nodes()
         norm = normalize(hat(self.space) if self.mode == "d" else self.space)
         bad = norm.excluded | norm.blocked
-        g = _graph(norm, reps)
+        g = _graph(norm, reps) if self.mode == "d" else compiled(norm)
         cells = [g.cell(x) for x in reps]
         out = []
         for x, cx in zip(reps, cells):

@@ -212,6 +212,19 @@ def test_closed_generator_step_on_an_unknown_edge_exits_2(tmp_path, capsys):
         "space.graph.generators[0].steps[0]: unknown edge 'e9'")
 
 
+def test_fragment_of_direction_2_exits_2(tmp_path, capsys):
+    sf = tmp_path / "s.json"
+    sf.write_text(json.dumps({"graph": {
+        "vertices": ["v0", "v1"],
+        "edges": [{"id": "e0", "from": "v0", "to": "v1", "kind": "custom",
+                   "params": {"family": {"fragments": [{"dir": 2}]}}}]}}))
+    code, out = run_cli(capsys, "validate", "--space", str(sf))
+    assert code == 2 and out["error"]["type"] == "input"
+    assert out["error"]["message"] == (
+        "space.graph.edges[0].params.family.fragments[0]: fragment "
+        "direction 2 is not -1, 0 or 1")
+
+
 def test_controlled_path_on_an_unknown_edge_names_it():
     up = assemble(Vertex("v0"), [Seg("e9", Fraction(0), Fraction(1))],
                   Vertex("v1"))

@@ -21,7 +21,8 @@ from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple,
                            RigidTrace, Seg, TraceStep, UnsupportedConstruction,
                            Vertex, assemble, reverse_path)
 from cspaces.presentation import (Edge, GraphPresentation, ProductN,
-                                  Subspace, normalize, validate)
+                                  Subspace, flexible_point, normalize,
+                                  validate)
 from cspaces.reach import c_reachable, d_reachable
 
 from helpers import Z, O, H, identity, interval
@@ -327,6 +328,20 @@ class TestBasicConstructors:
         assert clipped_kind("natural_interval", H, O) == "natural"
         # a clipped rigid jump leaves no named kind behind
         assert clipped_kind("c_interval", Z, H) == "custom"
+
+    def test_subspace_keeps_the_loops_at_a_dropped_generator_end(self):
+        # the trivial loop at v0 is controlled only as the start of the
+        # generator v0 -> v2, which leaves the region
+        jump = RigidTrace((TraceStep("e0", Z, O), TraceStep("e1", Z, O)))
+        g = GraphPresentation(frozenset({"v0", "v1", "v2"}), (
+            Edge("e0", "v0", "v1", K.DISCRETE_C),
+            Edge("e1", "v1", "v2", K.DISCRETE_C)), generators=(jump,))
+        assert flexible_point(g, V0)
+        sub = subspace(g, [V0, ("e0", Z, H)])
+        assert sub.generators == () and flexible_point(sub, V0)
+        assert not flexible_point(sub, Vertex("e0@1_2"))
+        assert validate(subspace(exclude_endpoints(g, [V0]),
+                                 [V0, ("e0", Z, H)])) == []
 
     def test_touching_halves_keep_the_full_jump(self):
         sub = subspace(build("c_interval"), [V0, V1, ("e0", Z, H), ("e0", H, O)])

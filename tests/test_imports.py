@@ -1,6 +1,8 @@
 """No module of the package or of the test suite imports a name it never
-uses.  Only ``ast`` reads the sources; ``__init__.py`` files (which
-re-export) and import lines marked ``# noqa: F401`` are exempt."""
+uses, and no function of the package imports anything: an import inside
+a function hides an import cycle.  Only ``ast`` reads the sources;
+``__init__.py`` files (which re-export) and import lines marked
+``# noqa: F401`` are exempt from the first rule."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in (ROOT / "src" / "cspaces", ROOT / "tests")
                for p in d.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "cspaces").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list:
@@ -35,3 +38,17 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def local_imports(path: Path) -> list:
+    """(line, function) of each import inside a function body."""
+    tree = ast.parse(path.read_text())
+    return sorted({(node.lineno, fn.name) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert local_imports(path) == []

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from cspaces.construct import hat, reversible_part
+from cspaces import kinds as K
+from cspaces.construct import hat, reversible_part, subspace
 from cspaces.corpus import build, names
 from cspaces.jsonio import (dumps, path_from_json, path_to_json,
                             point_from_str, point_to_str, space_from_json,
@@ -14,10 +15,11 @@ from cspaces.jsonio import (dumps, path_from_json, path_to_json,
 from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, PTuple, Seg, Vertex,
                            assemble)
-from cspaces.presentation import GraphPresentation, normalize
+from cspaces.presentation import (GraphPresentation, flexible_point,
+                                  normalize, pos_point, validate)
 from cspaces.sampling import random_graph_path
 
-from helpers import Z, O, H
+from helpers import OPEN_WINDOWS, Z, O, H, interval
 
 
 class TestPoints:
@@ -115,6 +117,17 @@ def _graph_doc(**graph):
     return {"graph": {"vertices": ["v0", "v1"], "edges": [EDGE], **graph}}
 
 
+def _custom_doc(**family):
+    """The interval whose edge carries the custom family `family`."""
+    return _graph_doc(edges=[dict(EDGE, kind="custom",
+                                  params={"family": family})])
+
+
+def _family(doc):
+    (edge,) = space_from_json(doc).edges
+    return edge.kind.family
+
+
 class TestDocumentErrors:
     """A document that lacks a key or has a field of the wrong JSON type
     is a ModelError that names the field."""
@@ -132,6 +145,15 @@ class TestDocumentErrors:
         ({"graph": {"edges": [dict(EDGE, kind="custom", params={
             "family": {"fragments": [{"dir": 1, "lo": "a/b"}]}})]}},
          "space.graph.edges[0].params.family.fragments[0].lo: bad rational"),
+        (_custom_doc(fragments=[{"dir": 2}]),
+         "space.graph.edges[0].params.family.fragments[0]: fragment "
+         "direction 2 is not -1, 0 or 1"),
+        (_custom_doc(fragments=[{"dir": 1, "hi": "2/1"}]),
+         "space.graph.edges[0].params.family.fragments[0]: fragment window "
+         "[0, 2] is not inside [0,1]"),
+        (_custom_doc(fragments=[{"dir": -1, "lo": "3/4", "hi": "1/4"}]),
+         "space.graph.edges[0].params.family.fragments[0]: fragment window "
+         "[3/4, 1/4] is not inside [0,1] with lo <= hi"),
         ({"expr": {"op": "sum", "args": [_graph_doc()]}},
          "space.expr.args must hold 2"),
         ({"expr": {"args": []}}, "space.expr has no 'op' key"),
@@ -155,6 +177,54 @@ class TestDocumentErrors:
     def test_endpoint_on_an_unknown_edge(self):
         with pytest.raises(ModelError, match="unknown edge 'e9'"):
             point_from_str("e9@1/1", build("c_interval"))
+
+
+class TestLoopWindows:
+    """A custom family states its trivial loops as "flexible": "all", as a
+    list of positions, or as fragments of "dir": 0."""
+
+    def test_flexible_all_reads_to_the_named_family(self):
+        doc = _custom_doc(fragments=[{"dir": 1}], flexible="all")
+        assert _family(doc) == K.kind_generators(K.DIRECTED, "e0")
+        family = space_to_json(space_from_json(doc))["graph"]["edges"][0][
+            "params"]["family"]
+        assert family["flexible"] == "all"
+        assert [f["dir"] for f in family["fragments"]] == [1]
+
+    def test_flexible_positions_read_to_point_windows(self):
+        doc = _custom_doc(flexible=["0/1"])
+        clipped = subspace(interval(K.ONE_JUMP), [("e0", Z, H)])
+        assert _family(doc) == clipped.edges[0].kind.family
+        doc = _custom_doc(rigid=[{"steps": _steps(("e0", "1/4", "3/4"))}],
+                          flexible=["1/2", "0/1"])
+        sp = space_from_json(doc)
+        flexible = {k for k in range(9)
+                    if flexible_point(sp, pos_point(sp, "e0", F(k, 8)))}
+        assert flexible == {0, 2, 4, 6}
+        family = space_to_json(sp)["graph"]["edges"][0]["params"]["family"]
+        assert family["flexible"] == ["0/1", "1/2"]
+        assert family["fragments"] == []
+
+    def test_reversible_part_keeps_a_loop_window(self):
+        rp = reversible_part(interval(OPEN_WINDOWS))
+        (edge,) = rp.edges
+        assert any(f.dir == 0 and f.lo < f.hi and f != K.LOOPS
+                   for f in edge.kind.family.fragments)
+        doc = space_to_json(rp)
+        assert any(f["dir"] == 0 for f in
+                   doc["graph"]["edges"][0]["params"]["family"]["fragments"])
+        back = space_from_json(doc)
+        assert normalize(back) == rp
+        for k in range(17):
+            t = F(k, 16)
+            assert flexible_point(back, pos_point(back, "e0", t)) == (t < O), t
+
+
+def test_validate_names_a_custom_step_outside_the_edge():
+    sp = space_from_json(_custom_doc(
+        rigid=[{"steps": _steps(("e0", "1/2", "3/2"))}]))
+    assert validate(sp) == [
+        "custom family of 'e0': step parameter 3/2 outside [0,1]"]
 
 
 def _steps(*steps):

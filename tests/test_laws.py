@@ -8,8 +8,9 @@ reversible part, which keeps its trivial loops, and sits inside its
 reversible closure, and that
 reversing a path maps it onto the opposite space, and that the trivial
 loops at the ends of every generator and of every controlled path are
-controlled.  ``is_finer`` must place a space below its hat and its
-reversible closure and above its flexible and reversible parts.
+controlled, in the space and in its subspaces.  ``is_finer`` must place
+a space below its hat and its reversible closure and above its flexible
+and reversible parts.
 Cutting the edge at 1/3 into two touching subspace intervals keeps
 exactly the controlled paths; quotients at an interior anchor cut the edge there,
 and their membership must agree with the brute-force oracle.  On
@@ -32,7 +33,7 @@ from cspaces.construct import (check_cmap, exclude_endpoints, flexible_part,
                                quotient_identify, reversible_closure,
                                reversible_part, subspace)
 from cspaces.corpus import build
-from cspaces.kinds import ALL, Family, Fragment
+from cspaces.kinds import LOOPS, Family, Fragment
 from cspaces.membership import (brute_force_controlled, is_controlled,
                                 parse_controlled)
 from cspaces.model import (PAUSE, EdgePoint, Pause, Position, RigidTrace, Run,
@@ -70,6 +71,9 @@ def cut_at(space, t):
 
 
 THIRD = F(1, 3)
+# subspace regions of the interval: the rigid trace 1/4 -> 3/4 of
+# quarter_jump leaves each of them
+REGIONS = [(F(0), H), (F(1, 8), F(5, 8)), (THIRD, F(1))]
 LEFT, RIGHT, MID = "e0[0/1..1/3]", "e0[1/3..1/1]", Vertex("e0@1_3")
 
 
@@ -166,11 +170,22 @@ class TestLaws:
                   for x in (p.start, p.end))
         lost = {q for q in qs
                 if flexible_point(sp, q) and not flexible_point(rp, q)}
-        if name == "open_windows" and lost:
-            pytest.xfail("a family holds the trivial loops where only one-way "
-                         "runs end, in [0, 1/4] and [3/4, 1), only with the "
-                         "runs themselves")
         assert not lost
+
+    @pytest.mark.parametrize("lo, hi", REGIONS)
+    def test_subspace_keeps_the_trivial_loops(self, name, lo, hi):
+        # a constant path in the region is a path of the subspace
+        sp = interval(KINDS[name])
+        sub = subspace(sp, [("e0", lo, hi)])
+        (piece,) = sub.edges
+        ts = {F(k, 24) for k in range(25)}
+        ts.update(x for tr in K.kind_generators(KINDS[name], "e0").rigid
+                  for x in (tr.steps[0].a, tr.steps[-1].b))
+        lost = [t for t in sorted(ts) if lo <= t <= hi
+                and flexible_point(sp, pos_point(sp, "e0", t))
+                and not flexible_point(
+                    sub, pos_point(sub, piece.id, (t - lo) / (hi - lo)))]
+        assert lost == []
 
     def test_reversal_maps_onto_the_opposite(self, name):
         sp = interval(KINDS[name])
@@ -296,8 +311,8 @@ def test_n_stop_splits_into_two_n_stops():
 
 
 def test_split_refuses_a_forbidden_instance_start():
-    kind = K.custom(Family(fragments=(Fragment(1, start_not=frozenset({H})),),
-                           flexible=ALL))
+    kind = K.custom(Family(fragments=(Fragment(1, start_not=frozenset({H})),
+                                      LOOPS)))
     with pytest.raises(UnsupportedConstruction):
         cut_at(interval(kind), H)
     g = cut_at(interval(kind), F(1, 3))
