@@ -11,8 +11,7 @@ from .construct import (CMap, EdgeImage, check_cmap, cmap, exclude_endpoints,
                         reversible_part, subspace, sum_space)
 from .corpus import build, names
 from .kinds import LOOPS, EdgeKind, Family, Fragment
-from .membership import (ParseOutcome, brute_force_controlled, is_controlled,
-                         parse_controlled)
+from .membership import ParseOutcome, is_controlled, parse_controlled
 from .model import (CanonicalPath, EdgePoint, ModelError, Pause, PAUSE,
                     Position, ProdSeg, PTuple, Rat, RigidTrace, Run, Seg,
                     Track, TraceStep, UnsupportedConstruction, Vertex,

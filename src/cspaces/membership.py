@@ -1,30 +1,32 @@
 """Deciding whether a path is controlled.
 
 The engine explodes a canonical path into atomic motion tokens, cut at
-every position where a generator-instance boundary can occur (run
-boundaries, anchors of the edge kind, explicit trace step endpoints,
-annotated points).  A shortest-parse search then covers the tokens by
-generator instances: rigid traces matched step by step (with dwell
-requirements) and flexible-fragment stretches.  Pauses move the parse
-forward for free.
+every cut value of their edge (``presentation.cuts``: run boundaries,
+anchors of the edge kind, trace step ends, annotated points).  A
+shortest-parse search then covers the tokens by generator instances:
+rigid traces matched step by step (with dwell requirements) and
+flexible-fragment stretches.  Pauses move the parse forward for free.
 
-``brute_force_controlled`` is an independent oracle: a depth-bounded
-enumeration of generator-instance concatenations with fragment
-endpoints drawn from a uniform grid joined with the path's own
-breakpoints.  It agrees with the engine whenever the path has a parse
-into at most ``depth`` instances.
+The parse compares integer ranks, not rationals.  On an edge whose cut
+values are c_0 < c_1 < ... < c_m, the value c_i has rank 2i and a point
+strictly between c_i and c_(i+1) has rank 2i + 1.  Every window bound,
+forbidden start or end, and trace step end is a cut value, so ranks
+decide each comparison exactly.  The ranked windows and rigid steps of
+an edge live in a parse index stored on the presentation; edges of one
+kind with the same cut values share one entry.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .model import PAUSE, CanonicalPath, Pause, Rat, RigidTrace, Seg, Track
-from .presentation import (GraphPresentation, ProductN, bound_rigid,
-                           canonicalize, check_path_geometry, cuts, family,
-                           flexible_point, normalize, pos_point, project)
+from .model import PAUSE, CanonicalPath, Pause, Rat, Seg, Track
+from .presentation import (GraphPresentation, ProductN, canonicalize,
+                           check_path_geometry, cuts, edge_of, family,
+                           flexible_point, normalize, own_cut_values,
+                           pos_point, project)
 
 
 @dataclass(frozen=True)
@@ -36,83 +38,201 @@ class ParseOutcome:
 
 
 # ---------------------------------------------------------------------------
+# Ranks and the parse index
+
+def _rank(cs: tuple, v: Rat) -> int:
+    """The rank of v among the sorted cut values cs."""
+    i = bisect_left(cs, v)
+    return 2 * i if i < len(cs) and cs[i] == v else 2 * i - 1
+
+
+class _EdgeIndex:
+    """The ranked generators of the edges of one kind and one set of cut
+    values.
+
+    ``wins[d]``: the windows of direction d as (lowest rank, highest rank,
+    forbidden start ranks, forbidden end ranks), open ends already taken
+    off; windows of direction 0 move nothing and are left out.
+    ``rigid[(d, rank)]``: the family's rigid traces whose first step
+    starts there in direction d, as (index in ``family.rigid``, steps,
+    dwell marks); a step is (None, d, rank a, rank b), None standing for
+    the edge the trace starts on.
+    """
+    __slots__ = ("cuts", "wins", "rigid")
+
+    def __init__(self, fam, cs: tuple):
+        self.cuts = cs
+        self.wins = {1: [], -1: []}
+        for f in fam.fragments:
+            if f.dir:
+                self.wins[f.dir].append((
+                    _rank(cs, f.lo) + f.lo_open, _rank(cs, f.hi) - f.hi_open,
+                    frozenset(_rank(cs, x) for x in f.start_not),
+                    frozenset(_rank(cs, x) for x in f.end_not)))
+        self.rigid = {}
+        for k, tr in enumerate(fam.rigid):
+            steps = tuple((None, s.dir, _rank(cs, s.a), _rank(cs, s.b))
+                          for s in tr.steps)
+            self.rigid.setdefault(steps[0][1:3], []).append((k, steps, tr.pauses))
+
+
+class _ParseIndex:
+    """A presentation's edge entries, filled as paths reach their edges,
+    and its own generators by (edge, d, rank of their start).
+
+    Edges of one kind with the same ``own_cut_values`` (most often none)
+    have the same cut values, so they share one entry, and ``cuts`` runs
+    once per entry, not once per edge.
+    """
+    __slots__ = ("edges", "shared", "own", "gens", "__weakref__")
+
+    def __init__(self, pres: GraphPresentation):
+        self.edges = {}   # edge id -> _EdgeIndex
+        self.shared = {}  # (kind, own cut values) -> _EdgeIndex
+        self.own = {e: frozenset(vals)
+                    for e, vals in own_cut_values(pres).items()}
+        self.gens = {}    # (edge, d, rank) -> [(steps, dwell marks, trace)]
+        for tr in pres.generators:
+            steps = tuple((s.edge, s.dir, _rank(cuts(pres, s.edge), s.a),
+                           _rank(cuts(pres, s.edge), s.b)) for s in tr.steps)
+            self.gens.setdefault(steps[0][:3], []).append((steps, tr.pauses, tr))
+
+
+def parse_index(pres: GraphPresentation) -> _ParseIndex:
+    """The parse index of pres.  It is kept on pres, like its hash and its
+    cell graph, and dropped from pickles."""
+    try:
+        return pres.__dict__["_parse_index"]
+    except KeyError:
+        index = _ParseIndex(pres)
+        object.__setattr__(pres, "_parse_index", index)
+        return index
+
+
+def _edge_index(index: _ParseIndex, pres, edge: str) -> _EdgeIndex:
+    ent = index.edges.get(edge)
+    if ent is None:
+        key = (edge_of(pres, edge).kind, index.own.get(edge, frozenset()))
+        ent = index.shared.get(key)
+        if ent is None:
+            ent = index.shared[key] = _EdgeIndex(family(pres, edge),
+                                                 cuts(pres, edge))
+        index.edges[edge] = ent
+    return ent
+
+
+# ---------------------------------------------------------------------------
 # Tokenization
 
-def explode(pres: GraphPresentation, path: CanonicalPath, extra=None):
-    """Atomic tokens (PAUSE or Seg) with every potential cut exposed."""
+class Token(NamedTuple):
+    """Monotone motion from a to b on one edge that crosses no cut value;
+    ra and rb are the ranks of a and b."""
+    edge: str
+    dir: int
+    a: Rat
+    b: Rat
+    ra: int
+    rb: int
+
+
+def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
+    """Atomic tokens (PAUSE or Token), cut at every cut value of their edge."""
+    index = parse_index(pres)
     toks = []
     for item in path.items:
         if isinstance(item, Pause):
             toks.append(PAUSE)
             continue
         for seg in item.segs:
-            marks = [c for c in cuts(pres, seg.edge) if seg.lo < c < seg.hi]
-            if extra:
-                marks += [c for c in extra.get(seg.edge, ()) if seg.lo < c < seg.hi]
-            marks = sorted(set(marks), reverse=(seg.dir < 0))
-            cur = seg.a
-            for c in marks:
-                toks.append(Seg(seg.edge, cur, c))
-                cur = c
-            toks.append(Seg(seg.edge, cur, seg.b))
+            edge, a, b = seg.edge, seg.a, seg.b
+            cs = _edge_index(index, pres, edge).cuts
+            # comparing a Fraction with an int is quick; most segments
+            # start or end at a vertex
+            d = 1 if a == 0 or b == 1 or (a != 1 and b != 0 and a < b) else -1
+            lo, hi = (a, b) if d > 0 else (b, a)
+            # cuts holds 0 and 1, so 1 <= i and j < len(cs)
+            if lo == 0:
+                i, rlo = 1, 0
+            else:
+                i = bisect_right(cs, lo)
+                rlo = 2 * i - 2 if cs[i - 1] == lo else 2 * i - 1
+            if hi == 1:
+                j = len(cs) - 1
+                rhi = 2 * j
+            else:
+                j = bisect_left(cs, hi)
+                rhi = 2 * j if cs[j] == hi else 2 * j - 1
+            if i == j:
+                toks.append(Token(edge, d, a, b, rlo, rhi) if d > 0
+                            else Token(edge, d, a, b, rhi, rlo))
+                continue
+            vals = [lo, *cs[i:j], hi]
+            ranks = [rlo, *range(2 * i, 2 * j, 2), rhi]
+            if d < 0:
+                vals.reverse()
+                ranks.reverse()
+            toks.extend(Token(edge, d, vals[k], vals[k + 1], ranks[k], ranks[k + 1])
+                        for k in range(len(vals) - 1))
     return toks
 
 
-def boundaries(pres: GraphPresentation, start, toks):
+def _point_before(pres, start, toks, k: int):
+    """The point of the path before token k."""
+    for tok in reversed(toks[:k]):
+        if tok is not PAUSE:
+            return pos_point(pres, tok.edge, tok.b)
+    return start
+
+
+def boundaries(pres: GraphPresentation, start, toks) -> list:
     """Geometric point before token i, for i in 0..len(toks)."""
     pts = [start]
-    cur = start
     for tok in toks:
-        if isinstance(tok, Seg):
-            cur = pos_point(pres, tok.edge, tok.b)
-        pts.append(cur)
+        pts.append(pts[-1] if tok is PAUSE else pos_point(pres, tok.edge, tok.b))
     return pts
 
 
 # ---------------------------------------------------------------------------
 # Instance matching
 
-def match_trace(tr: RigidTrace, toks, i: int) -> Optional[int]:
-    """Match a rigid trace instance whose first motion token is toks[i].
+def _match(steps, pauses, toks, i: int, edge: str) -> Optional[int]:
+    """Match a ranked rigid trace whose first motion token is toks[i], on
+    `edge`; returns the index after its last token, or None.
 
     Pauses interleave freely; dwell requirements demand a pause token at
     the marked boundaries (a path-initial boundary has no pause)."""
-    if 0 in tr.pauses and not (i > 0 and isinstance(toks[i - 1], Pause)):
+    n = len(toks)
+    if 0 in pauses and not (i > 0 and toks[i - 1] is PAUSE):
         return None
     pos = i
-    for si, step in enumerate(tr.steps):
-        paused_here = False
-        while pos < len(toks) and isinstance(toks[pos], Pause):
-            paused_here = True
+    for si, (e, d, cur, rb) in enumerate(steps):
+        e = e or edge
+        paused = False
+        while pos < n and toks[pos] is PAUSE:
+            paused = True
             pos += 1
-        if si > 0 and si in tr.pauses and not paused_here:
+        if si and si in pauses and not paused:
             return None
-        cur = step.a
-        while cur != step.b:
-            while pos < len(toks) and isinstance(toks[pos], Pause):
+        while cur != rb:
+            while pos < n and toks[pos] is PAUSE:
                 pos += 1
-            if pos >= len(toks):
+            if pos >= n:
                 return None
             tok = toks[pos]
-            if not (isinstance(tok, Seg) and tok.edge == step.edge
-                    and tok.dir == step.dir and tok.a == cur):
+            # the token must follow on from cur and stay within the step
+            if tok.edge != e or tok.dir != d or tok.ra != cur \
+                    or (tok.rb - rb) * d > 0:
                 return None
-            # the token must stay within the step
-            if step.dir > 0 and tok.b > step.b:
-                return None
-            if step.dir < 0 and tok.b < step.b:
-                return None
-            cur = tok.b
+            cur = tok.rb
             pos += 1
-    if len(tr.steps) in tr.pauses:
-        if not (pos < len(toks) and isinstance(toks[pos], Pause)):
-            return None
+    if len(steps) in pauses and not (pos < n and toks[pos] is PAUSE):
+        return None
     return pos
 
 
 def fragment_span_ok(fam, lo: Rat, hi: Rat, first: Seg, last: Seg) -> bool:
     """Can one flexible-fragment instance cover the same-edge stretch that
-    spans [lo, hi], begins with token `first` and ends with token `last`?"""
+    spans [lo, hi], begins with segment `first` and ends with `last`?"""
     for f in fam.fragments:
         if f.admits(lo, hi, first.dir) and first.a not in f.start_not \
                 and last.b not in f.end_not:
@@ -120,36 +240,29 @@ def fragment_span_ok(fam, lo: Rat, hi: Rat, first: Seg, last: Seg) -> bool:
     return False
 
 
-def _gen_index(pres):
-    idx = {}
-    for tr in bound_rigid(pres):
-        s = tr.steps[0]
-        idx.setdefault((s.edge, s.dir, s.a), []).append(tr)
-    return idx
+def _window_ok(wins, lo: int, hi: int, start: int, end: int) -> bool:
+    """Does one ranked window admit a stretch over ranks [lo, hi] that
+    starts at rank `start` and ends at rank `end`?"""
+    for wlo, whi, start_not, end_not in wins:
+        if wlo <= lo and hi <= whi and start not in start_not \
+                and end not in end_not:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
 # Path-level point constraints
 
-def _occurrence_check(pres, path, bpts, toks) -> Optional[object]:
+def _occurrence_check(pres, start, toks) -> Optional[object]:
     """Enforce blocked / absorbing / emitting points; returns a violating
     point or None."""
-    if not (pres.blocked or pres.absorbing or pres.emitting):
-        return None
-    n = len(toks)
-    # suffix_pause[i]: every token from i on is a pause
-    tail = [True] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] and isinstance(toks[i], Pause)
-    head = [True] * (n + 1)
-    for i in range(n):
-        head[i + 1] = head[i] and isinstance(toks[i], Pause)
-    for i, p in enumerate(bpts):
+    moves = [i for i, tok in enumerate(toks) if tok is not PAUSE]
+    for i, p in enumerate(boundaries(pres, start, toks)):
         if p in pres.blocked:
             return p
-        if p in pres.absorbing and not tail[i]:
+        if p in pres.absorbing and i <= moves[-1]:
             return p
-        if p in pres.emitting and not head[i]:
+        if p in pres.emitting and i > moves[0]:
             return p
     return None
 
@@ -166,12 +279,13 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
         if p in pres.excluded:
             return ParseOutcome(False, fail_at=p)
     toks = explode(pres, path)
-    bpts = boundaries(pres, path.start, toks)
-    bad = _occurrence_check(pres, path, bpts, toks)
-    if bad is not None:
-        return ParseOutcome(False, fail_at=bad)
+    if pres.blocked or pres.absorbing or pres.emitting:
+        bad = _occurrence_check(pres, path.start, toks)
+        if bad is not None:
+            return ParseOutcome(False, fail_at=bad)
+    index = parse_index(pres)
+    edges, gens = index.edges, index.gens
     n = len(toks)
-    idx = _gen_index(pres)
     INF = n + 10 ** 6
     dist = [INF] * (n + 1)
     parent = [None] * (n + 1)
@@ -186,39 +300,51 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
         if i == n:
             break
         tok = toks[i]
-        if isinstance(tok, Pause):
+        if tok is PAUSE:
             if dist[i] < dist[i + 1]:
                 dist[i + 1] = dist[i]
                 parent[i + 1] = (i, ("pause",))
                 dq.appendleft(i + 1)
             continue
-
-        def relax(j, desc):
-            if dist[i] + 1 < dist[j]:
-                dist[j] = dist[i] + 1
-                parent[j] = (i, desc)
-                dq.append(j)
-
-        fam = family(pres, tok.edge)
-        if fam.fragments:
-            # flexible-fragment stretches; their bounds grow with j
-            lo, hi = tok.lo, tok.hi
-            j = i
-            while j < n and isinstance(toks[j], Seg) and toks[j].edge == tok.edge \
-                    and toks[j].dir == tok.dir \
-                    and (j == i or toks[j].a == toks[j - 1].b):
-                lo, hi = min(lo, toks[j].lo), max(hi, toks[j].hi)
+        step = dist[i] + 1
+        edge, d, start = tok.edge, tok.dir, tok.ra
+        ent = edges[edge]
+        wins = ent.wins[d]
+        if wins:
+            # flexible-fragment stretches: consecutive tokens on the edge
+            # in direction d whose ranks chain (a loop edge's two ends,
+            # 0 and 1, have different ranks)
+            j, last = i, tok
+            while True:
                 j += 1
-                if fragment_span_ok(fam, lo, hi, tok, toks[j - 1]):
-                    relax(j, ("fragment", tok.edge, tok.a, toks[j - 1].b))
-        # rigid instances
-        for tr in idx.get((tok.edge, tok.dir, tok.a), ()):
-            end = match_trace(tr, toks, i)
-            if end is not None:
-                relax(end, ("rigid", tr))
+                lo, hi = (start, last.rb) if d > 0 else (last.rb, start)
+                if step < dist[j] and _window_ok(wins, lo, hi, start, last.rb):
+                    dist[j] = step
+                    parent[j] = (i, ("fragment", edge, tok.a, last.b))
+                    dq.append(j)
+                if j == n:
+                    break
+                nxt = toks[j]
+                if nxt is PAUSE or nxt.edge != edge or nxt.dir != d \
+                        or nxt.ra != last.rb:
+                    break
+                last = nxt
+        # rigid instances: the edge's own traces first, then the generators
+        for k, steps, pauses in ent.rigid.get((d, start), ()):
+            end = _match(steps, pauses, toks, i, edge)
+            if end is not None and step < dist[end]:
+                dist[end] = step
+                parent[end] = (i, ("rigid", family(pres, edge).rigid[k]))
+                dq.append(end)
+        for steps, pauses, tr in gens.get((edge, d, start), ()):
+            end = _match(steps, pauses, toks, i, edge)
+            if end is not None and step < dist[end]:
+                dist[end] = step
+                parent[end] = (i, ("rigid", tr))
+                dq.append(end)
     if dist[n] >= INF:
         far = max(k for k in range(n + 1) if dist[k] < INF)
-        return ParseOutcome(False, fail_at=bpts[far])
+        return ParseOutcome(False, fail_at=_point_before(pres, path.start, toks, far))
     steps = []
     k = n
     while k > 0:
@@ -264,75 +390,3 @@ def _parse_normal(norm, path: CanonicalPath) -> ParseOutcome:
 
 def is_controlled(space, path_or_track) -> bool:
     return parse_controlled(space, path_or_track).controlled
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle
-
-def brute_force_controlled(space, path_or_track, depth: int = 5,
-                           grid: int = 8) -> bool:
-    """Depth-bounded enumeration of generator-instance concatenations.
-
-    Fragment instances take their endpoints from the uniform 1/grid
-    lattice joined with the path's own breakpoints.  Agrees with
-    ``is_controlled`` whenever the path admits a parse into at most
-    ``depth`` instances whose fragment endpoints lie on that lattice.
-    """
-    norm = normalize(space)
-    path = _ensure_path(norm, path_or_track)
-    return _brute_normal(norm, path, depth, grid)
-
-
-def _brute_normal(norm, path, depth, grid):
-    if isinstance(norm, ProductN):
-        return all(_brute_normal(f, project(path, norm, i), depth, grid)
-                   for i, f in enumerate((norm.left, norm.right)))
-    pres = norm
-    if path.is_trivial():
-        return flexible_point(pres, path.start)
-    if path.start in pres.excluded or path.end in pres.excluded:
-        return False
-    lattice = {e.id: tuple(Fraction(k, grid) for k in range(grid + 1))
-               for e in pres.edges}
-    toks = explode(pres, path, extra=lattice)
-    bpts = boundaries(pres, path.start, toks)
-    if _occurrence_check(pres, path, bpts, toks) is not None:
-        return False
-    n = len(toks)
-    gens = bound_rigid(pres)
-    memo = {}
-
-    def dfs(i, used):
-        if i == n:
-            return True
-        key = (i, used)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        tok = toks[i]
-        ok = False
-        if isinstance(tok, Pause):
-            ok = dfs(i + 1, used)
-        elif used < depth:
-            for tr in gens:
-                end = match_trace(tr, toks, i)
-                if end is not None and dfs(end, used + 1):
-                    ok = True
-                    break
-            if not ok:
-                fam = family(pres, tok.edge)
-                j = i
-                while not ok and j < n and isinstance(toks[j], Seg) \
-                        and toks[j].edge == tok.edge and toks[j].dir == tok.dir \
-                        and (j == i or toks[j].a == toks[j - 1].b):
-                    j += 1
-                    stretch = toks[i:j]
-                    if fragment_span_ok(fam, min(t.lo for t in stretch),
-                                        max(t.hi for t in stretch),
-                                        stretch[0], stretch[-1]) \
-                            and dfs(j, used + 1):
-                        ok = True
-        memo[key] = ok
-        return ok
-
-    return dfs(0, 0)

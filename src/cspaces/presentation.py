@@ -43,8 +43,10 @@ class GraphPresentation:
     fields: ``==``, ``repr`` and ``replace()`` never see it.  The engines
     look presentations up in caches many times per query.  The same
     holds for the compiled cell graph that ``reach.compiled`` stores as
-    ``_cells``.  Pickles drop both: string hashes are salted per
-    process, and the graph is rebuilt on demand.
+    ``_cells`` and the parse index that ``membership.parse_index`` stores
+    as ``_parse_index``.  Pickles drop all three: string hashes are
+    salted per process, and the graph and the index are rebuilt on
+    demand.
     """
     vertices: frozenset
     edges: tuple  # of Edge
@@ -68,6 +70,7 @@ class GraphPresentation:
         state = dict(self.__dict__)
         state.pop("_hash", None)
         state.pop("_cells", None)
+        state.pop("_parse_index", None)
         return state
 
 
@@ -184,19 +187,28 @@ def trace_end(pres: GraphPresentation, tr: RigidTrace):
     return pos_point(pres, s.edge, s.b)
 
 
-def _point_values_on_edge(pres: GraphPresentation, edge: str):
-    vals = set()
+def own_cut_values(pres: GraphPresentation) -> dict:
+    """Edge id -> the cut values that the presentation, not the edge's
+    family, puts on the edge: its generators' step ends and its annotated
+    points."""
+    own = {}
+    for tr in pres.generators:
+        for s in tr.steps:
+            own.setdefault(s.edge, set()).update((s.a, s.b))
     for pts in (pres.flexible, pres.excluded, pres.absorbing,
                 pres.emitting, pres.blocked):
         for p in pts:
-            if isinstance(p, EdgePoint) and p.edge == edge:
-                vals.add(p.t)
-    return vals
+            if isinstance(p, EdgePoint):
+                own.setdefault(p.edge, set()).add(p.t)
+    return own
 
 
 @lru_cache(maxsize=None)
 def cuts(pres: GraphPresentation, edge: str) -> tuple:
-    """Sorted positions at which parse boundaries can occur on an edge."""
+    """Sorted positions at which parse boundaries can occur on an edge.
+
+    They depend only on the edge's family and ``own_cut_values``, so two
+    edges of one kind with the same own values have the same cuts."""
     vals = {ZERO, ONE}
     fam = family(pres, edge)
     for tr in fam.rigid:
@@ -207,12 +219,7 @@ def cuts(pres: GraphPresentation, edge: str) -> tuple:
         vals.update({f.lo, f.hi})
         vals.update(f.start_not)
         vals.update(f.end_not)
-    for tr in pres.generators:
-        for s in tr.steps:
-            if s.edge == edge:
-                vals.add(s.a)
-                vals.add(s.b)
-    vals.update(_point_values_on_edge(pres, edge))
+    vals.update(own_cut_values(pres).get(edge, ()))
     if len(fam.fragments) > 1:
         vals.update(_overlap_cuts(fam.fragments, vals))
     return tuple(sorted(vals))
@@ -487,6 +494,11 @@ def _cut_trace(pieces: dict, tr: RigidTrace):
     return RigidTrace(tuple(steps), frozenset(at[i] for i in tr.pauses))
 
 
+def _end_loops(e: Edge, fam: Family) -> list:
+    """The ends of edge e whose trivial loop its family controls."""
+    return [v for v, t in ((e.src, ZERO), (e.dst, ONE)) if fam.instance_end(t)]
+
+
 def _subspace(g: GraphPresentation, region):
     """The subspace of g on a region, and the map of g's points into it
     (None outside).
@@ -497,7 +509,9 @@ def _subspace(g: GraphPresentation, region):
     ``e@num_den``.  A rigid trace of the edge's family that lies in the
     region but crosses such a vertex moves onto the presentation.  Rigid
     traces that leave the region are dropped, but not the trivial loops at
-    their ends: they become loop windows or flexible points.
+    their ends: they become loop windows or flexible points.  A kept
+    vertex whose loop only dropped edges controlled becomes a flexible
+    point.
     """
     kept, intervals = _region_intervals(g, region)
     pieces = {}  # edge id -> [_Piece], sorted
@@ -507,7 +521,7 @@ def _subspace(g: GraphPresentation, region):
                    else f"{e.id}[{rat_str(lo)}..{rat_str(hi)}]",
                    _cut_vertex(e, lo), _cut_vertex(e, hi))
             for lo, hi in intervals.get(e.id, ())]
-    edges, moved = [], []
+    edges, moved, held = [], [], set()  # held: vertices with a loop here
     for e in g.edges:
         ps = pieces[e.id]
         kept.update(x for p in ps for x in (p.src, p.dst))
@@ -515,6 +529,7 @@ def _subspace(g: GraphPresentation, region):
             continue
         if ps[0].id == e.id:
             edges.append(e)
+            held.update(_end_loops(e, family(g, e.id)))
             continue
         fam = family(g, e.id)
         for p, q in zip(ps, ps[1:]):
@@ -541,10 +556,15 @@ def _subspace(g: GraphPresentation, region):
             sub = Family(sub.rigid, sub.fragments + tuple(
                 Fragment(0, t, t) for t in loops if not sub.instance_end(t)))
             edges.append(Edge(p.id, p.src, p.dst, K.kind_of(sub, p.id)))
+            held.update(_end_loops(edges[-1], sub))
     gen_cuts = [(tr, _cut_trace(pieces, tr)) for tr in g.generators]
     gens = [c for _, c in gen_cuts if c is not None]
     lost = {x for tr, c in gen_cuts if c is None
             for x in (trace_start(g, tr), trace_end(g, tr))}
+    # generator ends keep their loops through `gens` or `lost`
+    lonely = {Vertex(v) for e in g.edges for v in _end_loops(e, family(g, e.id))
+              if v in kept and v not in held} - {
+        x for tr in g.generators for x in (trace_start(g, tr), trace_end(g, tr))}
 
     def remap(p):
         if isinstance(p, Vertex):
@@ -562,7 +582,7 @@ def _subspace(g: GraphPresentation, region):
         vertices=frozenset(kept),
         edges=tuple(edges),
         generators=tuple(gens + moved),
-        flexible=remap_set(g.flexible | (lost - g.excluded - g.blocked)),
+        flexible=remap_set(g.flexible | (lost | lonely) - g.excluded - g.blocked),
         excluded=remap_set(g.excluded),
         absorbing=remap_set(g.absorbing),
         emitting=remap_set(g.emitting),
@@ -878,22 +898,55 @@ def trace_path(pres: GraphPresentation, tr: RigidTrace) -> CanonicalPath:
 def check_path_geometry(space, path: CanonicalPath):
     """Raise if the path's segments do not chain together in the space."""
     norm = normalize(space)
+    if isinstance(norm, GraphPresentation):
+        _check_graph_geometry(norm, path)
+        return
     cur = path.start
     for item in path.items:
         if isinstance(item, Pause):
             continue
         for seg in item.segs:
             if isinstance(seg, Seg):
-                if not isinstance(norm, GraphPresentation):
-                    raise ModelError("graph segment in a product path")
-                here = pos_point(norm, seg.edge, seg.a)
-                if here != cur:
-                    raise ModelError(f"path breaks at {cur!r} -> {here!r}")
-                cur = pos_point(norm, seg.edge, seg.b)
-            else:
-                here = _point_of_seg(norm, seg, ZERO)
-                if here != cur:
-                    raise ModelError(f"path breaks at {cur!r} -> {here!r}")
-                cur = _point_of_seg(norm, seg, ONE)
+                raise ModelError("graph segment in a product path")
+            here = _point_of_seg(norm, seg, ZERO)
+            if here != cur:
+                raise ModelError(f"path breaks at {cur!r} -> {here!r}")
+            cur = _point_of_seg(norm, seg, ONE)
     if cur != path.end:
+        raise ModelError("path end point mismatch")
+
+
+def _place(p):
+    """A graph point as a vertex name or an (edge, t) pair."""
+    if isinstance(p, Vertex):
+        return p.name
+    if isinstance(p, EdgePoint):
+        return p.edge, p.t
+    return p
+
+
+def _check_graph_geometry(g: GraphPresentation, path: CanonicalPath):
+    """check_path_geometry on a graph, comparing vertex names and (edge, t)
+    pairs instead of point objects."""
+    emap = edge_map(g)
+
+    def place(edge, t):
+        e = emap.get(edge)
+        if e is None:
+            raise ModelError(f"unknown edge {edge!r}")
+        return e.src if t == 0 else e.dst if t == 1 else (edge, t)
+
+    cur, prev = _place(path.start), None
+    for item in path.items:
+        if isinstance(item, Pause):
+            continue
+        for seg in item.segs:
+            if not isinstance(seg, Seg):
+                raise ModelError("product segment in a graph path")
+            if place(seg.edge, seg.a) != cur:
+                was = path.start if prev is None else pos_point(g, prev.edge, prev.b)
+                raise ModelError(f"path breaks at {was!r} -> "
+                                 f"{pos_point(g, seg.edge, seg.a)!r}")
+            cur, prev = place(seg.edge, seg.b), seg
+    if cur != _place(path.end):
         raise ModelError("path end point mismatch")

@@ -1,0 +1,193 @@
+"""An independent membership oracle: a depth-bounded enumeration of
+generator-instance concatenations.
+
+It shares no code with the engine's parse (``cspaces.membership``).  It
+reads the generator families from ``kinds.kind_generators`` and the
+presentation's own fields, and cuts segments into ``Seg`` tokens at the
+uniform 1/grid lattice, at the ends of every generator step and window
+and at the annotated points.  Fragment instances therefore take their
+ends from that lattice joined with the path's own breakpoints.  The
+oracle agrees with ``is_controlled`` whenever the path admits a parse
+into at most ``depth`` instances whose fragment ends lie there.
+"""
+
+from fractions import Fraction
+
+from cspaces import kinds as K
+from cspaces.model import (ONE, PAUSE, ZERO, EdgePoint, Pause, Seg, Track,
+                           Vertex)
+from cspaces.presentation import (ProductN, canonicalize, check_path_geometry,
+                                  normalize, project)
+
+
+def brute_force_controlled(space, path_or_track, depth: int = 5,
+                           grid: int = 8) -> bool:
+    """Is the path a concatenation of at most `depth` generator instances
+    (pauses aside), with fragment ends on the lattice?"""
+    norm = normalize(space)
+    path = canonicalize(path_or_track, norm)
+    if not isinstance(path_or_track, Track):
+        check_path_geometry(norm, path)
+    return _brute(norm, path, depth, grid)
+
+
+def _brute(norm, path, depth, grid):
+    if isinstance(norm, ProductN):
+        return all(_brute(f, project(path, norm, i), depth, grid)
+                   for i, f in enumerate((norm.left, norm.right)))
+    pres = norm
+    edges = {e.id: e for e in pres.edges}
+    fams = {e.id: K.kind_generators(e.kind, e.id) for e in pres.edges}
+
+    def point(edge, t):
+        e = edges[edge]
+        return Vertex(e.src) if t == ZERO else Vertex(e.dst) if t == ONE \
+            else EdgePoint(edge, t)
+
+    if path.is_trivial():
+        return _loop_controlled(pres, fams, point, path.start)
+    if path.start in pres.excluded or path.end in pres.excluded:
+        return False
+    toks = _tokens(path, _marks(pres, fams, grid))
+    if not _occurrences_ok(pres, path.start, toks, point):
+        return False
+    gens = [tr for e in pres.edges for tr in fams[e.id].rigid]
+    gens += pres.generators
+    n = len(toks)
+    memo = {}
+
+    def dfs(i, used):
+        if i == n:
+            return True
+        key = (i, used)
+        if key not in memo:
+            memo[key] = False
+            memo[key] = _next(i, used)
+        return memo[key]
+
+    def _next(i, used):
+        tok = toks[i]
+        if isinstance(tok, Pause):
+            return dfs(i + 1, used)
+        if used >= depth:
+            return False
+        for tr in gens:
+            end = _match(tr, toks, i)
+            if end is not None and dfs(end, used + 1):
+                return True
+        fam = fams[tok.edge]
+        j = i
+        while j < n and isinstance(toks[j], Seg) and toks[j].edge == tok.edge \
+                and toks[j].dir == tok.dir and (j == i or toks[j].a == toks[j - 1].b):
+            j += 1
+            stretch = toks[i:j]
+            lo = min(min(t.a, t.b) for t in stretch)
+            hi = max(max(t.a, t.b) for t in stretch)
+            if any(f.admits(lo, hi, tok.dir) and tok.a not in f.start_not
+                   and toks[j - 1].b not in f.end_not for f in fam.fragments) \
+                    and dfs(j, used + 1):
+                return True
+        return False
+
+    return dfs(0, 0)
+
+
+def _marks(pres, fams, grid) -> dict:
+    """Edge -> the values at which the oracle cuts segments."""
+    out = {}
+    for e in pres.edges:
+        fam = fams[e.id]
+        vals = {Fraction(k, grid) for k in range(grid + 1)}
+        vals.update(x for tr in fam.rigid for s in tr.steps for x in (s.a, s.b))
+        for f in fam.fragments:
+            vals.update((f.lo, f.hi, *f.start_not, *f.end_not))
+        out[e.id] = vals
+    for tr in pres.generators:
+        for s in tr.steps:
+            out[s.edge].update((s.a, s.b))
+    for pts in (pres.flexible, pres.excluded, pres.absorbing, pres.emitting,
+                pres.blocked):
+        for p in pts:
+            if isinstance(p, EdgePoint):
+                out[p.edge].add(p.t)
+    return out
+
+
+def _tokens(path, marks) -> list:
+    toks = []
+    for item in path.items:
+        if isinstance(item, Pause):
+            toks.append(PAUSE)
+            continue
+        for seg in item.segs:
+            inner = sorted((c for c in marks[seg.edge]
+                            if min(seg.a, seg.b) < c < max(seg.a, seg.b)),
+                           reverse=seg.dir < 0)
+            ends = [seg.a, *inner, seg.b]
+            toks.extend(Seg(seg.edge, a, b) for a, b in zip(ends, ends[1:]))
+    return toks
+
+
+def _match(tr, toks, i):
+    """The token index after one instance of rigid trace tr whose first
+    motion token is toks[i], or None."""
+    if 0 in tr.pauses and not (i > 0 and isinstance(toks[i - 1], Pause)):
+        return None
+    pos = i
+    for si, step in enumerate(tr.steps):
+        paused = False
+        while pos < len(toks) and isinstance(toks[pos], Pause):
+            paused = True
+            pos += 1
+        if si > 0 and si in tr.pauses and not paused:
+            return None
+        cur = step.a
+        while cur != step.b:
+            while pos < len(toks) and isinstance(toks[pos], Pause):
+                pos += 1
+            if pos >= len(toks):
+                return None
+            tok = toks[pos]
+            if tok.edge != step.edge or tok.dir != step.dir or tok.a != cur \
+                    or (tok.b - step.b) * step.dir > 0:
+                return None
+            cur = tok.b
+            pos += 1
+    if len(tr.steps) in tr.pauses and not (pos < len(toks)
+                                           and isinstance(toks[pos], Pause)):
+        return None
+    return pos
+
+
+def _occurrences_ok(pres, start, toks, point) -> bool:
+    """No blocked point is touched, an absorbing one is only reached at
+    the end and an emitting one is only left at the start."""
+    moving = [isinstance(t, Seg) for t in toks]
+    cur = start
+    for i in range(len(toks) + 1):
+        if i and moving[i - 1]:
+            cur = point(toks[i - 1].edge, toks[i - 1].b)
+        if cur in pres.blocked:
+            return False
+        if cur in pres.absorbing and any(moving[i:]):
+            return False
+        if cur in pres.emitting and any(moving[:i]):
+            return False
+    return True
+
+
+def _loop_controlled(pres, fams, point, p) -> bool:
+    """Is the trivial loop at p controlled?"""
+    if p in pres.excluded or p in pres.blocked:
+        return False
+    if p in pres.flexible:
+        return True
+    for e in pres.edges:
+        for t in (ZERO, ONE):
+            if point(e.id, t) == p and fams[e.id].instance_end(t):
+                return True
+    if isinstance(p, EdgePoint) and fams[p.edge].instance_end(p.t):
+        return True
+    return any(point(tr.steps[0].edge, tr.steps[0].a) == p
+               or point(tr.steps[-1].edge, tr.steps[-1].b) == p
+               for tr in pres.generators)

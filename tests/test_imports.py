@@ -1,8 +1,9 @@
 """No module of the package or of the test suite imports a name it never
 uses, and no function of the package imports anything: an import inside
-a function hides an import cycle.  Only ``ast`` reads the sources;
-``__init__.py`` files (which re-export) and import lines marked
-``# noqa: F401`` are exempt from the first rule."""
+a function hides an import cycle.  The package adds no ``functools``
+cache to the eight it has, which grow without bound.  Only ``ast`` reads
+the sources; ``__init__.py`` files (which re-export) and import lines
+marked ``# noqa: F401`` are exempt from the first rule."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,43 @@ def local_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert local_imports(path) == []
+
+
+# The module-level lru caches that exist; indexes of a presentation are
+# stored on the presentation instead, so that they die with it.
+KNOWN_CACHES = {("presentation", "edge_map"), ("presentation", "family"),
+                ("presentation", "cuts"), ("presentation", "bound_rigid"),
+                ("presentation", "closed_traces"), ("presentation", "normalize"),
+                ("classify", "_fl"), ("reach", "transitions")}
+CACHE_NAMES = {"lru_cache", "cache"}
+
+
+def _cache_call(node) -> bool:
+    """Is node `lru_cache`, `cache`, `functools.<either>` or a call of one?"""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr in CACHE_NAMES
+    return isinstance(node, ast.Name) and node.id in CACHE_NAMES
+
+
+def caches(path: Path) -> list:
+    """(module, function) of each function that a functools cache wraps,
+    and (module, line) of each other use of one."""
+    tree = ast.parse(path.read_text())
+    found, decorators = [], set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in fn.decorator_list:
+                if _cache_call(dec):
+                    found.append((path.stem, fn.name))
+                    decorators.update(id(n) for n in ast.walk(dec))
+    found += [(path.stem, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and _cache_call(node)
+              and id(node) not in decorators]
+    return found
+
+
+def test_no_new_unbounded_caches():
+    found = [c for path in PACKAGE for c in caches(path)]
+    assert set(found) <= KNOWN_CACHES, sorted(set(found) - KNOWN_CACHES, key=str)

@@ -34,8 +34,7 @@ from cspaces.construct import (check_cmap, exclude_endpoints, flexible_part,
                                reversible_part, subspace)
 from cspaces.corpus import build
 from cspaces.kinds import LOOPS, Family, Fragment
-from cspaces.membership import (brute_force_controlled, is_controlled,
-                                parse_controlled)
+from cspaces.membership import is_controlled, parse_controlled
 from cspaces.model import (PAUSE, EdgePoint, Pause, Position, RigidTrace, Run,
                            Seg, TraceStep, UnsupportedConstruction, Vertex,
                            assemble, reverse_path)
@@ -45,6 +44,7 @@ from cspaces.presentation import (bound_rigid, flexible_point, normalize,
 from cspaces.sampling import random_graph_path, random_product_path
 
 from helpers import OPEN_WINDOWS, H, identity, interval
+from oracle import brute_force_controlled
 
 KINDS = {name: K.kind(name) for name in (
     "natural", "directed", "one_jump", "delayed_minus", "delayed_plus",
@@ -186,6 +186,13 @@ class TestLaws:
                 and not flexible_point(
                     sub, pos_point(sub, piece.id, (t - lo) / (hi - lo)))]
         assert lost == []
+
+    def test_subspace_keeps_the_trivial_loop_at_an_isolated_vertex(self, name):
+        # v1 is kept, but no kept edge reaches it
+        sp = interval(KINDS[name])
+        sub = subspace(sp, [Vertex("v1"), ("e0", F(0), H)])
+        v1 = Vertex("v1")
+        assert flexible_point(normalize(sub), v1) == flexible_point(sp, v1)
 
     def test_reversal_maps_onto_the_opposite(self, name):
         sp = interval(KINDS[name])

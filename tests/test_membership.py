@@ -1,22 +1,27 @@
 """Membership engine: frozen expected values for every interval kind and
 the multi-edge models."""
 
+import gc
+import pickle
+import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from cspaces import kinds as K
-from cspaces import membership
+from cspaces import membership, presentation
 from cspaces.corpus import build
 from cspaces.construct import exclude_endpoints
 from cspaces.kinds import Fragment
-from cspaces.membership import (brute_force_controlled, is_controlled,
-                                parse_controlled)
-from cspaces.model import PAUSE, EdgePoint, Seg, Track, Vertex, assemble
-from cspaces.presentation import (Edge, GraphPresentation, cuts, family,
-                                  pos_point)
+from cspaces.membership import is_controlled, parse_controlled
+from cspaces.model import (PAUSE, EdgePoint, ModelError, Seg, Track, Vertex,
+                           assemble)
+from cspaces.presentation import (Edge, GraphPresentation, check_path_geometry,
+                                  cuts, family, pos_point)
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
+from oracle import brute_force_controlled
 
 
 def path(*atoms, start, end):
@@ -292,6 +297,12 @@ class TestGrowthCounts:
         monkeypatch.setattr(membership, "fragment_span_ok",
                             counting("fragment_span_ok", membership.fragment_span_ok))
         monkeypatch.setattr(Fragment, "admits", counting("admits", Fragment.admits))
+        monkeypatch.setattr(membership, "_window_ok",
+                            counting("_window_ok", membership._window_ok))
+        # the ranked window check is counted: a directed edge calls it
+        assert is_controlled(build("d_interval"), FULL_UP)
+        assert "_window_ok" in calls
+        calls.clear()
         sp = build("c_line_window", lo=0, hi=256)
         out = parse_controlled(sp, path(Seg("e0", Z, O), start=V0, end=Vertex("v256")))
         assert out.controlled and out.count == 256
@@ -371,3 +382,96 @@ class TestOverlapCut:
             ends = {Z, O} | {v for f in fam.fragments for v in (f.lo, f.hi)}
             ends |= {v for tr in fam.rigid for s in tr.steps for v in (s.a, s.b)}
             assert set(cuts(sp, "e0")) == ends
+
+
+def _chain(n):
+    """v0 -e0-> v1 -> ... -> vn, every edge a one_jump."""
+    return GraphPresentation(
+        frozenset(f"v{k}" for k in range(n + 1)),
+        tuple(Edge(f"e{k}", f"v{k}", f"v{k + 1}", K.ONE_JUMP) for k in range(n)))
+
+
+class TestRankedParse:
+    """Tokens carry integer ranks among their edge's cut values: the cut
+    at index i has rank 2i, a point between cuts i and i + 1 rank 2i + 1."""
+
+    def test_loop_stretch_breaks_at_the_vertex(self):
+        # 1/2 -> 1 and 0 -> 1/2 rise on one loop edge but do not chain:
+        # rank 2 (the end 1) meets rank 0 (the start 0)
+        sp = build("d_circle")
+        m = EdgePoint("e0", H)
+        p = path(Seg("e0", H, O), Seg("e0", Z, H), start=m, end=m)
+        assert [(t.ra, t.rb) for t in membership.explode(sp, p)] == [(1, 2), (0, 1)]
+        out = parse_controlled(sp, p)
+        assert (out.controlled, out.count) == (True, 2)
+
+    def test_pause_off_the_cuts_inside_a_jump(self):
+        third = EdgePoint("e0", F(1, 3))
+        p = path(Seg("e0", Z, F(1, 3)), PAUSE, Seg("e0", F(1, 3), O),
+                 start=V0, end=V1)
+        out = parse_controlled(build("c_interval"), p)
+        assert (out.controlled, out.count) == (True, 1)
+        assert not is_controlled(build("c_interval"),
+                                 path(Seg("e0", Z, F(1, 3)), start=V0, end=third))
+
+    def test_token_counts_of_a_chain_and_a_sweep(self):
+        chain = _chain(40)
+        run = path(*(Seg(f"e{k}", Z, O) for k in range(40)), start=V0,
+                   end=Vertex("v40"))
+        toks = membership.explode(chain, run)
+        assert len(toks) == 40
+        assert {(t.ra, t.rb) for t in toks} == {(0, 2)}
+        sweep = build("c_line_window", lo=0, hi=16)
+        down = path(Seg("e0", O, F(1, 32)), start=Vertex("v16"),
+                    end=EdgePoint("e0", F(1, 32)))
+        toks = membership.explode(sweep, down)
+        assert len(toks) == 16
+        assert (toks[0].ra, toks[0].rb, toks[-1].ra, toks[-1].rb) == (32, 30, 2, 1)
+
+    def test_pickle_drops_the_parse_index(self):
+        sp = build("c_line_window", lo=0, hi=8)
+        p = path(Seg("e0", F(1, 16), O), start=EdgePoint("e0", F(1, 16)),
+                 end=Vertex("v8"))
+        before = membership.graph_parse(sp, p)
+        assert "_parse_index" in sp.__dict__
+        back = pickle.loads(pickle.dumps(sp))
+        assert back == sp and "_parse_index" not in back.__dict__
+        assert membership.graph_parse(back, p) == before
+        assert "_parse_index" in back.__dict__
+
+    def test_the_parse_index_dies_with_its_presentation(self):
+        sp = _chain(3)
+        out = membership.graph_parse(sp, path(Seg("e0", Z, O), start=V0, end=V1))
+        assert out.controlled
+        index = weakref.ref(membership.parse_index(sp))
+        # the lookup caches of the presentation module hold sp as a key
+        for cache in (presentation.edge_map, presentation.family,
+                      presentation.cuts):
+            cache.cache_clear()
+        del sp
+        gc.collect()
+        assert index() is None
+
+    def test_edges_of_one_kind_and_cuts_share_an_entry(self):
+        # a flexible point on e2 gives that edge cut values of its own
+        chain = replace(_chain(5), flexible=frozenset({EdgePoint("e2", H)}))
+        toks = membership.explode(
+            chain, path(*(Seg(f"e{k}", Z, O) for k in range(5)), start=V0,
+                        end=Vertex("v5")))
+        assert len(toks) == 6
+        index = membership.parse_index(chain)
+        assert len(index.edges) == 5 and len(index.shared) == 2
+        assert index.edges["e2"].cuts == cuts(chain, "e2") == (Z, H, O)
+        assert index.edges["e4"].cuts == cuts(chain, "e4") == (Z, O)
+
+
+class TestPathGeometry:
+    def test_run_across_the_vertex_of_a_loop_edge(self):
+        m = EdgePoint("e0", H)
+        check_path_geometry(build("d_circle"),
+                            path(Seg("e0", H, O), Seg("e0", Z, H), start=m, end=m))
+
+    def test_jump_on_one_edge_breaks_the_path(self):
+        p = path(Seg("e0", Z, F(3, 10)), Seg("e0", H, O), start=V0, end=V1)
+        with pytest.raises(ModelError, match="path breaks"):
+            check_path_geometry(build("natural_interval"), p)
