@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .construct import flexible_part
-from .membership import _ensure_path, is_controlled
+from .membership import _ensure_path, check_path_geometry, is_controlled
 from .model import (ZERO, CanonicalPath, ModelError, Position, PTuple, Rat,
                     Run, Seg, UnsupportedConstruction)
 from .presentation import (GraphPresentation, ProductN, cuts, family,
@@ -140,6 +140,7 @@ def is_rigid_path(space, path_or_track) -> bool:
     norm = normalize(space)
     path = _ensure_path(norm, path_or_track)
     if path.is_trivial():
+        check_path_geometry(norm, path)  # a broken path is not constant
         raise ModelError("path is constant")
     if not is_controlled(norm, path):
         raise ModelError("path is not controlled")

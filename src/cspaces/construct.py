@@ -103,11 +103,15 @@ def hat(space):
     The hat of a product is the product of the hats: restrictions of the
     two coordinates of a controlled pair can be padded with pauses until
     both run over one interval, where they restrict one controlled pair.
+    The hat of a graph presentation is kept on it, like its cell graph,
+    and dropped from pickles.
     """
     norm = normalize(space)
     if isinstance(norm, ProductN):
         return ProductN(hat(norm.left), hat(norm.right))
-    return hat_graph(norm)
+    if "_hat" not in norm.__dict__:
+        object.__setattr__(norm, "_hat", hat_graph(norm))
+    return norm._hat
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     Pause, ProdSeg, PTuple, RigidTrace, Seg, Track,
                     TraceStep, Vertex, assemble, rat, rat_str)
 from .construct import hat
+from .membership import check_path_geometry
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
                            Opposite, Product, ProductN, Quotient, Subspace,
-                           Sum, _point_of_seg, canonicalize,
-                           check_path_geometry, edge_map, normalize, pos_point)
+                           Sum, _point_of_seg, canonicalize, edge_map,
+                           normalize, pos_point)
 
 
 def dumps(obj) -> str:
@@ -391,13 +392,11 @@ def path_to_json(path: CanonicalPath) -> dict:
 
 
 def _atom_end(norm, atom):
-    if isinstance(atom, Seg):
-        if isinstance(norm, GraphPresentation):
-            return pos_point(norm, atom.edge, atom.b)
-        return None
-    if isinstance(atom, ProdSeg):
-        return _point_of_seg(norm, atom, ONE)
-    return None
+    """Where a motion atom of the right sort for norm ends, else None (a
+    pause, or a misplaced atom that the geometry check reports)."""
+    if isinstance(norm, GraphPresentation):
+        return pos_point(norm, atom.edge, atom.b) if isinstance(atom, Seg) else None
+    return _point_of_seg(norm, atom, ONE) if isinstance(atom, ProdSeg) else None
 
 
 def path_from_json(d: dict, space):

@@ -2,8 +2,9 @@
 
 The engine explodes a canonical path into atomic motion tokens, cut at
 every cut value of their edge (``presentation.cuts``: run boundaries,
-anchors of the edge kind, trace step ends, annotated points).  A
-shortest-parse search then covers the tokens by generator instances:
+anchors of the edge kind, trace step ends, annotated points), and checks
+that its segments chain in the same walk.  A shortest-parse search, one
+forward pass over the tokens, then covers them by generator instances:
 rigid traces matched step by step (with dwell requirements) and
 flexible-fragment stretches.  Pauses move the parse forward for free.
 
@@ -18,13 +19,13 @@ kind with the same cut values share one entry.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .model import PAUSE, CanonicalPath, Pause, Rat, Seg, Track
-from .presentation import (GraphPresentation, ProductN, canonicalize,
-                           check_path_geometry, cuts, edge_of, family,
+from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
+                    Pause, Rat, Seg, Track, Vertex)
+from .presentation import (GraphPresentation, ProductN, _point_of_seg,
+                           canonicalize, cuts, edge_map, edge_of, family,
                            flexible_point, normalize, own_cut_values,
                            pos_point, project)
 
@@ -40,10 +41,9 @@ class ParseOutcome:
 # ---------------------------------------------------------------------------
 # Ranks and the parse index
 
-def _rank(cs: tuple, v: Rat) -> int:
-    """The rank of v among the sorted cut values cs."""
-    i = bisect_left(cs, v)
-    return 2 * i if i < len(cs) and cs[i] == v else 2 * i - 1
+def _ranks(cs: tuple) -> dict:
+    """Each of the sorted cut values cs -> its rank."""
+    return {v: 2 * i for i, v in enumerate(cs)}
 
 
 class _EdgeIndex:
@@ -62,16 +62,17 @@ class _EdgeIndex:
 
     def __init__(self, fam, cs: tuple):
         self.cuts = cs
+        rank = _ranks(cs)
         self.wins = {1: [], -1: []}
         for f in fam.fragments:
             if f.dir:
                 self.wins[f.dir].append((
-                    _rank(cs, f.lo) + f.lo_open, _rank(cs, f.hi) - f.hi_open,
-                    frozenset(_rank(cs, x) for x in f.start_not),
-                    frozenset(_rank(cs, x) for x in f.end_not)))
+                    rank[f.lo] + f.lo_open, rank[f.hi] - f.hi_open,
+                    frozenset(rank[x] for x in f.start_not),
+                    frozenset(rank[x] for x in f.end_not)))
         self.rigid = {}
         for k, tr in enumerate(fam.rigid):
-            steps = tuple((None, s.dir, _rank(cs, s.a), _rank(cs, s.b))
+            steps = tuple((None, s.dir, rank[s.a], rank[s.b])
                           for s in tr.steps)
             self.rigid.setdefault(steps[0][1:3], []).append((k, steps, tr.pauses))
 
@@ -92,9 +93,11 @@ class _ParseIndex:
         self.own = {e: frozenset(vals)
                     for e, vals in own_cut_values(pres).items()}
         self.gens = {}    # (edge, d, rank) -> [(steps, dwell marks, trace)]
+        rank = {e: _ranks(cuts(pres, e))
+                for e in {s.edge for tr in pres.generators for s in tr.steps}}
         for tr in pres.generators:
-            steps = tuple((s.edge, s.dir, _rank(cuts(pres, s.edge), s.a),
-                           _rank(cuts(pres, s.edge), s.b)) for s in tr.steps)
+            steps = tuple((s.edge, s.dir, rank[s.edge][s.a], rank[s.edge][s.b])
+                          for s in tr.steps)
             self.gens.setdefault(steps[0][:3], []).append((steps, tr.pauses, tr))
 
 
@@ -110,14 +113,12 @@ def parse_index(pres: GraphPresentation) -> _ParseIndex:
 
 
 def _edge_index(index: _ParseIndex, pres, edge: str) -> _EdgeIndex:
-    ent = index.edges.get(edge)
+    """The entry of an edge that no path has reached yet."""
+    key = (edge_of(pres, edge).kind, index.own.get(edge, frozenset()))
+    ent = index.shared.get(key)
     if ent is None:
-        key = (edge_of(pres, edge).kind, index.own.get(edge, frozenset()))
-        ent = index.shared.get(key)
-        if ent is None:
-            ent = index.shared[key] = _EdgeIndex(family(pres, edge),
-                                                 cuts(pres, edge))
-        index.edges[edge] = ent
+        ent = index.shared[key] = _EdgeIndex(family(pres, edge), cuts(pres, edge))
+    index.edges[edge] = ent
     return ent
 
 
@@ -135,17 +136,31 @@ class Token(NamedTuple):
     rb: int
 
 
+def _place(p):
+    """A graph point as a vertex name or an (edge, t) pair."""
+    if isinstance(p, Vertex):
+        return p.name
+    if isinstance(p, EdgePoint):
+        return p.edge, p.t
+    return p
+
+
 def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
-    """Atomic tokens (PAUSE or Token), cut at every cut value of their edge."""
+    """Atomic tokens (PAUSE or Token), cut at every cut value of their edge;
+    raises ModelError when the path's segments do not chain in pres."""
     index = parse_index(pres)
+    edges, emap = index.edges, edge_map(pres)
     toks = []
+    cur, prev = _place(path.start), None
     for item in path.items:
         if isinstance(item, Pause):
             toks.append(PAUSE)
             continue
         for seg in item.segs:
+            if type(seg) is not Seg:
+                raise ModelError("product segment in a graph path")
             edge, a, b = seg.edge, seg.a, seg.b
-            cs = _edge_index(index, pres, edge).cuts
+            cs = (edges.get(edge) or _edge_index(index, pres, edge)).cuts
             # comparing a Fraction with an int is quick; most segments
             # start or end at a vertex
             d = 1 if a == 0 or b == 1 or (a != 1 and b != 0 and a < b) else -1
@@ -156,15 +171,22 @@ def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
             else:
                 i = bisect_right(cs, lo)
                 rlo = 2 * i - 2 if cs[i - 1] == lo else 2 * i - 1
+            top = 2 * len(cs) - 2
             if hi == 1:
-                j = len(cs) - 1
-                rhi = 2 * j
+                j, rhi = len(cs) - 1, top
             else:
                 j = bisect_left(cs, hi)
                 rhi = 2 * j if cs[j] == hi else 2 * j - 1
+            ra, rb = (rlo, rhi) if d > 0 else (rhi, rlo)
+            # rank 0 is the edge's source vertex, the top rank its target
+            e = emap[edge]
+            if (e.src if ra == 0 else e.dst if ra == top else (edge, a)) != cur:
+                was = path.start if prev is None else pos_point(pres, prev.edge, prev.b)
+                raise ModelError(f"path breaks at {was!r} -> "
+                                 f"{pos_point(pres, edge, a)!r}")
+            cur, prev = e.src if rb == 0 else e.dst if rb == top else (edge, b), seg
             if i == j:
-                toks.append(Token(edge, d, a, b, rlo, rhi) if d > 0
-                            else Token(edge, d, a, b, rhi, rlo))
+                toks.append(Token(edge, d, a, b, ra, rb))
                 continue
             vals = [lo, *cs[i:j], hi]
             ranks = [rlo, *range(2 * i, 2 * j, 2), rhi]
@@ -173,7 +195,30 @@ def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
                 ranks.reverse()
             toks.extend(Token(edge, d, vals[k], vals[k + 1], ranks[k], ranks[k + 1])
                         for k in range(len(vals) - 1))
+    if cur != _place(path.end):
+        raise ModelError("path end point mismatch")
     return toks
+
+
+def check_path_geometry(space, path: CanonicalPath):
+    """Raise if the path's segments do not chain together in the space."""
+    norm = normalize(space)
+    if isinstance(norm, GraphPresentation):
+        explode(norm, path)
+        return
+    cur = path.start
+    for item in path.items:
+        if isinstance(item, Pause):
+            continue
+        for seg in item.segs:
+            if isinstance(seg, Seg):
+                raise ModelError("graph segment in a product path")
+            here = _point_of_seg(norm, seg, ZERO)
+            if here != cur:
+                raise ModelError(f"path breaks at {cur!r} -> {here!r}")
+            cur = _point_of_seg(norm, seg, ONE)
+    if cur != path.end:
+        raise ModelError("path end point mismatch")
 
 
 def _point_before(pres, start, toks, k: int):
@@ -271,6 +316,7 @@ def _occurrence_check(pres, start, toks) -> Optional[object]:
 # Core graph parse
 
 def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
+    toks = explode(pres, path)
     if path.is_trivial():
         ok = flexible_point(pres, path.start)
         return ParseOutcome(ok, count=0,
@@ -278,7 +324,6 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
     for p in (path.start, path.end):
         if p in pres.excluded:
             return ParseOutcome(False, fail_at=p)
-    toks = explode(pres, path)
     if pres.blocked or pres.absorbing or pres.emitting:
         bad = _occurrence_check(pres, path.start, toks)
         if bad is not None:
@@ -290,21 +335,15 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
     dist = [INF] * (n + 1)
     parent = [None] * (n + 1)
     dist[0] = 0
-    dq = deque([0])
-    seen = [False] * (n + 1)
-    while dq:
-        i = dq.popleft()
-        if seen[i]:
+    # every instance ends after the token it starts at, so token order is
+    # a topological order and one forward pass finds the shortest parse
+    for i, tok in enumerate(toks):
+        if dist[i] >= INF:
             continue
-        seen[i] = True
-        if i == n:
-            break
-        tok = toks[i]
         if tok is PAUSE:
             if dist[i] < dist[i + 1]:
                 dist[i + 1] = dist[i]
                 parent[i + 1] = (i, ("pause",))
-                dq.appendleft(i + 1)
             continue
         step = dist[i] + 1
         edge, d, start = tok.edge, tok.dir, tok.ra
@@ -321,7 +360,6 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
                 if step < dist[j] and _window_ok(wins, lo, hi, start, last.rb):
                     dist[j] = step
                     parent[j] = (i, ("fragment", edge, tok.a, last.b))
-                    dq.append(j)
                 if j == n:
                     break
                 nxt = toks[j]
@@ -335,13 +373,11 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
             if end is not None and step < dist[end]:
                 dist[end] = step
                 parent[end] = (i, ("rigid", family(pres, edge).rigid[k]))
-                dq.append(end)
         for steps, pauses, tr in gens.get((edge, d, start), ()):
             end = _match(steps, pauses, toks, i, edge)
             if end is not None and step < dist[end]:
                 dist[end] = step
                 parent[end] = (i, ("rigid", tr))
-                dq.append(end)
     if dist[n] >= INF:
         far = max(k for k in range(n + 1) if dist[k] < INF)
         return ParseOutcome(False, fail_at=_point_before(pres, path.start, toks, far))
@@ -359,10 +395,11 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
 # Public entry points
 
 def _ensure_path(norm, path_or_track) -> CanonicalPath:
-    if isinstance(path_or_track, Track):
-        return canonicalize(path_or_track, norm)
+    # explode checks a graph path; a product path's projections forget
+    # where a resting coordinate rests, so it is checked here
     path = canonicalize(path_or_track, norm)
-    check_path_geometry(norm, path)
+    if isinstance(norm, ProductN) and not isinstance(path_or_track, Track):
+        check_path_geometry(norm, path)
     return path
 
 

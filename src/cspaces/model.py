@@ -151,6 +151,9 @@ class Run:
 
 @dataclass(frozen=True)
 class CanonicalPath:
+    """``assemble`` marks its paths with ``_canonical``, outside the fields
+    (``==``, ``repr`` and ``replace()`` never see it); ``canonicalize``
+    assembles only unmarked paths again."""
     start: Point
     items: tuple  # alternating Run / Pause, normalised
     end: Point
@@ -309,7 +312,9 @@ def assemble(start: Point, atoms, end: Point) -> CanonicalPath:
             cur.append(atom)
     if cur:
         items.append(Run(tuple(cur)))
-    return CanonicalPath(start, tuple(items), end)
+    path = CanonicalPath(start, tuple(items), end)
+    object.__setattr__(path, "_canonical", True)
+    return path
 
 
 def reverse_path(p: CanonicalPath) -> CanonicalPath:

@@ -43,10 +43,10 @@ class GraphPresentation:
     fields: ``==``, ``repr`` and ``replace()`` never see it.  The engines
     look presentations up in caches many times per query.  The same
     holds for the compiled cell graph that ``reach.compiled`` stores as
-    ``_cells`` and the parse index that ``membership.parse_index`` stores
-    as ``_parse_index``.  Pickles drop all three: string hashes are
-    salted per process, and the graph and the index are rebuilt on
-    demand.
+    ``_cells``, the parse index that ``membership.parse_index`` stores
+    as ``_parse_index`` and the hat that ``construct.hat`` stores as
+    ``_hat``.  Pickles drop all four: string hashes are salted per
+    process, and the others are rebuilt on demand.
     """
     vertices: frozenset
     edges: tuple  # of Edge
@@ -71,6 +71,7 @@ class GraphPresentation:
         state.pop("_hash", None)
         state.pop("_cells", None)
         state.pop("_parse_index", None)
+        state.pop("_hat", None)
         return state
 
 
@@ -754,10 +755,13 @@ def _part_motion(norm, p, q):
 
 
 def canonicalize(path_or_track, space) -> CanonicalPath:
-    """Canonical pause/run form of a track (or an already canonical path)."""
+    """Canonical pause/run form of a track or a path.  A path that
+    ``assemble`` built is returned as it is."""
     norm = normalize(space)
     if isinstance(path_or_track, CanonicalPath):
         p = path_or_track
+        if "_canonical" in p.__dict__:
+            return p
         atoms = []
         for item in p.items:
             atoms.append(PAUSE) if isinstance(item, Pause) else atoms.extend(item.segs)
@@ -893,60 +897,3 @@ def trace_path(pres: GraphPresentation, tr: RigidTrace) -> CanonicalPath:
     if len(tr.steps) in tr.pauses:
         atoms.append(PAUSE)
     return assemble(trace_start(pres, tr), atoms, trace_end(pres, tr))
-
-
-def check_path_geometry(space, path: CanonicalPath):
-    """Raise if the path's segments do not chain together in the space."""
-    norm = normalize(space)
-    if isinstance(norm, GraphPresentation):
-        _check_graph_geometry(norm, path)
-        return
-    cur = path.start
-    for item in path.items:
-        if isinstance(item, Pause):
-            continue
-        for seg in item.segs:
-            if isinstance(seg, Seg):
-                raise ModelError("graph segment in a product path")
-            here = _point_of_seg(norm, seg, ZERO)
-            if here != cur:
-                raise ModelError(f"path breaks at {cur!r} -> {here!r}")
-            cur = _point_of_seg(norm, seg, ONE)
-    if cur != path.end:
-        raise ModelError("path end point mismatch")
-
-
-def _place(p):
-    """A graph point as a vertex name or an (edge, t) pair."""
-    if isinstance(p, Vertex):
-        return p.name
-    if isinstance(p, EdgePoint):
-        return p.edge, p.t
-    return p
-
-
-def _check_graph_geometry(g: GraphPresentation, path: CanonicalPath):
-    """check_path_geometry on a graph, comparing vertex names and (edge, t)
-    pairs instead of point objects."""
-    emap = edge_map(g)
-
-    def place(edge, t):
-        e = emap.get(edge)
-        if e is None:
-            raise ModelError(f"unknown edge {edge!r}")
-        return e.src if t == 0 else e.dst if t == 1 else (edge, t)
-
-    cur, prev = _place(path.start), None
-    for item in path.items:
-        if isinstance(item, Pause):
-            continue
-        for seg in item.segs:
-            if not isinstance(seg, Seg):
-                raise ModelError("product segment in a graph path")
-            if place(seg.edge, seg.a) != cur:
-                was = path.start if prev is None else pos_point(g, prev.edge, prev.b)
-                raise ModelError(f"path breaks at {was!r} -> "
-                                 f"{pos_point(g, seg.edge, seg.a)!r}")
-            cur, prev = place(seg.edge, seg.b), seg
-    if cur != _place(path.end):
-        raise ModelError("path end point mismatch")

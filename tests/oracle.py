@@ -1,23 +1,24 @@
 """An independent membership oracle: a depth-bounded enumeration of
 generator-instance concatenations.
 
-It shares no code with the engine's parse (``cspaces.membership``).  It
-reads the generator families from ``kinds.kind_generators`` and the
-presentation's own fields, and cuts segments into ``Seg`` tokens at the
-uniform 1/grid lattice, at the ends of every generator step and window
-and at the annotated points.  Fragment instances therefore take their
-ends from that lattice joined with the path's own breakpoints.  The
-oracle agrees with ``is_controlled`` whenever the path admits a parse
-into at most ``depth`` instances whose fragment ends lie there.
+It shares no code with the engine's parse (``cspaces.membership``), not
+even the check that a path's segments chain (``tests/test_imports.py``
+holds it to that).  It reads the generator families from
+``kinds.kind_generators`` and the presentation's own fields, and cuts
+segments into ``Seg`` tokens at the uniform 1/grid lattice, at the ends
+of every generator step and window and at the annotated points.
+Fragment instances therefore take their ends from that lattice joined
+with the path's own breakpoints.  The oracle agrees with
+``is_controlled`` whenever the path admits a parse into at most
+``depth`` instances whose fragment ends lie there.
 """
 
 from fractions import Fraction
 
 from cspaces import kinds as K
-from cspaces.model import (ONE, PAUSE, ZERO, EdgePoint, Pause, Seg, Track,
-                           Vertex)
-from cspaces.presentation import (ProductN, canonicalize, check_path_geometry,
-                                  normalize, project)
+from cspaces.model import (ONE, PAUSE, ZERO, EdgePoint, ModelError, Pause,
+                           PTuple, Seg, Track, Vertex)
+from cspaces.presentation import ProductN, canonicalize, normalize, project
 
 
 def brute_force_controlled(space, path_or_track, depth: int = 5,
@@ -27,8 +28,37 @@ def brute_force_controlled(space, path_or_track, depth: int = 5,
     norm = normalize(space)
     path = canonicalize(path_or_track, norm)
     if not isinstance(path_or_track, Track):
-        check_path_geometry(norm, path)
+        _check_chain(norm, path)
     return _brute(norm, path, depth, grid)
+
+
+def _at(norm, seg, t):
+    """Where a segment, or a resting coordinate, is at its start (t = 0)
+    or its end (t = 1)."""
+    if isinstance(seg, (Vertex, EdgePoint, PTuple)):
+        return seg
+    if isinstance(norm, ProductN):
+        return PTuple((_at(norm.left, seg.parts[0], t),
+                       _at(norm.right, seg.parts[1], t)))
+    e = next((e for e in norm.edges if e.id == seg.edge), None)
+    if e is None:
+        raise ModelError(f"unknown edge {seg.edge!r}")
+    x = seg.b if t else seg.a
+    return Vertex(e.src) if x == ZERO else Vertex(e.dst) if x == ONE \
+        else EdgePoint(seg.edge, x)
+
+
+def _check_chain(norm, path):
+    """Raise ModelError unless each segment starts where the last ended
+    and the path ends at its end point."""
+    cur = path.start
+    for item in path.items:
+        for seg in () if isinstance(item, Pause) else item.segs:
+            if _at(norm, seg, 0) != cur:
+                raise ModelError("path breaks")
+            cur = _at(norm, seg, 1)
+    if cur != path.end:
+        raise ModelError("path end point mismatch")
 
 
 def _brute(norm, path, depth, grid):

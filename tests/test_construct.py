@@ -1,6 +1,7 @@
 """Space constructions: hat, flexible part, opposite, reversible
 closure/part, reshaping comparison, controlled maps."""
 
+import pickle
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -10,8 +11,8 @@ from cspaces import kinds as K
 from cspaces.classify import is_flexible_path
 from cspaces.construct import (EdgeImage, check_cmap, cmap, exclude_endpoints,
                                flexible_part, functor_D, functor_Dc,
-                               functor_Dprime, hat, is_finer, map_path,
-                               map_point, opposite, product,
+                               functor_Dprime, hat, hat_graph, is_finer,
+                               map_path, map_point, opposite, product,
                                quotient_identify, reversible_closure,
                                reversible_part, subspace, sum_space)
 from cspaces.corpus import build
@@ -80,6 +81,31 @@ class TestHat:
     def test_hat_clears_excluded(self):
         sp = exclude_endpoints(build("siphon"), [V1])
         assert is_controlled(hat(sp), UP)
+
+    def test_hat_is_kept_on_its_presentation(self):
+        sp = normalize(build("dual_carriageway"))
+        h = hat(sp)
+        assert hat(sp) is h and vars(sp)["_hat"] is h
+        assert h == hat_graph(sp) and h is not hat_graph(sp)
+        assert hat(product(sp, sp)) == ProductN(h, h)
+
+    def test_pickle_drops_the_hat(self):
+        sp = normalize(build("dual_carriageway"))
+        hat(sp)
+        assert "_hat" in vars(sp)
+        copy = pickle.loads(pickle.dumps(sp))
+        assert "_hat" not in vars(copy) and copy == sp
+        assert hat(copy) == hat(sp)
+
+    def test_d_reachable_answers_are_unchanged(self):
+        sp = build("dual_carriageway")
+        pts = [Vertex(v) for v in sorted(sp.vertices)]
+        pts += [EdgePoint(e.id, t) for e in sp.edges for t in (F(1, 3), F(2, 3))]
+        for x in pts:
+            for y in pts:
+                # hat_graph builds a new hat, which nothing has asked before
+                fresh = c_reachable(hat_graph(sp), x, y).ok
+                assert d_reachable(sp, x, y).ok == fresh, (x, y)
 
 
 class TestFlexiblePart:

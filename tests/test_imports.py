@@ -1,9 +1,10 @@
 """No module of the package or of the test suite imports a name it never
 uses, and no function of the package imports anything: an import inside
 a function hides an import cycle.  The package adds no ``functools``
-cache to the eight it has, which grow without bound.  Only ``ast`` reads
-the sources; ``__init__.py`` files (which re-export) and import lines
-marked ``# noqa: F401`` are exempt from the first rule."""
+cache to the eight it has, which grow without bound.  The membership
+oracle of the tests imports nothing from the parse it checks.  Only
+``ast`` reads the sources; ``__init__.py`` files (which re-export) and
+import lines marked ``# noqa: F401`` are exempt from the first rule."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,22 @@ def caches(path: Path) -> list:
 def test_no_new_unbounded_caches():
     found = [c for path in PACKAGE for c in caches(path)]
     assert set(found) <= KNOWN_CACHES, sorted(set(found) - KNOWN_CACHES, key=str)
+
+
+def imported_modules(path: Path) -> set:
+    """The modules that a file imports from, as dotted names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add(node.module or "")
+            out.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_the_oracle_shares_no_code_with_the_parse():
+    # tests/oracle.py cross-checks cspaces.membership, so it must not use it
+    found = imported_modules(ROOT / "tests" / "oracle.py")
+    assert not {m for m in found if m == "cspaces.membership"
+                or m.startswith("cspaces.membership.")}, found

@@ -9,16 +9,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from cspaces import jsonio
 from cspaces import kinds as K
 from cspaces import membership, presentation
+from cspaces.classify import is_flexible_path, is_rigid_path, is_splittable
 from cspaces.corpus import build
 from cspaces.construct import exclude_endpoints
 from cspaces.kinds import Fragment
-from cspaces.membership import is_controlled, parse_controlled
-from cspaces.model import (PAUSE, EdgePoint, ModelError, Seg, Track, Vertex,
-                           assemble)
-from cspaces.presentation import (Edge, GraphPresentation, check_path_geometry,
-                                  cuts, family, pos_point)
+from cspaces.membership import (check_path_geometry, is_controlled,
+                                parse_controlled)
+from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, ModelError,
+                           Position, ProdSeg, Run, Seg, Track, Vertex, assemble)
+from cspaces.presentation import (Edge, GraphPresentation, canonicalize, cuts,
+                                  family, pos_point)
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
 from oracle import brute_force_controlled
@@ -475,3 +478,78 @@ class TestPathGeometry:
         p = path(Seg("e0", Z, F(3, 10)), Seg("e0", H, O), start=V0, end=V1)
         with pytest.raises(ModelError, match="path breaks"):
             check_path_geometry(build("natural_interval"), p)
+
+    BREAK = ("path breaks at EdgePoint(edge='e0', t=Fraction(3, 10)) -> "
+             "EdgePoint(edge='e0', t=Fraction(1, 2))")
+    MALFORMED = {
+        "unknown edge": (path(Seg("x9", Z, O), start=V0, end=V1),
+                         "unknown edge 'x9'"),
+        "break in a run": (path(Seg("e0", Z, F(3, 10)), Seg("e0", H, O),
+                                start=V0, end=V1), BREAK),
+        "break across a pause": (path(Seg("e0", Z, F(3, 10)), PAUSE,
+                                      Seg("e0", H, O), start=V0, end=V1), BREAK),
+        "end mismatch": (path(Seg("e0", Z, H), start=V0, end=V1),
+                         "path end point mismatch"),
+        "constant path": (path(PAUSE, start=V0, end=V1),
+                          "path end point mismatch"),
+        "product segment": (path(ProdSeg((Seg("e0", Z, O), V0)), start=V0,
+                                 end=V1), "product segment in a graph path"),
+    }
+    CALLS = {
+        "check_path_geometry": check_path_geometry,
+        "is_controlled": is_controlled,
+        "parse_controlled": parse_controlled,
+        "is_rigid_path": is_rigid_path,
+        "is_splittable": lambda sp, p: is_splittable(sp, p, Position(0)),
+        "is_flexible_path": is_flexible_path,
+        "path_from_json": lambda sp, p: jsonio.path_from_json(
+            jsonio.path_to_json(p), sp),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_paths_raise_one_message_everywhere(self, case, call):
+        # the tokenizer checks graph geometry; every entry point reports the
+        # first fault along the path, and a broken constant path its ends
+        p, message = self.MALFORMED[case]
+        with pytest.raises(ModelError) as err:
+            self.CALLS[call](build("natural_interval"), p)
+        assert str(err.value) == message
+
+
+class TestCanonicalMark:
+    """assemble marks its paths, and canonicalize hands those back as they
+    are; other paths are assembled again."""
+
+    sp = build("c_interval")
+
+    def test_an_assembled_path_is_its_own_canonical_form(self):
+        assert canonicalize(MID_PAUSE_UP, self.sp) is MID_PAUSE_UP
+
+    @pytest.mark.parametrize("items", [
+        (Run((Seg("e0", Z, H),)), PAUSE, PAUSE, Run((Seg("e0", H, O),))),
+        (Run((Seg("e0", Z, H),)), Run((Seg("e0", H, O),))),
+    ], ids=["adjacent pauses", "mergeable runs"])
+    def test_a_hand_built_path_parses_like_its_assembled_form(self, items):
+        hand = CanonicalPath(V0, items, V1)
+        atoms = [a for it in items for a in (it.segs if isinstance(it, Run)
+                                             else (it,))]
+        assembled = assemble(V0, atoms, V1)
+        assert hand != assembled
+        assert canonicalize(hand, self.sp) == assembled
+        assert parse_controlled(self.sp, hand) == parse_controlled(self.sp,
+                                                                   assembled)
+
+    def test_replace_drops_the_mark(self):
+        copy = replace(MID_PAUSE_UP)
+        assert copy == MID_PAUSE_UP and "_canonical" not in vars(copy)
+        again = canonicalize(copy, self.sp)
+        assert again == copy and again is not copy
+        assert "_canonical" in vars(again)
+
+    def test_pickle_keeps_equality(self):
+        back = pickle.loads(pickle.dumps(MID_PAUSE_UP))
+        assert back == MID_PAUSE_UP and hash(back) == hash(MID_PAUSE_UP)
+        assert canonicalize(back, self.sp) == MID_PAUSE_UP
+        assert parse_controlled(self.sp, back) == parse_controlled(
+            self.sp, MID_PAUSE_UP)

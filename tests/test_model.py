@@ -3,6 +3,7 @@ hashing of graph presentations."""
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -12,8 +13,8 @@ import pytest
 
 import cspaces
 from cspaces import kinds as K
-from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple, Seg,
-                           Track, Vertex, assemble, concat, rat, rat_str,
+from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple, Run,
+                           Seg, Track, Vertex, assemble, concat, rat, rat_str,
                            reverse_path)
 from cspaces.presentation import Edge, GraphPresentation
 
@@ -66,6 +67,63 @@ def test_assemble_collapses_repeated_pauses():
                  Vertex("v1"))
     kinds = [type(i).__name__ for i in p.items]
     assert kinds == ["Pause", "Run", "Pause"]
+
+
+VALUES = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+
+
+def _motion(rng, product: bool):
+    """A random Seg, or a ProdSeg whose parts move or rest, some nested."""
+    if not product:
+        a, b = rng.sample(VALUES, 2)
+        return Seg(rng.choice(("e0", "e1")), a, b)
+    parts = [_motion(rng, rng.random() < 0.1) if rng.random() < 0.7
+             else Vertex("v0") for _ in range(2)]
+    if not any(isinstance(p, (Seg, ProdSeg)) for p in parts):
+        parts[0] = _motion(rng, False)
+    return ProdSeg(tuple(parts))
+
+
+def _halves(m, lam):
+    """Motion m cut at the fraction lam of its traversal: two pieces that
+    continue one affine motion."""
+    if isinstance(m, Seg):
+        mid = m.a + (m.b - m.a) * lam
+        return Seg(m.edge, m.a, mid), Seg(m.edge, mid, m.b)
+    parts = [_halves(p, lam) if isinstance(p, (Seg, ProdSeg)) else (p, p)
+             for p in m.parts]
+    return ProdSeg(tuple(p[0] for p in parts)), ProdSeg(tuple(p[1] for p in parts))
+
+
+def _random_atoms(rng, product: bool) -> list:
+    """Pauses and motions, with mergeable halves, reversals and runs."""
+    atoms = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.25:
+            atoms.append(PAUSE)
+            continue
+        m = _motion(rng, product)
+        pieces = list(_halves(m, rng.choice(VALUES[1:4]))) if rng.random() < 0.5 \
+            else [m]
+        if rng.random() < 0.2:
+            pieces.append(m.reversed())
+        if rng.random() < 0.3:
+            pieces = [Run(tuple(pieces))]
+        atoms.extend(pieces)
+    return atoms
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["graph", "product"])
+def test_assemble_is_idempotent(product):
+    # canonicalize hands back the paths that assemble built, so assembling
+    # a canonical path again must change nothing
+    rng = random.Random(1505 + product)
+    for _ in range(3000):
+        p = assemble(Vertex("v0"), _random_atoms(rng, product), Vertex("v0"))
+        assert assemble(p.start, list(p.items), p.end) == p
+        flat = [a for it in p.items
+                for a in (it.segs if isinstance(it, Run) else (it,))]
+        assert assemble(p.start, flat, p.end) == p
 
 
 def test_reverse_path_involution():
