@@ -7,8 +7,8 @@ from functools import lru_cache
 
 from .construct import flexible_part
 from .membership import _ensure_path, check_path_geometry, is_controlled
-from .model import (ZERO, CanonicalPath, ModelError, Position, PTuple, Rat,
-                    Run, Seg, UnsupportedConstruction)
+from .model import (ONE, ZERO, CanonicalPath, ModelError, Position, ProdSeg,
+                    PTuple, Run, Seg, UnsupportedConstruction)
 from .presentation import (GraphPresentation, ProductN, cuts, family,
                            flexible_point, normalize, split_path, trace_path)
 from .presentation import is_flexible_point  # noqa: F401  (public here too)
@@ -105,38 +105,41 @@ def is_splittable(space, path_or_track, cut: Position) -> bool:
     return is_controlled(norm, left) and is_controlled(norm, right)
 
 
-def _seg_cut_params(norm, seg: Seg):
-    """Candidate split parameters inside one segment (edge coordinates)."""
-    lo, hi = seg.lo, seg.hi
-    marks = [x for x in cuts(norm, seg.edge) if lo < x < hi]
-    grid = sorted({lo, hi, *marks})
-    mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-    vals = sorted(set(marks) | set(mids))
-    return vals if seg.dir > 0 else list(reversed(vals))
+def _crossings(norm, seg) -> set:
+    """The traversal fractions strictly inside a segment where it, or a
+    coordinate of a product segment, is at a cut value of its edge."""
+    if isinstance(seg, Seg):
+        return {(x - seg.a) / (seg.b - seg.a) for x in cuts(norm, seg.edge)
+                if seg.lo < x < seg.hi}
+    return set().union(*(_crossings(factor, part) for part, factor
+                         in zip(seg.parts, (norm.left, norm.right))
+                         if isinstance(part, (Seg, ProdSeg))))
 
 
 def _candidate_cuts(norm, path: CanonicalPath):
+    """Run and segment boundaries, the ``_crossings`` of each segment and
+    a point between each two neighbours: between two, no coordinate meets
+    a cut value, so both halves parse alike wherever the cut falls."""
     for k in range(1, len(path.items)):
         yield Position(k)
     for k, item in enumerate(path.items):
         if not isinstance(item, Run):
             continue
         for si, seg in enumerate(item.segs):
+            graph = isinstance(seg, Seg)
             if si:
-                yield Position(k, si, seg.a if isinstance(seg, Seg) else ZERO)
-            if isinstance(seg, Seg):
-                for t in _seg_cut_params(norm, seg):
-                    yield Position(k, si, t)
-            else:
-                yield Position(k, si, Rat(1, 2))
+                yield Position(k, si, seg.a if graph else ZERO)
+            grid = sorted({ZERO, ONE, *_crossings(norm, seg)})
+            for lam in sorted({*grid[1:-1], *((a + b) / 2 for a, b
+                                              in zip(grid, grid[1:]))}):
+                yield Position(k, si, seg.a + lam * (seg.b - seg.a)
+                               if graph else lam)
 
 
 def is_rigid_path(space, path_or_track) -> bool:
-    """No interior cut splits the path into two nonconstant controlled parts.
-
-    For product paths the segment-interior cut search is sampled at
-    traversal midpoints; cuts at run and segment boundaries are exact.
-    """
+    """No interior cut splits the path into two nonconstant controlled
+    parts.  The cuts tried are exact: ``_candidate_cuts`` stands for every
+    other one, on graphs and on products alike."""
     norm = normalize(space)
     path = _ensure_path(norm, path_or_track)
     if path.is_trivial():

@@ -14,7 +14,7 @@ from .classify import classify_point
 from .jsonio import (dumps, path_from_json, path_to_json, point_from_str,
                      point_to_str, space_from_json, space_to_json)
 from .membership import parse_controlled
-from .model import ModelError, RigidTrace, UnsupportedConstruction, rat, rat_str
+from .model import ModelError, UnsupportedConstruction, rat, rat_str
 from .presentation import validate
 from .reach import c_reachable, d_reachable, unavoidable_point
 
@@ -67,9 +67,10 @@ def _cmd_validate(args) -> int:
 def _instance_json(desc) -> dict:
     kind = desc[0]
     if kind == "rigid":
-        tr: RigidTrace = desc[1]
+        # an edge's own trace names no edge: its steps lie on `edge`
+        _, edge, tr = desc
         return {"kind": "rigid",
-                "steps": [{"edge": s.edge, "from": rat_str(s.a),
+                "steps": [{"edge": s.edge or edge, "from": rat_str(s.a),
                            "to": rat_str(s.b)} for s in tr.steps]}
     if kind == "fragment":
         _, edge, a, b = desc

@@ -82,14 +82,14 @@ def hat_graph(g: GraphPresentation) -> GraphPresentation:
     for tr in g.generators:
         for s in tr.steps:
             steps.setdefault(s.edge, []).append((s.a, s.b))
-    hats = {}  # a hat family has no rigid trace to name its edge
+    hats = {}  # (kind, generator steps on the edge) -> hat kind
     edges = []
     for e in g.edges:
         key = (e.kind, *steps.get(e.id, ()))
         kind = hats.get(key)
         if kind is None:
             kind = hats[key] = K.kind_of(
-                K.add_windows(_hat_family(family(g, e.id)), key[1:]), e.id)
+                K.add_windows(_hat_family(family(g, e.id)), key[1:]))
         edges.append(Edge(e.id, e.src, e.dst, kind))
     return GraphPresentation(
         vertices=g.vertices, edges=tuple(edges), flexible=g.flexible,
@@ -121,8 +121,8 @@ def _edge_kind(g: GraphPresentation, e: Edge, fam: Family, points=()):
     """(kind, new flexible points) for edge e carrying the family `fam`.
     `points` are positions on e that must stay flexible; each comes back
     as a point unless `fam` already makes it flexible."""
-    return K.kind_of(fam, e.id), {pos_point(g, e.id, t) for t in points
-                                  if not fam.instance_end(t)}
+    return K.kind_of(fam), {pos_point(g, e.id, t) for t in points
+                            if not fam.instance_end(t)}
 
 
 def _flexible_windows(frags) -> tuple:
@@ -207,11 +207,9 @@ def functor_Dc(space) -> GraphPresentation:
 
 def _step_covered(frags, tr: RigidTrace) -> bool:
     """Is a one-step trace a run that one of the fragments admits?"""
-    if len(tr.steps) != 1 or not frags:
-        return False
     s = tr.steps[0]
-    run = Seg(s.edge, s.a, s.b)
-    return fragment_span_ok(Family(fragments=frags), run.lo, run.hi, run, run)
+    return len(tr.steps) == 1 and fragment_span_ok(
+        Family(fragments=frags), min(s.a, s.b), max(s.a, s.b), s, s)
 
 
 def _rc_kind(e: Edge, fam: Family):
@@ -219,18 +217,18 @@ def _rc_kind(e: Edge, fam: Family):
 
     The edge gets the named kind of its family joined with the reversed
     family, if there is one; otherwise it keeps its own rigid traces and
-    the reversed ones go onto the presentation.
+    the reversed ones go onto the presentation, bound to e.
     """
     rev = K.family_reversed(fam)
     frags = K.merge_fragments(fam.fragments + rev.fragments)
     own = dict.fromkeys(fam.rigid)
     rigid = tuple(tr for tr in dict.fromkeys((*own, *rev.rigid))
                   if not _step_covered(frags, tr))
-    kind = K.kind_of(Family(rigid, frags), e.id)
+    kind = K.kind_of(Family(rigid, frags))
     if kind.named:
         return kind, ()
-    kind = K.kind_of(Family(fam.rigid, frags), e.id)
-    return kind, tuple(tr for tr in rigid if tr not in own)
+    kind = K.kind_of(Family(fam.rigid, frags))
+    return kind, tuple(tr.on(e.id) for tr in rigid if tr not in own)
 
 
 def reversible_closure(space) -> GraphPresentation:
@@ -248,14 +246,14 @@ def reversible_closure(space) -> GraphPresentation:
     return replace(g, edges=tuple(edges), generators=tuple(dict.fromkeys(gens)))
 
 
-def _rp_family(g: GraphPresentation, fam: Family) -> Family:
-    """Reversible part of one edge family: the rigid traces whose reverse
-    is controlled, with their reverses, the overlaps of fragments of
-    opposite directions, and every trivial loop where a run starts or
+def _rp_family(g: GraphPresentation, e: Edge, fam: Family) -> Family:
+    """Reversible part of the family of edge e: the rigid traces whose
+    reverse is controlled, with their reverses, the overlaps of fragments
+    of opposite directions, and every trivial loop where a run starts or
     ends (a constant path is its own reverse)."""
     rigid = []
     for tr in fam.rigid:
-        if is_controlled(g, trace_path(g, tr.reversed())):
+        if is_controlled(g, trace_path(g, tr.reversed().on(e.id))):
             rigid.append(tr)
             rigid.append(tr.reversed())
     frags = []
@@ -289,7 +287,7 @@ def reversible_part(space) -> GraphPresentation:
     edges, flex = [], set(g.flexible)
     for e in g.edges:
         fam = family(g, e.id)
-        rp = _rp_family(g, fam)
+        rp = _rp_family(g, e, fam)
         dropped = Family(tuple(tr for tr in fam.rigid if tr not in rp.rigid))
         kind, points = _edge_kind(g, e, rp, K.rigid_ends(dropped))
         edges.append(Edge(e.id, e.src, e.dst, kind))

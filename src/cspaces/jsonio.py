@@ -146,12 +146,17 @@ def _trace_to_json(tr: RigidTrace) -> dict:
             "pauses": sorted(tr.pauses)}
 
 
-def _trace_from_json(d: dict, where: str) -> RigidTrace:
+def _trace_from_json(d: dict, where: str, carrier: str = None) -> RigidTrace:
+    """A generator's trace, or with `carrier` one of the custom family of
+    that edge: each of its steps must name the edge."""
     steps = []
     for i, s in enumerate(_items(d, "steps", (dict,), where)):
         at = f"{where}.steps[{i}]"
-        steps.append(TraceStep(_field(s, "edge", (str,), at),
-                               _rat_field(s, "from", at),
+        edge = _field(s, "edge", (str,), at)
+        if carrier not in (None, edge):
+            raise ModelError(f"{at} is on edge {edge!r}, not on "
+                             f"{carrier!r}, whose family it belongs to")
+        steps.append(TraceStep(edge, _rat_field(s, "from", at),
                                _rat_field(s, "to", at)))
     return RigidTrace(tuple(steps),
                       frozenset(_items(d, "pauses", (int,), where)))
@@ -176,45 +181,46 @@ def _fragment_from_json(d: dict, where: str) -> Fragment:
         raise ModelError(f"{where}: {exc}") from None
 
 
-def _family_to_json(fam: Family) -> dict:
-    """``LOOPS`` is written as "flexible": "all", closed one-point loop
+def _family_to_json(fam: Family, edge: str) -> dict:
+    """The family of a custom kind on `edge`, each rigid step naming it.
+    ``LOOPS`` is written as "flexible": "all", closed one-point loop
     windows as a list of positions, and any other window as a fragment."""
     loops = [f for f in fam.fragments if f in (LOOPS, Fragment(0, f.lo, f.lo))]
-    return {"rigid": [_trace_to_json(t) for t in fam.rigid],
+    return {"rigid": [_trace_to_json(t.on(edge)) for t in fam.rigid],
             "fragments": [_fragment_to_json(f) for f in fam.fragments
                           if f not in loops],
             "flexible": ("all" if LOOPS in loops
                          else sorted(rat_str(f.lo) for f in loops))}
 
 
-def _family_from_json(d: dict, where: str) -> Family:
+def _family_from_json(d: dict, where: str, edge: str) -> Family:
     flex = _field(d, "flexible", (str, list), where, [])
     if isinstance(flex, str) and flex != "all":
         raise ModelError(f"{where}.flexible must be \"all\" or an array")
     loops = (LOOPS,) if flex == "all" else tuple(
         Fragment(0, t, t) for t in sorted(_rats(d, "flexible", where)))
     return Family(
-        rigid=tuple(_trace_from_json(t, f"{where}.rigid[{i}]") for i, t
-                    in enumerate(_items(d, "rigid", (dict,), where))),
+        rigid=tuple(_trace_from_json(t, f"{where}.rigid[{i}]", edge).on(None)
+                    for i, t in enumerate(_items(d, "rigid", (dict,), where))),
         fragments=tuple(_fragment_from_json(f, f"{where}.fragments[{i}]")
                         for i, f in enumerate(
                             _items(d, "fragments", (dict,), where))) + loops)
 
 
-def _kind_to_json(kind) -> tuple:
+def _kind_to_json(kind, edge: str) -> tuple:
     if kind.name == "n_stop":
         return kind.name, {"n": kind.n}
     if kind.name == "custom":
-        return kind.name, {"family": _family_to_json(kind.family)}
+        return kind.name, {"family": _family_to_json(kind.family, edge)}
     return kind.name, {}
 
 
-def _kind_from_json(name: str, params: dict, where: str):
+def _kind_from_json(name: str, params: dict, where: str, edge: str):
     if name == "n_stop":
         return K.n_stop(_field(params, "n", (int,), where))
     if name == "custom":
         return K.custom(_family_from_json(
-            _field(params, "family", (dict,), where), f"{where}.family"))
+            _field(params, "family", (dict,), where), f"{where}.family", edge))
     return K.kind(name)
 
 
@@ -224,7 +230,7 @@ def _kind_from_json(name: str, params: dict, where: str):
 def _graph_to_json(g: GraphPresentation) -> dict:
     edges = []
     for e in g.edges:
-        name, params = _kind_to_json(e.kind)
+        name, params = _kind_to_json(e.kind, e.id)
         ed = {"id": e.id, "from": e.src, "to": e.dst, "kind": name}
         if params:
             ed["params"] = params
@@ -242,12 +248,12 @@ def _graph_from_json(d: dict, where: str) -> GraphPresentation:
     edges = []
     for i, e in enumerate(_items(d, "edges", (dict,), where)):
         at = f"{where}.edges[{i}]"
-        edges.append(Edge(_field(e, "id", (str,), at),
-                          _field(e, "from", (str,), at),
+        eid = _field(e, "id", (str,), at)
+        edges.append(Edge(eid, _field(e, "from", (str,), at),
                           _field(e, "to", (str,), at),
                           _kind_from_json(_field(e, "kind", (str,), at),
                                           _field(e, "params", (dict,), at, {}),
-                                          f"{at}.params")))
+                                          f"{at}.params", eid)))
     gens, closed = [], {e.id: [] for e in edges}
     for i, t in enumerate(_items(d, "generators", (dict,), where)):
         at = f"{where}.generators[{i}]"
@@ -262,7 +268,7 @@ def _graph_from_json(d: dict, where: str) -> GraphPresentation:
                 raise ModelError(f"{at}.steps[{j}]: unknown edge {s.edge!r}")
             closed[s.edge].append((s.a, s.b))
     edges = [Edge(e.id, e.src, e.dst, K.kind_of(K.add_windows(
-        K.kind_generators(e.kind, e.id), closed[e.id]), e.id))
+        K.kind_generators(e.kind), closed[e.id])))
         if closed[e.id] else e for e in edges]
     g = GraphPresentation(
         vertices=frozenset(_items(d, "vertices", (str,), where)),

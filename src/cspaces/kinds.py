@@ -21,6 +21,10 @@ Built-in kinds:
   discrete_c  no controlled path at all, not even trivial loops
   custom      an explicit Family (used by derived constructions)
 
+A family belongs to its kind, not to an edge: its rigid traces are
+steps (a, b) whose ``edge`` is None, and they lie on whichever edge
+carries the kind.  Only a presentation's own generators name edges.
+
 This module alone gives kinds their meaning.  Constructions rewrite an
 edge's Family without looking at its kind, and ``kind_of`` turns the
 rewritten family back into a named kind when one generates exactly it.
@@ -92,9 +96,18 @@ LOOPS = Fragment(0)  # the trivial loops at every position
 
 @dataclass(frozen=True)
 class Family:
-    """Generator family of one edge."""
-    rigid: tuple = ()       # of RigidTrace, steps on this edge
+    """Generator family of a kind, the same on every edge that carries it.
+    Its rigid traces name no edge: each step's ``edge`` is None."""
+    rigid: tuple = ()       # of RigidTrace
     fragments: tuple = ()   # of Fragment
+
+    def __post_init__(self):
+        for i, tr in enumerate(self.rigid):
+            for j, s in enumerate(tr.steps):
+                if s.edge is not None:
+                    raise ModelError(
+                        f"rigid[{i}].steps[{j}] names edge {s.edge!r}: a "
+                        "family's steps lie on the edge that carries it")
 
     def instance_end(self, t: Rat) -> bool:
         """Does a generator instance start or end at t?  The trivial loop
@@ -124,11 +137,25 @@ class EdgeKind:
         return self.family is None
 
 
-_KIND_NAMES = {
-    "natural", "directed", "one_jump", "n_stop", "delayed_minus",
-    "delayed_plus", "reversible_one_jump", "siphon", "siphon_osc",
-    "still", "discrete_c", "custom",
+_UP = RigidTrace((TraceStep(None, ZERO, ONE),))  # the full rise
+_DOWN = RigidTrace((TraceStep(None, ONE, ZERO),))  # the full fall
+
+# the families of the named kinds of fixed arity
+_FAMILIES = {
+    "natural": Family(fragments=(Fragment(1), Fragment(-1), LOOPS)),
+    "directed": Family(fragments=(Fragment(1), LOOPS)),
+    "one_jump": Family(rigid=(_UP,)),
+    "delayed_minus": Family(rigid=(RigidTrace(_UP.steps, frozenset({0})),)),
+    "delayed_plus": Family(rigid=(RigidTrace(_UP.steps, frozenset({1})),)),
+    "reversible_one_jump": Family(rigid=(_UP, _DOWN)),
+    "siphon": Family(rigid=(_DOWN,), fragments=(Fragment(1), LOOPS)),
+    "siphon_osc": Family(rigid=(_DOWN,), fragments=(
+        Fragment(1), Fragment(-1, start_not=frozenset({ONE})), LOOPS)),
+    "still": Family(fragments=(LOOPS,)),
+    "discrete_c": Family(),
 }
+_KIND_NAMES = {*_FAMILIES, "n_stop", "custom"}
+
 
 def kind(name: str, n: int = 0, family: Family = None) -> EdgeKind:
     return EdgeKind(name, n, family)
@@ -154,44 +181,14 @@ def custom(family: Family) -> EdgeKind:
     return kind("custom", family=family)
 
 
-def _full(edge: str, direction: int, pauses=frozenset()) -> RigidTrace:
-    if direction > 0:
-        return RigidTrace((TraceStep(edge, ZERO, ONE),), frozenset(pauses))
-    return RigidTrace((TraceStep(edge, ONE, ZERO),), frozenset(pauses))
-
-
-def kind_generators(k: EdgeKind, edge: str) -> Family:
-    """Expand a kind on a named edge into its generator family."""
-    name = k.name
-    if name == "natural":
-        return Family(fragments=(Fragment(1), Fragment(-1), LOOPS))
-    if name == "directed":
-        return Family(fragments=(Fragment(1), LOOPS))
-    if name == "one_jump":
-        return Family(rigid=(_full(edge, 1),))
-    if name == "n_stop":
+def kind_generators(k: EdgeKind) -> Family:
+    """Expand a kind into its generator family."""
+    if k.name == "n_stop":
         anchors = [Fraction(i, k.n) for i in range(k.n + 1)]
         return Family(rigid=tuple(
-            RigidTrace((TraceStep(edge, anchors[i], anchors[i + 1]),))
+            RigidTrace((TraceStep(None, anchors[i], anchors[i + 1]),))
             for i in range(k.n)))
-    if name == "delayed_minus":
-        return Family(rigid=(_full(edge, 1, {0}),))
-    if name == "delayed_plus":
-        return Family(rigid=(_full(edge, 1, {1}),))
-    if name == "reversible_one_jump":
-        return Family(rigid=(_full(edge, 1), _full(edge, -1)))
-    if name == "siphon":
-        return Family(rigid=(_full(edge, -1),), fragments=(Fragment(1), LOOPS))
-    if name == "siphon_osc":
-        return Family(rigid=(_full(edge, -1),), fragments=(
-            Fragment(1), Fragment(-1, start_not=frozenset({ONE})), LOOPS))
-    if name == "still":
-        return Family(fragments=(LOOPS,))
-    if name == "discrete_c":
-        return Family()
-    if name == "custom":
-        return k.family
-    raise ModelError(f"unknown kind {name!r}")
+    return k.family if k.name == "custom" else _FAMILIES[k.name]
 
 
 def rigid_ends(fam: Family) -> set:
@@ -258,36 +255,25 @@ def add_windows(fam: Family, steps) -> Family:
     return Family(fam.rigid, merge_fragments(fam.fragments + wins))
 
 
-def _same(a: tuple, b: tuple) -> bool:
-    """Equal up to order."""
-    return a == b or (len(a) == len(b) and a[0] in b and set(a) == set(b))
+def _unordered(fam: Family) -> tuple:
+    """The family up to the order of its rigid traces and fragments."""
+    return (frozenset(fam.rigid), frozenset(fam.fragments),
+            len(fam.rigid), len(fam.fragments))
 
 
-def _shape(fam: Family) -> tuple:
-    return len(fam.rigid), len(fam.fragments)
+# the named kinds of fixed arity, by their families up to order
+_NAMED = {_unordered(fam): kind(name) for name, fam in _FAMILIES.items()}
 
 
-def _named_by_shape() -> dict:
-    """Named kinds of fixed arity, keyed by the shape of their families
-    (which does not depend on the edge name)."""
-    out = {}
-    for k in (NATURAL, DIRECTED, ONE_JUMP, DELAYED_MINUS, DELAYED_PLUS,
-              REVERSIBLE_ONE_JUMP, SIPHON, SIPHON_OSC, STILL, DISCRETE_C):
-        out.setdefault(_shape(kind_generators(k, "e")), []).append(k)
-    return out
-
-
-_NAMED_BY_SHAPE = _named_by_shape()
-
-
-def kind_of(fam: Family, edge: str) -> EdgeKind:
-    """The named kind whose family on `edge` is `fam`, up to the order of
-    its rigid traces and fragments; ``custom(fam)`` when there is none."""
-    cands = list(_NAMED_BY_SHAPE.get(_shape(fam), ()))
-    if len(fam.rigid) > 1:
-        cands.append(n_stop(len(fam.rigid)))
-    for k in cands:
-        g = kind_generators(k, edge)
-        if _same(g.fragments, fam.fragments) and _same(g.rigid, fam.rigid):
+def kind_of(fam: Family) -> EdgeKind:
+    """The named kind whose family is `fam`, up to the order of its rigid
+    traces and fragments; ``custom(fam)`` when there is none."""
+    key = _unordered(fam)
+    k = _NAMED.get(key)
+    if k is not None:
+        return k
+    if len(fam.rigid) > 1 and not fam.fragments:
+        k = n_stop(len(fam.rigid))
+        if _unordered(kind_generators(k)) == key:
             return k
     return custom(fam)

@@ -32,6 +32,10 @@ from .presentation import (GraphPresentation, ProductN, _point_of_seg,
 
 @dataclass(frozen=True)
 class ParseOutcome:
+    """``instances``: the shortest parse, in order.  ``("rigid", edge, tr)``
+    starts on `edge`, where the steps of an edge's own trace lie;
+    ``("fragment", edge, a, b)`` runs from a to b; on a product,
+    ``("projection", i, instances)`` parses coordinate i."""
     controlled: bool
     instances: tuple = ()
     count: Optional[int] = None
@@ -46,6 +50,14 @@ def _ranks(cs: tuple) -> dict:
     return {v: 2 * i for i, v in enumerate(cs)}
 
 
+def _file(table: dict, tr, rank: dict) -> None:
+    """Add a trace to table under the (edge, d, rank) of its start, as
+    (steps, dwell marks, trace); a step is (edge, d, rank a, rank b)."""
+    steps = tuple((s.edge, s.dir, rank[s.edge][s.a], rank[s.edge][s.b])
+                  for s in tr.steps)
+    table.setdefault(steps[0][:3], []).append((steps, tr.pauses, tr))
+
+
 class _EdgeIndex:
     """The ranked generators of the edges of one kind and one set of cut
     values.
@@ -53,10 +65,9 @@ class _EdgeIndex:
     ``wins[d]``: the windows of direction d as (lowest rank, highest rank,
     forbidden start ranks, forbidden end ranks), open ends already taken
     off; windows of direction 0 move nothing and are left out.
-    ``rigid[(d, rank)]``: the family's rigid traces whose first step
-    starts there in direction d, as (index in ``family.rigid``, steps,
-    dwell marks); a step is (None, d, rank a, rank b), None standing for
-    the edge the trace starts on.
+    ``rigid``: the family's rigid traces, filed by ``_file`` under
+    (None, d, rank); their steps name no edge, and None stands for the
+    edge the trace starts on.
     """
     __slots__ = ("cuts", "wins", "rigid")
 
@@ -70,35 +81,33 @@ class _EdgeIndex:
                     rank[f.lo] + f.lo_open, rank[f.hi] - f.hi_open,
                     frozenset(rank[x] for x in f.start_not),
                     frozenset(rank[x] for x in f.end_not)))
-        self.rigid = {}
-        for k, tr in enumerate(fam.rigid):
-            steps = tuple((None, s.dir, rank[s.a], rank[s.b])
-                          for s in tr.steps)
-            self.rigid.setdefault(steps[0][1:3], []).append((k, steps, tr.pauses))
+        self.rigid, by_edge = {}, {None: rank}
+        for tr in fam.rigid:
+            _file(self.rigid, tr, by_edge)
 
 
 class _ParseIndex:
     """A presentation's edge entries, filled as paths reach their edges,
-    and its own generators by (edge, d, rank of their start).
+    and every rigid trace by (edge, d, rank of its start).
 
     Edges of one kind with the same ``own_cut_values`` (most often none)
     have the same cut values, so they share one entry, and ``cuts`` runs
-    once per entry, not once per edge.
+    once per entry, not once per edge.  ``rigid`` holds the presentation's
+    generators from the start; when a path first reaches an edge, the
+    traces of its entry go in front of them.
     """
-    __slots__ = ("edges", "shared", "own", "gens", "__weakref__")
+    __slots__ = ("edges", "shared", "own", "rigid", "__weakref__")
 
     def __init__(self, pres: GraphPresentation):
         self.edges = {}   # edge id -> _EdgeIndex
         self.shared = {}  # (kind, own cut values) -> _EdgeIndex
         self.own = {e: frozenset(vals)
                     for e, vals in own_cut_values(pres).items()}
-        self.gens = {}    # (edge, d, rank) -> [(steps, dwell marks, trace)]
+        self.rigid = {}   # (edge, d, rank) -> [(steps, dwell marks, trace)]
         rank = {e: _ranks(cuts(pres, e))
                 for e in {s.edge for tr in pres.generators for s in tr.steps}}
         for tr in pres.generators:
-            steps = tuple((s.edge, s.dir, rank[s.edge][s.a], rank[s.edge][s.b])
-                          for s in tr.steps)
-            self.gens.setdefault(steps[0][:3], []).append((steps, tr.pauses, tr))
+            _file(self.rigid, tr, rank)
 
 
 def parse_index(pres: GraphPresentation) -> _ParseIndex:
@@ -119,6 +128,8 @@ def _edge_index(index: _ParseIndex, pres, edge: str) -> _EdgeIndex:
     if ent is None:
         ent = index.shared[key] = _EdgeIndex(family(pres, edge), cuts(pres, edge))
     index.edges[edge] = ent
+    for (_, d, r), own in ent.rigid.items():
+        index.rigid[edge, d, r] = own + index.rigid.get((edge, d, r), [])
     return ent
 
 
@@ -329,7 +340,7 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
         if bad is not None:
             return ParseOutcome(False, fail_at=bad)
     index = parse_index(pres)
-    edges, gens = index.edges, index.gens
+    edges, rigid = index.edges, index.rigid
     n = len(toks)
     INF = n + 10 ** 6
     dist = [INF] * (n + 1)
@@ -347,8 +358,7 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
             continue
         step = dist[i] + 1
         edge, d, start = tok.edge, tok.dir, tok.ra
-        ent = edges[edge]
-        wins = ent.wins[d]
+        wins = edges[edge].wins[d]
         if wins:
             # flexible-fragment stretches: consecutive tokens on the edge
             # in direction d whose ranks chain (a loop edge's two ends,
@@ -368,16 +378,11 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
                     break
                 last = nxt
         # rigid instances: the edge's own traces first, then the generators
-        for k, steps, pauses in ent.rigid.get((d, start), ()):
+        for steps, pauses, tr in rigid.get((edge, d, start), ()):
             end = _match(steps, pauses, toks, i, edge)
             if end is not None and step < dist[end]:
                 dist[end] = step
-                parent[end] = (i, ("rigid", family(pres, edge).rigid[k]))
-        for steps, pauses, tr in gens.get((edge, d, start), ()):
-            end = _match(steps, pauses, toks, i, edge)
-            if end is not None and step < dist[end]:
-                dist[end] = step
-                parent[end] = (i, ("rigid", tr))
+                parent[end] = (i, ("rigid", edge, tr))
     if dist[n] >= INF:
         far = max(k for k in range(n + 1) if dist[k] < INF)
         return ParseOutcome(False, fail_at=_point_before(pres, path.start, toks, far))

@@ -183,7 +183,7 @@ class Track:
 
 @dataclass(frozen=True)
 class TraceStep:
-    edge: str
+    edge: Optional[str]  # None in a family: the edge carrying it
     a: Rat
     b: Rat
 
@@ -212,6 +212,12 @@ class RigidTrace:
         for i in self.pauses:
             if not (0 <= i <= len(self.steps)):
                 raise ModelError(f"pause index {i} out of range")
+
+    def on(self, edge: Optional[str]) -> "RigidTrace":
+        """The trace with every step on `edge`: an edge's own trace, bound
+        to it, or with None the trace as the edge's family holds it."""
+        return RigidTrace(tuple(TraceStep(edge, s.a, s.b) for s in self.steps),
+                          self.pauses)
 
     def reversed(self) -> "RigidTrace":
         n = len(self.steps)

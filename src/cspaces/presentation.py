@@ -137,7 +137,7 @@ def edge_of(pres: GraphPresentation, edge: str) -> Edge:
 
 @lru_cache(maxsize=None)
 def family(pres: GraphPresentation, edge: str) -> Family:
-    return K.kind_generators(edge_of(pres, edge).kind, edge)
+    return K.kind_generators(edge_of(pres, edge).kind)
 
 
 def pos_point(pres: GraphPresentation, edge: str, t: Rat):
@@ -248,12 +248,10 @@ def _overlap_cuts(frags, vals) -> set:
 
 @lru_cache(maxsize=None)
 def bound_rigid(pres: GraphPresentation) -> tuple:
-    """All rigid generator traces: the edges' and the presentation's."""
-    out = []
-    for e in pres.edges:
-        out.extend(family(pres, e.id).rigid)
-    out.extend(pres.generators)
-    return tuple(out)
+    """All rigid generator traces, each step on its edge: the edges' own
+    traces, bound to them, and the presentation's."""
+    return tuple(tr.on(e.id) for e in pres.edges
+                 for tr in family(pres, e.id).rigid) + pres.generators
 
 
 @lru_cache(maxsize=None)
@@ -541,7 +539,7 @@ def _subspace(g: GraphPresentation, region):
                     f"a fragment of edge {e.id!r} may not start or end at {p.hi}")
         own, ends = {}, set()
         for tr in fam.rigid:
-            cut = _cut_trace(pieces, tr)
+            cut = _cut_trace(pieces, tr.on(e.id))
             if cut is None:
                 ends.update((tr.steps[0].a, tr.steps[-1].b))
                 continue
@@ -549,14 +547,14 @@ def _subspace(g: GraphPresentation, region):
             if len(ids) > 1:
                 moved.append(cut)
             else:
-                own.setdefault(ids.pop(), []).append(cut)
+                own.setdefault(ids.pop(), []).append(cut.on(None))
         for p in ps:
             sub = _sub_family(fam, p.lo, p.hi, tuple(own.get(p.id, ())))
             loops = sorted(_rescale(t, p.lo, p.hi) for t in ends
                            if p.lo <= t <= p.hi)
             sub = Family(sub.rigid, sub.fragments + tuple(
                 Fragment(0, t, t) for t in loops if not sub.instance_end(t)))
-            edges.append(Edge(p.id, p.src, p.dst, K.kind_of(sub, p.id)))
+            edges.append(Edge(p.id, p.src, p.dst, K.kind_of(sub)))
             held.update(_end_loops(edges[-1], sub))
     gen_cuts = [(tr, _cut_trace(pieces, tr)) for tr in g.generators]
     gens = [c for _, c in gen_cuts if c is not None]
@@ -595,7 +593,7 @@ def _opposite_normal(norm):
         return ProductN(_opposite_normal(norm.left), _opposite_normal(norm.right))
     edges = tuple(
         Edge(e.id, e.src, e.dst,
-             K.kind_of(K.family_reversed(family(norm, e.id)), e.id))
+             K.kind_of(K.family_reversed(family(norm, e.id))))
         for e in norm.edges)
     return GraphPresentation(
         vertices=norm.vertices,
@@ -675,14 +673,9 @@ def _validate_graph(g: GraphPresentation, out):
         for v in (e.src, e.dst):
             if v not in g.vertices:
                 out.append(f"edge {e.id!r} endpoint {v!r} is not a vertex")
-        for tr in K.kind_generators(e.kind, e.id).rigid:
-            for s in tr.steps:
-                if s.edge != e.id:
-                    out.append(f"custom family of {e.id!r} references {s.edge!r}")
-                for v in (s.a, s.b):
-                    if not (ZERO <= v <= ONE):
-                        out.append(f"custom family of {e.id!r}: step "
-                                   f"parameter {v} outside [0,1]")
+        out.extend(f"custom family of {e.id!r}: step parameter {v} outside "
+                   "[0,1]" for tr in K.kind_generators(e.kind).rigid
+                   for s in tr.steps for v in (s.a, s.b) if not ZERO <= v <= ONE)
     for tr in g.generators:
         prev = None
         for s in tr.steps:

@@ -117,7 +117,7 @@ class CellGraph:
                 self._fragment(i, frag)
             self.on_edge[i].extend(range(first, len(self.src)))
             for tr in fam.rigid:
-                self._rigid(tr)
+                self._rigid(tr.on(e.id))
         for tr in pres.generators:
             self._rigid(tr)
         for k, tr in enumerate(self.recipe):

@@ -1,0 +1,64 @@
+"""Digests of the constructions on the corpus, which hold their answers fixed.
+
+For each corpus model and each construction in ``CONSTRUCTIONS``, the
+digest is the SHA-256 of ``jsonio.dumps(space_to_json(result))``, or
+"unsupported" where the construction raises ``UnsupportedConstruction``.
+``tests/test_golden.py`` compares them with ``golden_digests.json``.
+A change that means to change an answer writes the file again:
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from cspaces import construct
+from cspaces.corpus import build, names
+from cspaces.jsonio import dumps, space_to_json
+from cspaces.model import UnsupportedConstruction, Vertex
+from cspaces.presentation import normalize
+
+DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+THIRD = Fraction(1, 3)
+
+
+def _cut_at_a_third(space):
+    """The subspace of every vertex and every edge, each edge cut at 1/3."""
+    g = normalize(space)
+    region = [Vertex(v) for v in sorted(getattr(g, "vertices", ()))]
+    for e in getattr(g, "edges", ()):
+        region += [(e.id, Fraction(0), THIRD), (e.id, THIRD, Fraction(1))]
+    return construct.subspace(space, region)
+
+
+CONSTRUCTIONS = {
+    "hat": construct.hat,
+    "opposite": construct.opposite,
+    "flexible_part": construct.flexible_part,
+    "reversible_closure": construct.reversible_closure,
+    "reversible_part": construct.reversible_part,
+    "subspace_third": _cut_at_a_third,
+}
+
+
+def document(model: str, construction: str) -> str:
+    """The JSON document of one construction on one corpus model."""
+    return dumps(space_to_json(CONSTRUCTIONS[construction](build(model))))
+
+
+def digest(model: str, construction: str) -> str:
+    try:
+        text = document(model, construction)
+    except UnsupportedConstruction:
+        return "unsupported"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests() -> dict:
+    return {f"{m} {c}": digest(m, c) for m in names() for c in CONSTRUCTIONS}
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")

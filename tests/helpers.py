@@ -7,7 +7,8 @@ from cspaces import kinds as K
 from cspaces.construct import CMap, EdgeImage, cmap
 from cspaces.kinds import Family, Fragment
 from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, Pause, ProdSeg,
-                           PTuple, Seg, TraceStep, Vertex, assemble)
+                           PTuple, RigidTrace, Seg, TraceStep, Vertex,
+                           assemble)
 from cspaces.presentation import Edge, GraphPresentation, normalize, pos_point
 
 Z, O, H = F(0), F(1), F(1, 2)
@@ -17,6 +18,19 @@ OPEN_WINDOWS = K.custom(Family(fragments=(
     Fragment(1, Z, H, hi_open=True),
     Fragment(1, F(1, 4), O, lo_open=True, end_not=frozenset({H, O})),
     Fragment(-1, F(1, 4), F(3, 4), hi_open=True))))
+
+
+# One custom kind on two chained edges: a rigid trace that overshoots to
+# 3/4, falls back to 1/4 and rises to the end, and a path of two instances.
+DETOUR = K.custom(Family(rigid=(RigidTrace((
+    TraceStep(None, Z, F(3, 4)), TraceStep(None, F(3, 4), F(1, 4)),
+    TraceStep(None, F(1, 4), O))),)))
+SHARED = GraphPresentation(frozenset({"v0", "v1", "v2"}), (
+    Edge("e0", "v0", "v1", DETOUR), Edge("e1", "v1", "v2", DETOUR)))
+SHARED_RUN = assemble(Vertex("v0"), [
+    Seg(e, a, b) for e in ("e0", "e1")
+    for a, b in ((Z, F(3, 4)), (F(3, 4), F(1, 4)), (F(1, 4), O))],
+    Vertex("v2"))
 
 
 def interval(kind) -> GraphPresentation:

@@ -4,7 +4,8 @@ generator-instance concatenations.
 It shares no code with the engine's parse (``cspaces.membership``), not
 even the check that a path's segments chain (``tests/test_imports.py``
 holds it to that).  It reads the generator families from
-``kinds.kind_generators`` and the presentation's own fields, and cuts
+``kinds.kind_generators``, the rigid traces with their edges from
+``presentation.bound_rigid`` and the presentation's own fields, and cuts
 segments into ``Seg`` tokens at the uniform 1/grid lattice, at the ends
 of every generator step and window and at the annotated points.
 Fragment instances therefore take their ends from that lattice joined
@@ -18,7 +19,8 @@ from fractions import Fraction
 from cspaces import kinds as K
 from cspaces.model import (ONE, PAUSE, ZERO, EdgePoint, ModelError, Pause,
                            PTuple, Seg, Track, Vertex)
-from cspaces.presentation import ProductN, canonicalize, normalize, project
+from cspaces.presentation import (ProductN, bound_rigid, canonicalize,
+                                  normalize, project)
 
 
 def brute_force_controlled(space, path_or_track, depth: int = 5,
@@ -67,7 +69,7 @@ def _brute(norm, path, depth, grid):
                    for i, f in enumerate((norm.left, norm.right)))
     pres = norm
     edges = {e.id: e for e in pres.edges}
-    fams = {e.id: K.kind_generators(e.kind, e.id) for e in pres.edges}
+    fams = {e.id: K.kind_generators(e.kind) for e in pres.edges}
 
     def point(edge, t):
         e = edges[edge]
@@ -81,8 +83,7 @@ def _brute(norm, path, depth, grid):
     toks = _tokens(path, _marks(pres, fams, grid))
     if not _occurrences_ok(pres, path.start, toks, point):
         return False
-    gens = [tr for e in pres.edges for tr in fams[e.id].rigid]
-    gens += pres.generators
+    gens = bound_rigid(pres)  # the edges' own traces, each bound to its edge
     n = len(toks)
     memo = {}
 

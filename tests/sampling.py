@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .model import (PAUSE, CanonicalPath, ModelError, ProdSeg, PTuple, Seg,
-                    assemble)
-from .presentation import (GraphPresentation, ProductN, cuts, point_positions,
-                           pos_point)
+from cspaces.model import (PAUSE, CanonicalPath, ModelError, ProdSeg, PTuple,
+                           Seg, assemble)
+from cspaces.presentation import (GraphPresentation, ProductN, cuts,
+                                  point_positions, pos_point)
 
 
 def _edge_values(pres: GraphPresentation, edge: str, grid: int) -> list:

@@ -16,9 +16,9 @@ from cspaces.model import (PAUSE, EdgePoint, Pause, ProdSeg, PTuple, Seg,
                            Vertex, assemble, reverse_path)
 from cspaces.presentation import normalize
 from cspaces.reach import c_reachable, d_reachable, unavoidable_point
-from cspaces.sampling import random_graph_path, random_product_path
 
 from helpers import Z, O, H, hybrid_predicate, square_predicate
+from sampling import random_graph_path, random_product_path
 
 V0, V1 = Vertex("v0"), Vertex("v1")
 SEED = 424242

@@ -1,16 +1,21 @@
 """Point and path classification: frozen expected values per model."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+
+from cspaces import kinds as K
 
 from cspaces.classify import (classify_point, is_flexible_path,
                               is_flexible_point, is_rigid_path,
                               is_rigid_space, is_splittable)
 from cspaces.construct import exclude_endpoints
 from cspaces.corpus import build
+from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, Position, ProdSeg,
                            PTuple, Seg, Vertex, assemble)
+from cspaces.presentation import Edge, GraphPresentation, Product, split_path
 
 from helpers import Z, O, H
 
@@ -194,6 +199,149 @@ class TestProducts:
             [ProdSeg((Seg("e0", Z, O), V0)), ProdSeg((V1, Seg("e0", Z, O)))],
             PTuple((V1, V1)))
         assert is_flexible_path(dsq, stair) is False  # jump coordinate rigid
+
+
+def _interval(edge, kind) -> GraphPresentation:
+    """The interval edge- -edge-> edge+ carrying one kind."""
+    return GraphPresentation(frozenset({edge + "-", edge + "+"}),
+                             (Edge(edge, edge + "-", edge + "+", kind),))
+
+
+def _at(edge, t):
+    return (Vertex(edge + "-") if t == Z else Vertex(edge + "+") if t == O
+            else EdgePoint(edge, t))
+
+
+# Products with an n_stop factor, as trees of (edge, kind, stops) leaves:
+# a coordinate rests at or moves between its stops.  Every cut value of
+# these edges is a multiple of 1/N.
+N = 12
+QUARTERS = tuple(F(k, 4) for k in range(5))
+LEAVES = {
+    "stop2": ("e0", K.n_stop(2), (Z, H, O)),
+    "stop3": ("e0", K.n_stop(3), tuple(F(k, 3) for k in range(4))),
+    "natural": ("f0", K.NATURAL, QUARTERS),
+    "directed": ("f0", K.DIRECTED, QUARTERS),
+    "one_jump": ("f0", K.ONE_JUMP, (Z, O)),
+    "stop4": ("f0", K.n_stop(4), QUARTERS),
+    "natural_g": ("g0", K.NATURAL, QUARTERS),
+}
+TREES = [("stop3", "natural"), ("stop2", "directed"), ("stop3", "one_jump"),
+         ("stop2", "stop4"), (("stop3", "natural"), "natural_g")]
+
+
+def _space(tree):
+    if isinstance(tree, str):
+        edge, kind, _ = LEAVES[tree]
+        return _interval(edge, kind)
+    return Product(_space(tree[0]), _space(tree[1]))
+
+
+def _start(tree, rng):
+    """A random point: each coordinate at one of its stops."""
+    if isinstance(tree, str):
+        edge, _, stops = LEAVES[tree]
+        return _at(edge, rng.choice(stops))
+    return PTuple((_start(tree[0], rng), _start(tree[1], rng)))
+
+
+def _move(tree, x, rng):
+    """(motion or resting point, next point): each coordinate rests or
+    moves straight to another of its stops, all of them together."""
+    if isinstance(tree, str):
+        edge, _, stops = LEAVES[tree]
+        t = Z if x == Vertex(edge + "-") else O if x == Vertex(edge + "+") \
+            else x.t
+        if rng.random() < 0.3:
+            return x, x
+        b = rng.choice([u for u in stops if u != t])
+        return Seg(edge, t, b), _at(edge, b)
+    parts = [_move(sub, xi, rng) for sub, xi in zip(tree, x.parts)]
+    y = PTuple(tuple(p for _, p in parts))
+    if y == x:
+        return x, x
+    return ProdSeg(tuple(m for m, _ in parts)), y
+
+
+def _random_path(tree, rng):
+    start = cur = _start(tree, rng)
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.2:
+            atoms.append(PAUSE)
+        motion, nxt = _move(tree, cur, rng)
+        if nxt != cur:
+            atoms.append(motion)
+            cur = nxt
+    return assemble(start, atoms, cur)
+
+
+def _crossings(seg) -> set:
+    """Traversal fractions strictly inside a product segment where some
+    coordinate is at a multiple of 1/N."""
+    out = set()
+    for part in seg.parts:
+        if isinstance(part, ProdSeg):
+            out |= _crossings(part)
+        elif isinstance(part, Seg):
+            out.update((F(k, N) - part.a) / (part.b - part.a)
+                       for k in range(1, N)
+                       if min(part.a, part.b) < F(k, N) < max(part.a, part.b))
+    return out
+
+
+def _exact_cuts(path):
+    """Every cut of a product path up to cuts that answer alike: the item
+    and segment boundaries, each fraction where a coordinate crosses a
+    multiple of 1/N, and the midpoints between those."""
+    cuts = [Position(k) for k in range(1, len(path.items))]
+    for k, item in enumerate(path.items):
+        if item is PAUSE:
+            continue
+        for si, seg in enumerate(item.segs):
+            if si:
+                cuts.append(Position(k, si, Z))
+            lams = sorted(_crossings(seg) | {Z, O})
+            inner = lams[1:-1] + [(a + b) / 2 for a, b in zip(lams, lams[1:])]
+            cuts.extend(Position(k, si, lam) for lam in inner)
+    return cuts
+
+
+def _splits(space, path) -> bool:
+    """Does some cut split the path into two nonconstant controlled parts?"""
+    for cut in _exact_cuts(path):
+        left, right = split_path(space, path, cut)
+        if not (left.is_trivial() or right.is_trivial()) \
+                and is_controlled(space, left) and is_controlled(space, right):
+            return True
+    return False
+
+
+class TestRigidProductPaths:
+    def test_a_cut_inside_a_product_segment_splits_it(self):
+        # e0 jumps 0 -> 1/3 -> 2/3 -> 1 while f0 runs 0 -> 1 alongside
+        sp = _space(("stop3", "natural"))
+        p = assemble(PTuple((_at("e0", Z), _at("f0", Z))),
+                     [ProdSeg((Seg("e0", Z, O), Seg("f0", Z, O)))],
+                     PTuple((_at("e0", O), _at("f0", O))))
+        assert is_controlled(sp, p)
+        assert is_splittable(sp, p, Position(0, 0, F(1, 3)))
+        assert not is_rigid_path(sp, p)
+
+    @pytest.mark.parametrize("tree", TREES, ids=str)
+    def test_rigid_paths_match_an_exact_cut_search(self, tree):
+        sp = _space(tree)
+        rng = random.Random(f"rigid {tree}")
+        checked = rigid = 0
+        for _ in range(200):
+            p = _random_path(tree, rng)
+            if p.is_trivial() or not is_controlled(sp, p):
+                continue
+            checked += 1
+            expect = not _splits(sp, p)
+            rigid += expect
+            assert is_rigid_path(sp, p) == expect, p
+        assert checked >= 20 and 0 < rigid < checked
 
 
 class TestRigidPathErrors:

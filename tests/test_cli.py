@@ -8,7 +8,10 @@ import pytest
 from cspaces.cli import main
 from cspaces.corpus import build
 from cspaces.membership import is_controlled
+from cspaces.jsonio import dumps, path_to_json, space_to_json
 from cspaces.model import ModelError, Seg, Vertex, assemble
+
+from helpers import SHARED, SHARED_RUN
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +226,33 @@ def test_fragment_of_direction_2_exits_2(tmp_path, capsys):
     assert out["error"]["message"] == (
         "space.graph.edges[0].params.family.fragments[0]: fragment "
         "direction 2 is not -1, 0 or 1")
+
+
+def test_custom_step_on_another_edge_exits_2(tmp_path, capsys):
+    sf = tmp_path / "s.json"
+    sf.write_text(json.dumps({"graph": {
+        "vertices": ["v0", "v1", "v2"],
+        "edges": [{"id": "e0", "from": "v0", "to": "v1", "kind": "custom",
+                   "params": {"family": {"rigid": [{"steps": [
+                       {"edge": "e1", "from": "0/1", "to": "1/1"}]}]}}},
+                  {"id": "e1", "from": "v1", "to": "v2", "kind": "still"}]}}))
+    code, out = run_cli(capsys, "validate", "--space", str(sf))
+    assert code == 2 and out["error"]["type"] == "input"
+    assert out["error"]["message"] == (
+        "space.graph.edges[0].params.family.rigid[0].steps[0] is on edge "
+        "'e1', not on 'e0', whose family it belongs to")
+
+
+def test_check_path_names_the_edge_of_each_rigid_instance(tmp_path, capsys):
+    # one custom kind on two edges: its trace names neither
+    sf, pf = tmp_path / "s.json", tmp_path / "p.json"
+    sf.write_text(dumps(space_to_json(SHARED)))
+    pf.write_text(dumps(path_to_json(SHARED_RUN)))
+    code, doc = run_cli(capsys, "check-path", "--space", str(sf),
+                        "--path", str(pf))
+    assert code == 0 and doc["controlled"] is True
+    assert [[s["edge"] for s in d["steps"]] for d in doc["decomposition"]] \
+        == [["e0"] * 3, ["e1"] * 3]
 
 
 def test_controlled_path_on_an_unknown_edge_names_it():

@@ -142,7 +142,7 @@ class TestFlexiblePart:
 
     def test_flexible_part_keeps_rigid_trace_ends_flexible(self):
         q1, q3 = EdgePoint("e0", F(1, 4)), EdgePoint("e0", F(3, 4))
-        jump = RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),))
+        jump = RigidTrace((TraceStep(None, F(1, 4), F(3, 4)),))
         fl = flexible_part(GraphPresentation(
             frozenset({"v0", "v1"}),
             (Edge("e0", "v0", "v1", K.custom(Family(rigid=(jump,)))),)))
@@ -292,7 +292,7 @@ class TestFiner:
         # the jump 1/4 -> 3/4 runs in the rising window, and so do the
         # trivial loops at its ends, unless the coarse space excludes one
         jump = interval(K.custom(Family(rigid=(
-            RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),)),))))
+            RigidTrace((TraceStep(None, F(1, 4), F(3, 4)),)),))))
         window = interval(K.custom(Family(fragments=(Fragment(1),))))
         assert is_finer(jump, window)
         coarse = exclude_endpoints(window, [EdgePoint("e0", F(1, 4))])

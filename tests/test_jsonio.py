@@ -17,9 +17,9 @@ from cspaces.model import (PAUSE, EdgePoint, ModelError, PTuple, Seg, Vertex,
                            assemble)
 from cspaces.presentation import (GraphPresentation, flexible_point,
                                   normalize, pos_point, validate)
-from cspaces.sampling import random_graph_path
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
+from sampling import random_graph_path
 
 
 class TestPoints:
@@ -154,6 +154,10 @@ class TestDocumentErrors:
         (_custom_doc(fragments=[{"dir": -1, "lo": "3/4", "hi": "1/4"}]),
          "space.graph.edges[0].params.family.fragments[0]: fragment window "
          "[3/4, 1/4] is not inside [0,1] with lo <= hi"),
+        (_custom_doc(rigid=[{"steps": [
+            {"edge": "e1", "from": "0/1", "to": "1/1"}]}]),
+         "space.graph.edges[0].params.family.rigid[0].steps[0] is on edge "
+         "'e1', not on 'e0'"),
         ({"expr": {"op": "sum", "args": [_graph_doc()]}},
          "space.expr.args must hold 2"),
         ({"expr": {"args": []}}, "space.expr has no 'op' key"),
@@ -185,7 +189,7 @@ class TestLoopWindows:
 
     def test_flexible_all_reads_to_the_named_family(self):
         doc = _custom_doc(fragments=[{"dir": 1}], flexible="all")
-        assert _family(doc) == K.kind_generators(K.DIRECTED, "e0")
+        assert _family(doc) == K.kind_generators(K.DIRECTED)
         family = space_to_json(space_from_json(doc))["graph"]["edges"][0][
             "params"]["family"]
         assert family["flexible"] == "all"

@@ -41,10 +41,10 @@ from cspaces.model import (PAUSE, EdgePoint, Pause, Position, RigidTrace, Run,
 from cspaces.presentation import (bound_rigid, flexible_point, normalize,
                                   pos_point, project, split_path, trace_end,
                                   trace_path, trace_start)
-from cspaces.sampling import random_graph_path, random_product_path
 
 from helpers import OPEN_WINDOWS, H, identity, interval
 from oracle import brute_force_controlled
+from sampling import random_graph_path, random_product_path
 
 KINDS = {name: K.kind(name) for name in (
     "natural", "directed", "one_jump", "delayed_minus", "delayed_plus",
@@ -53,7 +53,7 @@ KINDS["n_stop3"] = K.n_stop(3)
 KINDS["open_windows"] = OPEN_WINDOWS
 # a rigid trace from 1/4 to 3/4 and no flexible position
 KINDS["quarter_jump"] = K.custom(Family(rigid=(
-    RigidTrace((TraceStep("e0", F(1, 4), F(3, 4)),)),)))
+    RigidTrace((TraceStep(None, F(1, 4), F(3, 4)),)),)))
 PATHS = 150
 DEPTH = 5
 
@@ -164,7 +164,7 @@ class TestLaws:
         sp = interval(KINDS[name])
         rp = reversible_part(sp)
         qs = {pos_point(sp, "e0", F(k, 8)) for k in range(9)}
-        qs.update(x for tr in K.kind_generators(KINDS[name], "e0").rigid
+        qs.update(x for tr in bound_rigid(sp)
                   for x in (trace_start(sp, tr), trace_end(sp, tr)))
         qs.update(x for p in paths(name + "/loops", sp)
                   for x in (p.start, p.end))
@@ -179,7 +179,7 @@ class TestLaws:
         sub = subspace(sp, [("e0", lo, hi)])
         (piece,) = sub.edges
         ts = {F(k, 24) for k in range(25)}
-        ts.update(x for tr in K.kind_generators(KINDS[name], "e0").rigid
+        ts.update(x for tr in K.kind_generators(KINDS[name]).rigid
                   for x in (tr.steps[0].a, tr.steps[-1].b))
         lost = [t for t in sorted(ts) if lo <= t <= hi
                 and flexible_point(sp, pos_point(sp, "e0", t))
@@ -203,7 +203,7 @@ class TestLaws:
 
     def test_trivial_loops_at_generator_ends_are_controlled(self, name):
         g = interval(KINDS[name])
-        for tr in K.kind_generators(KINDS[name], "e0").rigid:
+        for tr in bound_rigid(g):
             assert flexible_point(g, trace_start(g, tr)), tr
             assert flexible_point(g, trace_end(g, tr)), tr
         for p in paths(name + "/ends", g):

@@ -16,10 +16,10 @@ import pytest
 from cspaces.corpus import build, names
 from cspaces.membership import parse_controlled
 from cspaces.presentation import GraphPresentation, normalize
-from cspaces.sampling import random_graph_path
 
 from helpers import OPEN_WINDOWS, interval
 from oracle import brute_force_controlled
+from sampling import random_graph_path
 
 SEED = 973
 DEPTH = 5

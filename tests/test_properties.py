@@ -14,7 +14,8 @@ from cspaces.model import Position, Seg, assemble, concat, reverse_path
 from cspaces.presentation import (GraphPresentation, insert_pause, normalize,
                                   split_path)
 from cspaces.reach import reach_relation
-from cspaces.sampling import random_graph_path, random_product_path
+
+from sampling import random_graph_path, random_product_path
 
 SEED = 20260826
 

@@ -23,9 +23,9 @@ from cspaces.presentation import (Edge, GraphPresentation, _subspace, cuts,
 from cspaces.reach import (c_reachable, d_reachable, exists_c_from,
                            exists_c_through, exists_c_to, reach_relation,
                            unavoidable_point)
-from cspaces.sampling import random_graph_path
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
+from sampling import random_graph_path
 
 V0, V1 = Vertex("v0"), Vertex("v1")
 
@@ -275,8 +275,8 @@ class TestLoops:
     every point with a nontrivial loop is flexible, so none of them asks
     ``_graph_loop`` for a loop that exists."""
     sp = interval(K.custom(Family(rigid=(
-        RigidTrace((TraceStep("e0", Z, O),)),
-        RigidTrace((TraceStep("e0", O, Z),))))))
+        RigidTrace((TraceStep(None, Z, O),)),
+        RigidTrace((TraceStep(None, O, Z),))))))
 
     def test_loop_at_either_vertex(self):
         for v in (V0, V1):
