@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .construct import flexible_part
 from .membership import _ensure_path, check_path_geometry, is_controlled
@@ -28,11 +27,6 @@ class PointClassification:
 
 # ---------------------------------------------------------------------------
 # Points
-
-@lru_cache(maxsize=None)
-def _fl(norm):
-    return normalize(flexible_part(norm))
-
 
 def _graph_exists(pres: GraphPresentation, x):
     return (exists_c_through(pres, x),
@@ -65,7 +59,7 @@ def _point_data(norm, x):
         return _combine(cl, cr), _combine(fll, flr)
     flex = flexible_point(norm, x)
     c = _graph_exists(norm, x)
-    f = _graph_exists(_fl(norm), x)
+    f = _graph_exists(flexible_part(norm), x)
     return (flex, c), (flex, f)
 
 
@@ -92,7 +86,7 @@ def is_flexible_path(space, path_or_track) -> bool:
     path = _ensure_path(norm, path_or_track)
     if not is_controlled(norm, path):
         raise ModelError("path is not controlled")
-    return is_controlled(_fl(norm), path)
+    return is_controlled(flexible_part(norm), path)
 
 
 def is_splittable(space, path_or_track, cut: Position) -> bool:

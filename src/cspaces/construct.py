@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import kinds as K
 from .kinds import LOOPS, EdgeKind, Family, Fragment
-from .membership import fragment_span_ok, is_controlled
+from .membership import is_controlled
 from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
                     RigidTrace, Seg, TraceStep, UnsupportedConstruction,
                     Vertex, assemble, rat_str)
@@ -149,12 +149,21 @@ def flexible_part(space):
     """The space of flexible paths: same support, drop all rigid motion
     and cut each fragment where a portion of a run may not start or end.
 
-    The endpoints of the dropped rigid traces stay flexible points.
+    The endpoints of the dropped rigid traces stay flexible points.  The
+    flexible part of a graph presentation is kept on it, like its hat,
+    and dropped from pickles.  It is kept in normal form, so when it
+    equals a presentation already seen, it is that instance, with its
+    cell graph and parse index.
     """
     norm = normalize(space)
     if isinstance(norm, ProductN):
         return ProductN(flexible_part(norm.left), flexible_part(norm.right))
-    g = norm
+    if "_flexible" not in norm.__dict__:
+        object.__setattr__(norm, "_flexible", normalize(_flexible_graph(norm)))
+    return norm._flexible
+
+
+def _flexible_graph(g: GraphPresentation) -> GraphPresentation:
     edges, flex = [], set(g.flexible)
     for e in g.edges:
         fam = family(g, e.id)
@@ -208,8 +217,9 @@ def functor_Dc(space) -> GraphPresentation:
 def _step_covered(frags, tr: RigidTrace) -> bool:
     """Is a one-step trace a run that one of the fragments admits?"""
     s = tr.steps[0]
-    return len(tr.steps) == 1 and fragment_span_ok(
-        Family(fragments=frags), min(s.a, s.b), max(s.a, s.b), s, s)
+    return len(tr.steps) == 1 and any(
+        f.admits(s.a, s.b, s.dir) and s.a not in f.start_not
+        and s.b not in f.end_not for f in frags)
 
 
 def _rc_kind(e: Edge, fam: Family):

@@ -12,9 +12,11 @@ The parse compares integer ranks, not rationals.  On an edge whose cut
 values are c_0 < c_1 < ... < c_m, the value c_i has rank 2i and a point
 strictly between c_i and c_(i+1) has rank 2i + 1.  Every window bound,
 forbidden start or end, and trace step end is a cut value, so ranks
-decide each comparison exactly.  The ranked windows and rigid steps of
-an edge live in a parse index stored on the presentation; edges of one
-kind with the same cut values share one entry.
+decide each comparison exactly.  ``_ranks`` is the one place that
+defines this encoding.  The ranked windows and rigid steps of an edge
+live in a parse index stored on the presentation; edges of one kind with
+the same cut values share one entry, and the cell graph of ``reach``
+lays out its edges from the same entries.
 """
 from __future__ import annotations
 
@@ -62,6 +64,8 @@ class _EdgeIndex:
     """The ranked generators of the edges of one kind and one set of cut
     values.
 
+    ``cuts``: the sorted cut values; ``rank``: each of them -> its rank;
+    ``fam``: the family of the kind.
     ``wins[d]``: the windows of direction d as (lowest rank, highest rank,
     forbidden start ranks, forbidden end ranks), open ends already taken
     off; windows of direction 0 move nothing and are left out.
@@ -69,11 +73,11 @@ class _EdgeIndex:
     (None, d, rank); their steps name no edge, and None stands for the
     edge the trace starts on.
     """
-    __slots__ = ("cuts", "wins", "rigid")
+    __slots__ = ("cuts", "rank", "fam", "wins", "rigid")
 
     def __init__(self, fam, cs: tuple):
-        self.cuts = cs
-        rank = _ranks(cs)
+        self.cuts, self.fam = cs, fam
+        rank = self.rank = _ranks(cs)
         self.wins = {1: [], -1: []}
         for f in fam.fragments:
             if f.dir:
@@ -91,10 +95,12 @@ class _ParseIndex:
     and every rigid trace by (edge, d, rank of its start).
 
     Edges of one kind with the same ``own_cut_values`` (most often none)
-    have the same cut values, so they share one entry, and ``cuts`` runs
-    once per entry, not once per edge.  ``rigid`` holds the presentation's
-    generators from the start; when a path first reaches an edge, the
-    traces of its entry go in front of them.
+    have the same cut values, so they share one entry, and ``cuts`` and
+    ``family`` run once per entry, not once per edge.  The cell graph
+    (``reach.CellGraph``) fills the entries of every edge it lays out.
+    ``rigid`` holds the presentation's generators from the start; when a
+    path or the cell graph first reaches an edge, the traces of its entry
+    go in front of them.
     """
     __slots__ = ("edges", "shared", "own", "rigid", "__weakref__")
 
@@ -284,16 +290,6 @@ def _match(steps, pauses, toks, i: int, edge: str) -> Optional[int]:
     if len(steps) in pauses and not (pos < n and toks[pos] is PAUSE):
         return None
     return pos
-
-
-def fragment_span_ok(fam, lo: Rat, hi: Rat, first: Seg, last: Seg) -> bool:
-    """Can one flexible-fragment instance cover the same-edge stretch that
-    spans [lo, hi], begins with segment `first` and ends with `last`?"""
-    for f in fam.fragments:
-        if f.admits(lo, hi, first.dir) and first.a not in f.start_not \
-                and last.b not in f.end_not:
-            return True
-    return False
 
 
 def _window_ok(wins, lo: int, hi: int, start: int, end: int) -> bool:

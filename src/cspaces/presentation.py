@@ -44,9 +44,10 @@ class GraphPresentation:
     look presentations up in caches many times per query.  The same
     holds for the compiled cell graph that ``reach.compiled`` stores as
     ``_cells``, the parse index that ``membership.parse_index`` stores
-    as ``_parse_index`` and the hat that ``construct.hat`` stores as
-    ``_hat``.  Pickles drop all four: string hashes are salted per
-    process, and the others are rebuilt on demand.
+    as ``_parse_index``, and the hat and flexible part that
+    ``construct.hat`` and ``construct.flexible_part`` store as ``_hat``
+    and ``_flexible``.  Pickles keep only the fields: string hashes are
+    salted per process, and the rest is rebuilt on demand.
     """
     vertices: frozenset
     edges: tuple  # of Edge
@@ -66,13 +67,7 @@ class GraphPresentation:
             return h
 
     def __getstate__(self):
-        # string hashes are salted per process: a pickled hash would be stale
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        state.pop("_cells", None)
-        state.pop("_parse_index", None)
-        state.pop("_hat", None)
-        return state
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

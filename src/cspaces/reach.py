@@ -8,11 +8,14 @@ the result.
 
 Cells are ints: one per vertex, then, edge by edge, one per interior cut
 value and one per open segment between two consecutive cut values.  An
-edge's cut values are sorted once per presentation.  Its position
-``r`` is its ``r // 2``-th cut value when ``r`` is even and the open
-segment after that value when ``r`` is odd, and the positions of one
-edge are numbered consecutively, so a stretch of an edge is a range of
-position numbers.
+edge's positions are numbered consecutively from its offset, and the
+position of a cut value is the offset plus its rank in the sense of
+``membership``: rank ``r`` is the ``r // 2``-th cut value when ``r`` is
+even and the open segment after that value when ``r`` is odd.  So a
+stretch of an edge is a range of position numbers.  The sorted cut
+values, their ranks and the family of an edge come from the entry of its
+kind and cut values in the parse index (``membership.parse_index``),
+which edges of one kind share, so they are computed once per entry.
 
 Every generator contributes transitions ``(src, dst, cover, recipe)``
 over ints: the cells the motion starts and ends in, the position ranges
@@ -27,15 +30,17 @@ search each way for ``exists_c_through``, one per representative point
 for ``ReachRelation.pairs``.
 
 A cut re-lays only the edges that hold a query point which is not yet a
-cut value, on new positions after all others.  Their vertex and
-cut-value cells keep their ids.  So a rigid trace with a step on such an
-edge keeps its transition and its cells, and only its cover moves.
-Their fragment transitions are unlinked, keeping their numbers, and
-added again on the new positions.  The cut copies the graph's top-level
-lists and shares every inner list with the compiled graph until it
-changes it, so the compiled graph never changes.  A question thus costs
-the edges its points lie on and a copy of the top-level lists, not a
-rebuild of the graph.
+cut value, on new positions after all others, ranked by the same
+``membership._ranks`` but kept out of the parse index, which does not
+grow with the questions.  Their vertex and cut-value cells keep their
+ids.  So a rigid trace with a step on such an edge keeps its transition
+and its cells, and only its cover is laid out again.  Their fragment
+transitions are unlinked, keeping their numbers, and added again on the
+new positions.  The cut copies the graph's top-level lists and shares
+every inner list with the compiled graph until it changes it, so the
+compiled graph never changes.  A question thus costs the edges its
+points lie on and a copy of the top-level lists, not a rebuild of the
+graph.
 
 Witness atoms (``Seg`` / ``PAUSE``) are built only along the chain of
 transitions a witness returns, with pauses between the pieces; pauses
@@ -52,9 +57,10 @@ from functools import lru_cache
 from typing import Optional
 
 from .construct import hat
+from .membership import _edge_index, _ranks, parse_index
 from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, ProdSeg,
                     PTuple, Seg, UnsupportedConstruction, Vertex, assemble)
-from .presentation import (GraphPresentation, ProductN, cuts, family,
+from .presentation import (GraphPresentation, ProductN, cuts,
                            flexible_point, is_flexible_point, normalize,
                            point_positions, trace_path)
 
@@ -89,20 +95,23 @@ class CellGraph:
         names = sorted(pres.vertices.union(*((e.src, e.dst)
                                              for e in pres.edges)))
         self.vertex = {v: c for c, v in enumerate(names)}
+        index = parse_index(pres)
+        entries = [index.edges.get(e.id) or _edge_index(index, pres, e.id)
+                   for e in pres.edges]
         n = len(pres.edges)
         self.index = {e.id: i for i, e in enumerate(pres.edges)}
         self.ids = [e.id for e in pres.edges]  # edge number -> edge id
+        self.fam = [ent.fam for ent in entries]  # edge number -> family
         self.vals = [None] * n    # edge number -> sorted cut values
+        self.rank = [None] * n    # edge number -> {cut value: rank}
         self.offset = [None] * n  # edge number -> number of its position 0
-        self.ranks = [None] * n   # edge number -> {cut value: position}
         self.pos_edge = []   # position -> edge number
         self.cell_at = []    # position -> cell
         self.places = [[] for _ in names]  # cell -> its positions
-        for i, e in enumerate(pres.edges):
-            vals = cuts(pres, e.id)
-            keep = [None] * len(vals)
+        for i, (e, ent) in enumerate(zip(pres.edges, entries)):
+            keep = [None] * len(ent.cuts)
             keep[0], keep[-1] = self.vertex[e.src], self.vertex[e.dst]
-            self._place(i, vals, keep)
+            self._place(i, ent.cuts, ent.rank, keep)
         self.src, self.dst, self.cover, self.recipe = [], [], [], []
         self.excluded = self._cells(pres.excluded)
         self.absorbing = self._cells(pres.absorbing)
@@ -111,12 +120,11 @@ class CellGraph:
         self.filtered = bool(self.blocked or self.absorbing or self.emitting)
         self.on_edge = [[] for _ in pres.edges]  # edge number -> transitions
         for i, e in enumerate(pres.edges):
-            fam = family(pres, e.id)
             first = len(self.src)
-            for frag in fam.fragments:
+            for frag in self.fam[i].fragments:
                 self._fragment(i, frag)
             self.on_edge[i].extend(range(first, len(self.src)))
-            for tr in fam.rigid:
+            for tr in self.fam[i].rigid:
                 self._rigid(tr.on(e.id))
         for tr in pres.generators:
             self._rigid(tr)
@@ -136,14 +144,13 @@ class CellGraph:
 
     # -- cells and positions -------------------------------------------------
 
-    def _place(self, i: int, vals, keep: list) -> None:
-        """Lay out edge number i cut at vals on new positions after all
-        others.  The k-th cut value stays in the cell keep[k] unless that
-        is None; every other position gets a new cell."""
+    def _place(self, i: int, vals, rank: dict, keep: list) -> None:
+        """Lay out edge number i cut at the sorted values vals, whose ranks
+        are rank, on new positions after all others.  The k-th cut value
+        stays in the cell keep[k] unless that is None; every other position
+        gets a new cell."""
         base = len(self.cell_at)
-        self.vals[i] = vals
-        self.offset[i] = base
-        self.ranks[i] = None
+        self.vals[i], self.rank[i], self.offset[i] = vals, rank, base
         for r in range(2 * len(vals) - 1):
             c = keep[r // 2] if r % 2 == 0 else None
             if c is None:
@@ -178,12 +185,7 @@ class CellGraph:
 
     def _at(self, i: int, t) -> int:
         """The position of cut value t on edge number i."""
-        rank = self.ranks[i]
-        if rank is None:
-            base = self.offset[i]
-            rank = self.ranks[i] = {v: base + 2 * k
-                                    for k, v in enumerate(self.vals[i])}
-        return rank[t]
+        return self.offset[i] + self.rank[i][t]
 
     def value(self, g: int):
         """The edge parameter of position g (the midpoint of a segment)."""
@@ -245,9 +247,9 @@ class CellGraph:
         cut again.  It gets new positions after all existing ones, and
         its vertex and cut-value cells keep their ids, so the cell sets
         of the filters hold as they are.  A rigid transition on it keeps
-        its number and its cells: only its cover moves to the new
-        positions.  Its fragment transitions are unlinked (they keep
-        their numbers, in ``dead``) and added again.  The result copies
+        its number and its cells: only its cover is laid out again, on
+        the new positions.  Its fragment transitions are unlinked (they
+        keep their numbers, in ``dead``) and added again.  The result copies
         each list before it changes it, so this graph never changes;
         with nothing to cut, the result is this graph.  A cut graph is
         not cut again.
@@ -255,8 +257,7 @@ class CellGraph:
         added = {}
         for e, t in extra:
             i = self.index[e]
-            vals = self.vals[i]
-            if vals[bisect_left(vals, t)] != t:  # 0 < t < 1
+            if t not in self.rank[i]:
                 added.setdefault(i, set()).add(t)
         if not added:
             return self
@@ -268,36 +269,30 @@ class CellGraph:
         on = [k for i in added for k in self.on_edge[i]]
         gone = {k for k in on if self.recipe[k] is None}
         self.dead = frozenset(gone)
-        self.vals, self.offset = list(self.vals), list(self.offset)
-        self.ranks, self.pos_edge = list(self.ranks), list(self.pos_edge)
+        self.vals, self.rank = list(self.vals), list(self.rank)
+        self.offset, self.pos_edge = list(self.offset), list(self.pos_edge)
         self.cell_at, self.places = list(self.cell_at), list(self.places)
         self.fwd, self.rev = list(self.fwd), list(self.rev)
         self.src, self.dst = list(self.src), list(self.dst)
         self.cover, self.recipe = list(self.cover), list(self.recipe)
         cells, first = len(self.places), len(self.src)
-        move = {}  # old position -> new position, of each kept cut value
         for i, ts in sorted(added.items()):
             vals, start = list(self.vals[i]), self.offset[i]
             old = range(start, start + 2 * len(vals) - 1)
-            was = list(old[::2])  # the old position of each cut value
-            for c in {self.cell_at[g] for g in was}:
+            keep = [self.cell_at[g] for g in old[::2]]  # each cut value's cell
+            for c in set(keep):
                 self.places[c] = [g for g in self.places[c] if g not in old]
             for t in sorted(ts):
                 k = bisect_left(vals, t)
                 vals.insert(k, t)
-                was.insert(k, None)
-            base = len(self.cell_at)
-            move.update((g, base + 2 * k) for k, g in enumerate(was)
-                        if g is not None)
-            self._place(i, vals, [None if g is None else self.cell_at[g]
-                                  for g in was])
+                keep.insert(k, None)
+            self._place(i, vals, _ranks(vals), keep)
         for k in set(on) - gone:
-            self.cover[k] = tuple((move.get(a, a), move.get(b, b))
-                                  for a, b in self.cover[k])
+            self.cover[k] = self._steps(self.recipe[k])
         self.fwd.extend([] for _ in range(cells, len(self.places)))
         self.rev.extend([] for _ in range(cells, len(self.places)))
         for i in sorted(added):
-            for frag in family(self.pres, self.ids[i]).fragments:
+            for frag in self.fam[i].fragments:
                 self._fragment(i, frag)
         for adj, ends in ((self.fwd, self.src), (self.rev, self.dst)):
             relink = {ends[k]: [] for k in gone}

@@ -1,11 +1,14 @@
 """Point and path classification: frozen expected values per model."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
 from cspaces import kinds as K
+from cspaces import presentation, reach
 
 from cspaces.classify import (classify_point, is_flexible_path,
                               is_flexible_point, is_rigid_path,
@@ -342,6 +345,26 @@ class TestRigidProductPaths:
             rigid += expect
             assert is_rigid_path(sp, p) == expect, p
         assert checked >= 20 and 0 < rigid < checked
+
+
+def test_a_classified_presentation_dies_with_its_last_reference():
+    """Its flexible part is kept on it, not in a module cache."""
+    sp = GraphPresentation(frozenset({"a", "b"}),
+                           (Edge("weak", "a", "b", K.n_stop(3)),),
+                           flexible=frozenset({EdgePoint("weak", F(1, 7))}))
+    assert classify_point(sp, EdgePoint("weak", H)).has_nontrivial_path_through
+    third = EdgePoint("weak", F(1, 3))
+    assert not is_flexible_path(sp, assemble(Vertex("a"), [Seg("weak", Z, F(1, 3))],
+                                             third))
+    for cache in (presentation.edge_map, presentation.family,
+                  presentation.cuts, presentation.bound_rigid,
+                  presentation.closed_traces, presentation.normalize,
+                  reach.transitions):
+        cache.cache_clear()
+    ref = weakref.ref(sp)
+    del sp
+    gc.collect()
+    assert ref() is None
 
 
 class TestRigidPathErrors:

@@ -2,7 +2,7 @@
 closure/part, reshaping comparison, controlled maps."""
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,14 +17,14 @@ from cspaces.construct import (EdgeImage, check_cmap, cmap, exclude_endpoints,
                                reversible_part, subspace, sum_space)
 from cspaces.corpus import build
 from cspaces.kinds import Family, Fragment
-from cspaces.membership import is_controlled
+from cspaces.membership import is_controlled, parse_index
 from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple,
                            RigidTrace, Seg, TraceStep, UnsupportedConstruction,
                            Vertex, assemble, reverse_path)
 from cspaces.presentation import (Edge, GraphPresentation, ProductN,
                                   Subspace, flexible_point, normalize,
                                   validate)
-from cspaces.reach import c_reachable, d_reachable
+from cspaces.reach import c_reachable, compiled, d_reachable
 
 from helpers import Z, O, H, identity, interval
 
@@ -156,8 +156,36 @@ class TestFlexiblePart:
         assert is_controlled(fl, HALF_UP)
         assert not is_controlled(fl, DOWN)
 
+    def test_pickle_keeps_only_the_fields(self):
+        sp = normalize(build("siphon_osc"))
+        hash(sp)
+        compiled(sp)
+        parse_index(sp)
+        hat(sp)
+        fl = flexible_part(sp)
+        assert flexible_part(sp) is fl and vars(sp)["_flexible"] is fl
+        assert {"_hash", "_cells", "_parse_index", "_hat"} <= set(vars(sp))
+        copy = pickle.loads(pickle.dumps(sp))
+        assert set(vars(copy)) == {f.name for f in fields(GraphPresentation)}
+        assert copy == sp and flexible_part(copy) == fl
+
 
 class TestOpposite:
+    def test_opposite_swaps_absorbing_and_emitting_points(self):
+        a, b = EdgePoint("e0", F(1, 4)), EdgePoint("e0", F(3, 4))
+        sp = replace(interval(K.DIRECTED),
+                     flexible=frozenset({EdgePoint("e0", F(1, 8))}),
+                     excluded=frozenset({V0}), absorbing=frozenset({b}),
+                     emitting=frozenset({a}),
+                     blocked=frozenset({EdgePoint("e0", F(7, 8))}))
+        op = opposite(sp)
+        assert (op.absorbing, op.emitting) == (sp.emitting, sp.absorbing)
+        assert ((op.excluded, op.blocked, op.flexible)
+                == (sp.excluded, sp.blocked, sp.flexible))
+        # the run from the emitting point to the absorbing one, reversed
+        run = assemble(a, [Seg("e0", F(1, 4), F(3, 4))], b)
+        assert is_controlled(sp, run) and is_controlled(op, reverse_path(run))
+
     def test_opposite_swaps_membership_with_reversal(self):
         for name in ("c_interval", "d_interval", "siphon", "delayed_minus"):
             sp, op = build(name), opposite(build(name))

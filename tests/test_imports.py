@@ -1,7 +1,7 @@
 """No module of the package or of the test suite imports a name it never
 uses, and no function of the package imports anything: an import inside
 a function hides an import cycle.  The package adds no ``functools``
-cache to the eight it has, which grow without bound.  The membership
+cache to the seven it has, which grow without bound.  The membership
 oracle of the tests imports nothing from the parse it checks.  Only
 ``ast`` reads the sources; ``__init__.py`` files (which re-export) and
 import lines marked ``# noqa: F401`` are exempt from the first rule."""
@@ -61,7 +61,7 @@ def test_no_function_local_imports(path):
 KNOWN_CACHES = {("presentation", "edge_map"), ("presentation", "family"),
                 ("presentation", "cuts"), ("presentation", "bound_rigid"),
                 ("presentation", "closed_traces"), ("presentation", "normalize"),
-                ("classify", "_fl"), ("reach", "transitions")}
+                ("reach", "transitions")}
 CACHE_NAMES = {"lru_cache", "cache"}
 
 

@@ -297,8 +297,6 @@ class TestGrowthCounts:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(membership, "fragment_span_ok",
-                            counting("fragment_span_ok", membership.fragment_span_ok))
         monkeypatch.setattr(Fragment, "admits", counting("admits", Fragment.admits))
         monkeypatch.setattr(membership, "_window_ok",
                             counting("_window_ok", membership._window_ok))

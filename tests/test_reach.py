@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from cspaces import kinds as K
-from cspaces import reach
+from cspaces import membership, presentation, reach
 from cspaces.classify import classify_point
 from cspaces.construct import (exclude_endpoints, flexible_part, hat,
                                opposite, product)
@@ -224,9 +224,10 @@ class TestOneGraphPerQuestion:
             calls.append(edge)
             return cuts(pres, edge)
 
-        monkeypatch.setattr(reach, "cuts", counting)
+        monkeypatch.setattr(membership, "cuts", counting)
         reach.transitions.cache_clear()
-        vars(normalize(sp)).pop("_cells", None)  # start from no compiled graph
+        for kept in ("_cells", "_parse_index"):  # start from nothing compiled
+            vars(normalize(sp)).pop(kept, None)
         x, y = EdgePoint("e0", F(1, 256)), EdgePoint("e0", F(255, 256))
         r = c_reachable(sp, x, y)
         assert r and is_controlled(sp, r.witness)
@@ -235,6 +236,25 @@ class TestOneGraphPerQuestion:
         x, y = EdgePoint("e0", F(3, 512)), EdgePoint("e0", F(509, 512))
         assert not c_reachable(sp, x, y)
         assert calls == ["e0"]
+
+    @pytest.mark.parametrize("flexible, entries", [
+        (frozenset(), 1), (frozenset({EdgePoint("e70", H)}), 2)])
+    def test_compiling_looks_up_each_entry_once(self, monkeypatch, flexible,
+                                                entries):
+        """The edges of one kind share their ranked entry; a flexible
+        point gives its edge cut values, and so an entry, of its own."""
+        pres = replace(_directed_chain(150), flexible=flexible)
+        calls = []
+        for name in ("cuts", "family"):
+            def counting(pres, edge, name=name,
+                         real=getattr(presentation, name)):
+                calls.append(name)
+                return real(pres, edge)
+            for module in (membership, reach):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        reach.CellGraph(pres)
+        assert sorted(calls) == ["cuts"] * entries + ["family"] * entries
 
     def test_pairs_builds_one_graph(self, monkeypatch):
         sp = _directed_chain(12)
@@ -353,9 +373,12 @@ def _fresh_point(pres, rng):
 
 
 def _snapshot(g):
+    index = membership.parse_index(g.pres)
     return (len(g.src), list(g.cell_at), list(g.cover),
             [len(c) for c in g.fwd], [len(c) for c in g.rev],
-            [len(c) for c in g.places])
+            [len(c) for c in g.places], len(index.edges),
+            {key: (ent.cuts, dict(ent.rank))
+             for key, ent in index.shared.items()})
 
 
 @pytest.mark.parametrize("name, pres", [
