@@ -11,7 +11,7 @@ from .model import (ONE, ZERO, CanonicalPath, ModelError, Position, ProdSeg,
 from .presentation import (GraphPresentation, ProductN, cuts, family,
                            flexible_point, normalize, split_path, trace_path)
 from .presentation import is_flexible_point  # noqa: F401  (public here too)
-from .reach import exists_c_from, exists_c_through, exists_c_to
+from .reach import existence
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,6 @@ class PointClassification:
 
 # ---------------------------------------------------------------------------
 # Points
-
-def _graph_exists(pres: GraphPresentation, x):
-    return (exists_c_through(pres, x),
-            exists_c_from(pres, x),
-            exists_c_to(pres, x))
-
 
 def _combine(l, r):
     """Componentwise existence of a pair from factor existence data.
@@ -58,8 +52,8 @@ def _point_data(norm, x):
         (cr, flr) = _point_data(norm.right, x.parts[1])
         return _combine(cl, cr), _combine(fll, flr)
     flex = flexible_point(norm, x)
-    c = _graph_exists(norm, x)
-    f = _graph_exists(flexible_part(norm), x)
+    c = existence(norm, x)
+    f = existence(flexible_part(norm), x)
     return (flex, c), (flex, f)
 
 

@@ -104,13 +104,15 @@ def hat(space):
     two coordinates of a controlled pair can be padded with pauses until
     both run over one interval, where they restrict one controlled pair.
     The hat of a graph presentation is kept on it, like its cell graph,
-    and dropped from pickles.
+    and dropped from pickles.  It is kept in normal form, so when it
+    equals a presentation already seen (a ``directed`` chain is its own
+    hat), it is that instance, with its cell graph and parse index.
     """
     norm = normalize(space)
     if isinstance(norm, ProductN):
         return ProductN(hat(norm.left), hat(norm.right))
     if "_hat" not in norm.__dict__:
-        object.__setattr__(norm, "_hat", hat_graph(norm))
+        object.__setattr__(norm, "_hat", normalize(hat_graph(norm)))
     return norm._hat
 
 

@@ -25,22 +25,26 @@ in its direction; a rigid trace one for its whole traversal.
 Transitions that touch a blocked point, pass an absorbing point before
 their end or an emitting point after their start are dropped.  Forward
 and reverse adjacency are built with the graph, so a question is a
-breadth-first search over ints: one from the source, one multi-source
-search each way for ``exists_c_through``, one per representative point
-for ``ReachRelation.pairs``.
+breadth-first search over ints: one from the source, one each way from
+the point for ``existence`` (and a multi-source one each way when
+neither finds a path), one per representative point for
+``ReachRelation.pairs``.
 
-A cut re-lays only the edges that hold a query point which is not yet a
-cut value, on new positions after all others, ranked by the same
-``membership._ranks`` but kept out of the parse index, which does not
-grow with the questions.  Their vertex and cut-value cells keep their
-ids.  So a rigid trace with a step on such an edge keeps its transition
-and its cells, and only its cover is laid out again.  Their fragment
-transitions are unlinked, keeping their numbers, and added again on the
-new positions.  The cut copies the graph's top-level lists and shares
-every inner list with the compiled graph until it changes it, so the
-compiled graph never changes.  A question thus costs the edges its
-points lie on and a copy of the top-level lists, not a rebuild of the
-graph.
+A cut splits only the open segments that hold a query point which is
+not a cut value.  The m query values in the segment at position p get
+2m new positions and cells after all others, a point and the piece of
+segment after it for each, ordered by keys strictly between p and
+p + 1; p keeps the piece before the first value.  Window bounds,
+forbidden ends and filter points are all cut values, so a window that
+holds p holds every piece and admits the same moves to and from each:
+each fragment transition into or out of p gives one into or out of
+every new position, and each window that holds p adds the moves between
+its pieces.  No transition is unlinked, no edge is laid out or ranked
+again, and a new position's parameter is computed only when a witness
+reads it.  The cut copies the graph's top-level lists and each
+adjacency list it extends, so the compiled graph never changes.  A
+question thus costs its points and a copy of the top-level lists, not
+the edges its points lie on.
 
 Witness atoms (``Seg`` / ``PAUSE``) are built only along the chain of
 transitions a witness returns, with pauses between the pieces; pauses
@@ -57,7 +61,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .construct import hat
-from .membership import _edge_index, _ranks, parse_index
+from .membership import _edge_index, parse_index
 from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, ProdSeg,
                     PTuple, Seg, UnsupportedConstruction, Vertex, assemble)
 from .presentation import (GraphPresentation, ProductN, cuts,
@@ -83,11 +87,10 @@ class ReachResult:
 
 class CellGraph:
     """A graph presentation cut at its cut values (``CellGraph(pres)``,
-    kept on pres by ``compiled``), or such a graph also cut at the query
-    points of one question (``cut``).
+    kept on pres by ``compiled``), or such a graph also split at the
+    query points of one question (``cut``).
 
-    ``len()`` is the number of live transitions: a cut graph keeps the
-    numbers of the transitions it unlinks, in ``dead``.
+    ``len()`` is the number of transitions.
     """
 
     def __init__(self, pres: GraphPresentation):
@@ -96,69 +99,61 @@ class CellGraph:
                                              for e in pres.edges)))
         self.vertex = {v: c for c, v in enumerate(names)}
         index = parse_index(pres)
-        entries = [index.edges.get(e.id) or _edge_index(index, pres, e.id)
-                   for e in pres.edges]
-        n = len(pres.edges)
+        # edge number -> its ranked entry: cut values, ranks, family, windows
+        self.ent = [index.edges.get(e.id) or _edge_index(index, pres, e.id)
+                    for e in pres.edges]
         self.index = {e.id: i for i, e in enumerate(pres.edges)}
         self.ids = [e.id for e in pres.edges]  # edge number -> edge id
-        self.fam = [ent.fam for ent in entries]  # edge number -> family
-        self.vals = [None] * n    # edge number -> sorted cut values
-        self.rank = [None] * n    # edge number -> {cut value: rank}
-        self.offset = [None] * n  # edge number -> number of its position 0
+        self.offset = []     # edge number -> number of its position 0
         self.pos_edge = []   # position -> edge number
         self.cell_at = []    # position -> cell
         self.places = [[] for _ in names]  # cell -> its positions
-        for i, (e, ent) in enumerate(zip(pres.edges, entries)):
-            keep = [None] * len(ent.cuts)
-            keep[0], keep[-1] = self.vertex[e.src], self.vertex[e.dst]
-            self._place(i, ent.cuts, ent.rank, keep)
+        for e, ent in zip(pres.edges, self.ent):
+            self._place(len(ent.cuts), self.vertex[e.src], self.vertex[e.dst])
         self.src, self.dst, self.cover, self.recipe = [], [], [], []
         self.excluded = self._cells(pres.excluded)
         self.absorbing = self._cells(pres.absorbing)
         self.emitting = self._cells(pres.emitting)
         self.blocked = self._cells(pres.blocked)
         self.filtered = bool(self.blocked or self.absorbing or self.emitting)
-        self.on_edge = [[] for _ in pres.edges]  # edge number -> transitions
         for i, e in enumerate(pres.edges):
-            first = len(self.src)
-            for frag in self.fam[i].fragments:
+            fam = self.ent[i].fam
+            for frag in fam.fragments:
                 self._fragment(i, frag)
-            self.on_edge[i].extend(range(first, len(self.src)))
-            for tr in self.fam[i].rigid:
+            for tr in fam.rigid:
                 self._rigid(tr.on(e.id))
         for tr in pres.generators:
             self._rigid(tr)
-        for k, tr in enumerate(self.recipe):
-            if tr is not None:
-                for i in {self.index[s.edge] for s in tr.steps}:
-                    self.on_edge[i].append(k)
-        self.dead = frozenset()
         self.fwd = [[] for _ in self.places]
         self.rev = [[] for _ in self.places]
         for k, (s, d) in enumerate(zip(self.src, self.dst)):
             self.fwd[s].append(k)
             self.rev[d].append(k)
+        # Filled by ``cut``: split segment -> (its query values, sorted,
+        # and its first new position); new position -> the segment it
+        # splits; new position -> its order key.
+        self.inner, self.home, self.order = {}, {}, {}
 
     def __len__(self):
-        return len(self.src) - len(self.dead)
+        return len(self.src)
 
     # -- cells and positions -------------------------------------------------
 
-    def _place(self, i: int, vals, rank: dict, keep: list) -> None:
-        """Lay out edge number i cut at the sorted values vals, whose ranks
-        are rank, on new positions after all others.  The k-th cut value
-        stays in the cell keep[k] unless that is None; every other position
-        gets a new cell."""
+    def _place(self, m: int, first: int, last: int) -> None:
+        """Lay out an edge with m cut values on new positions after all
+        others.  Its ends are in the cells first and last; every other
+        position gets a new cell."""
         base = len(self.cell_at)
-        self.vals[i], self.rank[i], self.offset[i] = vals, rank, base
-        for r in range(2 * len(vals) - 1):
-            c = keep[r // 2] if r % 2 == 0 else None
+        self.offset.append(base)
+        top = 2 * m - 2
+        for r in range(top + 1):
+            c = first if r == 0 else last if r == top else None
             if c is None:
                 c = len(self.places)
                 self.places.append([])
             self.places[c].append(base + r)
             self.cell_at.append(c)
-            self.pos_edge.append(i)
+            self.pos_edge.append(len(self.offset) - 1)
 
     def cell(self, p) -> int:
         """The cell holding a point of the presentation."""
@@ -168,10 +163,19 @@ class CellGraph:
             return self.vertex[p.name]
         if isinstance(p, EdgePoint) and p.edge in self.index:
             i = self.index[p.edge]
-            vals = self.vals[i]
+            vals = self.ent[i].cuts
             h = bisect_left(vals, p.t)
-            r = 2 * h if vals[h] == p.t else 2 * h - 1
-            return self.cell_at[self.offset[i] + r]
+            g = self.offset[i] + 2 * h
+            if vals[h] != p.t:
+                g -= 1
+                if g in self.inner:  # a segment split by the question
+                    ts, first = self.inner[g]
+                    j = bisect_left(ts, p.t)
+                    if j < len(ts) and ts[j] == p.t:
+                        g = first + 2 * j
+                    elif j:
+                        g = first + 2 * j - 1
+            return self.cell_at[g]
         raise ModelError(f"not a point of this space: {p!r}")
 
     def _cells(self, points) -> frozenset:
@@ -185,13 +189,19 @@ class CellGraph:
 
     def _at(self, i: int, t) -> int:
         """The position of cut value t on edge number i."""
-        return self.offset[i] + self.rank[i][t]
+        return self.offset[i] + self.ent[i].rank[t]
 
     def value(self, g: int):
-        """The edge parameter of position g (the midpoint of a segment)."""
-        i = self.pos_edge[g]
-        r = g - self.offset[i]
-        vals = self.vals[i]
+        """The edge parameter of position g: a cut value, a query point,
+        or the midpoint of an open segment or of a piece of a split one."""
+        seg = self.home.get(g, g)
+        i = self.pos_edge[seg]
+        vals, r = self.ent[i].cuts, seg - self.offset[i]
+        if seg in self.inner:
+            # rank g among the ends and the query values of its segment
+            ts, first = self.inner[seg]
+            vals = (vals[r // 2], *ts, vals[r // 2 + 1])
+            r = g - first + 2 if g != seg else 1
         h = r // 2
         return vals[h] if r % 2 == 0 else (vals[h] + vals[h + 1]) / 2
 
@@ -228,86 +238,110 @@ class CellGraph:
                 if b not in no_end:
                     self._add(cell_at[a], cell_at[b], ((a, b),), None)
 
-    def _steps(self, tr) -> tuple:
-        """(start, end) positions of each step of a trace."""
-        return tuple((self._at(self.index[s.edge], s.a),
-                      self._at(self.index[s.edge], s.b)) for s in tr.steps)
-
     def _rigid(self, tr) -> None:
-        steps = self._steps(tr)
+        steps = tuple((self._at(self.index[s.edge], s.a),
+                       self._at(self.index[s.edge], s.b)) for s in tr.steps)
         self._add(self.cell_at[steps[0][0]], self.cell_at[steps[-1][1]],
                   steps, tr)
 
     # -- query points --------------------------------------------------------
 
     def cut(self, extra: frozenset) -> "CellGraph":
-        """This graph also cut at the (edge, t) positions in extra.
+        """This graph also split at the (edge, t) positions in extra.
 
-        Only an edge holding a position that is not yet a cut value is
-        cut again.  It gets new positions after all existing ones, and
-        its vertex and cut-value cells keep their ids, so the cell sets
-        of the filters hold as they are.  A rigid transition on it keeps
-        its number and its cells: only its cover is laid out again, on
-        the new positions.  Its fragment transitions are unlinked (they
-        keep their numbers, in ``dead``) and added again.  The result copies
-        each list before it changes it, so this graph never changes;
-        with nothing to cut, the result is this graph.  A cut graph is
-        not cut again.
+        Each open segment that holds positions which are not cut values
+        is split there; with nothing to split, the result is this graph.
+        The result copies the top-level lists and every adjacency list
+        it extends, so this graph never changes.  A cut graph is not cut
+        again.
         """
-        added = {}
+        segs = {}  # segment position -> the values that split it
         for e, t in extra:
             i = self.index[e]
-            if t not in self.rank[i]:
-                added.setdefault(i, set()).add(t)
-        if not added:
+            vals = self.ent[i].cuts
+            h = bisect_left(vals, t)
+            if vals[h] != t:
+                segs.setdefault(self.offset[i] + 2 * h - 1, []).append(t)
+        if not segs:
             return self
         g = copy(self)
-        g._recut(added)
+        g._split(segs)
         return g
 
-    def _recut(self, added: dict) -> None:
-        on = [k for i in added for k in self.on_edge[i]]
-        gone = {k for k in on if self.recipe[k] is None}
-        self.dead = frozenset(gone)
-        self.vals, self.rank = list(self.vals), list(self.rank)
-        self.offset, self.pos_edge = list(self.offset), list(self.pos_edge)
-        self.cell_at, self.places = list(self.cell_at), list(self.places)
-        self.fwd, self.rev = list(self.fwd), list(self.rev)
+    def _split(self, segs: dict) -> None:
+        """Split each segment position p at its m values: 2m new
+        positions, each a new cell, follow p, which keeps the piece
+        before the first value.  A window holding p holds every piece,
+        and no bound, forbidden end or filter point lies inside p, so
+        each transition that ends (starts) at p gives one that ends
+        (starts) at each new position, and each window that holds p
+        moves between any two of its pieces in its direction."""
+        self.cell_at, self.pos_edge = list(self.cell_at), list(self.pos_edge)
+        self.places, self.fwd, self.rev = (list(self.places), list(self.fwd),
+                                           list(self.rev))
         self.src, self.dst = list(self.src), list(self.dst)
         self.cover, self.recipe = list(self.cover), list(self.recipe)
-        cells, first = len(self.places), len(self.src)
-        for i, ts in sorted(added.items()):
-            vals, start = list(self.vals[i]), self.offset[i]
-            old = range(start, start + 2 * len(vals) - 1)
-            keep = [self.cell_at[g] for g in old[::2]]  # each cut value's cell
-            for c in set(keep):
-                self.places[c] = [g for g in self.places[c] if g not in old]
-            for t in sorted(ts):
-                k = bisect_left(vals, t)
-                vals.insert(k, t)
-                keep.insert(k, None)
-            self._place(i, vals, _ranks(vals), keep)
-        for k in set(on) - gone:
-            self.cover[k] = self._steps(self.recipe[k])
-        self.fwd.extend([] for _ in range(cells, len(self.places)))
-        self.rev.extend([] for _ in range(cells, len(self.places)))
-        for i in sorted(added):
-            for frag in self.fam[i].fragments:
-                self._fragment(i, frag)
-        for adj, ends in ((self.fwd, self.src), (self.rev, self.dst)):
-            relink = {ends[k]: [] for k in gone}
-            for k in range(first, len(self.src)):
-                relink.setdefault(ends[k], []).append(k)
-            for c, ks in relink.items():
-                adj[c] = [k for k in adj[c] if k not in gone] + ks
+        self.inner, self.home, self.order = {}, {}, {}
+        fwd, rev = {}, {}  # cell -> the new transitions leaving / entering it
+        cell_at = self.cell_at
+
+        def link(a: int, b: int) -> None:
+            k = len(self.src)
+            s, d = cell_at[a], cell_at[b]
+            self.src.append(s)
+            self.dst.append(d)
+            self.cover.append(((a, b),))
+            self.recipe.append(None)
+            fwd.setdefault(s, []).append(k)
+            rev.setdefault(d, []).append(k)
+
+        for p, ts in sorted(segs.items()):  # not in the hash order of extra
+            ts.sort()
+            i, c = self.pos_edge[p], cell_at[p]
+            first = len(cell_at)
+            new = range(first, first + 2 * len(ts))
+            self.inner[p] = (ts, first)
+            for j, q in enumerate(new, 1):
+                self.home[q] = p
+                self.order[q] = p + j / (len(new) + 1)
+                cell_at.append(len(self.places))
+                self.places.append([q])
+                self.pos_edge.append(i)
+            into = self.rev[c] + rev.get(c, [])
+            out = self.fwd[c] + fwd.get(c, [])
+            for k in into:
+                a = self.cover[k][0][0]
+                for q in new:
+                    link(a, q)
+            for k in out:
+                b = self.cover[k][0][1]
+                for q in new:
+                    link(q, b)
+            pieces, r = [p, *new], p - self.offset[i]
+            for d, wins in self.ent[i].wins.items():
+                run = pieces if d > 0 else pieces[::-1]
+                for lo, hi, _, _ in wins:
+                    if lo <= r <= hi:
+                        for n, a in enumerate(run):
+                            for b in run[n + 1:]:
+                                link(a, b)
+        for adj, added in ((self.fwd, fwd), (self.rev, rev)):
+            adj.extend([] for _ in range(len(adj), len(self.places)))
+            for c, ks in added.items():
+                adj[c] = adj[c] + ks
 
     # -- witnesses -----------------------------------------------------------
 
     def touches(self, k: int, c: int) -> bool:
-        """Does transition k pass through cell c?"""
+        """Does transition k pass through cell c?  Positions compare by
+        order key: a new position's lies strictly between the segment it
+        splits and the next position."""
+        order = self.order
         for g in self.places[c]:
+            x = order.get(g, g)
             for a, b in self.cover[k]:
-                if a <= g <= b or b <= g <= a:
+                a, b = order.get(a, a), order.get(b, b)
+                if a <= x <= b or b <= x <= a:
                     return True
         return False
 
@@ -578,35 +612,40 @@ def _arrives(g: CellGraph, c: int) -> bool:
     return any(n not in g.excluded and n not in g.absorbing for n in reached)
 
 
+def existence(pres: GraphPresentation, x) -> tuple:
+    """(through, from, to): is there a nontrivial controlled path
+    visiting, starting at, ending at x?  One cut, and one search each
+    way from x; only when neither finds a path does ``through`` search
+    the whole graph for a transition over x."""
+    if x in pres.blocked:
+        return False, False, False
+    g = _graph(pres, (x,))
+    nx = g.cell(x)
+    if x in pres.excluded:
+        leaves = arrives = False
+    else:
+        leaves, arrives = _leaves(g, nx), _arrives(g, nx)
+    if leaves or arrives:
+        return True, leaves, arrives
+    startable = _search(g, [s for s in g.src if s not in g.excluded
+                            and s not in g.absorbing])
+    stoppable = _search(g, [d for d in g.dst if d not in g.excluded],
+                        forward=False)
+    return (any(s in startable and d in stoppable and g.touches(k, nx)
+                for k, (s, d) in enumerate(zip(g.src, g.dst))),
+            False, False)
+
+
 def exists_c_from(pres: GraphPresentation, x) -> bool:
     """Is there a nontrivial controlled path starting at x?"""
-    if x in pres.excluded or x in pres.blocked:
-        return False
-    g = _graph(pres, (x,))
-    return _leaves(g, g.cell(x))
+    return existence(pres, x)[1]
 
 
 def exists_c_to(pres: GraphPresentation, x) -> bool:
     """Is there a nontrivial controlled path ending at x?"""
-    if x in pres.excluded or x in pres.blocked:
-        return False
-    g = _graph(pres, (x,))
-    return _arrives(g, g.cell(x))
+    return existence(pres, x)[2]
 
 
 def exists_c_through(pres: GraphPresentation, x) -> bool:
     """Is there a nontrivial controlled path visiting x?"""
-    if x in pres.blocked:
-        return False
-    g = _graph(pres, (x,))
-    nx = g.cell(x)
-    if x not in pres.excluded and (_leaves(g, nx) or _arrives(g, nx)):
-        return True
-    live = [(k, s, d) for k, (s, d) in enumerate(zip(g.src, g.dst))
-            if k not in g.dead]
-    startable = _search(g, [s for _, s, _ in live if s not in g.excluded
-                            and s not in g.absorbing])
-    stoppable = _search(g, [d for _, _, d in live if d not in g.excluded],
-                        forward=False)
-    return any(s in startable and d in stoppable and g.touches(k, nx)
-               for k, s, d in live)
+    return existence(pres, x)[0]

@@ -1,7 +1,9 @@
-"""An independent membership oracle: a depth-bounded enumeration of
-generator-instance concatenations.
+"""Independent oracles: membership by a depth-bounded enumeration of
+generator-instance concatenations (``brute_force_controlled``), and
+reachability by a transitive closure over a grid (``brute_force_reach``,
+at the end of the module).
 
-It shares no code with the engine's parse (``cspaces.membership``), not
+The membership oracle shares no code with the engine's parse (``cspaces.membership``), not
 even the check that a path's segments chain (``tests/test_imports.py``
 holds it to that).  It reads the generator families from
 ``kinds.kind_generators``, the rigid traces with their edges from
@@ -222,3 +224,97 @@ def _loop_controlled(pres, fams, point, p) -> bool:
     return any(point(tr.steps[0].edge, tr.steps[0].a) == p
                or point(tr.steps[-1].edge, tr.steps[-1].b) == p
                for tr in pres.generators)
+
+
+# ---------------------------------------------------------------------------
+# Reachability
+
+def brute_force_reach(pres, points) -> set:
+    """The pairs (x, y) of points of a graph presentation such that a
+    controlled path runs from x to y, by transitive closure.
+
+    It shares no code with the engine's reachability
+    (``cspaces.reach``; ``tests/test_imports.py`` holds it to that).
+    Each edge gets a finite grid: its cut values, read from the
+    generator families (``kinds.kind_generators``), the rigid traces
+    (``presentation.bound_rigid``) and the annotated points, the given
+    points on it, and one point between each two.  A move is a run of a
+    window between two grid points, in its direction, or a whole rigid
+    trace; no window end, forbidden end or annotated point lies strictly
+    between two grid values, so every junction of a path can be moved
+    onto the grid.  A move touches no blocked point, passes no absorbing
+    point before its end and no emitting point after its start; a path
+    neither starts nor ends at an excluded point.  Every point reaches
+    itself.
+    """
+    edges = {e.id: e for e in pres.edges}
+    fams = {e.id: K.kind_generators(e.kind) for e in pres.edges}
+    traces = bound_rigid(pres)
+
+    def point(edge, t):
+        e = edges[edge]
+        return Vertex(e.src) if t == ZERO else Vertex(e.dst) if t == ONE \
+            else EdgePoint(edge, t)
+
+    grid = _reach_grid(pres, fams, traces, points)
+    moves = {}  # point -> the points one move from it reaches
+
+    def move(run):
+        pts = [point(edge, t) for edge, t in run]
+        if any(p in pres.blocked for p in pts) \
+                or any(p in pres.absorbing for p in pts[:-1]) \
+                or any(p in pres.emitting for p in pts[1:]):
+            return
+        moves.setdefault(pts[0], set()).add(pts[-1])
+
+    def stretch(edge, a, b):
+        """The grid of edge from a to b, in the order a run passes it."""
+        vals = [t for t in grid[edge] if min(a, b) <= t <= max(a, b)]
+        return [(edge, t) for t in (vals if a <= b else vals[::-1])]
+
+    for edge, fam in fams.items():
+        vals = grid[edge]
+        for f in fam.fragments:
+            for a in vals:
+                for b in vals:
+                    if (b - a) * f.dir > 0 and f.admits(a, b, f.dir) \
+                            and a not in f.start_not and b not in f.end_not:
+                        move(stretch(edge, a, b))
+    for tr in traces:
+        move([q for s in tr.steps for q in stretch(s.edge, s.a, s.b)])
+
+    bad = pres.excluded | pres.blocked
+    out = set()
+    for x in points:
+        out.add((x, x))
+        if x in bad:
+            continue
+        seen, todo = set(), [x]
+        while todo:
+            for q in moves.get(todo.pop(), ()):
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        out.update((x, y) for y in points if y in seen and y not in bad)
+    return out
+
+
+def _reach_grid(pres, fams, traces, points) -> dict:
+    """Edge id -> its sorted grid values."""
+    marks = {e: {ZERO, ONE} for e in fams}
+    for e, fam in fams.items():
+        for f in fam.fragments:
+            marks[e].update((f.lo, f.hi, *f.start_not, *f.end_not))
+    for tr in traces:
+        for s in tr.steps:
+            marks[s.edge].update((s.a, s.b))
+    for pts in (points, pres.flexible, pres.excluded, pres.absorbing,
+                pres.emitting, pres.blocked):
+        for p in pts:
+            if isinstance(p, EdgePoint):
+                marks[p.edge].add(p.t)
+    grid = {}
+    for e, vals in marks.items():
+        vals = sorted(vals)
+        grid[e] = sorted({*vals, *((a + b) / 2 for a, b in zip(vals, vals[1:]))})
+    return grid

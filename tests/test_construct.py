@@ -89,6 +89,17 @@ class TestHat:
         assert h == hat_graph(sp) and h is not hat_graph(sp)
         assert hat(product(sp, sp)) == ProductN(h, h)
 
+    def test_a_space_that_is_its_own_hat_is_kept_as_its_hat(self):
+        """The hat is kept in normal form: a ``directed`` chain is its own
+        hat, so its hat is the chain itself, not a second equal instance."""
+        chain = normalize(GraphPresentation(
+            frozenset(f"v{i}" for i in range(151)),
+            tuple(Edge(f"e{i}", f"v{i}", f"v{i + 1}", K.DIRECTED)
+                  for i in range(150))))
+        assert hat_graph(chain) == chain and hat_graph(chain) is not chain
+        assert hat(chain) is chain
+        assert hat(hat(build("c_interval"))) is hat(build("c_interval"))
+
     def test_pickle_drops_the_hat(self):
         sp = normalize(build("dual_carriageway"))
         hat(sp)

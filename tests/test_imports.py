@@ -1,10 +1,11 @@
 """No module of the package or of the test suite imports a name it never
 uses, and no function of the package imports anything: an import inside
 a function hides an import cycle.  The package adds no ``functools``
-cache to the seven it has, which grow without bound.  The membership
-oracle of the tests imports nothing from the parse it checks.  Only
-``ast`` reads the sources; ``__init__.py`` files (which re-export) and
-import lines marked ``# noqa: F401`` are exempt from the first rule."""
+cache to the seven it has, which grow without bound.  The oracles of
+the tests import nothing from the parse and the reachability they
+check.  Only ``ast`` reads the sources; ``__init__.py`` files (which
+re-export) and import lines marked ``# noqa: F401`` are exempt from the
+first rule."""
 
 import ast
 from pathlib import Path
@@ -108,8 +109,16 @@ def imported_modules(path: Path) -> set:
     return out
 
 
+def _imports_from(path: Path, module: str) -> set:
+    return {m for m in imported_modules(path)
+            if m == module or m.startswith(module + ".")}
+
+
 def test_the_oracle_shares_no_code_with_the_parse():
     # tests/oracle.py cross-checks cspaces.membership, so it must not use it
-    found = imported_modules(ROOT / "tests" / "oracle.py")
-    assert not {m for m in found if m == "cspaces.membership"
-                or m.startswith("cspaces.membership.")}, found
+    assert not _imports_from(ROOT / "tests" / "oracle.py", "cspaces.membership")
+
+
+def test_the_oracle_shares_no_code_with_reach():
+    # nor cspaces.reach, which its reachability oracle cross-checks
+    assert not _imports_from(ROOT / "tests" / "oracle.py", "cspaces.reach")

@@ -1,5 +1,7 @@
 """Reachability: witnesses, generated-path preorder, unavoidable points."""
 
+import bisect
+import hashlib
 import pickle
 import random
 import zlib
@@ -14,7 +16,7 @@ from cspaces.classify import classify_point
 from cspaces.construct import (exclude_endpoints, flexible_part, hat,
                                opposite, product)
 from cspaces.corpus import build, names
-from cspaces.kinds import Family
+from cspaces.kinds import Family, Fragment
 from cspaces.membership import is_controlled
 from cspaces.model import (EdgePoint, ModelError, PTuple, RigidTrace,
                            TraceStep, Vertex)
@@ -25,6 +27,7 @@ from cspaces.reach import (c_reachable, d_reachable, exists_c_from,
                            unavoidable_point)
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
+from oracle import brute_force_reach
 from sampling import random_graph_path
 
 V0, V1 = Vertex("v0"), Vertex("v1")
@@ -473,3 +476,158 @@ def test_pickle_drops_the_compiled_graph():
     r, r2 = c_reachable(sp, x, y), c_reachable(copy, x, y)
     assert r.ok and r2.ok
     assert is_controlled(copy, r2.witness)
+
+
+# ---------------------------------------------------------------------------
+# A question splits only the segments its points lie in
+
+SEGMENT_MODELS = [
+    ("rising", interval(K.DIRECTED)),
+    ("falling", interval(K.custom(Family(fragments=(Fragment(-1),))))),
+    ("open_windows", interval(OPEN_WINDOWS)),
+    ("n_stop(5)", normalize(build("c_line_window", lo=0, hi=5)))]
+SEGMENT_QUESTIONS = 30
+
+
+def _in_one_segment(pres, rng, count):
+    """count distinct points of edge e0 strictly inside one open segment
+    between two of its cut values, sorted."""
+    vals = cuts(pres, "e0")
+    k = rng.randrange(len(vals) - 1)
+    lo, hi = vals[k], vals[k + 1]
+    ts = sorted(rng.sample(range(1, 1000), count))
+    return [EdgePoint("e0", lo + (hi - lo) * F(t, 1000)) for t in ts]
+
+
+@pytest.mark.parametrize("name, pres", SEGMENT_MODELS,
+                         ids=[n for n, _ in SEGMENT_MODELS])
+def test_points_sharing_a_segment_answer_as_the_cut_subspace(name, pres):
+    """Two or three points of a question in one open segment: the split
+    of that segment answers as the subspace cut there, both ways along
+    the edge, with p between x and y for ``unavoidable_point``."""
+    rng = random.Random(zlib.crc32(name.encode()))
+    for n in range(SEGMENT_QUESTIONS):
+        if n % 2:
+            x, p, y = _in_one_segment(pres, rng, 3)
+        else:
+            (x, y), p = (_in_one_segment(pres, rng, 2),
+                         EdgePoint("e0", F(rng.randint(1, 100), 101)))
+        if rng.random() < 0.5:
+            x, y = y, x
+        sub, remap = _cut_at(pres, (x, y, p))
+        assert (_answers(pres, x, y, p)
+                == _answers(sub, *map(remap, (x, y, p)))), (x, y, p)
+
+
+@pytest.mark.parametrize("name, pres", SEGMENT_MODELS,
+                         ids=[n for n, _ in SEGMENT_MODELS])
+def test_each_position_of_a_cut_lies_in_its_cell(name, pres):
+    """The parameter that a witness reads for each position of a cut
+    graph (a cut value, a query point, or a point inside a piece of a
+    split segment) is a point of that position's cell."""
+    rng = random.Random(zlib.crc32(f"{name}/positions".encode()))
+    g = reach.compiled(pres)
+    for count in (1, 2, 3, 5):
+        points = _in_one_segment(pres, rng, count) + [
+            EdgePoint("e0", F(rng.randint(1, 100), 101))]
+        cut = g.cut(frozenset((q.edge, q.t) for q in points))
+        for q in points:
+            assert cut.value(min(cut.places[cut.cell(q)])) == q.t
+        for pos, c in enumerate(cut.cell_at):
+            assert cut.cell(pos_point(pres, "e0", cut.value(pos))) == c, pos
+
+
+@pytest.mark.parametrize("where", ["one segment", "two segments"])
+def test_a_cut_costs_its_points_not_its_edge(where):
+    """Cutting ``n_stop(n)`` at two interior points adds two positions
+    and two cells per point, and no transition (the edge has only rigid
+    jumps), whatever n is."""
+    added = set()
+    for n in (16, 64, 256):
+        pres = normalize(build("c_line_window", lo=0, hi=n))
+        g = reach.compiled(pres)
+        second = F(2, 3 * n) if where == "one segment" else F(7, 3 * n)
+        cut = g.cut(frozenset({("e0", F(1, 3 * n)), ("e0", second)}))
+        added.add((len(cut.cell_at) - len(g.cell_at),
+                   len(cut.places) - len(g.places), len(cut) - len(g)))
+    assert added == {(4, 4, 0)}
+
+
+# ---------------------------------------------------------------------------
+# The engine against the reachability oracle
+
+ORACLE_MODELS = [(f"{name}{suffix}", pres) for name, sp in GRAPH_MODELS
+                 for suffix, pres in (("", sp), ("/hat", normalize(hat(sp))))]
+
+
+def _oracle_points(pres, rng):
+    """Every vertex, four seeded interior points, and two more that share
+    an open segment with one of them."""
+    pts = [Vertex(v) for v in sorted(pres.vertices)]
+    for _ in range(4):
+        pts.append(EdgePoint(rng.choice(pres.edges).id,
+                             F(rng.randint(1, 100), 101)))
+    for q in rng.sample(pts[-4:], 2):
+        vals = cuts(pres, q.edge)
+        h = bisect.bisect(vals, q.t)
+        pts.append(EdgePoint(q.edge, (q.t + vals[h]) / 2))
+    return pts
+
+
+def _agree_with_oracle(pres, pts):
+    reached = brute_force_reach(pres, pts)
+    for x in pts:
+        for y in pts:
+            assert c_reachable(pres, x, y).ok == ((x, y) in reached), (x, y)
+    return len(reached)
+
+
+@pytest.mark.parametrize("name, pres", ORACLE_MODELS,
+                         ids=[n for n, _ in ORACLE_MODELS])
+def test_reach_agrees_with_the_oracle(name, pres):
+    rng = random.Random(zlib.crc32(name.encode()))
+    _agree_with_oracle(pres, _oracle_points(pres, rng))
+
+
+@pytest.mark.parametrize("name, base", CORPUS_GRAPHS,
+                         ids=[n for n, _ in CORPUS_GRAPHS])
+@pytest.mark.parametrize("field", ["absorbing", "emitting", "blocked",
+                                   "excluded"])
+def test_reach_agrees_with_the_oracle_at_a_constrained_point(name, base,
+                                                             field):
+    rng = random.Random(zlib.crc32(f"{name}/{field}/oracle".encode()))
+    e = rng.choice(base.edges)
+    point = pos_point(base, e.id, rng.choice((Z, F(1, 4), H, O)))
+    pres = replace(base, **{field: frozenset({point})})
+    _agree_with_oracle(pres, _oracle_points(pres, rng) + [point])
+
+
+# ---------------------------------------------------------------------------
+# One cut for the three existence checks
+
+EXISTENCE_MODELS = [(f"{name}{suffix}", pres) for name, sp in GRAPH_MODELS
+                    for suffix, pres in (
+                        ("", sp), ("/hat", normalize(hat(sp))),
+                        ("/flexible_part", normalize(flexible_part(sp))))]
+# SHA-256 of the triples below, written when ``exists_c_through``,
+# ``exists_c_from`` and ``exists_c_to`` each cut and searched on their own.
+EXISTENCE_DIGEST = ("411b86d627600a2bb0735283291c40ba"
+                    "029e35392cb80108bcea1c246fd77495")
+
+
+def test_existence_triples_are_unchanged():
+    lines = []
+    for name, pres in EXISTENCE_MODELS:
+        rng = random.Random(zlib.crc32(f"{name}/existence".encode()))
+        pts = [Vertex(v) for v in sorted(pres.vertices)]
+        for e in pres.edges:
+            pts += [pos_point(pres, e.id, t) for t in cuts(pres, e.id)[1:-1]]
+            pts += [EdgePoint(e.id, F(rng.randint(1, 100), 101))
+                    for _ in range(2)]
+        for x in pts:
+            triple = reach.existence(pres, x)
+            assert triple == (exists_c_through(pres, x),
+                              exists_c_from(pres, x), exists_c_to(pres, x))
+            lines.append(f"{name} {x!r} {triple}")
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == EXISTENCE_DIGEST)
