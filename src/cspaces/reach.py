@@ -2,9 +2,12 @@
 
 Each presentation is compiled once into an integer-indexed *cell graph*
 (``compiled``): the presentation cut at its own cut values, kept on the
-presentation instance like its hash.  A question cuts that graph again
-at its query points (``transitions``, ``CellGraph.cut``) and searches
-the result.
+presentation instance like its hash, and shared by equal instances.
+Whether x reaches y is read from the transitive closure of that graph
+(``CellGraph.reaches``), built the first time a question needs it.  A
+witness is built only when it is read: the graph is then cut again at
+the question's points (``transitions``, ``CellGraph.cut``) and the
+result searched.
 
 Cells are ints: one per vertex, then, edge by edge, one per interior cut
 value and one per open segment between two consecutive cut values.  An
@@ -23,12 +26,22 @@ it passes (one per trace step), and how to build its witness atoms.  A
 fragment gives one transition for every pair of positions in its window,
 in its direction; a rigid trace one for its whole traversal.
 Transitions that touch a blocked point, pass an absorbing point before
-their end or an emitting point after their start are dropped.  Forward
-and reverse adjacency are built with the graph, so a question is a
-breadth-first search over ints: one from the source, one each way from
-the point for ``existence`` (and a multi-source one each way when
-neither finds a path), one per representative point for
-``ReachRelation.pairs``.
+their last position or an emitting point after their first are dropped;
+the positions are walked in the order the motion passes them.  Forward
+and reverse adjacency are built with the graph.
+
+The closure is one ``int`` bitset per strongly connected component: the
+components reached from it by a nonempty chain of transitions, numbered
+in the order an iterative Tarjan pass emits them.  Each component is
+emitted after every component it reaches, so OR-ing the successors'
+bitsets in that order completes each one.  It takes at most cells² / 8
+bytes, about half that on an acyclic graph: 0.8 MB for the 3,201 cells
+of a 1,600-edge ``directed`` chain.  It lives and dies with the compiled
+graph.  A point inside an open segment reaches, and is reached from,
+what the segment's cell does, so for x ≠ y in different cells x reaches
+y iff cell(y) is in the closure of cell(x).  Two points of one open
+segment are joined iff a window of the direction from x to y holds the
+segment, or the segment's cell lies on a cycle.
 
 A cut splits only the open segments that hold a query point which is
 not a cut value.  The m query values in the segment at position p get
@@ -42,9 +55,10 @@ every new position, and each window that holds p adds the moves between
 its pieces.  No transition is unlinked, no edge is laid out or ranked
 again, and a new position's parameter is computed only when a witness
 reads it.  The cut copies the graph's top-level lists and each
-adjacency list it extends, so the compiled graph never changes.  A
-question thus costs its points and a copy of the top-level lists, not
-the edges its points lie on.
+adjacency list it extends, so the compiled graph never changes.  Cuts
+serve witnesses, ``unavoidable_point`` (whose avoided cell changes the
+graph), ``existence`` and ``pairs()`` in mode ``d``; each is a
+breadth-first search over ints.
 
 Witness atoms (``Seg`` / ``PAUSE``) are built only along the chain of
 transitions a witness returns, with pauses between the pieces; pauses
@@ -56,8 +70,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from copy import copy
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import FrozenInstanceError
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .construct import hat
@@ -68,18 +82,49 @@ from .presentation import (GraphPresentation, ProductN, cuts,
                            flexible_point, is_flexible_point, normalize,
                            point_positions, trace_path)
 
-# Cell graphs kept by ``transitions``.  ``classify_point`` asks for the
-# graph of a space and of its flexible part three times each.
+# Graphs kept by ``transitions``.  A reach answer asks for the compiled
+# graph of its space (no extra points); ``classify_point`` cuts the graph
+# of a space and of its flexible part once each, and a read witness or
+# ``unavoidable_point`` cuts at its own points.
 GRAPH_CACHE_SIZE = 8
 
 
-@dataclass(frozen=True)
 class ReachResult:
-    ok: bool
-    witness: Optional[CanonicalPath] = None
+    """The answer to a reach question: ``ok``, and a controlled path from
+    x to y as ``witness`` (None when there is none, or when x = y is not
+    flexible).  A witness given as ``build`` is built the first time
+    ``witness`` is read, so an answer read only for ``ok`` (or ``bool()``)
+    searches nothing.  Immutable; ``==``, ``hash`` and ``repr`` read the
+    witness."""
+
+    def __init__(self, ok: bool, witness: Optional[CanonicalPath] = None,
+                 build=None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "_build", build or (lambda: witness))
+
+    @cached_property
+    def witness(self) -> Optional[CanonicalPath]:
+        return self._build()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __bool__(self):
         return self.ok
+
+    def __eq__(self, other):
+        if not isinstance(other, ReachResult):
+            return NotImplemented
+        return (self.ok, self.witness) == (other.ok, other.witness)
+
+    def __hash__(self):
+        return hash((self.ok, self.witness))
+
+    def __repr__(self):
+        return f"ReachResult(ok={self.ok!r}, witness={self.witness!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +178,9 @@ class CellGraph:
         # and its first new position); new position -> the segment it
         # splits; new position -> its order key.
         self.inner, self.home, self.order = {}, {}, {}
+        # Filled by ``reaches``: cell -> its component, component -> the
+        # bitset of the components it reaches.
+        self._closure = None
 
     def __len__(self):
         return len(self.src)
@@ -176,6 +224,8 @@ class CellGraph:
                     elif j:
                         g = first + 2 * j - 1
             return self.cell_at[g]
+        if isinstance(p, EdgePoint):
+            raise ModelError(f"unknown edge {p.edge!r}")
         raise ModelError(f"not a point of this space: {p!r}")
 
     def _cells(self, points) -> frozenset:
@@ -208,19 +258,27 @@ class CellGraph:
     # -- transitions ---------------------------------------------------------
 
     def _add(self, src: int, dst: int, cover: tuple, recipe) -> None:
-        if self.filtered and not self._allowed(src, dst, cover):
+        if self.filtered and not self._allowed(cover):
             return
         self.src.append(src)
         self.dst.append(dst)
         self.cover.append(cover)
         self.recipe.append(recipe)
 
-    def _allowed(self, src: int, dst: int, cover: tuple) -> bool:
-        touched = {self.cell_at[g] for a, b in cover
-                   for g in range(min(a, b), max(a, b) + 1)}
-        return not (touched & self.blocked
-                    or any(c != dst for c in touched & self.absorbing)
-                    or any(c != src for c in touched & self.emitting))
+    def _allowed(self, cover: tuple) -> bool:
+        """Does the motion over cover, walked in order, touch no blocked
+        cell, and an absorbing cell only at its last position and an
+        emitting cell only at its first?"""
+        cell_at, last = self.cell_at, len(cover) - 1
+        for n, (a, b) in enumerate(cover):
+            way = 1 if b >= a else -1
+            for g in range(a, b + way, way):
+                c = cell_at[g]
+                if (c in self.blocked
+                        or c in self.absorbing and (n, g) != (last, b)
+                        or c in self.emitting and (n, g) != (0, a)):
+                    return False
+        return True
 
     def _fragment(self, i: int, frag) -> None:
         if not frag.dir:
@@ -243,6 +301,73 @@ class CellGraph:
                        self._at(self.index[s.edge], s.b)) for s in tr.steps)
         self._add(self.cell_at[steps[0][0]], self.cell_at[steps[-1][1]],
                   steps, tr)
+
+    # -- the closure ---------------------------------------------------------
+
+    def reaches(self, a: int, b: int) -> bool:
+        """Does a nonempty chain of transitions lead from cell a to cell b?"""
+        if self._closure is None:
+            self._closure = self._close()
+        comp, bits = self._closure
+        return bits[comp[a]] >> comp[b] & 1 == 1
+
+    def held(self, c: int, d: int) -> bool:
+        """Is cell c an open segment that a window of direction d holds?"""
+        if len(self.places[c]) != 1:
+            return False
+        p = self.places[c][0]
+        i = self.pos_edge[p]
+        r = p - self.offset[i]
+        return r % 2 == 1 and any(lo <= r <= hi
+                                  for lo, hi, _, _ in self.ent[i].wins[d])
+
+    def _close(self) -> tuple:
+        """Each cell's strongly connected component, numbered in the order
+        an iterative Tarjan pass emits them, and per component the bitset
+        of the components it reaches.  A component is emitted after every
+        component it reaches, so the bitsets it ORs in are complete, and
+        its own bit is the highest it can hold."""
+        fwd, dst = self.fwd, self.dst
+        n = len(fwd)
+        index, low, comp, bits = [-1] * n, [0] * n, [-1] * n, []
+        stack, count = [], 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = count
+            count += 1
+            stack.append(root)
+            work = [(root, iter(fwd[root]))]
+            while work:
+                v, ks = work[-1]
+                for k in ks:
+                    w = dst[k]
+                    if index[w] < 0:
+                        index[w] = low[w] = count
+                        count += 1
+                        stack.append(w)
+                        work.append((w, iter(fwd[w])))
+                        break
+                    if comp[w] < 0 and index[w] < low[v]:  # w on the stack
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == index[v]:
+                        c, members = len(bits), []
+                        while not members or members[-1] != v:
+                            members.append(stack.pop())
+                            comp[members[-1]] = c
+                        r = 0
+                        for u in members:
+                            for k in fwd[u]:
+                                d = comp[dst[k]]
+                                r |= 1 << d
+                                if d != c:
+                                    r |= bits[d]
+                        bits.append(r)
+        return comp, bits
 
     # -- query points --------------------------------------------------------
 
@@ -282,6 +407,7 @@ class CellGraph:
         self.src, self.dst = list(self.src), list(self.dst)
         self.cover, self.recipe = list(self.cover), list(self.recipe)
         self.inner, self.home, self.order = {}, {}, {}
+        self._closure = None  # the compiled graph's closure is not this one's
         fwd, rev = {}, {}  # cell -> the new transitions leaving / entering it
         cell_at = self.cell_at
 
@@ -355,13 +481,18 @@ class CellGraph:
 
 
 def compiled(pres: GraphPresentation) -> CellGraph:
-    """The cell graph of pres at its own cut values.  It is built once
-    and kept on pres, like its hash, and dropped from pickles."""
+    """The cell graph of pres at its own cut values.  It is built once on
+    ``normalize(pres)`` and kept on both instances, like the hash, so an
+    equal instance never compiles again; pickles drop it."""
     try:
         return pres.__dict__["_cells"]
     except KeyError:
-        g = CellGraph(pres)
-        object.__setattr__(pres, "_cells", g)
+        norm = normalize(pres)
+        g = norm.__dict__.get("_cells")
+        if g is None:
+            g = CellGraph(norm)
+        for q in (norm, pres):
+            object.__setattr__(q, "_cells", g)
         return g
 
 
@@ -413,44 +544,66 @@ def _witness(g: CellGraph, start, chain, end) -> CanonicalPath:
 # ---------------------------------------------------------------------------
 # Point-to-point queries
 
+def _reaches(pres: GraphPresentation, x, y) -> bool:
+    """x ⤳ y, for x ≠ y neither excluded nor blocked, from the closure of
+    the compiled graph."""
+    g = transitions(pres)
+    cx, cy = g.cell(x), g.cell(y)
+    if cx == cy:  # two points of one open segment
+        return g.held(cx, 1 if y.t > x.t else -1) or g.reaches(cx, cx)
+    return g.reaches(cx, cy)
+
+
 def _graph_reach(pres: GraphPresentation, x, y) -> ReachResult:
     if x == y:
         if flexible_point(pres, x):
             return ReachResult(True, assemble(x, [], x))
         return ReachResult(True, None)
     bad = pres.excluded | pres.blocked
-    if x in bad or y in bad:
+    if x in bad or y in bad or not _reaches(pres, x, y):
         return ReachResult(False)
+    return ReachResult(True, build=lambda: _reach_witness(pres, x, y))
+
+
+def _reach_witness(pres: GraphPresentation, x, y) -> CanonicalPath:
+    """A controlled path from x to y, for x ⤳ y: a shortest chain in the
+    graph cut at both points."""
     g = _graph(pres, (x, y))
-    ny = g.cell(y)
     parent = _search(g, (g.cell(x),))
-    if ny not in parent:
-        return ReachResult(False)
     chain = []
-    k = parent[ny]
+    k = parent[g.cell(y)]
     while k >= 0:
         chain.append(k)
         k = parent[g.src[k]]
-    return ReachResult(True, _witness(g, x, chain[::-1], y))
+    return _witness(g, x, chain[::-1], y)
 
 
 def _graph_loop(pres: GraphPresentation, x) -> ReachResult:
-    """A nontrivial controlled loop at x, if one exists."""
+    """A nontrivial controlled loop at x, if one exists: its cell lies on
+    a cycle, or windows of both directions hold its open segment."""
     if x in pres.excluded or x in pres.blocked:
         return ReachResult(False)
+    g = transitions(pres)
+    c = g.cell(x)
+    if not (g.reaches(c, c) or (g.held(c, 1) and g.held(c, -1))):
+        return ReachResult(False)
+    return ReachResult(True, build=lambda: _loop_witness(pres, x))
+
+
+def _loop_witness(pres: GraphPresentation, x) -> CanonicalPath:
+    """A nontrivial loop at x, which has one: a first move to the cell
+    nearest back to x, then the shortest way back."""
     g = _graph(pres, (x,))
     nx = g.cell(x)
     back = _search(g, (nx,), forward=False)
     order = {c: n for n, c in enumerate(back)}
     out = [k for k in g.fwd[nx] if g.dst[k] in order]
-    if not out:
-        return ReachResult(False)
     chain = [min(out, key=lambda k: order[g.dst[k]])]
     c = g.dst[chain[0]]
     while c != nx:
         chain.append(back[c])
         c = g.dst[back[c]]
-    return ReachResult(True, _witness(g, x, chain, x))
+    return _witness(g, x, chain, x)
 
 
 def _wait_path(space, p) -> ReachResult:
@@ -496,10 +649,16 @@ def _product_reach(factors, x: PTuple, y: PTuple, reach_fn) -> ReachResult:
             r = reach_fn(f, xi, yi)
         if not r.ok:
             return ReachResult(False)
-        parts.append(r.witness)
-    if any(w is None for w in parts):
-        return ReachResult(True, None)
-    return ReachResult(True, _stage_product(parts[0], parts[1]))
+        parts.append(r)
+    return ReachResult(True, build=lambda: _staged(*parts))
+
+
+def _staged(r1: ReachResult, r2: ReachResult) -> Optional[CanonicalPath]:
+    """The staged product of the factors' witnesses, if both have one."""
+    w1, w2 = r1.witness, r2.witness
+    if w1 is None or w2 is None:
+        return None
+    return _stage_product(w1, w2)
 
 
 def c_reachable(space, x, y) -> ReachResult:
@@ -533,15 +692,13 @@ def unavoidable_point(space, x, y, p, mode: str = "c") -> bool:
         compiled(norm).cell(q)  # a ModelError names a point outside norm
     if x == y:
         return p == x
-    if x in norm.excluded | norm.blocked or y in norm.excluded | norm.blocked:
-        raise ModelError("y is not reachable from x")
-    g = _graph(norm, (x, y) if p in (x, y) else (x, y, p))
-    nx, ny = g.cell(x), g.cell(y)
-    if ny not in _search(g, (nx,)):
+    bad = norm.excluded | norm.blocked
+    if x in bad or y in bad or not _reaches(norm, x, y):
         raise ModelError("y is not reachable from x")
     if p == x or p == y:
         return True
-    return ny not in _search(g, (nx,), avoid=g.cell(p))
+    g = _graph(norm, (x, y, p))
+    return g.cell(y) not in _search(g, (g.cell(x),), avoid=g.cell(p))
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +733,10 @@ class ReachRelation:
     def pairs(self) -> tuple:
         """All (x, y) node-representative pairs with x ⤳ y.
 
-        One cell graph of the target and one search per representative,
-        which has its own cell of the compiled graph.  The hat's graph
-        (mode ``d``) is cut at every representative first.
+        Each representative has its own cell of the compiled graph, so in
+        mode ``c`` the pairs are read from its closure.  In mode ``d`` the
+        hat's graph is cut at every representative and searched once
+        from each.
         """
         reps = self.nodes()
         norm = normalize(hat(self.space) if self.mode == "d" else self.space)
@@ -587,7 +745,12 @@ class ReachRelation:
         cells = [g.cell(x) for x in reps]
         out = []
         for x, cx in zip(reps, cells):
-            reached = {} if x in bad else _search(g, (cx,))
+            if x in bad:
+                reached = ()
+            elif self.mode == "d":
+                reached = _search(g, (cx,))
+            else:
+                reached = {cy for cy in cells if g.reaches(cx, cy)}
             out.extend((x, y) for y, cy in zip(reps, cells)
                        if x == y or (cy in reached and y not in bad))
         return tuple(out)

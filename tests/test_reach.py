@@ -631,3 +631,155 @@ def test_existence_triples_are_unchanged():
             lines.append(f"{name} {x!r} {triple}")
     assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
             == EXISTENCE_DIGEST)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses are built when read, and read the same as when built eagerly
+
+# SHA-256 of the lines below, written when every answer built its witness.
+WITNESS_DIGEST = ("8200bda224a69e94f3086f96c6804103"
+                  "270cf49fa1bba1e40aceb1a46b3dc475")
+
+
+def test_read_witnesses_are_unchanged():
+    """The ``repr`` of every read witness, and of every loop, at the
+    seeded points of each oracle model; each one parses."""
+    lines = []
+    for name, pres in ORACLE_MODELS:
+        rng = random.Random(zlib.crc32(f"{name}/witness".encode()))
+        pts = _oracle_points(pres, rng)
+        for x in pts:
+            loop = reach._graph_loop(pres, x)
+            lines.append(f"{name} {x!r} loop {loop.ok} {loop.witness!r}")
+            for y in pts:
+                r = c_reachable(pres, x, y)
+                if r.witness is not None:
+                    assert is_controlled(pres, r.witness), (x, y)
+                lines.append(f"{name} {x!r} {y!r} {r.ok} {r.witness!r}")
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == WITNESS_DIGEST)
+
+
+# ---------------------------------------------------------------------------
+# Endpoint filters are decided in the order a transition passes its cells
+
+def test_a_trace_passing_its_absorbing_end_is_no_move():
+    """The rigid trace 1 -> 1/4 -> 1/2 passes 1/2 on its first step, so
+    with 1/2 absorbing it moves nowhere, though it ends there."""
+    q = F(1, 4)
+    pres = replace(interval(K.custom(Family(rigid=(RigidTrace((
+        TraceStep(None, O, q), TraceStep(None, q, H))),)))),
+        absorbing=frozenset({EdgePoint("e0", H)}))
+    half = EdgePoint("e0", H)
+    r = c_reachable(pres, V1, half)
+    assert not r.ok and r.witness is None
+    assert (V1, half) not in brute_force_reach(pres, [V0, V1, half])
+
+
+def test_a_loop_back_to_its_emitting_start_is_no_move():
+    """A ``directed`` loop at an emitting vertex returns to it after
+    moving, so no nontrivial path ends there and there is no loop."""
+    pres = GraphPresentation(frozenset({"v0"}),
+                             (Edge("e0", "v0", "v0", K.DIRECTED),),
+                             emitting=frozenset({V0}))
+    half = EdgePoint("e0", H)
+    assert not classify_point(pres, V0).has_nontrivial_path_ending
+    assert not reach._graph_loop(pres, V0)
+    assert not c_reachable(pres, half, V0)
+    r = c_reachable(pres, V0, half)
+    assert r and is_controlled(pres, r.witness)
+    assert brute_force_reach(pres, [V0, half]) == {
+        (V0, V0), (half, half), (V0, half)}
+
+
+# ---------------------------------------------------------------------------
+# Answers from the closure: no cut and no search unless a witness is read
+
+SAME_SEGMENT_MODELS = [
+    ("window", interval(K.DIRECTED), (True, False)),
+    ("cycle", GraphPresentation(frozenset({"v0"}),
+                                (Edge("e0", "v0", "v0", K.DIRECTED),)),
+     (True, True)),
+    ("neither", interval(K.ONE_JUMP), (False, False))]
+
+
+@pytest.mark.parametrize("name, pres, expect", SAME_SEGMENT_MODELS,
+                         ids=[n for n, _, _ in SAME_SEGMENT_MODELS])
+def test_two_points_of_one_segment_meet_the_oracle(name, pres, expect):
+    """Each branch of the rule for two points of one open segment: a
+    window of their direction holds it, its cell lies on a cycle, or
+    neither.  ``expect`` is (up, down) along the edge."""
+    lo, hi = EdgePoint("e0", F(1, 3)), EdgePoint("e0", F(2, 3))
+    pts = [Vertex(v) for v in sorted(pres.vertices)] + [lo, hi]
+    reached = brute_force_reach(pres, pts)
+    assert ((lo, hi) in reached, (hi, lo) in reached) == expect
+    for x in pts:
+        for y in pts:
+            r = c_reachable(pres, x, y)
+            assert r.ok == ((x, y) in reached), (x, y)
+            if r.ok and x != y:
+                assert is_controlled(pres, r.witness), (x, y)
+
+
+def _counting(monkeypatch):
+    """Count the cuts that split a segment, and the witnesses built."""
+    calls = {"split": 0, "witness": 0}
+    split, witness = reach.CellGraph._split, reach._witness
+
+    def counted_split(self, segs):
+        calls["split"] += 1
+        return split(self, segs)
+
+    def counted_witness(*args):
+        calls["witness"] += 1
+        return witness(*args)
+
+    monkeypatch.setattr(reach.CellGraph, "_split", counted_split)
+    monkeypatch.setattr(reach, "_witness", counted_witness)
+    return calls
+
+
+def test_an_ok_answer_cuts_and_searches_nothing(monkeypatch):
+    pres = _directed_chain(150)
+    rng = random.Random(zlib.crc32(b"closure/ok"))
+    c_reachable(pres, V0, Vertex("v150"))  # compile before counting
+    calls = _counting(monkeypatch)
+    oks = [c_reachable(pres, _fresh_point(pres, rng),
+                       _fresh_point(pres, rng)).ok for _ in range(100)]
+    assert calls == {"split": 0, "witness": 0}
+    assert 0 < sum(oks) < 100
+
+
+def test_a_witness_is_built_once_when_read(monkeypatch):
+    pres = _directed_chain(150)
+    x, y = EdgePoint("e3", F(1, 7)), EdgePoint("e140", F(5, 7))
+    calls = _counting(monkeypatch)
+    r = c_reachable(pres, x, y)
+    assert r and calls == {"split": 0, "witness": 0}
+    w = r.witness
+    assert calls == {"split": 1, "witness": 1}
+    assert r.witness is w and is_controlled(pres, w)
+    assert r == c_reachable(pres, x, y) and repr(r).startswith(
+        "ReachResult(ok=True, witness=CanonicalPath(")
+    assert calls["witness"] == 2  # the cut itself is kept by ``transitions``
+    with pytest.raises(AttributeError):
+        r.ok = False
+    assert not c_reachable(pres, y, x) and calls["witness"] == 2
+
+
+def test_pairs_in_mode_c_are_read_from_the_closure(monkeypatch):
+    sp = _directed_chain(12)
+    monkeypatch.setattr(reach, "_search", None)  # any search would fail
+    assert len(reach_relation(sp).pairs()) == 25 * 26 // 2
+
+
+def test_unavoidable_point_asks_the_closure_first(monkeypatch):
+    pres = _directed_chain(20)
+    x, y = EdgePoint("e12", H), EdgePoint("e3", H)
+    calls = _counting(monkeypatch)
+    with pytest.raises(ModelError, match="y is not reachable from x"):
+        unavoidable_point(pres, x, y, Vertex("v5"))
+    assert calls == {"split": 0, "witness": 0}
+    assert unavoidable_point(pres, y, x, EdgePoint("e8", H))
+    assert not unavoidable_point(pres, y, x, EdgePoint("e15", H))
+    assert calls["witness"] == 0
