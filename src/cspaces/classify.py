@@ -52,9 +52,8 @@ def _point_data(norm, x):
         (cr, flr) = _point_data(norm.right, x.parts[1])
         return _combine(cl, cr), _combine(fll, flr)
     flex = flexible_point(norm, x)
-    c = existence(norm, x)
-    f = existence(flexible_part(norm), x)
-    return (flex, c), (flex, f)
+    return ((flex, existence(norm, x)),
+            (flex, existence(norm, x, flexible=True)))
 
 
 def classify_point(space, x) -> PointClassification:

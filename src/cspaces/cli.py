@@ -81,7 +81,8 @@ def _instance_json(desc) -> dict:
 
 def _cmd_check_path(args) -> int:
     space = _load_space(args.space)
-    path = path_from_json(_load_json(args.path), space)
+    # the parse checks that the segments chain, with the read's errors
+    path = path_from_json(_load_json(args.path), space, check=False)
     outcome = parse_controlled(space, path)
     doc = {"controlled": outcome.controlled,
            "instances": outcome.count if outcome.controlled else None,

@@ -171,7 +171,7 @@ def _flexible_graph(g: GraphPresentation) -> GraphPresentation:
         fam = family(g, e.id)
         kind, points = _edge_kind(
             g, e, Family(fragments=_flexible_windows(fam.fragments)),
-            K.rigid_ends(fam))
+            fam.rigid_ends)
         edges.append(Edge(e.id, e.src, e.dst, kind))
         flex |= points
     for tr in g.generators:
@@ -301,7 +301,7 @@ def reversible_part(space) -> GraphPresentation:
         fam = family(g, e.id)
         rp = _rp_family(g, e, fam)
         dropped = Family(tuple(tr for tr in fam.rigid if tr not in rp.rigid))
-        kind, points = _edge_kind(g, e, rp, K.rigid_ends(dropped))
+        kind, points = _edge_kind(g, e, rp, dropped.rigid_ends)
         edges.append(Edge(e.id, e.src, e.dst, kind))
         flex |= points
     gens = []

@@ -405,8 +405,11 @@ def _atom_end(norm, atom):
     return _point_of_seg(norm, atom, ONE) if isinstance(atom, ProdSeg) else None
 
 
-def path_from_json(d: dict, space):
-    """Read a path document; returns a CanonicalPath."""
+def path_from_json(d: dict, space, check: bool = True):
+    """Read a path document; returns a CanonicalPath.  With `check`, a
+    path whose segments do not chain is a ModelError here; a caller that
+    parses the path next may leave that to the parse, which raises the
+    same error."""
     norm = normalize(space)
     _check(d, (dict,), "path")
     if "track" in d:
@@ -436,5 +439,6 @@ def path_from_json(d: dict, space):
     if "end" in d:
         end = point_from_str(_field(d, "end", (str,), "path"), norm)
     path = assemble(start, atoms, end)
-    check_path_geometry(norm, path)
+    if check:
+        check_path_geometry(norm, path)
     return path

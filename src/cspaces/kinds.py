@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .model import (ONE, ZERO, ModelError, Rat, RigidTrace, TraceStep)
 
@@ -109,11 +110,18 @@ class Family:
                         f"rigid[{i}].steps[{j}] names edge {s.edge!r}: a "
                         "family's steps lie on the edge that carries it")
 
+    @cached_property
+    def rigid_ends(self) -> frozenset:
+        """Where the rigid traces start and end: the trivial loops there
+        are controlled, like those of every generator's end points.  Kept
+        on the family, outside its fields."""
+        return frozenset(x for tr in self.rigid
+                         for x in (tr.steps[0].a, tr.steps[-1].b))
+
     def instance_end(self, t: Rat) -> bool:
         """Does a generator instance start or end at t?  The trivial loop
         there is controlled exactly when one does."""
-        return (any(t == tr.steps[0].a or t == tr.steps[-1].b
-                    for tr in self.rigid)
+        return (t in self.rigid_ends
                 or any(f.run_end(t) for f in self.fragments))
 
 
@@ -189,12 +197,6 @@ def kind_generators(k: EdgeKind) -> Family:
             RigidTrace((TraceStep(None, anchors[i], anchors[i + 1]),))
             for i in range(k.n)))
     return k.family if k.name == "custom" else _FAMILIES[k.name]
-
-
-def rigid_ends(fam: Family) -> set:
-    """Where the family's rigid traces start and end: the trivial loops
-    there are controlled, like those of every generator's end points."""
-    return {x for tr in fam.rigid for x in (tr.steps[0].a, tr.steps[-1].b)}
 
 
 def family_reversed(fam: Family) -> Family:

@@ -3,8 +3,9 @@
 Each presentation is compiled once into an integer-indexed *cell graph*
 (``compiled``): the presentation cut at its own cut values, kept on the
 presentation instance like its hash, and shared by equal instances.
-Whether x reaches y is read from the transitive closure of that graph
-(``CellGraph.reaches``), built the first time a question needs it.  A
+Whether x reaches y, the existence flags of point classification and
+whole relations are read from transitive closures of that graph
+(``CellGraph.closure``), built the first time a question needs them.  A
 witness is built only when it is read: the graph is then cut again at
 the question's points (``transitions``, ``CellGraph.cut``) and the
 result searched.
@@ -24,11 +25,15 @@ Every generator contributes transitions ``(src, dst, cover, recipe)``
 over ints: the cells the motion starts and ends in, the position ranges
 it passes (one per trace step), and how to build its witness atoms.  A
 fragment gives one transition for every pair of positions in its window,
-in its direction; a rigid trace one for its whole traversal.
-Transitions that touch a blocked point, pass an absorbing point before
-their last position or an emitting point after their first are dropped;
-the positions are walked in the order the motion passes them.  Forward
-and reverse adjacency are built with the graph.
+in its direction, and a pair that two windows give is one transition; a
+rigid trace gives one for its whole traversal.  Transitions that touch a
+blocked point, pass an absorbing point before their last position or an
+emitting point after their first are dropped; the positions are walked
+in the order the motion passes them.  Forward and reverse adjacency are
+built with the graph.  The fragment transitions that cross no forbidden
+start or end of their window and pass no excluded cell are flagged
+flexible (``CellGraph.flex``): they are the moves of ``flexible_part``,
+so the flexible part is a mask over the one graph, not a second one.
 
 The closure is one ``int`` bitset per strongly connected component: the
 components reached from it by a nonempty chain of transitions, numbered
@@ -37,11 +42,14 @@ emitted after every component it reaches, so OR-ing the successors'
 bitsets in that order completes each one.  It takes at most cells² / 8
 bytes, about half that on an acyclic graph: 0.8 MB for the 3,201 cells
 of a 1,600-edge ``directed`` chain.  It lives and dies with the compiled
-graph.  A point inside an open segment reaches, and is reached from,
-what the segment's cell does, so for x ≠ y in different cells x reaches
-y iff cell(y) is in the closure of cell(x).  Two points of one open
-segment are joined iff a window of the direction from x to y holds the
-segment, or the segment's cell lies on a cycle.
+graph, and so does the closure of the flexible transitions, which is
+the same one when every transition is flexible.  A point inside an open
+segment reaches, and is reached from, what the segment's cell does, so
+for x ≠ y in different cells x reaches y iff cell(y) is in the closure
+of cell(x).  Two points of one open segment are joined iff a window of
+the direction from x to y holds the segment, or the segment's cell lies
+on a cycle.  ``existence`` and ``ReachRelation.pairs`` read the same
+rules.
 
 A cut splits only the open segments that hold a query point which is
 not a cut value.  The m query values in the segment at position p get
@@ -56,9 +64,8 @@ its pieces.  No transition is unlinked, no edge is laid out or ranked
 again, and a new position's parameter is computed only when a witness
 reads it.  The cut copies the graph's top-level lists and each
 adjacency list it extends, so the compiled graph never changes.  Cuts
-serve witnesses, ``unavoidable_point`` (whose avoided cell changes the
-graph), ``existence`` and ``pairs()`` in mode ``d``; each is a
-breadth-first search over ints.
+serve only witnesses and ``unavoidable_point``, whose avoided cell
+changes the graph; each is searched breadth-first over ints.
 
 Witness atoms (``Seg`` / ``PAUSE``) are built only along the chain of
 transitions a witness returns, with pauses between the pieces; pauses
@@ -71,7 +78,9 @@ from bisect import bisect_left
 from collections import deque
 from copy import copy
 from dataclasses import FrozenInstanceError
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import compress
+from operator import or_
 from typing import Optional
 
 from .construct import hat
@@ -83,9 +92,8 @@ from .presentation import (GraphPresentation, ProductN, cuts,
                            point_positions, trace_path)
 
 # Graphs kept by ``transitions``.  A reach answer asks for the compiled
-# graph of its space (no extra points); ``classify_point`` cuts the graph
-# of a space and of its flexible part once each, and a read witness or
-# ``unavoidable_point`` cuts at its own points.
+# graph of its space (no extra points); a read witness or
+# ``unavoidable_point`` cuts it at its own points.
 GRAPH_CACHE_SIZE = 8
 
 
@@ -156,16 +164,19 @@ class CellGraph:
         for e, ent in zip(pres.edges, self.ent):
             self._place(len(ent.cuts), self.vertex[e.src], self.vertex[e.dst])
         self.src, self.dst, self.cover, self.recipe = [], [], [], []
+        self.flex = []  # transition -> is it a move of the flexible part?
         self.excluded = self._cells(pres.excluded)
         self.absorbing = self._cells(pres.absorbing)
         self.emitting = self._cells(pres.emitting)
         self.blocked = self._cells(pres.blocked)
         self.filtered = bool(self.blocked or self.absorbing or self.emitting)
         for i, e in enumerate(pres.edges):
-            fam = self.ent[i].fam
-            for frag in fam.fragments:
-                self._fragment(i, frag)
-            for tr in fam.rigid:
+            ent = self.ent[i]
+            # windows of one direction that overlap give some pairs twice
+            seen = {} if max(map(len, ent.wins.values())) > 1 else None
+            for frag in ent.fam.fragments:
+                self._fragment(i, frag, seen)
+            for tr in ent.fam.rigid:
                 self._rigid(tr.on(e.id))
         for tr in pres.generators:
             self._rigid(tr)
@@ -178,9 +189,9 @@ class CellGraph:
         # and its first new position); new position -> the segment it
         # splits; new position -> its order key.
         self.inner, self.home, self.order = {}, {}, {}
-        # Filled by ``reaches``: cell -> its component, component -> the
-        # bitset of the components it reaches.
-        self._closure = None
+        # Filled by ``closure``: of every transition, and of the flexible
+        # ones.
+        self._closure = self._flexible = None
 
     def __len__(self):
         return len(self.src)
@@ -257,13 +268,17 @@ class CellGraph:
 
     # -- transitions ---------------------------------------------------------
 
-    def _add(self, src: int, dst: int, cover: tuple, recipe) -> None:
+    def _add(self, src: int, dst: int, cover: tuple, recipe,
+             flex: bool = False) -> Optional[int]:
+        """Add a transition unless a filter drops it; its number, or None."""
         if self.filtered and not self._allowed(cover):
-            return
+            return None
         self.src.append(src)
         self.dst.append(dst)
         self.cover.append(cover)
         self.recipe.append(recipe)
+        self.flex.append(flex)
+        return len(self.src) - 1
 
     def _allowed(self, cover: tuple) -> bool:
         """Does the motion over cover, walked in order, touch no blocked
@@ -280,21 +295,40 @@ class CellGraph:
                     return False
         return True
 
-    def _fragment(self, i: int, frag) -> None:
+    def _fragment(self, i: int, frag, seen: Optional[dict]) -> None:
+        """One transition per pair of positions of the window, in its
+        direction.  It is flexible when no forbidden start or end lies
+        strictly between its ends and it passes no excluded cell: exactly
+        the moves of ``flexible_part``, whose windows are cut at those
+        points and whose excluded points are blocked.  With `seen` (pair
+        -> transition), a pair that another window of the edge gave
+        before is not added again; its flag is OR-ed in."""
         if not frag.dir:
             return  # trivial loops move nowhere
         lo = self._at(i, frag.lo) + frag.lo_open
         hi = self._at(i, frag.hi) - frag.hi_open
         no_start = {self._at(i, t) for t in frag.start_not}
         no_end = {self._at(i, t) for t in frag.end_not}
+        marks = no_start | no_end
         window = range(lo, hi + 1) if frag.dir > 0 else range(hi, lo - 1, -1)
-        cell_at = self.cell_at
+        cell_at, excluded, flags = self.cell_at, self.excluded, self.flex
         for n, a in enumerate(window):
             if a in no_start:
                 continue
+            flex = cell_at[a] not in excluded
             for b in window[n + 1:]:
+                flex = flex and cell_at[b] not in excluded
                 if b not in no_end:
-                    self._add(cell_at[a], cell_at[b], ((a, b),), None)
+                    k = None if seen is None else seen.get((a, b))
+                    if k is not None:
+                        flags[k] |= flex
+                    else:
+                        k = self._add(cell_at[a], cell_at[b], ((a, b),), None,
+                                      flex)
+                        if seen is not None and k is not None:
+                            seen[a, b] = k
+                if b in marks:
+                    flex = False
 
     def _rigid(self, tr) -> None:
         steps = tuple((self._at(self.index[s.edge], s.a),
@@ -304,12 +338,27 @@ class CellGraph:
 
     # -- the closure ---------------------------------------------------------
 
+    def closure(self, flexible: bool = False) -> "Closure":
+        """The closure of every transition, built on the first call, or of
+        the flexible ones only.  When every transition is flexible, the
+        two are one.  Only a compiled graph has flexible transitions."""
+        if self._closure is None:
+            self._closure = Closure(self.fwd, self.dst)
+        if not flexible:
+            return self._closure
+        if self._flexible is None:
+            if all(self.flex):
+                self._flexible = self._closure
+            else:
+                fwd = [[] for _ in self.fwd]
+                for k in compress(range(len(self.flex)), self.flex):
+                    fwd[self.src[k]].append(k)
+                self._flexible = Closure(fwd, self.dst)
+        return self._flexible
+
     def reaches(self, a: int, b: int) -> bool:
         """Does a nonempty chain of transitions lead from cell a to cell b?"""
-        if self._closure is None:
-            self._closure = self._close()
-        comp, bits = self._closure
-        return bits[comp[a]] >> comp[b] & 1 == 1
+        return self.closure().reaches(a, b)
 
     def held(self, c: int, d: int) -> bool:
         """Is cell c an open segment that a window of direction d holds?"""
@@ -320,54 +369,6 @@ class CellGraph:
         r = p - self.offset[i]
         return r % 2 == 1 and any(lo <= r <= hi
                                   for lo, hi, _, _ in self.ent[i].wins[d])
-
-    def _close(self) -> tuple:
-        """Each cell's strongly connected component, numbered in the order
-        an iterative Tarjan pass emits them, and per component the bitset
-        of the components it reaches.  A component is emitted after every
-        component it reaches, so the bitsets it ORs in are complete, and
-        its own bit is the highest it can hold."""
-        fwd, dst = self.fwd, self.dst
-        n = len(fwd)
-        index, low, comp, bits = [-1] * n, [0] * n, [-1] * n, []
-        stack, count = [], 0
-        for root in range(n):
-            if index[root] >= 0:
-                continue
-            index[root] = low[root] = count
-            count += 1
-            stack.append(root)
-            work = [(root, iter(fwd[root]))]
-            while work:
-                v, ks = work[-1]
-                for k in ks:
-                    w = dst[k]
-                    if index[w] < 0:
-                        index[w] = low[w] = count
-                        count += 1
-                        stack.append(w)
-                        work.append((w, iter(fwd[w])))
-                        break
-                    if comp[w] < 0 and index[w] < low[v]:  # w on the stack
-                        low[v] = index[w]
-                else:
-                    work.pop()
-                    if work and low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
-                    if low[v] == index[v]:
-                        c, members = len(bits), []
-                        while not members or members[-1] != v:
-                            members.append(stack.pop())
-                            comp[members[-1]] = c
-                        r = 0
-                        for u in members:
-                            for k in fwd[u]:
-                                d = comp[dst[k]]
-                                r |= 1 << d
-                                if d != c:
-                                    r |= bits[d]
-                        bits.append(r)
-        return comp, bits
 
     # -- query points --------------------------------------------------------
 
@@ -407,7 +408,9 @@ class CellGraph:
         self.src, self.dst = list(self.src), list(self.dst)
         self.cover, self.recipe = list(self.cover), list(self.recipe)
         self.inner, self.home, self.order = {}, {}, {}
-        self._closure = None  # the compiled graph's closure is not this one's
+        # the compiled graph's closures are not this one's, and its new
+        # transitions are not sorted into flexible or not
+        self._closure = self._flexible = self.flex = None
         fwd, rev = {}, {}  # cell -> the new transitions leaving / entering it
         cell_at = self.cell_at
 
@@ -445,12 +448,11 @@ class CellGraph:
                     link(q, b)
             pieces, r = [p, *new], p - self.offset[i]
             for d, wins in self.ent[i].wins.items():
-                run = pieces if d > 0 else pieces[::-1]
-                for lo, hi, _, _ in wins:
-                    if lo <= r <= hi:
-                        for n, a in enumerate(run):
-                            for b in run[n + 1:]:
-                                link(a, b)
+                if any(lo <= r <= hi for lo, hi, _, _ in wins):
+                    run = pieces if d > 0 else pieces[::-1]
+                    for n, a in enumerate(run):
+                        for b in run[n + 1:]:
+                            link(a, b)
         for adj, added in ((self.fwd, fwd), (self.rev, rev)):
             adj.extend([] for _ in range(len(adj), len(self.places)))
             for c, ks in added.items():
@@ -478,6 +480,94 @@ class CellGraph:
             return trace_path(self.pres, tr).items
         return [Seg(self.ids[self.pos_edge[a]], self.value(a), self.value(b))
                 for a, b in self.cover[k]]
+
+
+class Closure:
+    """The transitive closure of some transitions of a cell graph.
+
+    ``comp``: each cell's strongly connected component, numbered in the
+    order an iterative Tarjan pass emits them; ``bits``: per component,
+    the bitset of the components it reaches by a nonempty chain.
+    """
+    __slots__ = ("comp", "bits", "_ends")
+
+    def __init__(self, fwd: list, dst: list):
+        self.comp, self.bits = _close(fwd, dst)
+        self._ends = None
+
+    def reaches(self, a: int, b: int) -> bool:
+        """Does a nonempty chain lead from cell a to cell b?"""
+        return self.bits[self.comp[a]] >> self.comp[b] & 1 == 1
+
+    def ends(self, g: CellGraph) -> tuple:
+        """(stop, start, from_start), bitsets of components: those that
+        hold a cell where a path may end (one not excluded), those that
+        hold one where it may start (neither excluded nor absorbing), and
+        those a nonempty chain reaches from a start component."""
+        if self._ends is None:
+            comp, bits = self.comp, self.bits
+            every = stop = start = (1 << len(bits)) - 1
+            if g.excluded or g.absorbing:
+                stop = start = 0
+                for c, n in enumerate(comp):
+                    if c not in g.excluded:
+                        stop |= 1 << n
+                        if c not in g.absorbing:
+                            start |= 1 << n
+            from_start = reduce(or_, bits if start == every else (
+                b for n, b in enumerate(bits) if start >> n & 1), 0)
+            self._ends = stop, start, from_start
+        return self._ends
+
+
+def _close(fwd: list, dst: list) -> tuple:
+    """Each cell's strongly connected component, numbered in the order an
+    iterative Tarjan pass over the transitions in fwd emits them, and per
+    component the bitset of the components it reaches.  A component is
+    emitted after every component it reaches, so the bitsets it ORs in
+    are complete, and its own bit is the highest it can hold."""
+    n = len(fwd)
+    if not any(fwd):  # no transition: each cell is a component of its own
+        return list(range(n)), [0] * n
+    index, low, comp, bits = [-1] * n, [0] * n, [-1] * n, []
+    stack, count = [], 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(fwd[root]))]
+        while work:
+            v, ks = work[-1]
+            for k in ks:
+                w = dst[k]
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(fwd[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:  # w on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    c, members = len(bits), []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        comp[members[-1]] = c
+                    r = 0
+                    for u in members:
+                        for k in fwd[u]:
+                            d = comp[dst[k]]
+                            r |= 1 << d
+                            if d != c:
+                                r |= bits[d]
+                    bits.append(r)
+    return comp, bits
 
 
 def compiled(pres: GraphPresentation) -> CellGraph:
@@ -733,26 +823,30 @@ class ReachRelation:
     def pairs(self) -> tuple:
         """All (x, y) node-representative pairs with x ⤳ y.
 
-        Each representative has its own cell of the compiled graph, so in
-        mode ``c`` the pairs are read from its closure.  In mode ``d`` the
-        hat's graph is cut at every representative and searched once
-        from each.
+        Read from the closure of the compiled graph of the space (mode
+        ``c``) or of its hat (mode ``d``) by the rule of ``_reaches``.  In
+        mode ``c`` each representative has a cell of its own.  In mode
+        ``d`` several can share an open segment of the hat, and they come
+        in the order of their parameters along it.
         """
         reps = self.nodes()
         norm = normalize(hat(self.space) if self.mode == "d" else self.space)
         bad = norm.excluded | norm.blocked
-        g = _graph(norm, reps) if self.mode == "d" else compiled(norm)
+        g = compiled(norm)
+        clo = g.closure()
         cells = [g.cell(x) for x in reps]
+        comps = [clo.comp[c] for c in cells]
+        good = [x not in bad for x in reps]
         out = []
-        for x, cx in zip(reps, cells):
-            if x in bad:
-                reached = ()
-            elif self.mode == "d":
-                reached = _search(g, (cx,))
-            else:
-                reached = {cy for cy in cells if g.reaches(cx, cy)}
-            out.extend((x, y) for y, cy in zip(reps, cells)
-                       if x == y or (cy in reached and y not in bad))
+        for i, (x, c, n) in enumerate(zip(reps, cells, comps)):
+            if not good[i]:
+                out.append((x, x))
+                continue
+            row = clo.bits[n]
+            out.extend((x, reps[j]) for j in range(len(reps))
+                       if j == i or good[j] and (
+                           row >> comps[j] & 1 if cells[j] != c
+                           else row >> n & 1 or g.held(c, 1 if j > i else -1)))
         return tuple(out)
 
 
@@ -763,38 +857,41 @@ def reach_relation(space, mode: str = "c") -> ReachRelation:
 # ---------------------------------------------------------------------------
 # Existence queries (used by point classification)
 
-def _leaves(g: CellGraph, c: int) -> bool:
-    """Does a nontrivial path from cell c end where a path may end?"""
-    reached = _search(g, [g.dst[k] for k in g.fwd[c]])
-    return any(n not in g.excluded for n in reached)
-
-
-def _arrives(g: CellGraph, c: int) -> bool:
-    """Does a nontrivial path to cell c start where a path may start?"""
-    reached = _search(g, [g.src[k] for k in g.rev[c]], forward=False)
-    return any(n not in g.excluded and n not in g.absorbing for n in reached)
-
-
-def existence(pres: GraphPresentation, x) -> tuple:
+def existence(pres: GraphPresentation, x, flexible: bool = False) -> tuple:
     """(through, from, to): is there a nontrivial controlled path
-    visiting, starting at, ending at x?  One cut, and one search each
-    way from x; only when neither finds a path does ``through`` search
-    the whole graph for a transition over x."""
-    if x in pres.blocked:
+    visiting, starting at, ending at x?  With `flexible`, the same in
+    ``flexible_part(pres)``, whose moves are the flexible transitions of
+    the compiled graph and whose excluded points are blocked.
+
+    Read from a closure of the compiled graph.  A point inside an open
+    segment moves as the segment's cell c does, and a window holding
+    the segment takes it on in its direction.  So x starts a path iff a
+    window holds c or c reaches a cell where a path may stop, and ends
+    one iff a window holds c or c is reached from a cell where a path
+    may start.  Only when neither holds does ``through`` look for a
+    transition over x from a start cell, or a cell it reaches, to a
+    cell that is or reaches a stop cell: x then lies inside one motion.
+    """
+    if x in pres.blocked or flexible and x in pres.excluded:
         return False, False, False
-    g = _graph(pres, (x,))
-    nx = g.cell(x)
+    g = compiled(pres)
+    c = g.cell(x)
+    clo = g.closure(flexible)
+    comp, bits = clo.comp, clo.bits
+    stop, start, from_start = clo.ends(g)
     if x in pres.excluded:
         leaves = arrives = False
     else:
-        leaves, arrives = _leaves(g, nx), _arrives(g, nx)
+        held = g.held(c, 1) or g.held(c, -1)
+        leaves = held or bits[comp[c]] & stop != 0
+        arrives = held or from_start >> comp[c] & 1 == 1
     if leaves or arrives:
         return True, leaves, arrives
-    startable = _search(g, [s for s in g.src if s not in g.excluded
-                            and s not in g.absorbing])
-    stoppable = _search(g, [d for d in g.dst if d not in g.excluded],
-                        forward=False)
-    return (any(s in startable and d in stoppable and g.touches(k, nx)
+    begin, flags = start | from_start, g.flex
+    return (any((flags[k] or not flexible)
+                and begin >> comp[s] & 1
+                and (stop >> comp[d] & 1 or bits[comp[d]] & stop)
+                and g.touches(k, c)
                 for k, (s, d) in enumerate(zip(g.src, g.dst))),
             False, False)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cspaces import membership
 from cspaces.cli import main
 from cspaces.corpus import build
 from cspaces.membership import is_controlled
@@ -281,3 +282,29 @@ def test_validate_reports_a_region_on_an_unknown_edge(space_file, tmp_path,
     code, doc = run_cli(capsys, "validate", "--space", str(f))
     assert code == 0 and doc["valid"] is False
     assert any("unknown edge 'e9'" in v for v in doc["violations"])
+
+
+@pytest.mark.parametrize("items, message", [
+    ([{"run": [{"edge": "e0", "from": "0/1", "to": "1/1"}]}], None),
+    ([{"run": [{"edge": "e0", "from": "0/1", "to": "1/2"}]},
+      {"run": [{"edge": "e0", "from": "3/4", "to": "1/1"}]}],
+     "path breaks at EdgePoint(edge='e0', t=Fraction(1, 2)) -> "
+     "EdgePoint(edge='e0', t=Fraction(3, 4))")], ids=("chained", "broken"))
+def test_check_path_tokenizes_the_path_once(space_file, tmp_path, capsys,
+                                            monkeypatch, items, message):
+    """The read leaves the check that segments chain to the parse, which
+    raises the read's error with the same exit code."""
+    f = space_file("c_interval")
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({"start": "v:v0", "items": items}))
+    calls = []
+    explode = membership.explode
+    monkeypatch.setattr(membership, "explode",
+                        lambda *args: calls.append(1) or explode(*args))
+    code, doc = run_cli(capsys, "check-path", "--space", f, "--path", str(pf))
+    assert len(calls) == 1
+    if message is None:
+        assert code == 0 and doc["controlled"] is True
+    else:
+        assert code == 2 and doc["error"] == {"message": message,
+                                              "type": "input"}

@@ -79,3 +79,13 @@ class TestSharedCustomKind:
         assert res.ok and parse_controlled(SHARED, res.witness).controlled
         assert [s.edge for r in res.witness.runs() for s in r.segs] == \
             ["e0"] * 3 + ["e1"] * 3
+
+
+def test_rigid_ends_are_kept_on_the_family_outside_its_fields():
+    fam = K.kind_generators(K.n_stop(64))
+    text, twin = repr(fam), Family(fam.rigid, fam.fragments)
+    assert fam.instance_end(F(1, 64)) and not fam.instance_end(F(1, 128))
+    assert fam.rigid_ends == frozenset(F(k, 64) for k in range(65))
+    assert "rigid_ends" in vars(fam) and "rigid_ends" not in vars(twin)
+    assert fam == twin and hash(fam) == hash(twin) and repr(fam) == text
+    assert twin.rigid_ends is twin.rigid_ends  # built once

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from cspaces import kinds as K
-from cspaces import membership, presentation, reach
+from cspaces import classify, construct, membership, presentation, reach
 from cspaces.classify import classify_point
 from cspaces.construct import (exclude_endpoints, flexible_part, hat,
                                opposite, product)
@@ -773,6 +773,66 @@ def test_pairs_in_mode_c_are_read_from_the_closure(monkeypatch):
     assert len(reach_relation(sp).pairs()) == 25 * 26 // 2
 
 
+COST_MODELS = [("directed(150)", _directed_chain(150)),
+               ("n_stop(64)", normalize(build("c_line_window", lo=0, hi=64)))]
+
+
+@pytest.mark.parametrize("name, pres", COST_MODELS,
+                         ids=[n for n, _ in COST_MODELS])
+def test_classify_and_pairs_cut_and_search_nothing(monkeypatch, name, pres):
+    """Classification reads both existence triples, and ``pairs()`` in
+    both modes its relation, from closures of the one compiled graph."""
+    calls = {"split": 0, "search": 0, "flexible_part": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(reach.CellGraph, "_split",
+                        counted("split", reach.CellGraph._split))
+    monkeypatch.setattr(reach, "_search", counted("search", reach._search))
+    for module in (construct, classify):
+        monkeypatch.setattr(module, "flexible_part",
+                            counted("flexible_part", module.flexible_part))
+    rng = random.Random(zlib.crc32(f"{name}/cost".encode()))
+    for _ in range(100):
+        classify_point(pres, _fresh_point(pres, rng))
+    for mode in ("c", "d"):
+        assert reach_relation(pres, mode).pairs()
+    assert calls == {"split": 0, "search": 0, "flexible_part": 0}
+
+
+def test_a_directed_chain_is_its_own_flexible_closure():
+    g = reach.compiled(_directed_chain(150))
+    assert all(g.flex) and g.closure(flexible=True) is g.closure()
+
+
+def test_overlapping_windows_give_each_transition_once():
+    """``OPEN_WINDOWS`` has two rising windows that overlap on (1/4, 1/2);
+    each pair of positions in both is one transition, and so is each
+    move between the pieces of a split segment that both hold."""
+    g = reach.compiled(normalize(interval(OPEN_WINDOWS)))
+    assert len(g) == len(set(zip(g.src, g.dst, g.cover))) == 45
+    cut = g.cut(frozenset({("e0", F(3, 8)), ("e0", F(7, 16))}))
+    assert len(cut) == len(set(zip(cut.src, cut.dst, cut.cover))) == 77
+
+
+def test_a_pair_is_flexible_when_one_of_its_windows_makes_it_so():
+    """A forbidden start at 1/2 makes the runs of the first window across
+    it not flexible; the second window gives the same pairs flexibly."""
+    marked = Fragment(1, start_not=frozenset({H}))
+    alone = reach.compiled(interval(K.custom(Family(fragments=(marked,)))))
+    assert [alone.cover[k] for k in range(len(alone)) if alone.flex[k]] == [
+        ((0, 1),), ((0, 2),), ((1, 2),), ((3, 4),)]
+    assert alone.closure(flexible=True) is not alone.closure()
+    both = reach.compiled(interval(K.custom(Family(
+        fragments=(marked, Fragment(1))))))
+    positions = len(both.cell_at)
+    assert len(both) == positions * (positions - 1) // 2 and all(both.flex)
+
+
 def test_unavoidable_point_asks_the_closure_first(monkeypatch):
     pres = _directed_chain(20)
     x, y = EdgePoint("e12", H), EdgePoint("e3", H)
@@ -783,3 +843,71 @@ def test_unavoidable_point_asks_the_closure_first(monkeypatch):
     assert unavoidable_point(pres, y, x, EdgePoint("e8", H))
     assert not unavoidable_point(pres, y, x, EdgePoint("e15", H))
     assert calls["witness"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Classification and relations read the same from the closure
+
+def _filtered(name, base):
+    """Each endpoint filter (and exclusion) at each vertex of base."""
+    return [(f"{name}/{field}@{v}",
+             replace(base, **{field: frozenset({Vertex(v)})}))
+            for field in ("absorbing", "emitting", "blocked", "excluded")
+            for v in sorted(base.vertices)]
+
+
+CLOSURE_MODELS = [(f"{name}{suffix}", pres) for name, sp in GRAPH_MODELS
+                  for suffix, pres in (("", sp), ("/hat", normalize(hat(sp))))
+                  ] + [m for name, sp in CORPUS_GRAPHS
+                       for m in _filtered(name, sp)]
+PRODUCT_MODELS = [(f"{name}{suffix}", pres) for name in names()
+                  for sp in [normalize(build(name))]
+                  if not isinstance(sp, GraphPresentation)
+                  for suffix, pres in (("", sp), ("/hat", normalize(hat(sp))))]
+
+
+def _graph_points(pres, rng, fresh=2):
+    pts = [Vertex(v) for v in sorted(pres.vertices)]
+    for e in pres.edges:
+        pts += [pos_point(pres, e.id, t) for t in cuts(pres, e.id)[1:-1]]
+        pts += [EdgePoint(e.id, F(rng.randint(1, 100), 101))
+                for _ in range(fresh)]
+    return pts
+
+
+def _product_points(pres, rng, count=30):
+    if isinstance(pres, GraphPresentation):
+        return _graph_points(pres, rng, fresh=1)
+    left = _product_points(pres.left, rng)
+    right = _product_points(pres.right, rng)
+    return [PTuple((rng.choice(left), rng.choice(right)))
+            for _ in range(count)]
+
+
+# SHA-256 of the classifications below, written when ``classify_point``
+# cut the space and its flexible part and searched each.
+CLASSIFY_DIGEST = ("f8ab368a3572d00a77e392e7a145c90d"
+                   "665907e995c2d79c43b2bb8ff0e4a145")
+
+
+def test_classifications_are_unchanged():
+    lines = []
+    for name, pres in CLOSURE_MODELS + PRODUCT_MODELS:
+        rng = random.Random(zlib.crc32(f"{name}/classify".encode()))
+        for x in _product_points(pres, rng):
+            lines.append(f"{name} {x!r} {classify_point(pres, x)!r}")
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == CLASSIFY_DIGEST)
+
+
+# SHA-256 of the relations below, written when ``pairs()`` in mode ``d``
+# cut the hat at every representative and searched from each.
+PAIRS_DIGEST = ("b2945d6e436138d2579f707b8c8e7353"
+                "c7481a63cfd067b0f665abc4425d5bb5")
+
+
+def test_pairs_are_unchanged():
+    lines = [f"{name} {mode} {reach_relation(pres, mode).pairs()!r}"
+             for name, pres in CLOSURE_MODELS for mode in ("c", "d")]
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == PAIRS_DIGEST)
