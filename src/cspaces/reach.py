@@ -49,7 +49,9 @@ for x ≠ y in different cells x reaches y iff cell(y) is in the closure
 of cell(x).  Two points of one open segment are joined iff a window of
 the direction from x to y holds the segment, or the segment's cell lies
 on a cycle.  ``existence`` and ``ReachRelation.pairs`` read the same
-rules.
+rules.  So does ``unavoidable_point``: when x, y and p lie in three
+cells, p is avoidable if no transition over p (``CellGraph.over``) lies
+on a chain from x to y, and only otherwise does a pruned search run.
 
 A cut splits only the open segments that hold a query point which is
 not a cut value.  The m query values in the segment at position p get
@@ -64,8 +66,7 @@ its pieces.  No transition is unlinked, no edge is laid out or ranked
 again, and a new position's parameter is computed only when a witness
 reads it.  The cut copies the graph's top-level lists and each
 adjacency list it extends, so the compiled graph never changes.  Cuts
-serve only witnesses and ``unavoidable_point``, whose avoided cell
-changes the graph; each is searched breadth-first over ints.
+serve only witnesses, which are searched breadth-first over ints.
 
 Witness atoms (``Seg`` / ``PAUSE``) are built only along the chain of
 transitions a witness returns, with pauses between the pieces; pauses
@@ -79,21 +80,22 @@ from collections import deque
 from copy import copy
 from dataclasses import FrozenInstanceError
 from functools import cached_property, lru_cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 from .construct import hat
 from .membership import _edge_index, parse_index
 from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, ProdSeg,
                     PTuple, Seg, UnsupportedConstruction, Vertex, assemble)
-from .presentation import (GraphPresentation, ProductN, cuts,
-                           flexible_point, is_flexible_point, normalize,
-                           point_positions, trace_path)
+from .presentation import (GraphPresentation, ProductN, flexible_point,
+                           is_flexible_point, normalize, point_positions,
+                           trace_path)
 
 # Graphs kept by ``transitions``.  A reach answer asks for the compiled
-# graph of its space (no extra points); a read witness or
-# ``unavoidable_point`` cuts it at its own points.
+# graph of its space (no extra points); only a read witness cuts it at
+# its own points.
 GRAPH_CACHE_SIZE = 8
 
 
@@ -170,7 +172,11 @@ class CellGraph:
         self.emitting = self._cells(pres.emitting)
         self.blocked = self._cells(pres.blocked)
         self.filtered = bool(self.blocked or self.absorbing or self.emitting)
+        # edge number -> its first transition; then the generators' first,
+        # and the end of theirs
+        self.first = []
         for i, e in enumerate(pres.edges):
+            self.first.append(len(self.src))
             ent = self.ent[i]
             # windows of one direction that overlap give some pairs twice
             seen = {} if max(map(len, ent.wins.values())) > 1 else None
@@ -178,8 +184,10 @@ class CellGraph:
                 self._fragment(i, frag, seen)
             for tr in ent.fam.rigid:
                 self._rigid(tr.on(e.id))
+        self.first.append(len(self.src))
         for tr in pres.generators:
             self._rigid(tr)
+        self.first.append(len(self.src))
         self.fwd = [[] for _ in self.places]
         self.rev = [[] for _ in self.places]
         for k, (s, d) in enumerate(zip(self.src, self.dst)):
@@ -187,11 +195,12 @@ class CellGraph:
             self.rev[d].append(k)
         # Filled by ``cut``: split segment -> (its query values, sorted,
         # and its first new position); new position -> the segment it
-        # splits; new position -> its order key.
-        self.inner, self.home, self.order = {}, {}, {}
-        # Filled by ``closure``: of every transition, and of the flexible
-        # ones.
-        self._closure = self._flexible = None
+        # splits.
+        self.inner, self.home = {}, {}
+        # Filled on first use: the closures of every transition and of the
+        # flexible ones, the representative points, and graph -> the cells
+        # of its representatives in this one.
+        self._closure = self._flexible = self._reps = self._rep_cells = None
 
     def __len__(self):
         return len(self.src)
@@ -360,15 +369,65 @@ class CellGraph:
         """Does a nonempty chain of transitions lead from cell a to cell b?"""
         return self.closure().reaches(a, b)
 
+    def segment(self, c: int) -> Optional[int]:
+        """The position of cell c if it is an open segment, else None."""
+        if len(self.places[c]) == 1:
+            p = self.places[c][0]
+            if (p - self.offset[self.pos_edge[p]]) % 2:
+                return p
+        return None
+
     def held(self, c: int, d: int) -> bool:
         """Is cell c an open segment that a window of direction d holds?"""
-        if len(self.places[c]) != 1:
+        p = self.segment(c)
+        if p is None:
             return False
-        p = self.places[c][0]
         i = self.pos_edge[p]
         r = p - self.offset[i]
-        return r % 2 == 1 and any(lo <= r <= hi
-                                  for lo, hi, _, _ in self.ent[i].wins[d])
+        return any(lo <= r <= hi for lo, hi, _, _ in self.ent[i].wins[d])
+
+    def over(self, c: int) -> set:
+        """The transitions of a compiled graph that pass through cell c:
+        those of the families of its edges, and the generators, whose
+        cover reaches one of its positions."""
+        first, cover, out = self.first, self.cover, set()
+        gens = range(first[-2], first[-1])
+        for g in self.places[c]:
+            i = self.pos_edge[g]
+            for k in chain(range(first[i], first[i + 1]), gens):
+                for a, b in cover[k]:
+                    if a <= g <= b or b <= g <= a:
+                        out.add(k)
+                        break
+        return out
+
+    # -- representatives -----------------------------------------------------
+
+    def reps(self) -> tuple:
+        """One point per cell: the vertices by name, then, edge by edge,
+        each interior cut value and the midpoint of each open segment.
+        Built on the first call."""
+        if self._reps is None:
+            pres = self.pres
+            out = [Vertex(v) for v in sorted(pres.vertices)]
+            for e, ent in zip(pres.edges, self.ent):
+                vals = ent.cuts
+                for k in range(len(vals) - 1):
+                    if k:
+                        out.append(EdgePoint(e.id, vals[k]))
+                    out.append(EdgePoint(e.id, (vals[k] + vals[k + 1]) / 2))
+            self._reps = tuple(out)
+        return self._reps
+
+    def rep_cells(self, g: "CellGraph") -> list:
+        """The cells in this graph of the representatives of graph g,
+        kept while both live."""
+        if self._rep_cells is None:
+            self._rep_cells = WeakKeyDictionary()
+        cells = self._rep_cells.get(g)
+        if cells is None:
+            cells = self._rep_cells[g] = [self.cell(x) for x in g.reps()]
+        return cells
 
     # -- query points --------------------------------------------------------
 
@@ -407,10 +466,10 @@ class CellGraph:
                                            list(self.rev))
         self.src, self.dst = list(self.src), list(self.dst)
         self.cover, self.recipe = list(self.cover), list(self.recipe)
-        self.inner, self.home, self.order = {}, {}, {}
-        # the compiled graph's closures are not this one's, and its new
-        # transitions are not sorted into flexible or not
-        self._closure = self._flexible = self.flex = None
+        self.inner, self.home = {}, {}
+        # the compiled graph's closures and cells are not this one's, and
+        # its new transitions are not sorted into flexible or not
+        self._closure = self._flexible = self.flex = self._rep_cells = None
         fwd, rev = {}, {}  # cell -> the new transitions leaving / entering it
         cell_at = self.cell_at
 
@@ -430,9 +489,8 @@ class CellGraph:
             first = len(cell_at)
             new = range(first, first + 2 * len(ts))
             self.inner[p] = (ts, first)
-            for j, q in enumerate(new, 1):
+            for q in new:
                 self.home[q] = p
-                self.order[q] = p + j / (len(new) + 1)
                 cell_at.append(len(self.places))
                 self.places.append([q])
                 self.pos_edge.append(i)
@@ -459,19 +517,6 @@ class CellGraph:
                 adj[c] = adj[c] + ks
 
     # -- witnesses -----------------------------------------------------------
-
-    def touches(self, k: int, c: int) -> bool:
-        """Does transition k pass through cell c?  Positions compare by
-        order key: a new position's lies strictly between the segment it
-        splits and the next position."""
-        order = self.order
-        for g in self.places[c]:
-            x = order.get(g, g)
-            for a, b in self.cover[k]:
-                a, b = order.get(a, a), order.get(b, b)
-                if a <= x <= b or b <= x <= a:
-                    return True
-        return False
 
     def atoms(self, k: int):
         """Witness atoms of transition k."""
@@ -603,19 +648,18 @@ def _graph(pres: GraphPresentation, points) -> CellGraph:
     return transitions(pres, _query_extra(pres, points))
 
 
-def _search(g: CellGraph, sources, forward: bool = True,
-            avoid: Optional[int] = None) -> dict:
+def _search(g: CellGraph, sources, forward: bool = True) -> dict:
     """The transition by which each cell reached from `sources` was
     reached (-1 at a source), in breadth-first order.  Backwards
     (``forward=False``) a cell maps to the transition leaving it towards
-    the sources.  Transitions through the cell `avoid` are not taken."""
+    the sources."""
     adj, ends = (g.fwd, g.dst) if forward else (g.rev, g.src)
     parent = dict.fromkeys(sources, -1)
     queue = deque(parent)
     while queue:
         for k in adj[queue.popleft()]:
             c = ends[k]
-            if c in parent or (avoid is not None and g.touches(k, avoid)):
+            if c in parent:
                 continue
             parent[c] = k
             queue.append(c)
@@ -634,11 +678,9 @@ def _witness(g: CellGraph, start, chain, end) -> CanonicalPath:
 # ---------------------------------------------------------------------------
 # Point-to-point queries
 
-def _reaches(pres: GraphPresentation, x, y) -> bool:
-    """x ⤳ y, for x ≠ y neither excluded nor blocked, from the closure of
-    the compiled graph."""
-    g = transitions(pres)
-    cx, cy = g.cell(x), g.cell(y)
+def _reaches(g: CellGraph, x, y, cx: int, cy: int) -> bool:
+    """x ⤳ y, for x ≠ y neither excluded nor blocked in cells cx and cy,
+    from the closure of the compiled graph g."""
     if cx == cy:  # two points of one open segment
         return g.held(cx, 1 if y.t > x.t else -1) or g.reaches(cx, cx)
     return g.reaches(cx, cy)
@@ -649,8 +691,8 @@ def _graph_reach(pres: GraphPresentation, x, y) -> ReachResult:
         if flexible_point(pres, x):
             return ReachResult(True, assemble(x, [], x))
         return ReachResult(True, None)
-    bad = pres.excluded | pres.blocked
-    if x in bad or y in bad or not _reaches(pres, x, y):
+    bad, g = pres.excluded | pres.blocked, transitions(pres)
+    if x in bad or y in bad or not _reaches(g, x, y, g.cell(x), g.cell(y)):
         return ReachResult(False)
     return ReachResult(True, build=lambda: _reach_witness(pres, x, y))
 
@@ -773,22 +815,79 @@ def d_reachable(space, x, y) -> ReachResult:
 
 
 def unavoidable_point(space, x, y, p, mode: str = "c") -> bool:
-    """Must every (c- or d-) path from x to y pass through p?"""
+    """Must every (c- or d-) path from x to y pass through p?
+
+    Decided on the compiled graph of the space (of its hat in mode
+    ``d``).  When x, y and p lie in three cells, p is avoidable if no
+    transition over p lies on a chain from x to y.  Two points of one
+    open segment, on one side of p, are joined by a window of their
+    direction that holds it.  Otherwise ``_avoiding`` searches.
+    """
     norm = normalize(hat(space) if mode == "d" else space)
     if not isinstance(norm, GraphPresentation):
         raise UnsupportedConstruction(
             "unavoidable-point queries need a graph presentation")
-    for q in (x, y, p):
-        compiled(norm).cell(q)  # a ModelError names a point outside norm
+    g = compiled(norm)
+    # a ModelError names a point outside norm
+    cx, cy, cp = g.cell(x), g.cell(y), g.cell(p)
     if x == y:
         return p == x
     bad = norm.excluded | norm.blocked
-    if x in bad or y in bad or not _reaches(norm, x, y):
+    if x in bad or y in bad or not _reaches(g, x, y, cx, cy):
         raise ModelError("y is not reachable from x")
     if p == x or p == y:
         return True
-    g = _graph(norm, (x, y, p))
-    return g.cell(y) not in _search(g, (g.cell(x),), avoid=g.cell(p))
+    over = g.over(cp)
+    if cx != cy and cp != cx and cp != cy:
+        clo = g.closure()
+        comp, bits = clo.comp, clo.bits
+        row, goal = bits[comp[cx]], comp[cy]
+        if not any((s == cx or row >> comp[s] & 1)
+                   and (d == cy or bits[comp[d]] >> goal & 1)
+                   for s, d in ((g.src[k], g.dst[k]) for k in over)):
+            return False
+    # x and y in p's open segment are on its side: -1 below p, -2 above
+    start = cx if cx != cp else -1 if x.t < p.t else -2
+    target = cy if cy != cp else -1 if y.t < p.t else -2
+    if start == target and g.held(cx, 1 if y.t > x.t else -1):
+        return False
+    return not _avoiding(g, start, target, cp, over)
+
+
+def _avoiding(g: CellGraph, start: int, target: int, cp: int,
+              over: set) -> bool:
+    """Does a nonempty chain of transitions that pass no point p of cell
+    cp lead from state start to state target?
+
+    The states are the cells, except that when cp is an open segment it
+    is two states: -1 below p and -2 above it.  Of the transitions over
+    p, one into the segment lands on the side it comes from, one out of
+    it leaves from the side it heads to, and the rest are dropped.  The
+    search runs depth first, enters only states whose cell reaches the
+    target's (a closure bit test) and stops at the target."""
+    seg = g.segment(cp)
+    land, leave = {}, {-1: [], -2: []}
+    if seg is not None:
+        for k in over:
+            if g.dst[k] == cp:
+                land[k] = -1 if g.cover[k][0][0] < seg else -2
+            elif g.src[k] == cp:
+                leave[-2 if g.cover[k][0][1] > seg else -1].append(g.dst[k])
+    clo = g.closure()
+    comp, bits = clo.comp, clo.bits
+    goal = comp[cp if target < 0 else target]
+    seen, todo = {start}, [start]
+    while todo:
+        u = todo.pop()
+        for v in leave[u] if u < 0 else (
+                land.get(k) if k in over else g.dst[k] for k in g.fwd[u]):
+            if v == target:
+                return True
+            if (v is not None and v not in seen
+                    and bits[comp[cp if v < 0 else v]] >> goal & 1):
+                seen.add(v)
+                todo.append(v)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -806,19 +905,12 @@ class ReachRelation:
         return c_reachable(target, x, y).ok
 
     def nodes(self) -> tuple:
-        """Representative points, one per cell (graph presentations only)."""
-        pres = self.space
-        if not isinstance(pres, GraphPresentation):
+        """Representative points, one per cell of the compiled graph
+        (graph presentations only)."""
+        if not isinstance(self.space, GraphPresentation):
             raise UnsupportedConstruction(
                 "cell enumeration needs a graph presentation")
-        out = [Vertex(v) for v in sorted(pres.vertices)]
-        for e in pres.edges:
-            vals = cuts(pres, e.id)
-            for k in range(len(vals) - 1):
-                if k:
-                    out.append(EdgePoint(e.id, vals[k]))
-                out.append(EdgePoint(e.id, (vals[k] + vals[k + 1]) / 2))
-        return tuple(out)
+        return compiled(self.space).reps()
 
     def pairs(self) -> tuple:
         """All (x, y) node-representative pairs with x ⤳ y.
@@ -827,16 +919,19 @@ class ReachRelation:
         ``c``) or of its hat (mode ``d``) by the rule of ``_reaches``.  In
         mode ``c`` each representative has a cell of its own.  In mode
         ``d`` several can share an open segment of the hat, and they come
-        in the order of their parameters along it.
+        in the order of their parameters along it.  The representatives
+        are kept on the space's graph and their cells on the graph that
+        answers.  Excluded and blocked points are cut values, each alone
+        in its cell.
         """
         reps = self.nodes()
         norm = normalize(hat(self.space) if self.mode == "d" else self.space)
-        bad = norm.excluded | norm.blocked
         g = compiled(norm)
         clo = g.closure()
-        cells = [g.cell(x) for x in reps]
+        cells = g.rep_cells(compiled(self.space))
         comps = [clo.comp[c] for c in cells]
-        good = [x not in bad for x in reps]
+        bad = g.excluded | g.blocked
+        good = [c not in bad for c in cells]
         out = []
         for i, (x, c, n) in enumerate(zip(reps, cells, comps)):
             if not good[i]:
@@ -869,8 +964,9 @@ def existence(pres: GraphPresentation, x, flexible: bool = False) -> tuple:
     window holds c or c reaches a cell where a path may stop, and ends
     one iff a window holds c or c is reached from a cell where a path
     may start.  Only when neither holds does ``through`` look for a
-    transition over x from a start cell, or a cell it reaches, to a
-    cell that is or reaches a stop cell: x then lies inside one motion.
+    transition over x (``CellGraph.over``) from a start cell, or a cell
+    it reaches, to a cell that is or reaches a stop cell: x then lies
+    inside one motion.
     """
     if x in pres.blocked or flexible and x in pres.excluded:
         return False, False, False
@@ -887,12 +983,11 @@ def existence(pres: GraphPresentation, x, flexible: bool = False) -> tuple:
         arrives = held or from_start >> comp[c] & 1 == 1
     if leaves or arrives:
         return True, leaves, arrives
-    begin, flags = start | from_start, g.flex
+    begin, flags, src, dst = start | from_start, g.flex, g.src, g.dst
     return (any((flags[k] or not flexible)
-                and begin >> comp[s] & 1
-                and (stop >> comp[d] & 1 or bits[comp[d]] & stop)
-                and g.touches(k, c)
-                for k, (s, d) in enumerate(zip(g.src, g.dst))),
+                and begin >> comp[src[k]] & 1
+                and (stop >> comp[dst[k]] & 1 or bits[comp[dst[k]]] & stop)
+                for k in g.over(c)),
             False, False)
 
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: path builders and independent
 hand-coded membership predicates used as cross-checks."""
 
+from bisect import bisect
 from fractions import Fraction as F
 
 from cspaces import kinds as K
@@ -9,7 +10,8 @@ from cspaces.kinds import Family, Fragment
 from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, Pause, ProdSeg,
                            PTuple, RigidTrace, Seg, TraceStep, Vertex,
                            assemble)
-from cspaces.presentation import Edge, GraphPresentation, normalize, pos_point
+from cspaces.presentation import (Edge, GraphPresentation, _subspace, cuts,
+                                  normalize, pos_point)
 
 Z, O, H = F(0), F(1), F(1, 2)
 
@@ -37,6 +39,26 @@ def interval(kind) -> GraphPresentation:
     """The interval v0 -e0-> v1 carrying one edge kind."""
     return GraphPresentation(frozenset({"v0", "v1"}),
                              (Edge("e0", "v0", "v1", kind),))
+
+
+def cut_at(pres, points):
+    """The subspace of pres cut at points, which become vertices of it,
+    and the map of points into it."""
+    ts = {}
+    for q in points:
+        ts.setdefault(q.edge, set()).add(q.t)
+    region = [Vertex(v) for v in pres.vertices]
+    for e in pres.edges:
+        marks = [Z, *sorted(ts.get(e.id, ())), O]
+        region.extend((e.id, a, b) for a, b in zip(marks, marks[1:]))
+    return _subspace(pres, region)
+
+
+def after(pres, q) -> EdgePoint:
+    """The midpoint between q and the next cut value of its edge: a point
+    of the open segment that holds q, or that starts at q."""
+    vals = cuts(pres, q.edge)
+    return EdgePoint(q.edge, (q.t + vals[bisect(vals, q.t)]) / 2)
 
 
 def identity(space) -> CMap:

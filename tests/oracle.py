@@ -1,7 +1,7 @@
 """Independent oracles: membership by a depth-bounded enumeration of
 generator-instance concatenations (``brute_force_controlled``), and
-reachability by a transitive closure over a grid (``brute_force_reach``,
-at the end of the module).
+reachability by a transitive closure over a grid (``brute_force_reach``
+and ``brute_force_unavoidable``, at the end of the module).
 
 The membership oracle shares no code with the engine's parse (``cspaces.membership``), not
 even the check that a path's segments chain (``tests/test_imports.py``
@@ -247,6 +247,44 @@ def brute_force_reach(pres, points) -> set:
     neither starts nor ends at an excluded point.  Every point reaches
     itself.
     """
+    moves = {}  # point -> the points one move from it reaches
+    for run in _moves(pres, points):
+        moves.setdefault(run[0], set()).add(run[-1])
+    bad = pres.excluded | pres.blocked
+    out = set()
+    for x in points:
+        out.add((x, x))
+        if x not in bad:
+            seen = _closed(moves, x)
+            out.update((x, y) for y in points if y in seen and y not in bad)
+    return out
+
+
+def brute_force_unavoidable(pres, x, y, p) -> bool:
+    """Does every controlled path from x to y pass p, for x ≠ y with y
+    reachable from x?  The moves of ``brute_force_reach`` whose runs do
+    not pass p, closed from x, miss y."""
+    moves = {}
+    for run in _moves(pres, (x, y, p)):
+        if p not in run:
+            moves.setdefault(run[0], set()).add(run[-1])
+    return y not in _closed(moves, x)
+
+
+def _closed(moves, x) -> set:
+    """The points that a nonempty chain of moves reaches from x."""
+    seen, todo = set(), [x]
+    while todo:
+        for q in moves.get(todo.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+def _moves(pres, points) -> list:
+    """Each move of ``brute_force_reach`` on the grid of points, as the
+    list of the grid points its run passes, in order."""
     edges = {e.id: e for e in pres.edges}
     fams = {e.id: K.kind_generators(e.kind) for e in pres.edges}
     traces = bound_rigid(pres)
@@ -257,15 +295,14 @@ def brute_force_reach(pres, points) -> set:
             else EdgePoint(edge, t)
 
     grid = _reach_grid(pres, fams, traces, points)
-    moves = {}  # point -> the points one move from it reaches
+    out = []
 
     def move(run):
         pts = [point(edge, t) for edge, t in run]
-        if any(p in pres.blocked for p in pts) \
-                or any(p in pres.absorbing for p in pts[:-1]) \
-                or any(p in pres.emitting for p in pts[1:]):
-            return
-        moves.setdefault(pts[0], set()).add(pts[-1])
+        if not (any(p in pres.blocked for p in pts)
+                or any(p in pres.absorbing for p in pts[:-1])
+                or any(p in pres.emitting for p in pts[1:])):
+            out.append(pts)
 
     def stretch(edge, a, b):
         """The grid of edge from a to b, in the order a run passes it."""
@@ -282,20 +319,6 @@ def brute_force_reach(pres, points) -> set:
                         move(stretch(edge, a, b))
     for tr in traces:
         move([q for s in tr.steps for q in stretch(s.edge, s.a, s.b)])
-
-    bad = pres.excluded | pres.blocked
-    out = set()
-    for x in points:
-        out.add((x, x))
-        if x in bad:
-            continue
-        seen, todo = set(), [x]
-        while todo:
-            for q in moves.get(todo.pop(), ()):
-                if q not in seen:
-                    seen.add(q)
-                    todo.append(q)
-        out.update((x, y) for y in points if y in seen and y not in bad)
     return out
 
 

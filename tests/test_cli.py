@@ -7,12 +7,15 @@ import pytest
 
 from cspaces import membership
 from cspaces.cli import main
+from cspaces.construct import hat
 from cspaces.corpus import build
 from cspaces.membership import is_controlled
 from cspaces.jsonio import dumps, path_to_json, space_to_json
-from cspaces.model import ModelError, Seg, Vertex, assemble
+from cspaces.model import EdgePoint, ModelError, Seg, Vertex, assemble
+from cspaces.presentation import normalize
+from cspaces.reach import unavoidable_point
 
-from helpers import SHARED, SHARED_RUN
+from helpers import SHARED, SHARED_RUN, cut_at
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +93,32 @@ def test_reach_with_via(space_file, capsys):
     assert doc["reachable"] is True
     assert doc["via_unavoidable"] is True
     assert doc["witness"]
+
+
+@pytest.mark.parametrize("mode", ["c", "d"])
+def test_reach_via_a_point_of_the_source_segment(space_file, capsys, mode):
+    """``via`` in the open segment of ``src``, below and above it, with
+    ``dst`` in that segment too or on the falling lane: each answer is
+    the library's on the subspace cut at the three points."""
+    f = space_file("dual_carriageway")
+    space = build("dual_carriageway")
+    if mode == "d":
+        space = normalize(hat(space))
+    src = EdgePoint("x2", Fraction(1, 3))
+    answers = []
+    for dst in ("x2@2/3", "x3@1/2"):
+        for via in ("x2@1/4", "x2@1/2"):
+            code, doc = run_cli(capsys, "reach", "--space", f, "--from",
+                                "x2@1/3", "--to", dst, "--mode", mode,
+                                "--via", via)
+            points = [src] + [EdgePoint(e, Fraction(t)) for e, t in (
+                q.split("@") for q in (dst, via))]
+            sub, remap = cut_at(space, points)
+            assert code == 0 and doc["reachable"] is True
+            assert doc["via_unavoidable"] == unavoidable_point(
+                sub, *map(remap, points)), (mode, dst, via)
+            answers.append(doc["via_unavoidable"])
+    assert answers == [False, True, False, True]
 
 
 def test_reach_c_mode_negative(space_file, capsys):

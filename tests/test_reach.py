@@ -20,13 +20,13 @@ from cspaces.kinds import Family, Fragment
 from cspaces.membership import is_controlled
 from cspaces.model import (EdgePoint, ModelError, PTuple, RigidTrace,
                            TraceStep, Vertex)
-from cspaces.presentation import (Edge, GraphPresentation, _subspace, cuts,
-                                  normalize, pos_point)
+from cspaces.presentation import (Edge, GraphPresentation, cuts, normalize,
+                                  pos_point)
 from cspaces.reach import (c_reachable, d_reachable, exists_c_from,
                            exists_c_through, exists_c_to, reach_relation,
                            unavoidable_point)
 
-from helpers import OPEN_WINDOWS, Z, O, H, interval
+from helpers import OPEN_WINDOWS, Z, O, H, after, cut_at, interval
 from oracle import brute_force_reach
 from sampling import random_graph_path
 
@@ -422,19 +422,6 @@ EQUIVALENCE_MODELS = [
 EQUIVALENCE_QUESTIONS = 40
 
 
-def _cut_at(pres, points):
-    """The subspace of pres cut at points, which become vertices of it,
-    and the map of points into it."""
-    ts = {}
-    for q in points:
-        ts.setdefault(q.edge, set()).add(q.t)
-    region = [Vertex(v) for v in pres.vertices]
-    for e in pres.edges:
-        marks = [Z, *sorted(ts.get(e.id, ())), O]
-        region.extend((e.id, a, b) for a, b in zip(marks, marks[1:]))
-    return _subspace(pres, region)
-
-
 def _answers(pres, x, y, p):
     r = c_reachable(pres, x, y)
     if r.witness is not None:
@@ -457,7 +444,7 @@ def test_cut_graph_answers_as_the_cut_subspace(name, pres):
     for _ in range(EQUIVALENCE_QUESTIONS):
         points = [EdgePoint(rng.choice(pres.edges).id,
                             F(rng.randint(1, 100), 101)) for _ in range(3)]
-        sub, remap = _cut_at(pres, points)
+        sub, remap = cut_at(pres, points)
         assert (_answers(pres, *points)
                 == _answers(sub, *map(remap, points))), points
 
@@ -514,7 +501,7 @@ def test_points_sharing_a_segment_answer_as_the_cut_subspace(name, pres):
                          EdgePoint("e0", F(rng.randint(1, 100), 101)))
         if rng.random() < 0.5:
             x, y = y, x
-        sub, remap = _cut_at(pres, (x, y, p))
+        sub, remap = cut_at(pres, (x, y, p))
         assert (_answers(pres, x, y, p)
                 == _answers(sub, *map(remap, (x, y, p)))), (x, y, p)
 
@@ -845,6 +832,46 @@ def test_unavoidable_point_asks_the_closure_first(monkeypatch):
     assert calls["witness"] == 0
 
 
+def test_unavoidable_point_cuts_nothing_and_searches_only_inside(
+        monkeypatch):
+    """100 fresh triples on a 150-edge chain, x, y and p on three edges:
+    no cut, no breadth-first search and no witness, and no search at all
+    when p lies outside [x, y], where the closure answers."""
+    pres = _directed_chain(150)
+    rng = random.Random(zlib.crc32(b"unavoidable/cost"))
+    c_reachable(pres, V0, Vertex("v150"))  # compile before counting
+    calls = dict.fromkeys(("_split", "cut", "_search", "_witness",
+                           "_avoiding"), 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in ((reach.CellGraph, "_split"), (reach.CellGraph, "cut"),
+                        (reach, "_search"), (reach, "_witness"),
+                        (reach, "_avoiding")):
+        counted(owner, name)
+    inside = 0
+    for _ in range(100):
+        i, j, k = rng.sample(range(150), 3)
+        i, j = min(i, j), max(i, j)
+        x, y, p = (EdgePoint(f"e{n}", F(rng.randint(1, 10**6 - 1), 10**6))
+                   for n in (i, j, k))
+        searched = calls["_avoiding"]
+        assert unavoidable_point(pres, x, y, p) == (i < k < j)
+        if i < k < j:
+            inside += 1
+        else:
+            assert calls["_avoiding"] == searched, (x, y, p)
+    assert 0 < inside < 100
+    assert ([calls[n] for n in ("_split", "cut", "_search", "_witness")]
+            == [0, 0, 0, 0])
+
+
 # ---------------------------------------------------------------------------
 # Classification and relations read the same from the closure
 
@@ -911,3 +938,68 @@ def test_pairs_are_unchanged():
              for name, pres in CLOSURE_MODELS for mode in ("c", "d")]
     assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
             == PAIRS_DIGEST)
+
+
+# SHA-256 of the answers below, written when ``unavoidable_point`` cut
+# the graph at its three points and searched it breadth-first.
+UNAVOIDABLE_DIGEST = ("fb7e86d22e44f364a6b065fbddad2ee6"
+                      "27d8b6958d1b48d2c309081e3bce10a4")
+
+
+def _unavoidable_triples(pres, rng, count=40):
+    """Seeded (x, y, p) over the points of pres; in two of three, p or y
+    shares an open segment with x."""
+    pts = _graph_points(pres, rng, fresh=1)
+    out = []
+    for n in range(count):
+        x, y, p = (rng.choice(pts) for _ in range(3))
+        if n % 3 == 1 and isinstance(x, EdgePoint):
+            p = after(pres, x)
+        elif n % 3 == 2 and isinstance(x, EdgePoint):
+            y = after(pres, x)
+        out.append((x, y, p))
+    return out
+
+
+def _segment_triples(pres, rng, count=60):
+    """Seeded (x, y, p) with three, or two, of them in one open segment,
+    in every order; the odd one out is a vertex or a fresh point."""
+    out = []
+    for n in range(count):
+        a, b, c = _in_one_segment(pres, rng, 3)
+        if n % 4 == 0:
+            out.append(tuple(rng.sample((a, b, c), 3)))
+            continue
+        other = rng.choice([*map(Vertex, sorted(pres.vertices)),
+                            EdgePoint("e0", F(rng.randint(1, 100), 101))])
+        a, b = rng.sample((a, b), 2)
+        out.append((a, b, other) if n % 4 == 1 else
+                   (a, other, b) if n % 4 == 2 else (other, a, b))
+    return out
+
+
+def _unavoidable_line(name, pres, mode, x, y, p):
+    try:
+        answer = unavoidable_point(pres, x, y, p, mode)
+    except ModelError as e:
+        answer = f"{type(e).__name__}: {e}"
+    return f"{name} {mode} {x!r} {y!r} {p!r} {answer}"
+
+
+def test_unavoidable_points_are_unchanged():
+    """Answers and errors at seeded triples, in both modes, on the corpus
+    graphs, their hats, each filter and exclusion at each vertex, and
+    the one-edge models with points sharing a segment."""
+    lines = []
+    for name, pres in CLOSURE_MODELS:
+        rng = random.Random(zlib.crc32(f"{name}/unavoidable".encode()))
+        triples = _unavoidable_triples(pres, rng)
+        lines += [_unavoidable_line(name, pres, mode, *t)
+                  for mode in ("c", "d") for t in triples]
+    for name, pres in SEGMENT_MODELS:
+        rng = random.Random(zlib.crc32(f"{name}/unavoidable".encode()))
+        triples = _segment_triples(pres, rng)
+        lines += [_unavoidable_line(name, pres, mode, *t)
+                  for mode in ("c", "d") for t in triples]
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == UNAVOIDABLE_DIGEST)

@@ -1,7 +1,7 @@
 """Checks on seeded generated presentations (``spaces.random_space``):
 the flexible transitions of the compiled graph against the flexible
-part, whole relations against each question, and reach answers against
-the oracle."""
+part, whole relations against each question, and reach and
+unavoidable-point answers against the oracles."""
 
 import random
 from fractions import Fraction as F
@@ -10,11 +10,13 @@ import pytest
 
 from cspaces import reach
 from cspaces.construct import flexible_part
-from cspaces.model import EdgePoint, Vertex
+from cspaces.model import EdgePoint, ModelError, Vertex
 from cspaces.presentation import cuts, normalize, pos_point
-from cspaces.reach import c_reachable, d_reachable, reach_relation
+from cspaces.reach import (c_reachable, d_reachable, reach_relation,
+                           unavoidable_point)
 
-from oracle import brute_force_reach
+from helpers import after
+from oracle import brute_force_reach, brute_force_unavoidable
 from spaces import random_space
 
 SEEDS = range(300)
@@ -89,3 +91,42 @@ def test_reach_agrees_with_the_oracle(batch):
             for y in pts:
                 assert (c_reachable(sp, x, y).ok
                         == ((x, y) in reached)), (seed, x, y)
+
+
+def _triples(pres, rng, count=8):
+    """Seeded (x, y, p).  In half of them y is reachable from x (by the
+    oracle) and, in one of those two, p shares an open segment with x.
+    In the other half, y does, or all three share one."""
+    pts = _points(pres, rng)
+    reached = brute_force_reach(pres, pts)
+    pairs = [(x, y) for x in pts for y in pts if x != y and (x, y) in reached]
+    for n in range(count):
+        x, y, p = (rng.choice(pts) for _ in range(3))
+        if n % 4 < 2 and pairs:
+            x, y = rng.choice(pairs)
+        if n % 4 and isinstance(x, EdgePoint):
+            near = after(pres, x)
+            if n % 4 == 1:
+                p = near
+            elif n % 4 == 2:
+                y = near
+            else:
+                x, y, p = rng.sample((x, near, after(pres, near)), 3)
+        yield x, y, p
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_unavoidable_points_agree_with_the_oracle(batch):
+    for seed, sp, rng in _spaces(batch):
+        for x, y, p in _triples(sp, rng):
+            try:
+                got = unavoidable_point(sp, x, y, p)
+            except ModelError:  # y is not reachable from x
+                got = None
+            if x == y:
+                want = p == x
+            elif (x, y) not in brute_force_reach(sp, [x, y, p]):
+                want = None
+            else:
+                want = brute_force_unavoidable(sp, x, y, p)
+            assert got == want, (seed, x, y, p)
