@@ -6,9 +6,8 @@ presentation instance like its hash, and shared by equal instances.
 Whether x reaches y, the existence flags of point classification and
 whole relations are read from transitive closures of that graph
 (``CellGraph.closure``), built the first time a question needs them.  A
-witness is built only when it is read: the graph is then cut again at
-the question's points (``transitions``, ``CellGraph.cut``) and the
-result searched.
+witness is built only when it is read, by a search of the same graph.
+The compiled graph never changes after it is built.
 
 Cells are ints: one per vertex, then, edge by edge, one per interior cut
 value and one per open segment between two consecutive cut values.  An
@@ -53,32 +52,25 @@ rules.  So does ``unavoidable_point``: when x, y and p lie in three
 cells, p is avoidable if no transition over p (``CellGraph.over``) lies
 on a chain from x to y, and only otherwise does a pruned search run.
 
-A cut splits only the open segments that hold a query point which is
-not a cut value.  The m query values in the segment at position p get
-2m new positions and cells after all others, a point and the piece of
-segment after it for each, ordered by keys strictly between p and
-p + 1; p keeps the piece before the first value.  Window bounds,
-forbidden ends and filter points are all cut values, so a window that
-holds p holds every piece and admits the same moves to and from each:
-each fragment transition into or out of p gives one into or out of
-every new position, and each window that holds p adds the moves between
-its pieces.  No transition is unlinked, no edge is laid out or ranked
-again, and a new position's parameter is computed only when a witness
-reads it.  The cut copies the graph's top-level lists and each
-adjacency list it extends, so the compiled graph never changes.  Cuts
-serve only witnesses, which are searched breadth-first over ints.
-
-Witness atoms (``Seg`` / ``PAUSE``) are built only along the chain of
-transitions a witness returns, with pauses between the pieces; pauses
-can always be inserted, so this never breaks membership.
+A witness is searched on the same graph, breadth-first over ints, when
+it is read.  A point inside an open segment is that segment's cell, so a
+witness from x to y is a shortest chain of transitions from x's cell to
+y's, whose first and last fragment moves start at x and end at y in
+place of the segment's midpoint.  Two points of one segment that a
+window holds in their direction are joined by one ``Seg``; otherwise
+their chain leads from the cell back to itself.  A loop at a point that
+windows hold both ways, with no cell one move away each way, steps to
+the middle of the piece of segment below the point and back.  Witness
+atoms (``Seg`` / ``PAUSE``) are built only along the chain a witness
+returns, with pauses between the pieces; pauses can always be inserted,
+so this never breaks membership.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from copy import copy
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress
 from operator import or_
@@ -87,15 +79,13 @@ from weakref import WeakKeyDictionary
 
 from .construct import hat
 from .membership import _edge_index, parse_index
-from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, ProdSeg,
-                    PTuple, Seg, UnsupportedConstruction, Vertex, assemble)
+from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, Pause,
+                    ProdSeg, PTuple, Seg, UnsupportedConstruction, Vertex,
+                    assemble)
 from .presentation import (GraphPresentation, ProductN, flexible_point,
-                           is_flexible_point, normalize, point_positions,
-                           trace_path)
+                           is_flexible_point, normalize, trace_path)
 
-# Graphs kept by ``transitions``.  A reach answer asks for the compiled
-# graph of its space (no extra points); only a read witness cuts it at
-# its own points.
+# Compiled graphs kept alive by ``transitions``.
 GRAPH_CACHE_SIZE = 8
 
 
@@ -141,9 +131,10 @@ class ReachResult:
 # The cell graph
 
 class CellGraph:
-    """A graph presentation cut at its cut values (``CellGraph(pres)``,
-    kept on pres by ``compiled``), or such a graph also split at the
-    query points of one question (``cut``).
+    """A graph presentation cut at its cut values, built once per
+    presentation (``compiled``) and never changed after.  Every reach
+    question, whole relation and witness reads this one graph; a query
+    point inside an open segment is that segment's cell.
 
     ``len()`` is the number of transitions.
     """
@@ -193,10 +184,6 @@ class CellGraph:
         for k, (s, d) in enumerate(zip(self.src, self.dst)):
             self.fwd[s].append(k)
             self.rev[d].append(k)
-        # Filled by ``cut``: split segment -> (its query values, sorted,
-        # and its first new position); new position -> the segment it
-        # splits.
-        self.inner, self.home = {}, {}
         # Filled on first use: the closures of every transition and of the
         # flexible ones, the representative points, and graph -> the cells
         # of its representatives in this one.
@@ -236,13 +223,6 @@ class CellGraph:
             g = self.offset[i] + 2 * h
             if vals[h] != p.t:
                 g -= 1
-                if g in self.inner:  # a segment split by the question
-                    ts, first = self.inner[g]
-                    j = bisect_left(ts, p.t)
-                    if j < len(ts) and ts[j] == p.t:
-                        g = first + 2 * j
-                    elif j:
-                        g = first + 2 * j - 1
             return self.cell_at[g]
         if isinstance(p, EdgePoint):
             raise ModelError(f"unknown edge {p.edge!r}")
@@ -262,17 +242,11 @@ class CellGraph:
         return self.offset[i] + self.ent[i].rank[t]
 
     def value(self, g: int):
-        """The edge parameter of position g: a cut value, a query point,
-        or the midpoint of an open segment or of a piece of a split one."""
-        seg = self.home.get(g, g)
-        i = self.pos_edge[seg]
-        vals, r = self.ent[i].cuts, seg - self.offset[i]
-        if seg in self.inner:
-            # rank g among the ends and the query values of its segment
-            ts, first = self.inner[seg]
-            vals = (vals[r // 2], *ts, vals[r // 2 + 1])
-            r = g - first + 2 if g != seg else 1
-        h = r // 2
+        """The edge parameter of position g: a cut value, or the midpoint
+        of an open segment."""
+        i = self.pos_edge[g]
+        r = g - self.offset[i]
+        vals, h = self.ent[i].cuts, r // 2
         return vals[h] if r % 2 == 0 else (vals[h] + vals[h + 1]) / 2
 
     # -- transitions ---------------------------------------------------------
@@ -429,93 +403,6 @@ class CellGraph:
             cells = self._rep_cells[g] = [self.cell(x) for x in g.reps()]
         return cells
 
-    # -- query points --------------------------------------------------------
-
-    def cut(self, extra: frozenset) -> "CellGraph":
-        """This graph also split at the (edge, t) positions in extra.
-
-        Each open segment that holds positions which are not cut values
-        is split there; with nothing to split, the result is this graph.
-        The result copies the top-level lists and every adjacency list
-        it extends, so this graph never changes.  A cut graph is not cut
-        again.
-        """
-        segs = {}  # segment position -> the values that split it
-        for e, t in extra:
-            i = self.index[e]
-            vals = self.ent[i].cuts
-            h = bisect_left(vals, t)
-            if vals[h] != t:
-                segs.setdefault(self.offset[i] + 2 * h - 1, []).append(t)
-        if not segs:
-            return self
-        g = copy(self)
-        g._split(segs)
-        return g
-
-    def _split(self, segs: dict) -> None:
-        """Split each segment position p at its m values: 2m new
-        positions, each a new cell, follow p, which keeps the piece
-        before the first value.  A window holding p holds every piece,
-        and no bound, forbidden end or filter point lies inside p, so
-        each transition that ends (starts) at p gives one that ends
-        (starts) at each new position, and each window that holds p
-        moves between any two of its pieces in its direction."""
-        self.cell_at, self.pos_edge = list(self.cell_at), list(self.pos_edge)
-        self.places, self.fwd, self.rev = (list(self.places), list(self.fwd),
-                                           list(self.rev))
-        self.src, self.dst = list(self.src), list(self.dst)
-        self.cover, self.recipe = list(self.cover), list(self.recipe)
-        self.inner, self.home = {}, {}
-        # the compiled graph's closures and cells are not this one's, and
-        # its new transitions are not sorted into flexible or not
-        self._closure = self._flexible = self.flex = self._rep_cells = None
-        fwd, rev = {}, {}  # cell -> the new transitions leaving / entering it
-        cell_at = self.cell_at
-
-        def link(a: int, b: int) -> None:
-            k = len(self.src)
-            s, d = cell_at[a], cell_at[b]
-            self.src.append(s)
-            self.dst.append(d)
-            self.cover.append(((a, b),))
-            self.recipe.append(None)
-            fwd.setdefault(s, []).append(k)
-            rev.setdefault(d, []).append(k)
-
-        for p, ts in sorted(segs.items()):  # not in the hash order of extra
-            ts.sort()
-            i, c = self.pos_edge[p], cell_at[p]
-            first = len(cell_at)
-            new = range(first, first + 2 * len(ts))
-            self.inner[p] = (ts, first)
-            for q in new:
-                self.home[q] = p
-                cell_at.append(len(self.places))
-                self.places.append([q])
-                self.pos_edge.append(i)
-            into = self.rev[c] + rev.get(c, [])
-            out = self.fwd[c] + fwd.get(c, [])
-            for k in into:
-                a = self.cover[k][0][0]
-                for q in new:
-                    link(a, q)
-            for k in out:
-                b = self.cover[k][0][1]
-                for q in new:
-                    link(q, b)
-            pieces, r = [p, *new], p - self.offset[i]
-            for d, wins in self.ent[i].wins.items():
-                if any(lo <= r <= hi for lo, hi, _, _ in wins):
-                    run = pieces if d > 0 else pieces[::-1]
-                    for n, a in enumerate(run):
-                        for b in run[n + 1:]:
-                            link(a, b)
-        for adj, added in ((self.fwd, fwd), (self.rev, rev)):
-            adj.extend([] for _ in range(len(adj), len(self.places)))
-            for c, ks in added.items():
-                adj[c] = adj[c] + ks
-
     # -- witnesses -----------------------------------------------------------
 
     def atoms(self, k: int):
@@ -632,29 +519,23 @@ def compiled(pres: GraphPresentation) -> CellGraph:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def transitions(pres: GraphPresentation, extra: frozenset = frozenset()):
-    """The cell graph of pres also cut at the (edge, t) positions in extra."""
-    return compiled(pres).cut(extra)
+def transitions(pres: GraphPresentation) -> CellGraph:
+    """The compiled graph of pres, as a reach question asks for it.
+
+    ``compiled`` alone would do.  This function stays, with its bounded
+    cache, because the benchmark harness (``perfbench/spans.py``) wraps
+    it to count reach questions and reads its ``cache_info()``; the
+    cache keeps the last few graphs, and their presentations, alive."""
+    return compiled(pres)
 
 
-def _query_extra(pres: GraphPresentation, points) -> frozenset:
-    """The interior (edge, t) positions of points: vertices are cut
-    values of every edge they lie on."""
-    return frozenset((e, t) for p in points if isinstance(p, EdgePoint)
-                     for e, t in point_positions(pres, p))
-
-
-def _graph(pres: GraphPresentation, points) -> CellGraph:
-    return transitions(pres, _query_extra(pres, points))
-
-
-def _search(g: CellGraph, sources, forward: bool = True) -> dict:
-    """The transition by which each cell reached from `sources` was
-    reached (-1 at a source), in breadth-first order.  Backwards
+def _search(g: CellGraph, source: int, forward: bool = True) -> dict:
+    """The transition by which each cell reached from cell `source` was
+    reached (-1 at the source), in breadth-first order.  Backwards
     (``forward=False``) a cell maps to the transition leaving it towards
-    the sources."""
+    the source."""
     adj, ends = (g.fwd, g.dst) if forward else (g.rev, g.src)
-    parent = dict.fromkeys(sources, -1)
+    parent = {source: -1}
     queue = deque(parent)
     while queue:
         for k in adj[queue.popleft()]:
@@ -666,13 +547,20 @@ def _search(g: CellGraph, sources, forward: bool = True) -> dict:
     return parent
 
 
-def _witness(g: CellGraph, start, chain, end) -> CanonicalPath:
+def _witness(g: CellGraph, x, chain, y) -> CanonicalPath:
+    """The path from x to y along a chain of transitions.  A point inside
+    an open segment stands for the segment's cell, so the move out of
+    (into) such a cell starts at x (ends at y), not at its midpoint."""
     atoms = []
     for n, k in enumerate(chain):
         if n:
             atoms.append(PAUSE)
         atoms.extend(g.atoms(k))
-    return assemble(start, atoms, end)
+    if g.segment(g.src[chain[0]]) is not None:
+        atoms[0] = replace(atoms[0], a=x.t)
+    if g.segment(g.dst[chain[-1]]) is not None:
+        atoms[-1] = replace(atoms[-1], b=y.t)
+    return assemble(x, atoms, y)
 
 
 # ---------------------------------------------------------------------------
@@ -694,16 +582,22 @@ def _graph_reach(pres: GraphPresentation, x, y) -> ReachResult:
     bad, g = pres.excluded | pres.blocked, transitions(pres)
     if x in bad or y in bad or not _reaches(g, x, y, g.cell(x), g.cell(y)):
         return ReachResult(False)
-    return ReachResult(True, build=lambda: _reach_witness(pres, x, y))
+    return ReachResult(True, build=lambda: _reach_witness(g, x, y))
 
 
-def _reach_witness(pres: GraphPresentation, x, y) -> CanonicalPath:
-    """A controlled path from x to y, for x ⤳ y: a shortest chain in the
-    graph cut at both points."""
-    g = _graph(pres, (x, y))
-    parent = _search(g, (g.cell(x),))
+def _reach_witness(g: CellGraph, x, y) -> CanonicalPath:
+    """A controlled path from x to y, for x ⤳ y.  Two points of one open
+    segment that a window of their direction holds are one ``Seg``; else
+    the path follows a shortest nonempty chain from x's cell to y's."""
+    cx, cy = g.cell(x), g.cell(y)
+    if cx == cy and g.held(cx, 1 if y.t > x.t else -1):
+        return assemble(x, [Seg(x.edge, x.t, y.t)], y)
+    parent = _search(g, cx)
+    if cx != cy:
+        k = parent[cy]
+    else:  # the first transition back into the cell, in breadth-first order
+        k = next(k for c in parent for k in g.fwd[c] if g.dst[k] == cx)
     chain = []
-    k = parent[g.cell(y)]
     while k >= 0:
         chain.append(k)
         k = parent[g.src[k]]
@@ -719,22 +613,28 @@ def _graph_loop(pres: GraphPresentation, x) -> ReachResult:
     c = g.cell(x)
     if not (g.reaches(c, c) or (g.held(c, 1) and g.held(c, -1))):
         return ReachResult(False)
-    return ReachResult(True, build=lambda: _loop_witness(pres, x))
+    return ReachResult(True, build=lambda: _loop_witness(g, x, c))
 
 
-def _loop_witness(pres: GraphPresentation, x) -> CanonicalPath:
-    """A nontrivial loop at x, which has one: a first move to the cell
-    nearest back to x, then the shortest way back."""
-    g = _graph(pres, (x,))
-    nx = g.cell(x)
-    back = _search(g, (nx,), forward=False)
-    order = {c: n for n, c in enumerate(back)}
-    out = [k for k in g.fwd[nx] if g.dst[k] in order]
-    chain = [min(out, key=lambda k: order[g.dst[k]])]
-    c = g.dst[chain[0]]
-    while c != nx:
-        chain.append(back[c])
-        c = g.dst[back[c]]
+def _loop_witness(g: CellGraph, x, c: int) -> CanonicalPath:
+    """A nontrivial loop at x in cell c, which has one: a first move to
+    the cell nearest back to c, then the shortest way back.  When windows
+    hold x's open segment both ways and no cell is one move away each
+    way, the loop steps to the middle of the piece below x and back."""
+    back = _search(g, c, forward=False)
+    order = {d: n for n, d in enumerate(back)}
+    out = [k for k in g.fwd[c] if g.dst[k] in order]
+    first = min(out, key=lambda k: order[g.dst[k]], default=None)
+    # is the cell that first leads to one move away from c each way?
+    near = first is not None and g.dst[back[g.dst[first]]] == c
+    if g.held(c, 1) and g.held(c, -1) and not near:
+        mid = (g.value(g.segment(c) - 1) + x.t) / 2
+        return assemble(x, [Seg(x.edge, x.t, mid), PAUSE,
+                            Seg(x.edge, mid, x.t)], x)
+    chain, d = [first], g.dst[first]
+    while d != c:
+        chain.append(back[d])
+        d = g.dst[back[d]]
     return _witness(g, x, chain, x)
 
 
@@ -749,25 +649,20 @@ def _wait_path(space, p) -> ReachResult:
 
 
 def _stage_product(w1: CanonicalPath, w2: CanonicalPath) -> CanonicalPath:
-    """Move coordinate 1 first, then coordinate 2."""
-    x2 = w2.start
-    y1 = w1.end
+    """Move coordinate 1 first, with coordinate 2 at its start, then
+    coordinate 2, with coordinate 1 at its end."""
     atoms = []
-    for item in w1.items:
-        if isinstance(item, type(PAUSE)):
+    for n, (w, still) in enumerate(((w1, w2.start), (w2, w1.end))):
+        if n and w1.items and w2.items:
             atoms.append(PAUSE)
-        else:
-            for seg in item.segs:
-                atoms.append(ProdSeg((seg, x2)))
-    if w1.items and w2.items:
-        atoms.append(PAUSE)
-    for item in w2.items:
-        if isinstance(item, type(PAUSE)):
-            atoms.append(PAUSE)
-        else:
-            for seg in item.segs:
-                atoms.append(ProdSeg((y1, seg)))
-    return assemble(PTuple((w1.start, x2)), atoms, PTuple((y1, w2.end)))
+        for item in w.items:
+            if isinstance(item, Pause):
+                atoms.append(PAUSE)
+            else:
+                atoms += (ProdSeg((seg, still) if n == 0 else (still, seg))
+                          for seg in item.segs)
+    return assemble(PTuple((w1.start, w2.start)), atoms,
+                    PTuple((w1.end, w2.end)))
 
 
 def _product_reach(factors, x: PTuple, y: PTuple, reach_fn) -> ReachResult:

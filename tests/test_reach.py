@@ -18,7 +18,7 @@ from cspaces.construct import (exclude_endpoints, flexible_part, hat,
 from cspaces.corpus import build, names
 from cspaces.kinds import Family, Fragment
 from cspaces.membership import is_controlled
-from cspaces.model import (EdgePoint, ModelError, PTuple, RigidTrace,
+from cspaces.model import (EdgePoint, ModelError, PTuple, RigidTrace, Seg,
                            TraceStep, Vertex)
 from cspaces.presentation import (Edge, GraphPresentation, cuts, normalize,
                                   pos_point)
@@ -316,6 +316,30 @@ class TestLoops:
         r = c_reachable(sp, PTuple((V0, V0)), PTuple((V0, V1)))
         assert r and is_controlled(sp, r.witness)
 
+    def test_loop_inside_a_segment_held_both_ways(self):
+        """Open windows (1/4, 1/2), one rising and one falling: no move
+        leaves the segment, so the loop at 1/3 steps to the middle of the
+        piece below it, (1/4 + 1/3) / 2, and back, and 1/3 reaches 3/8
+        in one step."""
+        q = F(1, 4)
+        sp = interval(K.custom(Family(fragments=(
+            Fragment(1, q, H, lo_open=True, hi_open=True),
+            Fragment(-1, q, H, lo_open=True, hi_open=True)))))
+        x, y = EdgePoint("e0", F(1, 3)), EdgePoint("e0", F(3, 8))
+        start = "CanonicalPath(start=EdgePoint(edge='e0', t=Fraction(1, 3))"
+        loop = reach._graph_loop(sp, x).witness
+        assert repr(loop) == (
+            f"{start}, items=(Run(segs=(Seg(edge='e0', a=Fraction(1, 3), "
+            "b=Fraction(7, 24)),)), Pause(), Run(segs=(Seg(edge='e0', "
+            "a=Fraction(7, 24), b=Fraction(1, 3)),))), "
+            "end=EdgePoint(edge='e0', t=Fraction(1, 3)))")
+        step = c_reachable(sp, x, y).witness
+        assert repr(step) == (
+            f"{start}, items=(Run(segs=(Seg(edge='e0', a=Fraction(1, 3), "
+            "b=Fraction(3, 8)),)),), end=EdgePoint(edge='e0', "
+            "t=Fraction(3, 8)))")
+        assert is_controlled(sp, loop) and is_controlled(sp, step)
+
 
 class TestExistence:
     """Windows [0, ½) and (¼, 1] rising (the second may not end at ½ or 1)
@@ -368,7 +392,7 @@ def test_parse_and_reach_agree_on_one_constrained_point(name, base, field):
 
 
 # ---------------------------------------------------------------------------
-# One compiled cell graph per presentation, cut per question
+# One compiled cell graph per presentation, which no question changes
 
 def _fresh_point(pres, rng):
     e = rng.choice(pres.edges)
@@ -387,20 +411,20 @@ def _snapshot(g):
 @pytest.mark.parametrize("name, pres", [
     ("directed(150)", normalize(_directed_chain(150))),
     ("n_stop(64)", normalize(build("c_line_window", lo=0, hi=64)))])
-def test_a_cut_never_writes_into_the_compiled_graph(name, pres):
+def test_no_question_writes_into_the_compiled_graph(name, pres):
+    """Reach answers with their witnesses read, loops, unavoidable points
+    and classifications at fresh points leave the compiled graph and the
+    parse index as they were."""
     g = reach.compiled(pres)
     before = _snapshot(g)
     rng = random.Random(zlib.crc32(name.encode()))
     for n in range(200):
         x, y, p = (_fresh_point(pres, rng) for _ in range(3))
-        # A cut has as many transitions as a graph built with its points
-        # as cut values.  Flexible points add cut values; with at most
-        # one fragment per edge they add no transition and no other cut.
-        rebuilt = replace(pres, flexible=pres.flexible | {x, y, p})
-        assert (len(reach._graph(pres, (x, y, p)))
-                == len(reach.CellGraph(rebuilt)))
         if n % 3 == 0:
-            c_reachable(pres, x, y)
+            r = c_reachable(pres, x, y)
+            if r:
+                assert is_controlled(pres, r.witness), (x, y)
+            reach._graph_loop(pres, p).witness
         elif n % 3 == 1:
             try:
                 unavoidable_point(pres, x, y, p)
@@ -438,8 +462,8 @@ def _answers(pres, x, y, p):
                          ids=[n for n, _ in EQUIVALENCE_MODELS])
 def test_cut_graph_answers_as_the_cut_subspace(name, pres):
     """Each question at three random interior points has the same answers
-    on the space (a cut of its compiled graph) as on its subspace cut at
-    those points, where they are vertices and nothing is cut again."""
+    on the space, where they may lie inside open segments, as on its
+    subspace cut at those points, where they are vertices."""
     rng = random.Random(zlib.crc32(name.encode()))
     for _ in range(EQUIVALENCE_QUESTIONS):
         points = [EdgePoint(rng.choice(pres.edges).id,
@@ -466,7 +490,7 @@ def test_pickle_drops_the_compiled_graph():
 
 
 # ---------------------------------------------------------------------------
-# A question splits only the segments its points lie in
+# Points inside one open segment
 
 SEGMENT_MODELS = [
     ("rising", interval(K.DIRECTED)),
@@ -489,9 +513,9 @@ def _in_one_segment(pres, rng, count):
 @pytest.mark.parametrize("name, pres", SEGMENT_MODELS,
                          ids=[n for n, _ in SEGMENT_MODELS])
 def test_points_sharing_a_segment_answer_as_the_cut_subspace(name, pres):
-    """Two or three points of a question in one open segment: the split
-    of that segment answers as the subspace cut there, both ways along
-    the edge, with p between x and y for ``unavoidable_point``."""
+    """Two or three points of a question in one open segment answer as
+    the subspace cut there, both ways along the edge, with p between x
+    and y for ``unavoidable_point``."""
     rng = random.Random(zlib.crc32(name.encode()))
     for n in range(SEGMENT_QUESTIONS):
         if n % 2:
@@ -508,36 +532,13 @@ def test_points_sharing_a_segment_answer_as_the_cut_subspace(name, pres):
 
 @pytest.mark.parametrize("name, pres", SEGMENT_MODELS,
                          ids=[n for n, _ in SEGMENT_MODELS])
-def test_each_position_of_a_cut_lies_in_its_cell(name, pres):
-    """The parameter that a witness reads for each position of a cut
-    graph (a cut value, a query point, or a point inside a piece of a
-    split segment) is a point of that position's cell."""
-    rng = random.Random(zlib.crc32(f"{name}/positions".encode()))
+def test_each_position_lies_in_its_cell(name, pres):
+    """The parameter that a witness reads for each position of the
+    compiled graph (a cut value, or the midpoint of an open segment) is
+    a point of that position's cell."""
     g = reach.compiled(pres)
-    for count in (1, 2, 3, 5):
-        points = _in_one_segment(pres, rng, count) + [
-            EdgePoint("e0", F(rng.randint(1, 100), 101))]
-        cut = g.cut(frozenset((q.edge, q.t) for q in points))
-        for q in points:
-            assert cut.value(min(cut.places[cut.cell(q)])) == q.t
-        for pos, c in enumerate(cut.cell_at):
-            assert cut.cell(pos_point(pres, "e0", cut.value(pos))) == c, pos
-
-
-@pytest.mark.parametrize("where", ["one segment", "two segments"])
-def test_a_cut_costs_its_points_not_its_edge(where):
-    """Cutting ``n_stop(n)`` at two interior points adds two positions
-    and two cells per point, and no transition (the edge has only rigid
-    jumps), whatever n is."""
-    added = set()
-    for n in (16, 64, 256):
-        pres = normalize(build("c_line_window", lo=0, hi=n))
-        g = reach.compiled(pres)
-        second = F(2, 3 * n) if where == "one segment" else F(7, 3 * n)
-        cut = g.cut(frozenset({("e0", F(1, 3 * n)), ("e0", second)}))
-        added.add((len(cut.cell_at) - len(g.cell_at),
-                   len(cut.places) - len(g.places), len(cut) - len(g)))
-    assert added == {(4, 4, 0)}
+    for pos, c in enumerate(g.cell_at):
+        assert g.cell(pos_point(pres, "e0", g.value(pos))) == c, pos
 
 
 # ---------------------------------------------------------------------------
@@ -708,21 +709,32 @@ def test_two_points_of_one_segment_meet_the_oracle(name, pres, expect):
                 assert is_controlled(pres, r.witness), (x, y)
 
 
-def _counting(monkeypatch):
-    """Count the cuts that split a segment, and the witnesses built."""
-    calls = {"split": 0, "witness": 0}
-    split, witness = reach.CellGraph._split, reach._witness
+def test_two_points_of_one_segment_take_the_shortest_way_round():
+    """On a ``directed`` loop with a flexible point at 1/4, 2/3 reaches
+    1/3 only round the loop: up to v0 and on to 1/3, not by way of 1/4,
+    which is one move longer."""
+    pres = GraphPresentation(frozenset({"v0"}),
+                             (Edge("e0", "v0", "v0", K.DIRECTED),),
+                             flexible=frozenset({EdgePoint("e0", F(1, 4))}))
+    x, y = EdgePoint("e0", F(2, 3)), EdgePoint("e0", F(1, 3))
+    w = c_reachable(pres, x, y).witness
+    assert [seg for run in w.runs() for seg in run.segs] == [
+        Seg("e0", F(2, 3), O), Seg("e0", Z, F(1, 3))]
+    assert is_controlled(pres, w)
 
-    def counted_split(self, segs):
-        calls["split"] += 1
-        return split(self, segs)
 
-    def counted_witness(*args):
-        calls["witness"] += 1
-        return witness(*args)
+def _counting(monkeypatch, names=("_search", "_witness")):
+    """Count the calls of the named functions of ``reach``."""
+    calls = dict.fromkeys(names, 0)
 
-    monkeypatch.setattr(reach.CellGraph, "_split", counted_split)
-    monkeypatch.setattr(reach, "_witness", counted_witness)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(reach, name, counted(name, getattr(reach, name)))
     return calls
 
 
@@ -733,7 +745,7 @@ def test_an_ok_answer_cuts_and_searches_nothing(monkeypatch):
     calls = _counting(monkeypatch)
     oks = [c_reachable(pres, _fresh_point(pres, rng),
                        _fresh_point(pres, rng)).ok for _ in range(100)]
-    assert calls == {"split": 0, "witness": 0}
+    assert calls == {"_search": 0, "_witness": 0}
     assert 0 < sum(oks) < 100
 
 
@@ -742,16 +754,16 @@ def test_a_witness_is_built_once_when_read(monkeypatch):
     x, y = EdgePoint("e3", F(1, 7)), EdgePoint("e140", F(5, 7))
     calls = _counting(monkeypatch)
     r = c_reachable(pres, x, y)
-    assert r and calls == {"split": 0, "witness": 0}
+    assert r and calls == {"_search": 0, "_witness": 0}
     w = r.witness
-    assert calls == {"split": 1, "witness": 1}
+    assert calls == {"_search": 1, "_witness": 1}
     assert r.witness is w and is_controlled(pres, w)
     assert r == c_reachable(pres, x, y) and repr(r).startswith(
         "ReachResult(ok=True, witness=CanonicalPath(")
-    assert calls["witness"] == 2  # the cut itself is kept by ``transitions``
+    assert calls["_witness"] == 2
     with pytest.raises(AttributeError):
         r.ok = False
-    assert not c_reachable(pres, y, x) and calls["witness"] == 2
+    assert not c_reachable(pres, y, x) and calls["_witness"] == 2
 
 
 def test_pairs_in_mode_c_are_read_from_the_closure(monkeypatch):
@@ -769,7 +781,7 @@ COST_MODELS = [("directed(150)", _directed_chain(150)),
 def test_classify_and_pairs_cut_and_search_nothing(monkeypatch, name, pres):
     """Classification reads both existence triples, and ``pairs()`` in
     both modes its relation, from closures of the one compiled graph."""
-    calls = {"split": 0, "search": 0, "flexible_part": 0}
+    calls = {"search": 0, "flexible_part": 0}
 
     def counted(key, fn):
         def call(*args):
@@ -777,8 +789,6 @@ def test_classify_and_pairs_cut_and_search_nothing(monkeypatch, name, pres):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(reach.CellGraph, "_split",
-                        counted("split", reach.CellGraph._split))
     monkeypatch.setattr(reach, "_search", counted("search", reach._search))
     for module in (construct, classify):
         monkeypatch.setattr(module, "flexible_part",
@@ -788,7 +798,7 @@ def test_classify_and_pairs_cut_and_search_nothing(monkeypatch, name, pres):
         classify_point(pres, _fresh_point(pres, rng))
     for mode in ("c", "d"):
         assert reach_relation(pres, mode).pairs()
-    assert calls == {"split": 0, "search": 0, "flexible_part": 0}
+    assert calls == {"search": 0, "flexible_part": 0}
 
 
 def test_a_directed_chain_is_its_own_flexible_closure():
@@ -798,12 +808,9 @@ def test_a_directed_chain_is_its_own_flexible_closure():
 
 def test_overlapping_windows_give_each_transition_once():
     """``OPEN_WINDOWS`` has two rising windows that overlap on (1/4, 1/2);
-    each pair of positions in both is one transition, and so is each
-    move between the pieces of a split segment that both hold."""
+    each pair of positions in both is one transition."""
     g = reach.compiled(normalize(interval(OPEN_WINDOWS)))
     assert len(g) == len(set(zip(g.src, g.dst, g.cover))) == 45
-    cut = g.cut(frozenset({("e0", F(3, 8)), ("e0", F(7, 16))}))
-    assert len(cut) == len(set(zip(cut.src, cut.dst, cut.cover))) == 77
 
 
 def test_a_pair_is_flexible_when_one_of_its_windows_makes_it_so():
@@ -826,35 +833,20 @@ def test_unavoidable_point_asks_the_closure_first(monkeypatch):
     calls = _counting(monkeypatch)
     with pytest.raises(ModelError, match="y is not reachable from x"):
         unavoidable_point(pres, x, y, Vertex("v5"))
-    assert calls == {"split": 0, "witness": 0}
+    assert calls == {"_search": 0, "_witness": 0}
     assert unavoidable_point(pres, y, x, EdgePoint("e8", H))
     assert not unavoidable_point(pres, y, x, EdgePoint("e15", H))
-    assert calls["witness"] == 0
+    assert calls == {"_search": 0, "_witness": 0}
 
 
-def test_unavoidable_point_cuts_nothing_and_searches_only_inside(
-        monkeypatch):
+def test_unavoidable_point_searches_only_inside(monkeypatch):
     """100 fresh triples on a 150-edge chain, x, y and p on three edges:
-    no cut, no breadth-first search and no witness, and no search at all
-    when p lies outside [x, y], where the closure answers."""
+    no breadth-first search and no witness, and no search at all when p
+    lies outside [x, y], where the closure answers."""
     pres = _directed_chain(150)
     rng = random.Random(zlib.crc32(b"unavoidable/cost"))
     c_reachable(pres, V0, Vertex("v150"))  # compile before counting
-    calls = dict.fromkeys(("_split", "cut", "_search", "_witness",
-                           "_avoiding"), 0)
-
-    def counted(owner, name):
-        fn = getattr(owner, name)
-
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(owner, name, call)
-
-    for owner, name in ((reach.CellGraph, "_split"), (reach.CellGraph, "cut"),
-                        (reach, "_search"), (reach, "_witness"),
-                        (reach, "_avoiding")):
-        counted(owner, name)
+    calls = _counting(monkeypatch, ("_search", "_witness", "_avoiding"))
     inside = 0
     for _ in range(100):
         i, j, k = rng.sample(range(150), 3)
@@ -868,8 +860,7 @@ def test_unavoidable_point_cuts_nothing_and_searches_only_inside(
         else:
             assert calls["_avoiding"] == searched, (x, y, p)
     assert 0 < inside < 100
-    assert ([calls[n] for n in ("_split", "cut", "_search", "_witness")]
-            == [0, 0, 0, 0])
+    assert calls["_search"] == calls["_witness"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -925,6 +916,29 @@ def test_classifications_are_unchanged():
             lines.append(f"{name} {x!r} {classify_point(pres, x)!r}")
     assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
             == CLASSIFY_DIGEST)
+
+
+# SHA-256 of the lines below, written when each factor's witness was
+# searched on its graph cut at the question's points.
+PRODUCT_WITNESS_DIGEST = ("1073197405c9d3ba0432a22921048323"
+                          "a80e1443178c3b173c2221c889e6f7f8")
+
+
+def test_product_witnesses_are_unchanged():
+    """The ``repr`` of every read ``c_reachable`` witness between seeded
+    points of the product corpus models and their hats; each one parses."""
+    lines = []
+    for name, pres in PRODUCT_MODELS:
+        rng = random.Random(zlib.crc32(f"{name}/product witness".encode()))
+        pts = _product_points(pres, rng, count=20)
+        for x in pts:
+            for y in pts:
+                r = c_reachable(pres, x, y)
+                if r.witness is not None:
+                    assert is_controlled(pres, r.witness), (x, y)
+                lines.append(f"{name} {x!r} {y!r} {r.ok} {r.witness!r}")
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == PRODUCT_WITNESS_DIGEST)
 
 
 # SHA-256 of the relations below, written when ``pairs()`` in mode ``d``

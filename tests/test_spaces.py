@@ -1,7 +1,8 @@
 """Checks on seeded generated presentations (``spaces.random_space``):
 the flexible transitions of the compiled graph against the flexible
 part, whole relations against each question, and reach and
-unavoidable-point answers against the oracles."""
+unavoidable-point answers against the oracles, with every witness read
+on the way."""
 
 import random
 from fractions import Fraction as F
@@ -9,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from cspaces import reach
-from cspaces.construct import flexible_part
+from cspaces.construct import flexible_part, hat
+from cspaces.membership import is_controlled
 from cspaces.model import EdgePoint, ModelError, Vertex
 from cspaces.presentation import cuts, normalize, pos_point
 from cspaces.reach import (c_reachable, d_reachable, reach_relation,
@@ -81,6 +83,18 @@ def test_pairs_agree_with_each_question(batch):
                 if ask(sp, x, y).ok), (seed, mode)
 
 
+def _witnesses_parse(pres, pts) -> None:
+    """Each read ``c_reachable`` witness between pts, and each loop at one
+    of them, runs from x to y and is a controlled path of pres."""
+    for x in pts:
+        found = [(y, c_reachable(pres, x, y).witness) for y in pts]
+        found.append((x, reach._graph_loop(pres, x).witness))
+        for y, w in found:
+            if w is not None:
+                assert (w.start, w.end) == (x, y), (x, y, w)
+                assert is_controlled(pres, w), (x, y, w)
+
+
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_reach_agrees_with_the_oracle(batch):
     for seed, sp, rng in _spaces(batch):
@@ -91,6 +105,8 @@ def test_reach_agrees_with_the_oracle(batch):
             for y in pts:
                 assert (c_reachable(sp, x, y).ok
                         == ((x, y) in reached)), (seed, x, y)
+        for pres in (sp, normalize(hat(sp))):
+            _witnesses_parse(pres, pts)
 
 
 def _triples(pres, rng, count=8):
