@@ -14,20 +14,22 @@ strictly between c_i and c_(i+1) has rank 2i + 1.  Every window bound,
 forbidden start or end, and trace step end is a cut value, so ranks
 decide each comparison exactly.  ``_ranks`` is the one place that
 defines this encoding.  The ranked windows and rigid steps of an edge
-live in a parse index stored on the presentation; edges of one kind with
-the same cut values share one entry, and the cell graph of ``reach``
+live in a parse index stored on the presentation and built in one pass
+over its edges: edges of one kind with the same cut values share one
+entry, each entry keeps its kind's rigid traces, and the index keeps
+apart only the presentation's generators.  The cell graph of ``reach``
 lays out its edges from the same entries.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     Pause, Rat, Seg, Track, Vertex)
 from .presentation import (GraphPresentation, ProductN, _point_of_seg,
-                           canonicalize, cuts, edge_map, edge_of, family,
+                           canonicalize, cuts, edge_map, family,
                            flexible_point, normalize, own_cut_values,
                            pos_point, project)
 
@@ -52,12 +54,13 @@ def _ranks(cs: tuple) -> dict:
     return {v: 2 * i for i, v in enumerate(cs)}
 
 
-def _file(table: dict, tr, rank: dict) -> None:
-    """Add a trace to table under the (edge, d, rank) of its start, as
-    (steps, dwell marks, trace); a step is (edge, d, rank a, rank b)."""
-    steps = tuple((s.edge, s.dir, rank[s.edge][s.a], rank[s.edge][s.b])
-                  for s in tr.steps)
-    table.setdefault(steps[0][:3], []).append((steps, tr.pauses, tr))
+def _file(table: dict, key: tuple, steps: tuple, tr) -> None:
+    """Add a trace with its ranked steps to table under key.  A step is
+    (edge, d, rank a, rank b); the entry is (steps, dwell marks, trace,
+    goal), where goal is the end rank of a one-step trace with no dwell
+    marks, which the parse matches on its own, and None otherwise."""
+    goal = steps[0][3] if len(steps) == 1 and not tr.pauses else None
+    table[key] = table.get(key, ()) + ((steps, tr.pauses, tr, goal),)
 
 
 class _EdgeIndex:
@@ -65,19 +68,20 @@ class _EdgeIndex:
     values.
 
     ``cuts``: the sorted cut values; ``rank``: each of them -> its rank;
-    ``fam``: the family of the kind.
+    ``top``: the rank of 1; ``fam``: the family of the kind.
     ``wins[d]``: the windows of direction d as (lowest rank, highest rank,
     forbidden start ranks, forbidden end ranks), open ends already taken
     off; windows of direction 0 move nothing and are left out.
-    ``rigid``: the family's rigid traces, filed by ``_file`` under
-    (None, d, rank); their steps name no edge, and None stands for the
-    edge the trace starts on.
+    ``rigid``: the family's rigid traces, filed by ``_file`` under (d,
+    rank of the start); their steps name no edge, and None stands for
+    the edge the trace starts on.
     """
-    __slots__ = ("cuts", "rank", "fam", "wins", "rigid")
+    __slots__ = ("cuts", "rank", "top", "fam", "wins", "rigid")
 
     def __init__(self, fam, cs: tuple):
         self.cuts, self.fam = cs, fam
         rank = self.rank = _ranks(cs)
+        self.top = 2 * len(cs) - 2
         self.wins = {1: [], -1: []}
         for f in fam.fragments:
             if f.dir:
@@ -85,35 +89,46 @@ class _EdgeIndex:
                     rank[f.lo] + f.lo_open, rank[f.hi] - f.hi_open,
                     frozenset(rank[x] for x in f.start_not),
                     frozenset(rank[x] for x in f.end_not)))
-        self.rigid, by_edge = {}, {None: rank}
+        self.rigid = {}
         for tr in fam.rigid:
-            _file(self.rigid, tr, by_edge)
+            steps = tuple((None, s.dir, rank[s.a], rank[s.b]) for s in tr.steps)
+            _file(self.rigid, steps[0][1:3], steps, tr)
 
 
 class _ParseIndex:
-    """A presentation's edge entries, filled as paths reach their edges,
-    and every rigid trace by (edge, d, rank of its start).
+    """A presentation's edge entries, built in one pass over its edges,
+    and its generators by (edge, d, rank of their start).
 
-    Edges of one kind with the same ``own_cut_values`` (most often none)
-    have the same cut values, so they share one entry, and ``cuts`` and
-    ``family`` run once per entry, not once per edge.  The cell graph
-    (``reach.CellGraph``) fills the entries of every edge it lays out.
-    ``rigid`` holds the presentation's generators from the start; when a
-    path or the cell graph first reaches an edge, the traces of its entry
-    go in front of them.
+    ``edges``: edge id -> its entry.  Edges of one kind with the same
+    ``own_cut_values`` (most often none) have the same cut values, so they
+    share one entry (``shared``: (kind, own cut values) -> entry), and
+    ``cuts`` and ``family`` run once per entry, not once per edge.  Each
+    entry keeps its family's rigid traces; ``rigid`` holds only the
+    presentation's generators, whose steps name their edges.  The cell
+    graph (``reach.CellGraph``) lays out its edges from the same entries.
     """
-    __slots__ = ("edges", "shared", "own", "rigid", "__weakref__")
+    __slots__ = ("edges", "shared", "rigid", "__weakref__")
 
     def __init__(self, pres: GraphPresentation):
-        self.edges = {}   # edge id -> _EdgeIndex
-        self.shared = {}  # (kind, own cut values) -> _EdgeIndex
-        self.own = {e: frozenset(vals)
-                    for e, vals in own_cut_values(pres).items()}
-        self.rigid = {}   # (edge, d, rank) -> [(steps, dwell marks, trace)]
-        rank = {e: _ranks(cuts(pres, e))
-                for e in {s.edge for tr in pres.generators for s in tr.steps}}
+        self.edges = edges = {}
+        self.shared = shared = {}
+        own = own_cut_values(pres)
+        for e in pres.edges:
+            key = (e.kind, frozenset(own.get(e.id, ())))
+            ent = shared.get(key)
+            if ent is None:
+                ent = shared[key] = _EdgeIndex(family(pres, e.id),
+                                               cuts(pres, e.id))
+            edges[e.id] = ent
+        self.rigid = {}  # (edge, d, rank) -> the entries of _file
         for tr in pres.generators:
-            _file(self.rigid, tr, rank)
+            steps = []
+            for s in tr.steps:
+                ent = edges.get(s.edge)
+                if ent is None:
+                    raise ModelError(f"unknown edge {s.edge!r}")
+                steps.append((s.edge, s.dir, ent.rank[s.a], ent.rank[s.b]))
+            _file(self.rigid, steps[0][:3], tuple(steps), tr)
 
 
 def parse_index(pres: GraphPresentation) -> _ParseIndex:
@@ -125,18 +140,6 @@ def parse_index(pres: GraphPresentation) -> _ParseIndex:
         index = _ParseIndex(pres)
         object.__setattr__(pres, "_parse_index", index)
         return index
-
-
-def _edge_index(index: _ParseIndex, pres, edge: str) -> _EdgeIndex:
-    """The entry of an edge that no path has reached yet."""
-    key = (edge_of(pres, edge).kind, index.own.get(edge, frozenset()))
-    ent = index.shared.get(key)
-    if ent is None:
-        ent = index.shared[key] = _EdgeIndex(family(pres, edge), cuts(pres, edge))
-    index.edges[edge] = ent
-    for (_, d, r), own in ent.rigid.items():
-        index.rigid[edge, d, r] = own + index.rigid.get((edge, d, r), [])
-    return ent
 
 
 # ---------------------------------------------------------------------------
@@ -153,66 +156,91 @@ class Token(NamedTuple):
     rb: int
 
 
-def _place(p):
-    """A graph point as a vertex name or an (edge, t) pair."""
-    if isinstance(p, Vertex):
-        return p.name
-    if isinstance(p, EdgePoint):
-        return p.edge, p.t
-    return p
+_new = tuple.__new__  # builds a Token without its Python-level __new__
+
+
+def _inner_rank(cs: tuple, v) -> int:
+    """The rank of v, strictly between 0 and 1, among the cut values cs."""
+    i = bisect_right(cs, v)
+    return 2 * i - 2 if cs[i - 1] == v else 2 * i - 1
 
 
 def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
     """Atomic tokens (PAUSE or Token), cut at every cut value of their edge;
     raises ModelError when the path's segments do not chain in pres."""
-    index = parse_index(pres)
-    edges, emap = index.edges, edge_map(pres)
+    edges, emap = parse_index(pres).edges, edge_map(pres)
     toks = []
-    cur, prev = _place(path.start), None
+    add = toks.append
+    # where the path is: at the vertex named `at`, or, with `at` None,
+    # inside edge `on` at t of rank r (a start off the graph chains with
+    # nothing, and the rank of a start inside an edge is found when used)
+    p = path.start
+    if isinstance(p, EdgePoint):
+        at, on, t, r = None, p.edge, p.t, None
+    else:
+        at, on, t, r = p.name if isinstance(p, Vertex) else p, None, None, None
+    prev = None
     for item in path.items:
         if isinstance(item, Pause):
-            toks.append(PAUSE)
+            add(PAUSE)
             continue
         for seg in item.segs:
             if type(seg) is not Seg:
                 raise ModelError("product segment in a graph path")
             edge, a, b = seg.edge, seg.a, seg.b
-            cs = (edges.get(edge) or _edge_index(index, pres, edge)).cuts
-            # comparing a Fraction with an int is quick; most segments
-            # start or end at a vertex
-            d = 1 if a == 0 or b == 1 or (a != 1 and b != 0 and a < b) else -1
-            lo, hi = (a, b) if d > 0 else (b, a)
-            # cuts holds 0 and 1, so 1 <= i and j < len(cs)
-            if lo == 0:
-                i, rlo = 1, 0
+            ent = edges.get(edge)
+            if ent is None:
+                raise ModelError(f"unknown edge {edge!r}")
+            top, cs, e = ent.top, ent.cuts, emap[edge]
+            # the segment starts where the path is: inside the edge where
+            # the last one stopped, or at an end of the edge, rank 0 at its
+            # source vertex and the top rank at its target
+            if at is None:
+                ok = on == edge and (t is a or t == a)
+                if ok and r is None:
+                    r = _inner_rank(cs, a)
+                ra = r
+            elif a == 0:
+                ok, ra = at == e.src, 0
             else:
-                i = bisect_right(cs, lo)
-                rlo = 2 * i - 2 if cs[i - 1] == lo else 2 * i - 1
-            top = 2 * len(cs) - 2
-            if hi == 1:
-                j, rhi = len(cs) - 1, top
-            else:
-                j = bisect_left(cs, hi)
-                rhi = 2 * j if cs[j] == hi else 2 * j - 1
-            ra, rb = (rlo, rhi) if d > 0 else (rhi, rlo)
-            # rank 0 is the edge's source vertex, the top rank its target
-            e = emap[edge]
-            if (e.src if ra == 0 else e.dst if ra == top else (edge, a)) != cur:
+                ok, ra = a == 1 and at == e.dst, top
+            if not ok:
                 was = path.start if prev is None else pos_point(pres, prev.edge, prev.b)
                 raise ModelError(f"path breaks at {was!r} -> "
                                  f"{pos_point(pres, edge, a)!r}")
-            cur, prev = e.src if rb == 0 else e.dst if rb == top else (edge, b), seg
+            # an end inside an edge without interior cut values lies in
+            # its one open segment, rank 1
+            if b == 1:
+                rb, at = top, e.dst
+            elif b == 0:
+                rb, at = 0, e.src
+            else:
+                rb = 1 if top == 2 else _inner_rank(cs, b)
+                at, on, t, r = None, edge, b, rb
+            prev = seg
+            # the cut values strictly inside the segment are cs[i:j]
+            if ra < rb or (ra == rb and a < b):
+                d, i, j = 1, (ra + 2) >> 1, (rb + 1) >> 1
+            else:
+                d, i, j = -1, (rb + 2) >> 1, (ra + 1) >> 1
             if i == j:
-                toks.append(Token(edge, d, a, b, ra, rb))
+                add(_new(Token, (edge, d, a, b, ra, rb)))
                 continue
-            vals = [lo, *cs[i:j], hi]
-            ranks = [rlo, *range(2 * i, 2 * j, 2), rhi]
-            if d < 0:
-                vals.reverse()
-                ranks.reverse()
-            toks.extend(Token(edge, d, vals[k], vals[k + 1], ranks[k], ranks[k + 1])
+            if d > 0:
+                vals = [a, *cs[i:j], b]
+                ranks = [ra, *range(2 * i, 2 * j, 2), rb]
+            else:
+                vals = [a, *cs[j - 1:i - 1:-1], b]
+                ranks = [ra, *range(2 * j - 2, 2 * i - 2, -2), rb]
+            toks.extend(_new(Token, (edge, d, vals[k], vals[k + 1],
+                                     ranks[k], ranks[k + 1]))
                         for k in range(len(vals) - 1))
-    if cur != _place(path.end):
+    end = path.end
+    if isinstance(end, EdgePoint):
+        ok = at is None and (on, t) == (end.edge, end.t)
+    else:
+        ok = at == (end.name if isinstance(end, Vertex) else end)
+    if not ok:
         raise ModelError("path end point mismatch")
     return toks
 
@@ -336,7 +364,7 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
         if bad is not None:
             return ParseOutcome(False, fail_at=bad)
     index = parse_index(pres)
-    edges, rigid = index.edges, index.rigid
+    edges, gens = index.edges, index.rigid
     n = len(toks)
     INF = n + 10 ** 6
     dist = [INF] * (n + 1)
@@ -354,7 +382,8 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
             continue
         step = dist[i] + 1
         edge, d, start = tok.edge, tok.dir, tok.ra
-        wins = edges[edge].wins[d]
+        ent = edges[edge]
+        wins = ent.wins[d]
         if wins:
             # flexible-fragment stretches: consecutive tokens on the edge
             # in direction d whose ranks chain (a loop edge's two ends,
@@ -374,9 +403,31 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
                     break
                 last = nxt
         # rigid instances: the edge's own traces first, then the generators
-        for steps, pauses, tr in rigid.get((edge, d, start), ()):
-            end = _match(steps, pauses, toks, i, edge)
-            if end is not None and step < dist[end]:
+        traces = ent.rigid.get((d, start), ())
+        if gens:
+            traces += gens.get((edge, d, start), ())
+        for steps, pauses, tr, goal in traces:
+            if goal is None:
+                end = _match(steps, pauses, toks, i, edge)
+                if end is None:
+                    continue
+            else:
+                # one step, no dwell marks: tokens that follow on from
+                # this one, pauses aside, until they reach the goal rank
+                cur, end = tok.rb, i + 1
+                while cur != goal and (cur - goal) * d < 0:
+                    while end < n and toks[end] is PAUSE:
+                        end += 1
+                    if end == n:
+                        break
+                    nxt = toks[end]
+                    if nxt.edge != edge or nxt.dir != d or nxt.ra != cur:
+                        break
+                    cur = nxt.rb
+                    end += 1
+                if cur != goal:
+                    continue
+            if step < dist[end]:
                 dist[end] = step
                 parent[end] = (i, ("rigid", edge, tr))
     if dist[n] >= INF:

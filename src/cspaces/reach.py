@@ -17,8 +17,10 @@ position of a cut value is the offset plus its rank in the sense of
 even and the open segment after that value when ``r`` is odd.  So a
 stretch of an edge is a range of position numbers.  The sorted cut
 values, their ranks and the family of an edge come from the entry of its
-kind and cut values in the parse index (``membership.parse_index``),
-which edges of one kind share, so they are computed once per entry.
+kind and cut values in the parse index (``membership.parse_index``).
+That index is built in one pass over the presentation's edges, and edges
+of one kind with the same cut values share an entry, so they are
+computed once per entry.
 
 Every generator contributes transitions ``(src, dst, cover, recipe)``
 over ints: the cells the motion starts and ends in, the position ranges
@@ -78,7 +80,7 @@ from typing import Optional
 from weakref import WeakKeyDictionary
 
 from .construct import hat
-from .membership import _edge_index, parse_index
+from .membership import parse_index
 from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, Pause,
                     ProdSeg, PTuple, Seg, UnsupportedConstruction, Vertex,
                     assemble)
@@ -144,10 +146,9 @@ class CellGraph:
         names = sorted(pres.vertices.union(*((e.src, e.dst)
                                              for e in pres.edges)))
         self.vertex = {v: c for c, v in enumerate(names)}
-        index = parse_index(pres)
+        edges = parse_index(pres).edges
         # edge number -> its ranked entry: cut values, ranks, family, windows
-        self.ent = [index.edges.get(e.id) or _edge_index(index, pres, e.id)
-                    for e in pres.edges]
+        self.ent = [edges[e.id] for e in pres.edges]
         self.index = {e.id: i for i, e in enumerate(pres.edges)}
         self.ids = [e.id for e in pres.edges]  # edge number -> edge id
         self.offset = []     # edge number -> number of its position 0

@@ -286,10 +286,14 @@ def test_check_path_names_the_edge_of_each_rigid_instance(tmp_path, capsys):
 
 
 def test_controlled_path_on_an_unknown_edge_names_it():
-    up = assemble(Vertex("v0"), [Seg("e9", Fraction(0), Fraction(1))],
-                  Vertex("v1"))
-    with pytest.raises(ModelError, match="unknown edge 'e9'"):
-        is_controlled(build("c_interval"), up)
+    # the parse index holds every edge of the space, so a segment on any
+    # other edge, first or later, is a ModelError and never a KeyError
+    up = Seg("e0", Fraction(0), Fraction(1))
+    off = Seg("e9", Fraction(0), Fraction(1))
+    for segs in ([off], [up, off]):
+        path = assemble(Vertex("v0"), segs, Vertex("v1"))
+        with pytest.raises(ModelError, match="unknown edge 'e9'"):
+            is_controlled(build("c_interval"), path)
 
 
 def test_quotient_at_two_anchors_of_one_edge(space_file, tmp_path, capsys):

@@ -106,7 +106,7 @@ class TestSpaces:
         assert a.endswith("\n")
 
     def test_bad_document_rejected(self):
-        with pytest.raises((ModelError, KeyError)):
+        with pytest.raises(ModelError):
             space_from_json({"neither": {}})
 
 

@@ -2,8 +2,11 @@
 the multi-edge models."""
 
 import gc
+import hashlib
 import pickle
+import random
 import weakref
+import zlib
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -13,18 +16,21 @@ from cspaces import jsonio
 from cspaces import kinds as K
 from cspaces import membership, presentation
 from cspaces.classify import is_flexible_path, is_rigid_path, is_splittable
-from cspaces.corpus import build
-from cspaces.construct import exclude_endpoints
+from cspaces.corpus import build, names
+from cspaces.construct import exclude_endpoints, hat
 from cspaces.kinds import Fragment
 from cspaces.membership import (check_path_geometry, is_controlled,
                                 parse_controlled)
 from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, ModelError,
-                           Position, ProdSeg, Run, Seg, Track, Vertex, assemble)
+                           Position, ProdSeg, RigidTrace, Run, Seg, Track,
+                           TraceStep, Vertex, assemble)
 from cspaces.presentation import (Edge, GraphPresentation, canonicalize, cuts,
                                   family, pos_point)
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
 from oracle import brute_force_controlled
+from sampling import random_graph_path, random_product_path
+from spaces import random_space
 
 
 def path(*atoms, start, end):
@@ -453,6 +459,42 @@ class TestRankedParse:
         gc.collect()
         assert index() is None
 
+    def test_a_chain_is_indexed_in_one_pass(self, monkeypatch):
+        """A 400-edge one_jump chain: the index looks up the family and the
+        cut values of its one shared entry once, keeps no trace list per
+        edge (it has no generators), and a full run's tokens take no
+        presentation lookup per segment."""
+        chain = _chain(400)
+        run = path(*(Seg(f"e{k}", Z, O) for k in range(400)), start=V0,
+                   end=Vertex("v400"))
+        calls = []
+        for name in ("edge_map", "edge_of", "family", "cuts", "pos_point",
+                     "own_cut_values"):
+            if hasattr(membership, name):
+                def counting(*args, name=name, real=getattr(membership, name)):
+                    calls.append(name)
+                    return real(*args)
+                monkeypatch.setattr(membership, name, counting)
+        index = membership.parse_index(chain)
+        assert sorted(calls) == ["cuts", "family", "own_cut_values"]
+        assert len(index.edges) == 400 and len(index.shared) == 1
+        del calls[:]
+        toks = membership.explode(chain, run)
+        assert len(toks) == 400 and len(calls) <= 1
+        assert index.rigid == {}
+        assert parse_controlled(chain, run).count == 400
+
+    def test_an_edges_own_trace_wins_a_tie_with_a_generator(self):
+        # the parse tries an edge's own traces before the presentation's
+        # generators, so of two instances over the same tokens it keeps
+        # the own one, whose step names no edge
+        sp = replace(build("c_interval"),
+                     generators=(RigidTrace((TraceStep("e0", Z, O),)),))
+        out = parse_controlled(sp, FULL_UP)
+        ((kind, edge, tr),) = out.instances
+        assert (out.count, kind, edge) == (1, "rigid", "e0")
+        assert tr.steps[0].edge is None
+
     def test_edges_of_one_kind_and_cuts_share_an_entry(self):
         # a flexible point on e2 gives that edge cut values of its own
         chain = replace(_chain(5), flexible=frozenset({EdgePoint("e2", H)}))
@@ -551,3 +593,63 @@ class TestCanonicalMark:
         assert canonicalize(back, self.sp) == MID_PAUSE_UP
         assert parse_controlled(self.sp, back) == parse_controlled(
             self.sp, MID_PAUSE_UP)
+
+
+# ---------------------------------------------------------------------------
+# Parse outcomes are unchanged
+
+def _bound_runs(pres):
+    """Each rigid trace of pres, bound to its edge, as its standard path,
+    without its dwell pauses and with a pause at every boundary; and each
+    edge's full runs both ways with a pause halfway."""
+    for tr in presentation.bound_rigid(pres):
+        steps = [Seg(s.edge, s.a, s.b) for s in tr.steps]
+        start = presentation.trace_start(pres, tr)
+        end = presentation.trace_end(pres, tr)
+        yield presentation.trace_path(pres, tr)
+        yield assemble(start, steps, end)
+        yield assemble(start, [PAUSE] + [a for s in steps for a in (s, PAUSE)],
+                       end)
+    for e in pres.edges:
+        ends = (Vertex(e.src), Vertex(e.dst))
+        for (a, b), (p, q) in (((Z, O), ends), ((O, Z), ends[::-1])):
+            yield assemble(p, [Seg(e.id, a, H), PAUSE, Seg(e.id, H, b)], q)
+
+
+def _sampled_paths(norm, rng, count):
+    if isinstance(norm, presentation.ProductN):
+        return [random_product_path(norm, rng, max_atoms=4)
+                for _ in range(count)]
+    return ([random_graph_path(norm, rng, max_atoms=4) for _ in range(count)]
+            + list(_bound_runs(norm)))
+
+
+def _parse_spaces():
+    for name in names():
+        sp = build(name)
+        yield name, sp, 24
+        yield f"{name}/hat", hat(sp), 24
+    for seed in range(300):
+        yield f"spaces/{seed}", random_space(random.Random(f"spaces/{seed}")), 6
+
+
+# SHA-256 of the outcomes below, written when the parse index was filled
+# one edge at a time as paths reached the edges.
+PARSE_DIGEST = ("fd3bde39124cd84f8c1b10e7c4ea35b6"
+                "0833aac8e5ef82e05eeb0fe8ee37240c")
+
+
+def test_parse_outcomes_are_unchanged():
+    """``parse_controlled`` on seeded paths of every corpus model, its hat
+    and the generated spaces: sampled paths, with pauses, and every rigid
+    trace run with and without its dwell pauses."""
+    lines = []
+    for name, sp, count in _parse_spaces():
+        norm = presentation.normalize(sp)
+        rng = random.Random(zlib.crc32(f"{name}/parse".encode()))
+        for k, p in enumerate(_sampled_paths(norm, rng, count)):
+            out = parse_controlled(norm, p)
+            outcome = (out.controlled, out.count, out.instances, out.fail_at)
+            lines.append(f"{name} {k} {outcome!r}")
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == PARSE_DIGEST), len(lines)

@@ -1,6 +1,6 @@
 """Checks on seeded generated presentations (``spaces.random_space``):
 the flexible transitions of the compiled graph against the flexible
-part, whole relations against each question, and reach and
+part, whole relations against each question, and membership, reach and
 unavoidable-point answers against the oracles, with every witness read
 on the way."""
 
@@ -11,14 +11,16 @@ import pytest
 
 from cspaces import reach
 from cspaces.construct import flexible_part, hat
-from cspaces.membership import is_controlled
+from cspaces.membership import is_controlled, parse_controlled
 from cspaces.model import EdgePoint, ModelError, Vertex
 from cspaces.presentation import cuts, normalize, pos_point
 from cspaces.reach import (c_reachable, d_reachable, reach_relation,
                            unavoidable_point)
 
 from helpers import after
-from oracle import brute_force_reach, brute_force_unavoidable
+from oracle import (brute_force_controlled, brute_force_reach,
+                    brute_force_unavoidable)
+from sampling import random_graph_path
 from spaces import random_space
 
 SEEDS = range(300)
@@ -81,6 +83,25 @@ def test_pairs_agree_with_each_question(batch):
             assert rel.pairs() == tuple(
                 (x, y) for x in nodes for y in nodes
                 if ask(sp, x, y).ok), (seed, mode)
+
+
+ORACLE_DEPTH = 5
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_membership_agrees_with_the_oracle(batch):
+    """``is_controlled``, read from the parse, against
+    ``brute_force_controlled`` on seeded paths of each space and of its
+    hat; a parse longer than the oracle's depth is beyond its horizon."""
+    for seed, sp, rng in _spaces(batch):
+        for pres in (sp, normalize(hat(sp))):
+            for _ in range(4):
+                p = random_graph_path(pres, rng)
+                out = parse_controlled(pres, p)
+                if out.controlled and out.count > ORACLE_DEPTH:
+                    continue
+                assert (out.controlled == brute_force_controlled(
+                    pres, p, depth=ORACLE_DEPTH)), (seed, pres == sp, p)
 
 
 def _witnesses_parse(pres, pts) -> None:
