@@ -17,8 +17,12 @@ defines this encoding.  The ranked windows and rigid steps of an edge
 live in a parse index stored on the presentation and built in one pass
 over its edges: edges of one kind with the same cut values share one
 entry, each entry keeps its kind's rigid traces, and the index keeps
-apart only the presentation's generators.  The cell graph of ``reach``
-lays out its edges from the same entries.
+apart only the presentation's generators.  The same pass numbers all
+edges' ranks one after another, so a rank plus its edge's offset is a
+position, and the index marks the positions of the filter points.
+``violation``, the one copy of the filter rule, reads those marks: the
+parse asks it of a path's motion tokens, and the cell graph of
+``reach``, laid out from the same entries, of each transition.
 """
 from __future__ import annotations
 
@@ -97,21 +101,26 @@ class _EdgeIndex:
 
 class _ParseIndex:
     """A presentation's edge entries, built in one pass over its edges,
-    and its generators by (edge, d, rank of their start).
+    its generators by (edge, d, rank of their start), and the filter
+    marks of its positions.
 
     ``edges``: edge id -> its entry.  Edges of one kind with the same
     ``own_cut_values`` (most often none) have the same cut values, so they
     share one entry (``shared``: (kind, own cut values) -> entry), and
     ``cuts`` and ``family`` run once per entry, not once per edge.  Each
     entry keeps its family's rigid traces; ``rigid`` holds only the
-    presentation's generators, whose steps name their edges.  The cell
-    graph (``reach.CellGraph``) lays out its edges from the same entries.
+    presentation's generators, whose steps name their edges.
+    ``offset``: edge id -> the position of its rank 0, the edges' ranks
+    numbered one after another; ``marks``: position -> filter bits.  The
+    cell graph (``reach.CellGraph``) lays out its edges from both.
     """
-    __slots__ = ("edges", "shared", "rigid", "__weakref__")
+    __slots__ = ("edges", "shared", "rigid", "offset", "marks", "__weakref__")
 
     def __init__(self, pres: GraphPresentation):
         self.edges = edges = {}
         self.shared = shared = {}
+        self.offset = offset = {}
+        at = 0
         own = own_cut_values(pres)
         for e in pres.edges:
             key = (e.kind, frozenset(own.get(e.id, ())))
@@ -120,6 +129,8 @@ class _ParseIndex:
                 ent = shared[key] = _EdgeIndex(family(pres, e.id),
                                                cuts(pres, e.id))
             edges[e.id] = ent
+            offset[e.id] = at
+            at += ent.top + 1
         self.rigid = {}  # (edge, d, rank) -> the entries of _file
         for tr in pres.generators:
             steps = []
@@ -129,6 +140,51 @@ class _ParseIndex:
                     raise ModelError(f"unknown edge {s.edge!r}")
                 steps.append((s.edge, s.dir, ent.rank[s.a], ent.rank[s.b]))
             _file(self.rigid, steps[0][:3], tuple(steps), tr)
+        self.marks = _marks(pres, self)
+
+
+# The filter bits of a position: a path may touch a blocked one nowhere,
+# an absorbing one only at its end, and an emitting one only at its start.
+BLOCKED, ABSORBING, EMITTING = 1, 2, 4
+
+
+def _marks(pres: GraphPresentation, index: _ParseIndex) -> dict:
+    """Position -> the filter bits of the point there, for the marked
+    positions only.  A vertex is marked at the end positions of every
+    edge that meets it.  Raises ModelError for a filter or excluded point
+    outside the support."""
+    marks, named = {}, {}  # named: vertex name -> its bits
+    for field, bit in (("blocked", BLOCKED), ("absorbing", ABSORBING),
+                       ("emitting", EMITTING), ("excluded", 0)):
+        for p in getattr(pres, field):
+            if isinstance(p, Vertex) and p.name in pres.vertices:
+                named[p.name] = named.get(p.name, 0) | bit
+            elif isinstance(p, EdgePoint) and p.edge in index.edges:
+                g = index.offset[p.edge] + index.edges[p.edge].rank[p.t]
+                marks[g] = marks.get(g, 0) | bit
+            else:
+                raise ModelError(f"{field} point {p!r} outside support")
+    for e in pres.edges if named else ():
+        off = index.offset[e.id]
+        for v, g in ((e.src, off), (e.dst, off + index.edges[e.id].top)):
+            marks[g] = marks.get(g, 0) | named.get(v, 0)
+    return {g: m for g, m in marks.items() if m}
+
+
+def violation(marks: dict, cover) -> Optional[tuple]:
+    """The first (step, position) where a motion over cover, steps (a,
+    b) each walked from a to b in order, touches a blocked position, an
+    absorbing one before its last position or an emitting one after its
+    first; None if there is none."""
+    last = len(cover) - 1
+    for n, (a, b) in enumerate(cover):
+        way = 1 if b >= a else -1
+        for g in range(a, b + way, way):
+            m = marks.get(g)
+            if m and (m & BLOCKED or m & ABSORBING and (n, g) != (last, b)
+                      or m & EMITTING and (n, g) != (0, a)):
+                return n, g
+    return None
 
 
 def parse_index(pres: GraphPresentation) -> _ParseIndex:
@@ -274,14 +330,6 @@ def _point_before(pres, start, toks, k: int):
     return start
 
 
-def boundaries(pres: GraphPresentation, start, toks) -> list:
-    """Geometric point before token i, for i in 0..len(toks)."""
-    pts = [start]
-    for tok in toks:
-        pts.append(pts[-1] if tok is PAUSE else pos_point(pres, tok.edge, tok.b))
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # Instance matching
 
@@ -331,23 +379,6 @@ def _window_ok(wins, lo: int, hi: int, start: int, end: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Path-level point constraints
-
-def _occurrence_check(pres, start, toks) -> Optional[object]:
-    """Enforce blocked / absorbing / emitting points; returns a violating
-    point or None."""
-    moves = [i for i, tok in enumerate(toks) if tok is not PAUSE]
-    for i, p in enumerate(boundaries(pres, start, toks)):
-        if p in pres.blocked:
-            return p
-        if p in pres.absorbing and i <= moves[-1]:
-            return p
-        if p in pres.emitting and i > moves[0]:
-            return p
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Core graph parse
 
 def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
@@ -359,11 +390,15 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
     for p in (path.start, path.end):
         if p in pres.excluded:
             return ParseOutcome(False, fail_at=p)
-    if pres.blocked or pres.absorbing or pres.emitting:
-        bad = _occurrence_check(pres, path.start, toks)
-        if bad is not None:
-            return ParseOutcome(False, fail_at=bad)
     index = parse_index(pres)
+    if index.marks:
+        off, moves = index.offset, [tok for tok in toks if tok is not PAUSE]
+        bad = violation(index.marks, [(off[t.edge] + t.ra, off[t.edge] + t.rb)
+                                      for t in moves])
+        if bad is not None:
+            tok = moves[bad[0]]
+            at = tok.a if bad[1] == off[tok.edge] + tok.ra else tok.b
+            return ParseOutcome(False, fail_at=pos_point(pres, tok.edge, at))
     edges, gens = index.edges, index.rigid
     n = len(toks)
     INF = n + 10 ** 6

@@ -24,17 +24,18 @@ computed once per entry.
 
 Every generator contributes transitions ``(src, dst, cover, recipe)``
 over ints: the cells the motion starts and ends in, the position ranges
-it passes (one per trace step), and how to build its witness atoms.  A
-fragment gives one transition for every pair of positions in its window,
-in its direction, and a pair that two windows give is one transition; a
-rigid trace gives one for its whole traversal.  Transitions that touch a
-blocked point, pass an absorbing point before their last position or an
-emitting point after their first are dropped; the positions are walked
-in the order the motion passes them.  Forward and reverse adjacency are
-built with the graph.  The fragment transitions that cross no forbidden
-start or end of their window and pass no excluded cell are flagged
-flexible (``CellGraph.flex``): they are the moves of ``flexible_part``,
-so the flexible part is a mask over the one graph, not a second one.
+it passes (one per trace step), and how to build its witness atoms,
+read from the ranked windows and trace steps of the parse index.  A
+window gives one transition for every pair of its positions, in its
+direction, and a pair that two windows give is one transition; a rigid
+trace gives one for its whole traversal.  A transition is dropped when
+the filter rule (``membership.violation``, which the parse asks too)
+stops its motion on the index's marks.  Forward and reverse adjacency
+are built with the graph.  The fragment transitions that cross no
+forbidden start or end of their window and pass no excluded cell are
+flagged flexible (``CellGraph.flex``): they are the moves of
+``flexible_part``, so the flexible part is a mask over the one graph,
+not a second one.
 
 The closure is one ``int`` bitset per strongly connected component: the
 components reached from it by a nonempty chain of transitions, numbered
@@ -80,7 +81,7 @@ from typing import Optional
 from weakref import WeakKeyDictionary
 
 from .construct import hat
-from .membership import parse_index
+from .membership import parse_index, violation
 from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, Pause,
                     ProdSeg, PTuple, Seg, UnsupportedConstruction, Vertex,
                     assemble)
@@ -146,39 +147,43 @@ class CellGraph:
         names = sorted(pres.vertices.union(*((e.src, e.dst)
                                              for e in pres.edges)))
         self.vertex = {v: c for c, v in enumerate(names)}
-        edges = parse_index(pres).edges
-        # edge number -> its ranked entry: cut values, ranks, family, windows
-        self.ent = [edges[e.id] for e in pres.edges]
+        index = parse_index(pres)
+        # edge number -> its ranked entry: cut values, windows, traces
+        self.ent = [index.edges[e.id] for e in pres.edges]
         self.index = {e.id: i for i, e in enumerate(pres.edges)}
         self.ids = [e.id for e in pres.edges]  # edge number -> edge id
-        self.offset = []     # edge number -> number of its position 0
+        self.offset = [index.offset[e] for e in self.ids]  # rank 0 there
+        self.marks = index.marks  # position -> filter bits
         self.pos_edge = []   # position -> edge number
         self.cell_at = []    # position -> cell
         self.places = [[] for _ in names]  # cell -> its positions
-        for e, ent in zip(pres.edges, self.ent):
-            self._place(len(ent.cuts), self.vertex[e.src], self.vertex[e.dst])
+        for i, e in enumerate(pres.edges):
+            self._place(i, self.vertex[e.src], self.vertex[e.dst])
         self.src, self.dst, self.cover, self.recipe = [], [], [], []
         self.flex = []  # transition -> is it a move of the flexible part?
-        self.excluded = self._cells(pres.excluded)
-        self.absorbing = self._cells(pres.absorbing)
-        self.emitting = self._cells(pres.emitting)
-        self.blocked = self._cells(pres.blocked)
-        self.filtered = bool(self.blocked or self.absorbing or self.emitting)
+        # the index has checked that these points lie in the support
+        self.excluded, self.absorbing, self.blocked = (
+            frozenset(map(self.cell, pts))
+            for pts in (pres.excluded, pres.absorbing, pres.blocked))
         # edge number -> its first transition; then the generators' first,
         # and the end of theirs
         self.first = []
         for i, e in enumerate(pres.edges):
             self.first.append(len(self.src))
-            ent = self.ent[i]
+            ent, off = self.ent[i], self.offset[i]
             # windows of one direction that overlap give some pairs twice
             seen = {} if max(map(len, ent.wins.values())) > 1 else None
-            for frag in ent.fam.fragments:
-                self._fragment(i, frag, seen)
-            for tr in ent.fam.rigid:
-                self._rigid(tr.on(e.id))
+            for d, wins in ent.wins.items():
+                for win in wins:
+                    self._fragment(off, d, win, seen)
+            for steps, _, tr, _ in chain(*ent.rigid.values()):
+                self._add(tuple((off + a, off + b) for _, _, a, b in steps),
+                          tr.on(e.id))  # a whole traversal
         self.first.append(len(self.src))
-        for tr in pres.generators:
-            self._rigid(tr)
+        at = index.offset
+        for steps, _, tr, _ in chain(*index.rigid.values()):
+            self._add(tuple((at[s] + a, at[s] + b) for s, _, a, b in steps),
+                      tr)
         self.first.append(len(self.src))
         self.fwd = [[] for _ in self.places]
         self.rev = [[] for _ in self.places]
@@ -195,21 +200,18 @@ class CellGraph:
 
     # -- cells and positions -------------------------------------------------
 
-    def _place(self, m: int, first: int, last: int) -> None:
-        """Lay out an edge with m cut values on new positions after all
-        others.  Its ends are in the cells first and last; every other
-        position gets a new cell."""
-        base = len(self.cell_at)
-        self.offset.append(base)
-        top = 2 * m - 2
+    def _place(self, i: int, first: int, last: int) -> None:
+        """Lay out edge number i on the next positions: its ends in the
+        cells first and last, every other position in a cell of its own."""
+        top = self.ent[i].top
         for r in range(top + 1):
             c = first if r == 0 else last if r == top else None
             if c is None:
                 c = len(self.places)
                 self.places.append([])
-            self.places[c].append(base + r)
+            self.places[c].append(len(self.cell_at))
             self.cell_at.append(c)
-            self.pos_edge.append(len(self.offset) - 1)
+            self.pos_edge.append(i)
 
     def cell(self, p) -> int:
         """The cell holding a point of the presentation."""
@@ -229,19 +231,6 @@ class CellGraph:
             raise ModelError(f"unknown edge {p.edge!r}")
         raise ModelError(f"not a point of this space: {p!r}")
 
-    def _cells(self, points) -> frozenset:
-        out = set()
-        for p in points:
-            try:
-                out.add(self.cell(p))
-            except ModelError:
-                pass
-        return frozenset(out)
-
-    def _at(self, i: int, t) -> int:
-        """The position of cut value t on edge number i."""
-        return self.offset[i] + self.ent[i].rank[t]
-
     def value(self, g: int):
         """The edge parameter of position g: a cut value, or the midpoint
         of an open segment."""
@@ -252,49 +241,32 @@ class CellGraph:
 
     # -- transitions ---------------------------------------------------------
 
-    def _add(self, src: int, dst: int, cover: tuple, recipe,
-             flex: bool = False) -> Optional[int]:
-        """Add a transition unless a filter drops it; its number, or None."""
-        if self.filtered and not self._allowed(cover):
+    def _add(self, cover: tuple, recipe, flex: bool = False) -> Optional[int]:
+        """Add the transition over cover unless a filter drops it; its
+        number, or None."""
+        if self.marks and violation(self.marks, cover) is not None:
             return None
-        self.src.append(src)
-        self.dst.append(dst)
+        self.src.append(self.cell_at[cover[0][0]])
+        self.dst.append(self.cell_at[cover[-1][1]])
         self.cover.append(cover)
         self.recipe.append(recipe)
         self.flex.append(flex)
         return len(self.src) - 1
 
-    def _allowed(self, cover: tuple) -> bool:
-        """Does the motion over cover, walked in order, touch no blocked
-        cell, and an absorbing cell only at its last position and an
-        emitting cell only at its first?"""
-        cell_at, last = self.cell_at, len(cover) - 1
-        for n, (a, b) in enumerate(cover):
-            way = 1 if b >= a else -1
-            for g in range(a, b + way, way):
-                c = cell_at[g]
-                if (c in self.blocked
-                        or c in self.absorbing and (n, g) != (last, b)
-                        or c in self.emitting and (n, g) != (0, a)):
-                    return False
-        return True
-
-    def _fragment(self, i: int, frag, seen: Optional[dict]) -> None:
-        """One transition per pair of positions of the window, in its
-        direction.  It is flexible when no forbidden start or end lies
-        strictly between its ends and it passes no excluded cell: exactly
-        the moves of ``flexible_part``, whose windows are cut at those
-        points and whose excluded points are blocked.  With `seen` (pair
-        -> transition), a pair that another window of the edge gave
-        before is not added again; its flag is OR-ed in."""
-        if not frag.dir:
-            return  # trivial loops move nowhere
-        lo = self._at(i, frag.lo) + frag.lo_open
-        hi = self._at(i, frag.hi) - frag.hi_open
-        no_start = {self._at(i, t) for t in frag.start_not}
-        no_end = {self._at(i, t) for t in frag.end_not}
-        marks = no_start | no_end
-        window = range(lo, hi + 1) if frag.dir > 0 else range(hi, lo - 1, -1)
+    def _fragment(self, off: int, d: int, win, seen) -> None:
+        """One transition per pair of positions of the ranked window win
+        of direction d, on the edge at offset off, in its direction.  It
+        is flexible when no forbidden start or end lies strictly between
+        its ends and it passes no excluded cell: exactly the moves of
+        ``flexible_part``, whose windows are cut at those points and whose
+        excluded points are blocked.  With `seen` (pair -> transition), a
+        pair that another window of the edge gave before is not added
+        again; its flag is OR-ed in."""
+        lo, hi, start_not, end_not = win
+        no_start = {off + r for r in start_not}
+        no_end = {off + r for r in end_not}
+        forbidden = no_start | no_end
+        window = range(off + lo, off + hi + 1)[::d]  # in its direction
         cell_at, excluded, flags = self.cell_at, self.excluded, self.flex
         for n, a in enumerate(window):
             if a in no_start:
@@ -307,18 +279,11 @@ class CellGraph:
                     if k is not None:
                         flags[k] |= flex
                     else:
-                        k = self._add(cell_at[a], cell_at[b], ((a, b),), None,
-                                      flex)
+                        k = self._add(((a, b),), None, flex)
                         if seen is not None and k is not None:
                             seen[a, b] = k
-                if b in marks:
+                if b in forbidden:
                     flex = False
-
-    def _rigid(self, tr) -> None:
-        steps = tuple((self._at(self.index[s.edge], s.a),
-                       self._at(self.index[s.edge], s.b)) for s in tr.steps)
-        self._add(self.cell_at[steps[0][0]], self.cell_at[steps[-1][1]],
-                  steps, tr)
 
     # -- the closure ---------------------------------------------------------
 

@@ -341,3 +341,22 @@ def test_check_path_tokenizes_the_path_once(space_file, tmp_path, capsys,
     else:
         assert code == 2 and doc["error"] == {"message": message,
                                               "type": "input"}
+
+
+@pytest.mark.parametrize("field, point, named", [
+    ("absorbing", "zz@1/2", "EdgePoint(edge='zz', t=Fraction(1, 2))"),
+    ("blocked", "v:q", "Vertex(name='q')")])
+def test_reach_refuses_a_filter_point_outside_the_support(
+        space_file, tmp_path, capsys, field, point, named):
+    """A filter point that the space does not hold is an input error, as
+    ``validate`` reports it, not a point the engine ignores."""
+    doc = json.load(open(space_file("d_interval")))
+    doc["graph"][field] = [point]
+    f = tmp_path / "filtered.json"
+    f.write_text(json.dumps(doc))
+    message = f"{field} point {named} outside support"
+    code, out = run_cli(capsys, "validate", "--space", str(f))
+    assert code == 0 and out["violations"] == [message]
+    code, out = run_cli(capsys, "reach", "--space", str(f), "--from", "v:v0",
+                        "--to", "v:v1")
+    assert code == 2 and out["error"] == {"message": message, "type": "input"}

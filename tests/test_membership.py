@@ -26,9 +26,10 @@ from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, ModelError,
                            TraceStep, Vertex, assemble)
 from cspaces.presentation import (Edge, GraphPresentation, canonicalize, cuts,
                                   family, pos_point)
+from cspaces.reach import c_reachable
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
-from oracle import brute_force_controlled
+from oracle import brute_force_controlled, brute_force_reach
 from sampling import random_graph_path, random_product_path
 from spaces import random_space
 
@@ -262,6 +263,63 @@ class TestExcludedEndpoint:
 
     def test_run_starting_at_excluded_point_rejected(self):
         assert not is_controlled(self.sp, FULL_DOWN)
+
+
+def _filtered(kind=K.DIRECTED, **filters):
+    """The chain v0 -e0-> v1 -e1-> v2 of one kind, with filter points."""
+    return GraphPresentation(
+        frozenset({"v0", "v1", "v2"}),
+        (Edge("e0", "v0", "v1", kind), Edge("e1", "v1", "v2", kind)),
+        **{k: frozenset(v) for k, v in filters.items()})
+
+
+class TestFilters:
+    """The edge cases of the in-order filter rule.  The expected answers
+    come from the oracles, which share no code with the engine, and
+    ``c_reachable`` between the path's ends must agree with them too."""
+
+    def _parse(self, pres, p, expected: bool):
+        assert brute_force_controlled(pres, p) is expected
+        out = parse_controlled(pres, p)
+        assert out.controlled is expected
+        ends = (p.start, p.end)
+        reaches = ends in brute_force_reach(pres, list(ends))
+        assert reaches is expected and c_reachable(pres, *ends).ok is reaches
+        return out
+
+    def test_ending_at_an_absorbing_point_then_pausing(self):
+        p = path(Seg("e0", Z, O), PAUSE, start=V0, end=V1)
+        self._parse(_filtered(absorbing={V1}), p, True)
+
+    def test_pausing_at_an_emitting_start_then_moving(self):
+        p = path(PAUSE, Seg("e0", Z, O), start=V0, end=V1)
+        self._parse(_filtered(emitting={V0}), p, True)
+
+    def test_passing_an_absorbing_vertex_of_two_edges(self):
+        p = path(Seg("e0", Z, O), Seg("e1", Z, O), start=V0, end=Vertex("v2"))
+        out = self._parse(_filtered(absorbing={V1}), p, False)
+        assert out.fail_at == V1
+
+    def test_touching_a_blocked_interior_cut_value(self):
+        p = path(Seg("e0", Z, O), start=V0, end=V1)
+        out = self._parse(_filtered(blocked={EdgePoint("e0", H)}), p, False)
+        assert out.fail_at == EdgePoint("e0", H)
+
+
+@pytest.mark.parametrize("field, point", [
+    ("absorbing", EdgePoint("zz", H)), ("blocked", Vertex("q")),
+    ("emitting", Vertex("q")), ("excluded", EdgePoint("zz", H))])
+def test_a_filter_point_outside_the_support_is_an_error(field, point):
+    """Every engine refuses a filter or excluded point that the space does
+    not hold, with the message ``validate`` gives, instead of ignoring it."""
+    pres = replace(build("d_interval"), **{field: frozenset({point})})
+    message = f"{field} point {point!r} outside support"
+    assert presentation.validate(pres) == [message]
+    for ask in (lambda: is_controlled(pres, FULL_UP),
+                lambda: c_reachable(pres, V0, V1)):
+        with pytest.raises(ModelError) as err:
+            ask()
+        assert str(err.value) == message
 
 
 class TestTrackInput:
