@@ -5,7 +5,7 @@ opposite, endpoint exclusion) plus the derived constructions: generated
 d-space (``hat``), flexible part, the three forgetful functors, the
 reversible closure and reversible part, comparison of presentations on
 the same support (``is_finer``), and verification of controlled maps
-(``check_cmap``).
+(``check_cmap``).  Each edge family is rewritten once per distinct kind.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from .membership import is_controlled
 from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
                     RigidTrace, Seg, TraceStep, UnsupportedConstruction,
                     Vertex, assemble, rat_str)
-from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
+from .presentation import (ExcludeEndpoints, GraphPresentation,
                            Opposite, Product, ProductN, Quotient, Subspace,
                            Sum, bound_rigid, cuts, edge_map, family,
                            flexible_point, in_support, normalize, pos_point,
-                           trace_end, trace_path, trace_start)
+                           rekind, trace_end, trace_path, trace_start)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,10 @@ def exclude_endpoints(space, points) -> GraphPresentation:
 def _hat_window(f: Fragment) -> Fragment:
     """The window of every sub-run of an instance of f.  A sub-run may
     start or end where an instance may not, inside the window (a longer
-    instance passes there), but not at an end that no instance reaches."""
+    instance passes there), but not at an end that no instance reaches.
+    A window of direction 0 keeps its loops: its marks mean nothing."""
     at_lo, at_hi = ((f.start_not, f.end_not) if f.dir > 0
-                    else (f.end_not, f.start_not))
+                    else (f.end_not, f.start_not) if f.dir else ((), ()))
     return Fragment(f.dir, f.lo, f.hi, f.lo_open or f.lo in at_lo,
                     f.hi_open or f.hi in at_hi)
 
@@ -82,17 +83,11 @@ def hat_graph(g: GraphPresentation) -> GraphPresentation:
     for tr in g.generators:
         for s in tr.steps:
             steps.setdefault(s.edge, []).append((s.a, s.b))
-    hats = {}  # (kind, generator steps on the edge) -> hat kind
-    edges = []
-    for e in g.edges:
-        key = (e.kind, *steps.get(e.id, ()))
-        kind = hats.get(key)
-        if kind is None:
-            kind = hats[key] = K.kind_of(
-                K.add_windows(_hat_family(family(g, e.id)), key[1:]))
-        edges.append(Edge(e.id, e.src, e.dst, kind))
+    edges, _ = rekind(
+        g, lambda fam, *s: (K.add_windows(_hat_family(fam), s), None),
+        lambda e: steps.get(e.id, ()))
     return GraphPresentation(
-        vertices=g.vertices, edges=tuple(edges), flexible=g.flexible,
+        vertices=g.vertices, edges=edges, flexible=g.flexible,
         excluded=frozenset(), absorbing=g.absorbing, emitting=g.emitting,
         blocked=g.blocked)
 
@@ -119,12 +114,20 @@ def hat(space):
 # ---------------------------------------------------------------------------
 # Flexible part
 
-def _edge_kind(g: GraphPresentation, e: Edge, fam: Family, points=()):
-    """(kind, new flexible points) for edge e carrying the family `fam`.
-    `points` are positions on e that must stay flexible; each comes back
-    as a point unless `fam` already makes it flexible."""
-    return K.kind_of(fam), {pos_point(g, e.id, t) for t in points
-                            if not fam.instance_end(t)}
+def _kept_loops(fam: Family, ends) -> tuple:
+    """(fam, the positions among `ends` where no instance of fam starts or
+    ends): the trivial loops there stay controlled as flexible points."""
+    return fam, frozenset(t for t in ends if not fam.instance_end(t))
+
+
+def _flexible_points(g: GraphPresentation, positions, dropped) -> frozenset:
+    """g's flexible points, each edge's `positions` and the ends of the
+    `dropped` generators, less the excluded and blocked points."""
+    flex = {pos_point(g, e.id, t)
+            for e, ts in zip(g.edges, positions) for t in ts}
+    flex.update(x for tr in dropped
+                for x in (trace_start(g, tr), trace_end(g, tr)))
+    return frozenset((flex | g.flexible) - g.excluded - g.blocked)
 
 
 def _flexible_windows(frags) -> tuple:
@@ -166,21 +169,11 @@ def flexible_part(space):
 
 
 def _flexible_graph(g: GraphPresentation) -> GraphPresentation:
-    edges, flex = [], set(g.flexible)
-    for e in g.edges:
-        fam = family(g, e.id)
-        kind, points = _edge_kind(
-            g, e, Family(fragments=_flexible_windows(fam.fragments)),
-            fam.rigid_ends)
-        edges.append(Edge(e.id, e.src, e.dst, kind))
-        flex |= points
-    for tr in g.generators:
-        flex.add(trace_start(g, tr))
-        flex.add(trace_end(g, tr))
-    flex -= set(g.excluded) | set(g.blocked)
+    edges, positions = rekind(g, lambda fam: _kept_loops(
+        Family(fragments=_flexible_windows(fam.fragments)), fam.rigid_ends))
     return GraphPresentation(
-        vertices=g.vertices, edges=tuple(edges),
-        flexible=frozenset(flex), excluded=g.excluded,
+        vertices=g.vertices, edges=edges, excluded=g.excluded,
+        flexible=_flexible_points(g, positions, g.generators),
         absorbing=g.absorbing, emitting=g.emitting,
         blocked=frozenset(g.blocked | g.excluded))
 
@@ -224,23 +217,21 @@ def _step_covered(frags, tr: RigidTrace) -> bool:
         and s.b not in f.end_not for f in frags)
 
 
-def _rc_kind(e: Edge, fam: Family):
-    """Reversible closure of one edge: (kind, extra generator traces).
+def _rc_family(fam: Family) -> tuple:
+    """Reversible closure of a family: (family, extra rigid traces).
 
-    The edge gets the named kind of its family joined with the reversed
-    family, if there is one; otherwise it keeps its own rigid traces and
-    the reversed ones go onto the presentation, bound to e.
+    The family joined with the reversed family, if a named kind generates
+    it; otherwise the family keeps its own rigid traces, and the reversed
+    ones go onto the presentation, bound to each edge of the kind.
     """
     rev = K.family_reversed(fam)
     frags = K.merge_fragments(fam.fragments + rev.fragments)
     own = dict.fromkeys(fam.rigid)
     rigid = tuple(tr for tr in dict.fromkeys((*own, *rev.rigid))
                   if not _step_covered(frags, tr))
-    kind = K.kind_of(Family(rigid, frags))
-    if kind.named:
-        return kind, ()
-    kind = K.kind_of(Family(fam.rigid, frags))
-    return kind, tuple(tr.on(e.id) for tr in rigid if tr not in own)
+    if K.kind_of(Family(rigid, frags)).named:
+        return Family(rigid, frags), ()
+    return Family(fam.rigid, frags), tuple(tr for tr in rigid if tr not in own)
 
 
 def reversible_closure(space) -> GraphPresentation:
@@ -248,26 +239,20 @@ def reversible_closure(space) -> GraphPresentation:
     if not isinstance(g, GraphPresentation):
         raise UnsupportedConstruction(
             "reversible closure needs a graph presentation")
-    edges, extra = [], []
-    for e in g.edges:
-        kind, more = _rc_kind(e, family(g, e.id))
-        edges.append(Edge(e.id, e.src, e.dst, kind))
-        extra.extend(more)
+    edges, extra = rekind(g, _rc_family)
     gens = (g.generators + tuple(tr.reversed() for tr in g.generators)
-            + tuple(extra))
-    return replace(g, edges=tuple(edges), generators=tuple(dict.fromkeys(gens)))
+            + tuple(tr.on(e.id) for e, x in zip(g.edges, extra) for tr in x))
+    return replace(g, edges=edges, generators=tuple(dict.fromkeys(gens)))
 
 
-def _rp_family(g: GraphPresentation, e: Edge, fam: Family) -> Family:
-    """Reversible part of the family of edge e: the rigid traces whose
-    reverse is controlled, with their reverses, the overlaps of fragments
-    of opposite directions, and every trivial loop where a run starts or
-    ends (a constant path is its own reverse)."""
-    rigid = []
-    for tr in fam.rigid:
-        if is_controlled(g, trace_path(g, tr.reversed().on(e.id))):
-            rigid.append(tr)
-            rigid.append(tr.reversed())
+def _rp_family(fam: Family, *kept) -> tuple:
+    """Reversible part of a family on an edge where `kept` are its rigid
+    traces whose reverse is controlled: (family, positions to keep
+    flexible).  The family holds those traces with their reverses, the
+    overlaps of fragments of opposite directions, and every trivial loop
+    where a run starts or ends (a constant path is its own reverse); the
+    loops at the ends of the other traces stay as flexible points."""
+    rigid = tuple(dict.fromkeys(x for tr in kept for x in (tr, tr.reversed())))
     frags = []
     for f in fam.fragments:
         for h in fam.fragments:
@@ -287,8 +272,9 @@ def _rp_family(g: GraphPresentation, e: Edge, fam: Family) -> Family:
     # a one-point window of a run direction holds no run, so no loop
     loops = [replace(_hat_window(w), dir=0) for w in _flexible_windows(
         fam.fragments) if w.lo < w.hi or not w.dir]
-    return Family(rigid=tuple(dict.fromkeys(rigid)),
-                  fragments=tuple(frags) + K.merge_fragments(loops))
+    dropped = Family(tuple(tr for tr in fam.rigid if tr not in rigid))
+    return _kept_loops(Family(rigid, tuple(frags) + K.merge_fragments(loops)),
+                       dropped.rigid_ends)
 
 
 def reversible_part(space) -> GraphPresentation:
@@ -296,25 +282,18 @@ def reversible_part(space) -> GraphPresentation:
     if not isinstance(g, GraphPresentation):
         raise UnsupportedConstruction(
             "reversible part needs a graph presentation")
-    edges, flex = [], set(g.flexible)
-    for e in g.edges:
-        fam = family(g, e.id)
-        rp = _rp_family(g, e, fam)
-        dropped = Family(tuple(tr for tr in fam.rigid if tr not in rp.rigid))
-        kind, points = _edge_kind(g, e, rp, dropped.rigid_ends)
-        edges.append(Edge(e.id, e.src, e.dst, kind))
-        flex |= points
-    gens = []
-    for tr in g.generators:
-        if is_controlled(g, trace_path(g, tr.reversed())):
-            gens.append(tr)
-            gens.append(tr.reversed())
-        else:
-            flex.add(trace_start(g, tr))
-            flex.add(trace_end(g, tr))
-    flex -= set(g.excluded) | set(g.blocked)
-    return replace(g, edges=tuple(edges), generators=tuple(dict.fromkeys(gens)),
-                   flexible=frozenset(flex))
+    edges, positions = rekind(g, _rp_family, lambda e: tuple(
+        tr for tr in K.kind_generators(e.kind).rigid
+        if is_controlled(g, trace_path(g, tr.reversed().on(e.id)))))
+    kept = [tr for tr in g.generators
+            if is_controlled(g, trace_path(g, tr.reversed()))]
+    gens = dict.fromkeys(x for tr in kept for x in (tr, tr.reversed()))
+    # a reversible path touches these points only as a constant path
+    return replace(g, edges=edges, generators=tuple(gens),
+                   flexible=_flexible_points(g, positions, [
+                       tr for tr in g.generators if tr not in kept]),
+                   absorbing=g.absorbing | g.emitting,
+                   emitting=g.absorbing | g.emitting)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ A family belongs to its kind, not to an edge: its rigid traces are
 steps (a, b) whose ``edge`` is None, and they lie on whichever edge
 carries the kind.  Only a presentation's own generators name edges.
 
-This module alone gives kinds their meaning.  Constructions rewrite an
-edge's Family without looking at its kind, and ``kind_of`` turns the
-rewritten family back into a named kind when one generates exactly it.
+This module alone gives kinds their meaning.  Constructions rewrite each
+distinct kind's Family once, blind to its name, and ``kind_of`` turns
+the result back into a named kind when one generates exactly it.
 """
 from __future__ import annotations
 

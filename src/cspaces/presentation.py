@@ -135,6 +135,22 @@ def family(pres: GraphPresentation, edge: str) -> Family:
     return K.kind_generators(edge_of(pres, edge).kind)
 
 
+def rekind(pres: GraphPresentation, rewrite, key=None) -> tuple:
+    """(edges, extras): ``rewrite(family of the kind, *key(edge))`` gives
+    each edge a new family, whose kind it takes, and an extra value.  The
+    rewrite and ``kind_of`` run once per distinct (kind, key)."""
+    done, edges, extras = {}, [], []
+    for e in pres.edges:
+        k = (e.kind, *key(e)) if key else (e.kind,)
+        out = done.get(k)
+        if out is None:
+            fam, extra = rewrite(K.kind_generators(e.kind), *k[1:])
+            out = done[k] = K.kind_of(fam), extra
+        edges.append(Edge(e.id, e.src, e.dst, out[0]))
+        extras.append(out[1])
+    return tuple(edges), extras
+
+
 def pos_point(pres: GraphPresentation, edge: str, t: Rat):
     e = edge_map(pres).get(edge)  # not edge_of: this is a hot path
     if e is None:
@@ -586,10 +602,7 @@ def _subspace(g: GraphPresentation, region):
 def _opposite_normal(norm):
     if isinstance(norm, ProductN):
         return ProductN(_opposite_normal(norm.left), _opposite_normal(norm.right))
-    edges = tuple(
-        Edge(e.id, e.src, e.dst,
-             K.kind_of(K.family_reversed(family(norm, e.id))))
-        for e in norm.edges)
+    edges, _ = rekind(norm, lambda fam: (K.family_reversed(fam), None))
     return GraphPresentation(
         vertices=norm.vertices,
         edges=edges,

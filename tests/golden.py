@@ -1,8 +1,13 @@
-"""Digests of the constructions on the corpus, which hold their answers fixed.
+"""Digests of the constructions on the corpus and on the generated
+spaces, which hold their answers fixed.
 
 For each corpus model and each construction in ``CONSTRUCTIONS``, the
 digest is the SHA-256 of ``jsonio.dumps(space_to_json(result))``, or
 "unsupported" where the construction raises ``UnsupportedConstruction``.
+The model ``generated`` stands for the 300 seeded spaces of
+``tests/spaces.py`` (``spaces/0`` to ``spaces/299``, as
+``tests/test_spaces.py`` draws them): its digest is that of their
+documents in seed order.
 ``tests/test_golden.py`` compares them with ``golden_digests.json``.
 A change that means to change an answer writes the file again:
 
@@ -11,6 +16,7 @@ A change that means to change an answer writes the file again:
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,8 +26,11 @@ from cspaces.jsonio import dumps, space_to_json
 from cspaces.model import UnsupportedConstruction, Vertex
 from cspaces.presentation import normalize
 
+from spaces import random_space
+
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
 THIRD = Fraction(1, 3)
+GENERATED = "generated"
 
 
 def _cut_at_a_third(space):
@@ -43,9 +52,17 @@ CONSTRUCTIONS = {
 }
 
 
+def _spaces(model: str) -> list:
+    if model == GENERATED:
+        return [random_space(random.Random(f"spaces/{seed}"))
+                for seed in range(300)]
+    return [build(model)]
+
+
 def document(model: str, construction: str) -> str:
-    """The JSON document of one construction on one corpus model."""
-    return dumps(space_to_json(CONSTRUCTIONS[construction](build(model))))
+    """The JSON documents of one construction on one model, in order."""
+    return "".join(dumps(space_to_json(CONSTRUCTIONS[construction](sp)))
+                   for sp in _spaces(model))
 
 
 def digest(model: str, construction: str) -> str:
@@ -57,7 +74,8 @@ def digest(model: str, construction: str) -> str:
 
 
 def digests() -> dict:
-    return {f"{m} {c}": digest(m, c) for m in names() for c in CONSTRUCTIONS}
+    return {f"{m} {c}": digest(m, c) for m in (*names(), GENERATED)
+            for c in CONSTRUCTIONS}
 
 
 if __name__ == "__main__":

@@ -288,6 +288,71 @@ class TestReversiblePart:
             rp, assemble(V1, [Seg("e0", O, F(3, 10))], lo))
         assert is_controlled(rp, DOWN)
 
+    def test_part_touches_an_absorbing_point_only_standing(self):
+        # X controls UP but not its reverse, which leaves the absorbing v1
+        sp = replace(interval(K.NATURAL), absorbing=frozenset({V1}))
+        rp = reversible_part(sp)
+        assert is_controlled(sp, UP) and not is_controlled(sp, DOWN)
+        assert not is_controlled(rp, UP) and not is_controlled(rp, DOWN)
+        assert is_controlled(rp, assemble(V1, [PAUSE], V1))
+        assert is_controlled(rp, HALF_UP)
+
+    def test_part_keeps_the_loops_of_a_marked_loop_window(self):
+        # the marks of a window of direction 0 mean nothing
+        sp = interval(K.custom(Family(fragments=(
+            Fragment(0, Z, F(3, 4), end_not=frozenset({Z})),))))
+        assert flexible_point(sp, V0)
+        assert flexible_point(reversible_part(sp), V0)
+
+
+def _chain(kind, n, name="v", **fields):
+    """The chain v0 -e0-> v1 ... -> vn, every edge of one kind."""
+    return GraphPresentation(
+        frozenset(f"{name}{i}" for i in range(n + 1)),
+        tuple(Edge(f"e{i}", f"{name}{i}", f"{name}{i + 1}", kind)
+              for i in range(n)), **fields)
+
+
+@pytest.fixture
+def kind_of_calls(monkeypatch):
+    """The families that ``kinds.kind_of`` names during the test."""
+    calls = []
+
+    def counting(fam, real=K.kind_of):
+        calls.append(fam)
+        return real(fam)
+    monkeypatch.setattr(K, "kind_of", counting)
+    return calls
+
+
+class TestEachKindRewrittenOnce:
+    @pytest.mark.parametrize("construction", [
+        hat, opposite, flexible_part, reversible_closure])
+    def test_a_chain_of_one_kind_names_its_kind_once(self, kind_of_calls,
+                                                     construction):
+        # names no other test uses: constructions are kept on their input
+        construction(_chain(K.ONE_JUMP, 100, name="once"))
+        assert 1 <= len(kind_of_calls) <= 2
+
+    def test_the_part_names_a_kind_once_per_reversible_trace_set(
+            self, kind_of_calls):
+        # the trace into the absorbing vertex has no controlled reverse,
+        # so the edges on either side of it keep only one of their traces
+        reversible_part(_chain(K.REVERSIBLE_ONE_JUMP, 100, name="part",
+                               absorbing=frozenset({Vertex("part50")})))
+        assert len(kind_of_calls) == 3
+
+    def test_edges_of_one_kind_with_other_keys_get_their_own_kinds(self):
+        back = RigidTrace((TraceStep("e2", H, Z),))
+        sp = _chain(K.ONE_JUMP, 5, generators=(back,))
+        assert [e.kind.name for e in normalize(hat(sp)).edges] == [
+            "directed", "directed", "custom", "directed", "directed"]
+        sp = _chain(K.REVERSIBLE_ONE_JUMP, 5,
+                    absorbing=frozenset({Vertex("v2"), Vertex("v3")}))
+        assert [e.kind.name for e in normalize(reversible_part(sp)).edges] == [
+            "reversible_one_jump", "reversible_one_jump", "discrete_c",
+            "reversible_one_jump", "reversible_one_jump"]
+
 
 class TestDFunctors:
     def test_kind_table(self):

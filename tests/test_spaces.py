@@ -1,8 +1,8 @@
 """Checks on seeded generated presentations (``spaces.random_space``):
-the flexible transitions of the compiled graph against the flexible
-part, whole relations against each question, and membership, reach and
-unavoidable-point answers against the oracles, with every witness read
-on the way."""
+the laws of the constructions on sampled paths, the flexible transitions
+of the compiled graph against the flexible part, whole relations against
+each question, and membership, reach and unavoidable-point answers
+against the oracles, with every witness read on the way."""
 
 import random
 from fractions import Fraction as F
@@ -10,10 +10,12 @@ from fractions import Fraction as F
 import pytest
 
 from cspaces import reach
-from cspaces.construct import flexible_part, hat
+from cspaces.construct import (flexible_part, hat, opposite,
+                               reversible_closure, reversible_part)
 from cspaces.membership import is_controlled, parse_controlled
-from cspaces.model import EdgePoint, ModelError, Vertex
-from cspaces.presentation import cuts, normalize, pos_point
+from cspaces.model import (EdgePoint, ModelError, Position, Run, Vertex,
+                           assemble, reverse_path)
+from cspaces.presentation import cuts, normalize, pos_point, split_path
 from cspaces.reach import (c_reachable, d_reachable, reach_relation,
                            unavoidable_point)
 
@@ -40,6 +42,47 @@ def _points(pres, rng, fresh=1):
         pts += [EdgePoint(e.id, F(rng.randint(1, 100), 101))
                 for _ in range(fresh)]
     return pts
+
+
+def _halves(sp, p):
+    """Both portions of p at each run boundary, and inside each segment at
+    the cut values of its edge and one point between each two.  A portion
+    of p fails only at one of its ends, and nothing changes between two
+    cut values, so p is flexible exactly when every half is controlled."""
+    for k, item in enumerate(p.items):
+        if k:
+            yield from split_path(sp, p, Position(k))
+        for si, seg in enumerate(item.segs if isinstance(item, Run) else ()):
+            ts = sorted({seg.a, seg.b, *(x for x in cuts(sp, seg.edge)
+                                         if seg.lo < x < seg.hi)})
+            for t in ts[1:-1] + [(a + b) / 2 for a, b in zip(ts, ts[1:])]:
+                yield from split_path(sp, p, Position(k, si, t))
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_the_constructions_keep_their_laws(batch):
+    """On 10 sampled paths of each space X: X sits inside its hat and its
+    reversible closure, reversal maps X onto its opposite, the flexible
+    part holds exactly the flexible paths, and the reversible part sits
+    inside X, holds the reverse of each of its paths and keeps every
+    trivial loop of X."""
+    for seed, sp, rng in _spaces(batch):
+        h, op, fl, rc, rp = (normalize(c(sp)) for c in (
+            hat, opposite, flexible_part, reversible_closure, reversible_part))
+        for _ in range(10):
+            p = random_graph_path(sp, rng)
+            inside = is_controlled(sp, p)
+            assert is_controlled(op, reverse_path(p)) == inside, (seed, p)
+            assert is_controlled(fl, p) == (inside and all(
+                is_controlled(sp, q) for q in _halves(sp, p))), (seed, p)
+            if inside:
+                assert is_controlled(h, p) and is_controlled(rc, p), (seed, p)
+            if is_controlled(rp, p):
+                assert inside and is_controlled(rp, reverse_path(p)), (seed, p)
+        for x in _points(sp, rng):
+            loop = assemble(x, [], x)
+            assert is_controlled(rp, loop) or not is_controlled(sp, loop), (
+                seed, x)
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
