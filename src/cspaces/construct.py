@@ -218,20 +218,14 @@ def _step_covered(frags, tr: RigidTrace) -> bool:
 
 
 def _rc_family(fam: Family) -> tuple:
-    """Reversible closure of a family: (family, extra rigid traces).
-
-    The family joined with the reversed family, if a named kind generates
-    it; otherwise the family keeps its own rigid traces, and the reversed
-    ones go onto the presentation, bound to each edge of the kind.
-    """
+    """Reversible closure of a family: (the family joined with the
+    reversed family, None).  A one-step trace that the merged windows
+    admit is dropped: they generate it."""
     rev = K.family_reversed(fam)
     frags = K.merge_fragments(fam.fragments + rev.fragments)
-    own = dict.fromkeys(fam.rigid)
-    rigid = tuple(tr for tr in dict.fromkeys((*own, *rev.rigid))
+    rigid = tuple(tr for tr in dict.fromkeys((*fam.rigid, *rev.rigid))
                   if not _step_covered(frags, tr))
-    if K.kind_of(Family(rigid, frags)).named:
-        return Family(rigid, frags), ()
-    return Family(fam.rigid, frags), tuple(tr for tr in rigid if tr not in own)
+    return Family(rigid, frags), None
 
 
 def reversible_closure(space) -> GraphPresentation:
@@ -239,9 +233,8 @@ def reversible_closure(space) -> GraphPresentation:
     if not isinstance(g, GraphPresentation):
         raise UnsupportedConstruction(
             "reversible closure needs a graph presentation")
-    edges, extra = rekind(g, _rc_family)
-    gens = (g.generators + tuple(tr.reversed() for tr in g.generators)
-            + tuple(tr.on(e.id) for e, x in zip(g.edges, extra) for tr in x))
+    edges, _ = rekind(g, _rc_family)
+    gens = g.generators + tuple(tr.reversed() for tr in g.generators)
     return replace(g, edges=edges, generators=tuple(dict.fromkeys(gens)))
 
 
@@ -270,30 +263,36 @@ def _rp_family(fam: Family, *kept) -> tuple:
                 start_not=frozenset(f.start_not | h.end_not),
                 end_not=frozenset(f.end_not | h.start_not)))
     # a one-point window of a run direction holds no run, so no loop
-    loops = [replace(_hat_window(w), dir=0) for w in _flexible_windows(
-        fam.fragments) if w.lo < w.hi or not w.dir]
+    loops = sorted((replace(_hat_window(w), dir=0) for w in _flexible_windows(
+        fam.fragments) if w.lo < w.hi or not w.dir), key=lambda w: (w.lo, w.hi))
     dropped = Family(tuple(tr for tr in fam.rigid if tr not in rigid))
     return _kept_loops(Family(rigid, tuple(frags) + K.merge_fragments(loops)),
                        dropped.rigid_ends)
 
 
 def reversible_part(space) -> GraphPresentation:
+    """The paths whose reverse is controlled too.  A reversible path
+    touches an absorbing or emitting point only as a constant path, so
+    every such point is made both, and each rigid trace is kept when its
+    reverse is controlled under those filters."""
     g = normalize(space)
     if not isinstance(g, GraphPresentation):
         raise UnsupportedConstruction(
             "reversible part needs a graph presentation")
-    edges, positions = rekind(g, _rp_family, lambda e: tuple(
+    ends = g.absorbing | g.emitting
+    h = replace(g, absorbing=ends, emitting=ends)
+
+    def reversible(tr: RigidTrace) -> bool:
+        return is_controlled(h, trace_path(h, tr.reversed()))
+
+    edges, positions = rekind(h, _rp_family, lambda e: tuple(
         tr for tr in K.kind_generators(e.kind).rigid
-        if is_controlled(g, trace_path(g, tr.reversed().on(e.id)))))
-    kept = [tr for tr in g.generators
-            if is_controlled(g, trace_path(g, tr.reversed()))]
+        if reversible(tr.on(e.id))))
+    kept = [tr for tr in h.generators if reversible(tr)]
     gens = dict.fromkeys(x for tr in kept for x in (tr, tr.reversed()))
-    # a reversible path touches these points only as a constant path
-    return replace(g, edges=edges, generators=tuple(gens),
-                   flexible=_flexible_points(g, positions, [
-                       tr for tr in g.generators if tr not in kept]),
-                   absorbing=g.absorbing | g.emitting,
-                   emitting=g.absorbing | g.emitting)
+    return replace(h, edges=edges, generators=tuple(gens),
+                   flexible=_flexible_points(h, positions, [
+                       tr for tr in h.generators if tr not in kept]))
 
 
 # ---------------------------------------------------------------------------

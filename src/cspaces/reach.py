@@ -541,10 +541,6 @@ def _reaches(g: CellGraph, x, y, cx: int, cy: int) -> bool:
 
 
 def _graph_reach(pres: GraphPresentation, x, y) -> ReachResult:
-    if x == y:
-        if flexible_point(pres, x):
-            return ReachResult(True, assemble(x, [], x))
-        return ReachResult(True, None)
     bad, g = pres.excluded | pres.blocked, transitions(pres)
     if x in bad or y in bad or not _reaches(g, x, y, g.cell(x), g.cell(y)):
         return ReachResult(False)
@@ -608,7 +604,7 @@ def _wait_path(space, p) -> ReachResult:
     """A controlled path staying at p: trivial if p is flexible, else a loop."""
     norm = normalize(space)
     if isinstance(norm, ProductN):
-        return _product_reach((norm.left, norm.right), p, p, c_reachable)
+        return _product_reach((norm.left, norm.right), p, p)
     if flexible_point(norm, p):
         return ReachResult(True, assemble(p, [], p))
     return _graph_loop(norm, p)
@@ -631,7 +627,7 @@ def _stage_product(w1: CanonicalPath, w2: CanonicalPath) -> CanonicalPath:
                     PTuple((w1.end, w2.end)))
 
 
-def _product_reach(factors, x: PTuple, y: PTuple, reach_fn) -> ReachResult:
+def _product_reach(factors, x: PTuple, y: PTuple) -> ReachResult:
     if not isinstance(x, PTuple) or not isinstance(y, PTuple):
         raise ModelError("product points must be pairs")
     parts = []
@@ -639,7 +635,7 @@ def _product_reach(factors, x: PTuple, y: PTuple, reach_fn) -> ReachResult:
         if xi == yi:
             r = _wait_path(f, xi)
         else:
-            r = reach_fn(f, xi, yi)
+            r = c_reachable(f, xi, yi)
         if not r.ok:
             return ReachResult(False)
         parts.append(r)
@@ -657,17 +653,12 @@ def _staged(r1: ReachResult, r2: ReachResult) -> Optional[CanonicalPath]:
 def c_reachable(space, x, y) -> ReachResult:
     """Is there a controlled path from x to y?  Reflexive by convention."""
     norm = normalize(space)
+    if x == y:
+        return ReachResult(True, assemble(x, [], x)
+                           if is_flexible_point(norm, x) else None)
     if isinstance(norm, ProductN):
-        if x == y:
-            return ReachResult(True, _trivial_if_flex(norm, x))
-        return _product_reach((norm.left, norm.right), x, y, c_reachable)
+        return _product_reach((norm.left, norm.right), x, y)
     return _graph_reach(norm, x, y)
-
-
-def _trivial_if_flex(norm, x):
-    if is_flexible_point(norm, x):
-        return assemble(x, [], x)
-    return None
 
 
 def d_reachable(space, x, y) -> ReachResult:

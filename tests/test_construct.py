@@ -245,8 +245,15 @@ class TestReversibleClosure:
         assert kinds(reversible_closure(build("c_interval"))) == {"e0": "reversible_one_jump"}
         assert kinds(reversible_closure(build("d_interval"))) == {"e0": "natural"}
         assert kinds(reversible_closure(build("siphon"))) == {"e0": "natural"}
-        assert kinds(reversible_closure(build("c_line_window"))) == {"e0": "n_stop"}
-        assert kinds(reversible_closure(build("delayed_minus"))) == {"e0": "delayed_minus"}
+        # the rises and falls of n_stop(3), and the jump either way with
+        # its pause on the side it leaves from, name no kind
+        assert kinds(reversible_closure(build("c_line_window"))) == {"e0": "custom"}
+        assert kinds(reversible_closure(build("delayed_minus"))) == {"e0": "custom"}
+
+    def test_closure_is_idempotent_and_adds_no_edge_generators(self):
+        rc = normalize(reversible_closure(build("c_line_window")))
+        assert rc.generators == ()
+        assert normalize(reversible_closure(rc)) == rc
 
     def test_closure_of_delayed_adds_reversed_generator(self):
         rc = reversible_closure(build("delayed_minus"))
@@ -297,6 +304,14 @@ class TestReversiblePart:
         assert is_controlled(rp, assemble(V1, [PAUSE], V1))
         assert is_controlled(rp, HALF_UP)
 
+    def test_part_keeps_no_trace_that_its_own_filters_kill(self):
+        # v2 and v3 are absorbing and emitting in the part, so it keeps no
+        # jump on e1, e2 or e3, and its hat holds no sub-run of one
+        sp = _chain(K.REVERSIBLE_ONE_JUMP, 5,
+                    absorbing=frozenset({Vertex("v2"), Vertex("v3")}))
+        assert not is_controlled(hat(reversible_part(sp)), assemble(
+            Vertex("v1"), [Seg("e1", Z, H)], EdgePoint("e1", H)))
+
     def test_part_keeps_the_loops_of_a_marked_loop_window(self):
         # the marks of a window of direction 0 mean nothing
         sp = interval(K.custom(Family(fragments=(
@@ -336,11 +351,11 @@ class TestEachKindRewrittenOnce:
 
     def test_the_part_names_a_kind_once_per_reversible_trace_set(
             self, kind_of_calls):
-        # the trace into the absorbing vertex has no controlled reverse,
-        # so the edges on either side of it keep only one of their traces
+        # the part makes the absorbing vertex emitting too, so the edges
+        # on either side of it keep neither of their traces
         reversible_part(_chain(K.REVERSIBLE_ONE_JUMP, 100, name="part",
                                absorbing=frozenset({Vertex("part50")})))
-        assert len(kind_of_calls) == 3
+        assert len(kind_of_calls) == 2
 
     def test_edges_of_one_kind_with_other_keys_get_their_own_kinds(self):
         back = RigidTrace((TraceStep("e2", H, Z),))
@@ -350,8 +365,8 @@ class TestEachKindRewrittenOnce:
         sp = _chain(K.REVERSIBLE_ONE_JUMP, 5,
                     absorbing=frozenset({Vertex("v2"), Vertex("v3")}))
         assert [e.kind.name for e in normalize(reversible_part(sp)).edges] == [
-            "reversible_one_jump", "reversible_one_jump", "discrete_c",
-            "reversible_one_jump", "reversible_one_jump"]
+            "reversible_one_jump", "discrete_c", "discrete_c", "discrete_c",
+            "reversible_one_jump"]
 
 
 class TestDFunctors:

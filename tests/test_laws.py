@@ -334,9 +334,9 @@ KIND_TABLE = {
     "directed": ("directed", "directed", "still", "natural", "custom"),
     "one_jump": ("directed", "discrete_c", "discrete_c",
                  "reversible_one_jump", "custom"),
-    "delayed_minus": ("directed", "discrete_c", "discrete_c",
-                      "delayed_minus", "custom"),
-    "delayed_plus": ("directed", "discrete_c", "discrete_c", "delayed_plus",
+    "delayed_minus": ("directed", "discrete_c", "discrete_c", "custom",
+                      "custom"),
+    "delayed_plus": ("directed", "discrete_c", "discrete_c", "custom",
                      "custom"),
     "reversible_one_jump": ("natural", "discrete_c", "reversible_one_jump",
                             "reversible_one_jump", "reversible_one_jump"),
@@ -345,7 +345,7 @@ KIND_TABLE = {
     "still": ("still", "still", "still", "still", "still"),
     "discrete_c": ("still", "discrete_c", "discrete_c", "discrete_c",
                    "discrete_c"),
-    "n_stop3": ("directed", "discrete_c", "discrete_c", "n_stop", "custom"),
+    "n_stop3": ("directed", "discrete_c", "discrete_c", "custom", "custom"),
     "open_windows": ("custom",) * 5,
 }
 

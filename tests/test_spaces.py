@@ -1,21 +1,26 @@
 """Checks on seeded generated presentations (``spaces.random_space``):
-the laws of the constructions on sampled paths, the flexible transitions
+the laws of the constructions on sampled paths, and as equalities of
+normal forms (on the corpus and on products too), the flexible transitions
 of the compiled graph against the flexible part, whole relations against
 each question, and membership, reach and unavoidable-point answers
 against the oracles, with every witness read on the way."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from cspaces import kinds as K
 from cspaces import reach
-from cspaces.construct import (flexible_part, hat, opposite,
+from cspaces.construct import (flexible_part, hat, opposite, product,
                                reversible_closure, reversible_part)
+from cspaces.corpus import build, names
 from cspaces.membership import is_controlled, parse_controlled
 from cspaces.model import (EdgePoint, ModelError, Position, Run, Vertex,
                            assemble, reverse_path)
-from cspaces.presentation import cuts, normalize, pos_point, split_path
+from cspaces.presentation import (ProductN, cuts, normalize, pos_point,
+                                  split_path)
 from cspaces.reach import (c_reachable, d_reachable, reach_relation,
                            unavoidable_point)
 
@@ -83,6 +88,43 @@ def test_the_constructions_keep_their_laws(batch):
             loop = assemble(x, [], x)
             assert is_controlled(rp, loop) or not is_controlled(sp, loop), (
                 seed, x)
+
+
+def _named(sp):
+    """The normal form of sp with every kind named by ``kind_of``."""
+    if isinstance(sp, ProductN):
+        return ProductN(_named(sp.left), _named(sp.right))
+    return replace(sp, edges=tuple(
+        replace(e, kind=K.kind_of(K.kind_generators(e.kind)))
+        for e in sp.edges))
+
+
+def _broken_laws(sp, constructions) -> list:
+    """The constructions that are not idempotent on sp, and "opposite"
+    when the opposite of its opposite is not sp with its kinds named."""
+    bad = [c.__name__ for c in constructions
+           if normalize(c(c(sp))) != normalize(c(sp))]
+    if normalize(opposite(opposite(sp))) != _named(sp):
+        bad.append("opposite")
+    return bad
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_the_constructions_keep_their_laws_as_equalities(batch):
+    """Hat, flexible part, reversible closure and reversible part are
+    idempotent, and opposite is an involution up to naming the kinds, as
+    equalities of normal forms on the generated spaces and the corpus
+    graphs.  Hat, flexible part and opposite keep them on the product of
+    each generated space with the next one, and on the corpus products."""
+    graph = (hat, flexible_part, reversible_closure, reversible_part)
+    for seed, sp, _ in _spaces(batch):
+        nxt = random_space(random.Random(f"spaces/{(seed + 1) % len(SEEDS)}"))
+        assert not _broken_laws(sp, graph), seed
+        assert not _broken_laws(normalize(product(sp, nxt)), graph[:2]), seed
+    for name in names()[batch::BATCHES]:
+        sp = normalize(build(name))
+        assert not _broken_laws(
+            sp, graph[:2] if isinstance(sp, ProductN) else graph), name
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
