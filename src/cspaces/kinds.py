@@ -31,7 +31,7 @@ the result back into a named kind when one generates exactly it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -127,6 +127,11 @@ class Family:
 
 @dataclass(frozen=True)
 class EdgeKind:
+    """A kind of edge, by name (and arity, or family for ``custom``).
+
+    Like ``presentation.GraphPresentation``, a kind keeps its hash, and
+    ``kind_generators`` its expanded family, on the instance outside the
+    dataclass fields: ``==``, ``repr`` and pickles never see them."""
     name: str
     n: int = 0                 # n_stop arity
     family: Family = None      # custom payload
@@ -143,6 +148,17 @@ class EdgeKind:
     def named(self) -> bool:
         """False for a custom kind, which carries its own family."""
         return self.family is None
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.name, self.n, self.family))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _UP = RigidTrace((TraceStep(None, ZERO, ONE),))  # the full rise
@@ -190,13 +206,18 @@ def custom(family: Family) -> EdgeKind:
 
 
 def kind_generators(k: EdgeKind) -> Family:
-    """Expand a kind into its generator family."""
-    if k.name == "n_stop":
-        anchors = [Fraction(i, k.n) for i in range(k.n + 1)]
-        return Family(rigid=tuple(
-            RigidTrace((TraceStep(None, anchors[i], anchors[i + 1]),))
-            for i in range(k.n)))
-    return k.family if k.name == "custom" else _FAMILIES[k.name]
+    """Expand a kind into its generator family, once per instance."""
+    fam = getattr(k, "_family", None)
+    if fam is None:
+        if k.name == "n_stop":
+            anchors = [Fraction(i, k.n) for i in range(k.n + 1)]
+            fam = Family(rigid=tuple(
+                RigidTrace((TraceStep(None, anchors[i], anchors[i + 1]),))
+                for i in range(k.n)))
+        else:
+            fam = k.family if k.name == "custom" else _FAMILIES[k.name]
+        object.__setattr__(k, "_family", fam)
+    return fam
 
 
 def family_reversed(fam: Family) -> Family:

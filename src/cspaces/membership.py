@@ -13,7 +13,11 @@ values are c_0 < c_1 < ... < c_m, the value c_i has rank 2i and a point
 strictly between c_i and c_(i+1) has rank 2i + 1.  Every window bound,
 forbidden start or end, and trace step end is a cut value, so ranks
 decide each comparison exactly.  ``_ranks`` is the one place that
-defines this encoding.  The ranked windows and rigid steps of an edge
+defines this encoding, and ``rank_of`` its integer form for any value:
+an entry keeps its cut values as integer numerators ``nums`` over their
+common denominator ``den``, so one ``divmod`` of v·den and one
+``bisect`` over ints rank v, for ``explode`` and for the cells of
+``reach`` alike.  The ranked windows and rigid steps of an edge
 live in a parse index stored on the presentation and built in one pass
 over its edges: edges of one kind with the same cut values share one
 entry, each entry keeps its kind's rigid traces, and the index keeps
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
@@ -72,7 +77,9 @@ class _EdgeIndex:
     values.
 
     ``cuts``: the sorted cut values; ``rank``: each of them -> its rank;
-    ``top``: the rank of 1; ``fam``: the family of the kind.
+    ``den``, ``nums``: their common denominator and their numerators over
+    it, for ``rank_of``; ``top``: the rank of 1; ``fam``: the family of
+    the kind.
     ``wins[d]``: the windows of direction d as (lowest rank, highest rank,
     forbidden start ranks, forbidden end ranks), open ends already taken
     off; windows of direction 0 move nothing and are left out.
@@ -80,11 +87,14 @@ class _EdgeIndex:
     rank of the start); their steps name no edge, and None stands for
     the edge the trace starts on.
     """
-    __slots__ = ("cuts", "rank", "top", "fam", "wins", "rigid")
+    __slots__ = ("cuts", "rank", "den", "nums", "top", "fam", "wins", "rigid")
 
     def __init__(self, fam, cs: tuple):
         self.cuts, self.fam = cs, fam
         rank = self.rank = _ranks(cs)
+        ratios = [v.as_integer_ratio() for v in cs]
+        den = self.den = lcm(*(q for _, q in ratios))
+        self.nums = tuple(p * (den // q) for p, q in ratios)
         self.top = 2 * len(cs) - 2
         self.wins = {1: [], -1: []}
         for f in fam.fragments:
@@ -171,6 +181,19 @@ def _marks(pres: GraphPresentation, index: _ParseIndex) -> dict:
     return {g: m for g, m in marks.items() if m}
 
 
+def rank_of(ent: _EdgeIndex, v) -> int:
+    """The rank of v, 0 <= v <= 1, among the cut values of entry ent.  The
+    floor n of v·den is found with one ``divmod``: v is the cut value n /
+    den when nothing remains and n is a numerator, and otherwise lies
+    strictly after the last numerator <= n.  ``as_integer_ratio`` reads
+    an int, a float or a Fraction exactly."""
+    p, q = v.as_integer_ratio()
+    n, rest = divmod(p * ent.den, q)
+    nums = ent.nums
+    i = bisect_right(nums, n)
+    return 2 * i - 2 if not rest and nums[i - 1] == n else 2 * i - 1
+
+
 def violation(marks: dict, cover) -> Optional[tuple]:
     """The first (step, position) where a motion over cover, steps (a,
     b) each walked from a to b in order, touches a blocked position, an
@@ -215,12 +238,6 @@ class Token(NamedTuple):
 _new = tuple.__new__  # builds a Token without its Python-level __new__
 
 
-def _inner_rank(cs: tuple, v) -> int:
-    """The rank of v, strictly between 0 and 1, among the cut values cs."""
-    i = bisect_right(cs, v)
-    return 2 * i - 2 if cs[i - 1] == v else 2 * i - 1
-
-
 def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
     """Atomic tokens (PAUSE or Token), cut at every cut value of their edge;
     raises ModelError when the path's segments do not chain in pres."""
@@ -254,7 +271,7 @@ def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
             if at is None:
                 ok = on == edge and (t is a or t == a)
                 if ok and r is None:
-                    r = _inner_rank(cs, a)
+                    r = rank_of(ent, a)
                 ra = r
             elif a == 0:
                 ok, ra = at == e.src, 0
@@ -271,7 +288,7 @@ def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
             elif b == 0:
                 rb, at = 0, e.src
             else:
-                rb = 1 if top == 2 else _inner_rank(cs, b)
+                rb = 1 if top == 2 else rank_of(ent, b)
                 at, on, t, r = None, edge, b, rb
             prev = seg
             # the cut values strictly inside the segment are cs[i:j]

@@ -12,30 +12,28 @@ The compiled graph never changes after it is built.
 Cells are ints: one per vertex, then, edge by edge, one per interior cut
 value and one per open segment between two consecutive cut values.  An
 edge's positions are numbered consecutively from its offset, and the
-position of a cut value is the offset plus its rank in the sense of
-``membership``: rank ``r`` is the ``r // 2``-th cut value when ``r`` is
-even and the open segment after that value when ``r`` is odd.  So a
-stretch of an edge is a range of position numbers.  The sorted cut
-values, their ranks and the family of an edge come from the entry of its
-kind and cut values in the parse index (``membership.parse_index``).
-That index is built in one pass over the presentation's edges, and edges
-of one kind with the same cut values share an entry, so they are
-computed once per entry.
+position of a value is the offset plus its rank (``membership.rank_of``:
+one integer division and one bisection over ints), so a stretch of an
+edge is a range of positions and a point's cell is read with no
+``Fraction`` arithmetic.  Questions test cells, not points: an excluded
+or blocked point is a cut value alone in its cell (``CellGraph.bad``),
+and two points are compared only when their cells are equal.
 
-Every generator contributes transitions ``(src, dst, cover, recipe)``
-over ints: the cells the motion starts and ends in, the position ranges
-it passes (one per trace step), and how to build its witness atoms,
-read from the ranked windows and trace steps of the parse index.  A
-window gives one transition for every pair of its positions, in its
-direction, and a pair that two windows give is one transition; a rigid
-trace gives one for its whole traversal.  A transition is dropped when
-the filter rule (``membership.violation``, which the parse asks too)
-stops its motion on the index's marks.  Forward and reverse adjacency
-are built with the graph.  The fragment transitions that cross no
-forbidden start or end of their window and pass no excluded cell are
-flagged flexible (``CellGraph.flex``): they are the moves of
-``flexible_part``, so the flexible part is a mask over the one graph,
-not a second one.
+Every generator contributes transitions ``(src, dst, cover)`` over ints:
+the cells the motion starts and ends in and the position ranges it
+passes (one per trace step); ``recipe`` keeps a rigid trace's.  Edges of
+one kind with the same cut values share a parse-index entry
+(``membership.parse_index``), whose moves are computed once in ranks
+(``_stamp``) and stamped onto its edges at their offsets.  A window
+gives one move for every pair of its positions, in its direction, and a
+pair that two windows give is one move; a rigid trace gives one for its
+whole traversal, unbound until a witness reads it.  Only on an edge
+that a filter mark or an excluded cell touches does each move go
+through the filter rule (``membership.violation``, which the parse asks
+too).  The window moves that cross no forbidden start or end
+of their window and pass no excluded cell are flagged flexible
+(``CellGraph.flex``): they are the moves of ``flexible_part``, so the
+flexible part is a mask over the one graph, not a second one.
 
 The closure is one ``int`` bitset per strongly connected component: the
 components reached from it by a nonempty chain of transitions, numbered
@@ -71,7 +69,6 @@ so this never breaks membership.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import FrozenInstanceError, replace
 from functools import cached_property, lru_cache, reduce
@@ -81,7 +78,7 @@ from typing import Optional
 from weakref import WeakKeyDictionary
 
 from .construct import hat
-from .membership import parse_index, violation
+from .membership import parse_index, rank_of, violation
 from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, Pause,
                     ProdSeg, PTuple, Seg, UnsupportedConstruction, Vertex,
                     assemble)
@@ -153,40 +150,62 @@ class CellGraph:
         self.index = {e.id: i for i, e in enumerate(pres.edges)}
         self.ids = [e.id for e in pres.edges]  # edge number -> edge id
         self.offset = [index.offset[e] for e in self.ids]  # rank 0 there
-        self.marks = index.marks  # position -> filter bits
-        self.pos_edge = []   # position -> edge number
-        self.cell_at = []    # position -> cell
-        self.places = [[] for _ in names]  # cell -> its positions
+        self.marks = marks = index.marks  # position -> filter bits
+        # Each edge on the next positions: its ends in its vertices' cells,
+        # every other position in a cell of its own.
+        self.pos_edge = pos_edge = []  # position -> edge number
+        self.cell_at = cell_at = []    # position -> cell
+        self.places = places = [[] for _ in names]  # cell -> its positions
         for i, e in enumerate(pres.edges):
-            self._place(i, self.vertex[e.src], self.vertex[e.dst])
-        self.src, self.dst, self.cover, self.recipe = [], [], [], []
-        self.flex = []  # transition -> is it a move of the flexible part?
+            off, top, c = self.offset[i], self.ent[i].top, len(places)
+            first, last = self.vertex[e.src], self.vertex[e.dst]
+            places[first].append(off)
+            places.extend([g] for g in range(off + 1, off + top))
+            places[last].append(off + top)
+            cell_at += (first, *range(c, c + top - 1), last)
+            pos_edge.extend([i] * (top + 1))
         # the index has checked that these points lie in the support
         self.excluded, self.absorbing, self.blocked = (
             frozenset(map(self.cell, pts))
             for pts in (pres.excluded, pres.absorbing, pres.blocked))
+        # no path touches these cells: each holds one point, a cut value
+        self.bad = self.excluded | self.blocked
+        self.src, self.dst, self.cover = [], [], []
+        self.flex = []  # transition -> is it a move of the flexible part?
+        self.recipe = {}  # transition -> its rigid trace, traversed whole
+        # the edges whose moves a filter mark or an excluded cell touches
+        apart = {pos_edge[g] for g in chain(
+            marks, *(places[c] for c in self.excluded))}
+        stamps = {ent: _stamp(ent) for ent in index.shared.values()}
         # edge number -> its first transition; then the generators' first,
         # and the end of theirs
         self.first = []
-        for i, e in enumerate(pres.edges):
+        for i, ent in enumerate(self.ent):
             self.first.append(len(self.src))
-            ent, off = self.ent[i], self.offset[i]
-            # windows of one direction that overlap give some pairs twice
-            seen = {} if max(map(len, ent.wins.values())) > 1 else None
-            for d, wins in ent.wins.items():
-                for win in wins:
-                    self._fragment(off, d, win, seen)
-            for steps, _, tr, _ in chain(*ent.rigid.values()):
-                self._add(tuple((off + a, off + b) for _, _, a, b in steps),
-                          tr.on(e.id))  # a whole traversal
+            pairs, flags, traces = stamps[ent]
+            off = self.offset[i]
+            if i in apart:  # pair by pair: the filter rule, excluded cells
+                ex = [g for g in range(off, off + ent.top + 1)
+                      if cell_at[g] in self.excluded]
+                for (a, b), flex in zip(pairs, flags):
+                    a, b = off + a, off + b
+                    self._add(((a, b),), None, flex and not any(
+                        min(a, b) <= g <= max(a, b) for g in ex))
+            else:
+                self.src += [cell_at[off + a] for a, _ in pairs]
+                self.dst += [cell_at[off + b] for _, b in pairs]
+                self.cover += [((off + a, off + b),) for a, b in pairs]
+                self.flex += flags
+            for steps, tr in traces:
+                self._add(tuple((off + a, off + b) for a, b in steps), tr)
         self.first.append(len(self.src))
         at = index.offset
         for steps, _, tr, _ in chain(*index.rigid.values()):
             self._add(tuple((at[s] + a, at[s] + b) for s, _, a, b in steps),
                       tr)
         self.first.append(len(self.src))
-        self.fwd = [[] for _ in self.places]
-        self.rev = [[] for _ in self.places]
+        self.fwd = [[] for _ in places]
+        self.rev = [[] for _ in places]
         for k, (s, d) in enumerate(zip(self.src, self.dst)):
             self.fwd[s].append(k)
             self.rev[d].append(k)
@@ -200,33 +219,16 @@ class CellGraph:
 
     # -- cells and positions -------------------------------------------------
 
-    def _place(self, i: int, first: int, last: int) -> None:
-        """Lay out edge number i on the next positions: its ends in the
-        cells first and last, every other position in a cell of its own."""
-        top = self.ent[i].top
-        for r in range(top + 1):
-            c = first if r == 0 else last if r == top else None
-            if c is None:
-                c = len(self.places)
-                self.places.append([])
-            self.places[c].append(len(self.cell_at))
-            self.cell_at.append(c)
-            self.pos_edge.append(i)
-
     def cell(self, p) -> int:
-        """The cell holding a point of the presentation."""
+        """The cell holding a point of the presentation: that of its rank
+        (``membership.rank_of``) on its edge."""
         if isinstance(p, Vertex):
             if p.name not in self.pres.vertices:
                 raise ModelError(f"unknown vertex {p.name!r}")
             return self.vertex[p.name]
         if isinstance(p, EdgePoint) and p.edge in self.index:
             i = self.index[p.edge]
-            vals = self.ent[i].cuts
-            h = bisect_left(vals, p.t)
-            g = self.offset[i] + 2 * h
-            if vals[h] != p.t:
-                g -= 1
-            return self.cell_at[g]
+            return self.cell_at[self.offset[i] + rank_of(self.ent[i], p.t)]
         if isinstance(p, EdgePoint):
             raise ModelError(f"unknown edge {p.edge!r}")
         raise ModelError(f"not a point of this space: {p!r}")
@@ -241,49 +243,16 @@ class CellGraph:
 
     # -- transitions ---------------------------------------------------------
 
-    def _add(self, cover: tuple, recipe, flex: bool = False) -> Optional[int]:
-        """Add the transition over cover unless a filter drops it; its
-        number, or None."""
+    def _add(self, cover: tuple, recipe, flex: bool = False) -> None:
+        """Add the transition over cover unless a filter drops it."""
         if self.marks and violation(self.marks, cover) is not None:
-            return None
+            return
+        if recipe is not None:
+            self.recipe[len(self.src)] = recipe
         self.src.append(self.cell_at[cover[0][0]])
         self.dst.append(self.cell_at[cover[-1][1]])
         self.cover.append(cover)
-        self.recipe.append(recipe)
         self.flex.append(flex)
-        return len(self.src) - 1
-
-    def _fragment(self, off: int, d: int, win, seen) -> None:
-        """One transition per pair of positions of the ranked window win
-        of direction d, on the edge at offset off, in its direction.  It
-        is flexible when no forbidden start or end lies strictly between
-        its ends and it passes no excluded cell: exactly the moves of
-        ``flexible_part``, whose windows are cut at those points and whose
-        excluded points are blocked.  With `seen` (pair -> transition), a
-        pair that another window of the edge gave before is not added
-        again; its flag is OR-ed in."""
-        lo, hi, start_not, end_not = win
-        no_start = {off + r for r in start_not}
-        no_end = {off + r for r in end_not}
-        forbidden = no_start | no_end
-        window = range(off + lo, off + hi + 1)[::d]  # in its direction
-        cell_at, excluded, flags = self.cell_at, self.excluded, self.flex
-        for n, a in enumerate(window):
-            if a in no_start:
-                continue
-            flex = cell_at[a] not in excluded
-            for b in window[n + 1:]:
-                flex = flex and cell_at[b] not in excluded
-                if b not in no_end:
-                    k = None if seen is None else seen.get((a, b))
-                    if k is not None:
-                        flags[k] |= flex
-                    else:
-                        k = self._add(((a, b),), None, flex)
-                        if seen is not None and k is not None:
-                            seen[a, b] = k
-                if b in forbidden:
-                    flex = False
 
     # -- the closure ---------------------------------------------------------
 
@@ -373,11 +342,38 @@ class CellGraph:
 
     def atoms(self, k: int):
         """Witness atoms of transition k."""
-        tr = self.recipe[k]
+        tr = self.recipe.get(k)
         if tr is not None:  # a rigid trace, traversed whole
+            if tr.steps[0].edge is None:  # its kind's, on the edge it is on
+                tr = tr.on(self.ids[self.pos_edge[self.cover[k][0][0]]])
             return trace_path(self.pres, tr).items
         return [Seg(self.ids[self.pos_edge[a]], self.value(a), self.value(b))
                 for a, b in self.cover[k]]
+
+
+def _stamp(ent) -> tuple:
+    """(pairs, flags, traces): the moves of a parse-index entry in ranks.
+    ``pairs``: each pair of positions of a window in its direction, window
+    by window, once; ``flags``: is no forbidden start or end of one of its
+    windows strictly between its ends (is it flexible)?  ``traces``:
+    (steps, trace) for each of the kind's rigid traces, unbound."""
+    moves = {}
+    for d, wins in ent.wins.items():
+        for lo, hi, start_not, end_not in wins:
+            forbidden = start_not | end_not
+            window = range(lo, hi + 1)[::d]  # in its direction
+            for n, a in enumerate(window):
+                if a in start_not:
+                    continue
+                flex = True
+                for b in window[n + 1:]:
+                    if b not in end_not:
+                        moves[a, b] = moves.get((a, b)) or flex
+                    if b in forbidden:
+                        flex = False
+    return (list(moves), list(moves.values()),
+            [(tuple((a, b) for _, _, a, b in steps), tr)
+             for steps, _, tr, _ in chain(*ent.rigid.values())])
 
 
 class Closure:
@@ -540,9 +536,19 @@ def _reaches(g: CellGraph, x, y, cx: int, cy: int) -> bool:
     return g.reaches(cx, cy)
 
 
+def _stay(norm, x) -> ReachResult:
+    """x ⤳ x, which holds by convention; the witness is the constant path
+    when it is controlled."""
+    return ReachResult(True, assemble(x, [], x)
+                       if is_flexible_point(norm, x) else None)
+
+
 def _graph_reach(pres: GraphPresentation, x, y) -> ReachResult:
-    bad, g = pres.excluded | pres.blocked, transitions(pres)
-    if x in bad or y in bad or not _reaches(g, x, y, g.cell(x), g.cell(y)):
+    g = transitions(pres)
+    cx, cy = g.cell(x), g.cell(y)
+    if cx == cy and x == y:
+        return _stay(pres, x)
+    if cx in g.bad or cy in g.bad or not _reaches(g, x, y, cx, cy):
         return ReachResult(False)
     return ReachResult(True, build=lambda: _reach_witness(g, x, y))
 
@@ -569,11 +575,9 @@ def _reach_witness(g: CellGraph, x, y) -> CanonicalPath:
 def _graph_loop(pres: GraphPresentation, x) -> ReachResult:
     """A nontrivial controlled loop at x, if one exists: its cell lies on
     a cycle, or windows of both directions hold its open segment."""
-    if x in pres.excluded or x in pres.blocked:
-        return ReachResult(False)
     g = transitions(pres)
     c = g.cell(x)
-    if not (g.reaches(c, c) or (g.held(c, 1) and g.held(c, -1))):
+    if c in g.bad or not (g.reaches(c, c) or (g.held(c, 1) and g.held(c, -1))):
         return ReachResult(False)
     return ReachResult(True, build=lambda: _loop_witness(g, x, c))
 
@@ -653,12 +657,10 @@ def _staged(r1: ReachResult, r2: ReachResult) -> Optional[CanonicalPath]:
 def c_reachable(space, x, y) -> ReachResult:
     """Is there a controlled path from x to y?  Reflexive by convention."""
     norm = normalize(space)
-    if x == y:
-        return ReachResult(True, assemble(x, [], x)
-                           if is_flexible_point(norm, x) else None)
-    if isinstance(norm, ProductN):
-        return _product_reach((norm.left, norm.right), x, y)
-    return _graph_reach(norm, x, y)
+    if not isinstance(norm, ProductN):
+        return _graph_reach(norm, x, y)
+    return _stay(norm, x) if x == y else _product_reach(
+        (norm.left, norm.right), x, y)
 
 
 def d_reachable(space, x, y) -> ReachResult:
@@ -682,12 +684,11 @@ def unavoidable_point(space, x, y, p, mode: str = "c") -> bool:
     g = compiled(norm)
     # a ModelError names a point outside norm
     cx, cy, cp = g.cell(x), g.cell(y), g.cell(p)
-    if x == y:
-        return p == x
-    bad = norm.excluded | norm.blocked
-    if x in bad or y in bad or not _reaches(g, x, y, cx, cy):
+    if cx == cy and x == y:
+        return cp == cx and p == x
+    if cx in g.bad or cy in g.bad or not _reaches(g, x, y, cx, cy):
         raise ModelError("y is not reachable from x")
-    if p == x or p == y:
+    if cp == cx and p == x or cp == cy and p == y:
         return True
     over = g.over(cp)
     if cx != cy and cp != cx and cp != cy:
@@ -782,8 +783,7 @@ class ReachRelation:
         clo = g.closure()
         cells = g.rep_cells(compiled(self.space))
         comps = [clo.comp[c] for c in cells]
-        bad = g.excluded | g.blocked
-        good = [c not in bad for c in cells]
+        good = [c not in g.bad for c in cells]
         out = []
         for i, (x, c, n) in enumerate(zip(reps, cells, comps)):
             if not good[i]:
@@ -820,14 +820,14 @@ def existence(pres: GraphPresentation, x, flexible: bool = False) -> tuple:
     it reaches, to a cell that is or reaches a stop cell: x then lies
     inside one motion.
     """
-    if x in pres.blocked or flexible and x in pres.excluded:
-        return False, False, False
     g = compiled(pres)
     c = g.cell(x)
+    if c in g.blocked or flexible and c in g.excluded:
+        return False, False, False
     clo = g.closure(flexible)
     comp, bits = clo.comp, clo.bits
     stop, start, from_start = clo.ends(g)
-    if x in pres.excluded:
+    if c in g.excluded:
         leaves = arrives = False
     else:
         held = g.held(c, 1) or g.held(c, -1)

@@ -66,35 +66,60 @@ KNOWN_CACHES = {("presentation", "edge_map"), ("presentation", "family"),
 CACHE_NAMES = {"lru_cache", "cache"}
 
 
-def _cache_call(node) -> bool:
-    """Is node `lru_cache`, `cache`, `functools.<either>` or a call of one?"""
+def _cache_aliases(tree) -> set:
+    """The names a module binds to a functools cache by ``from functools
+    import lru_cache as <name>`` (or ``cache``)."""
+    return {alias.asname for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+            if alias.name in CACHE_NAMES and alias.asname}
+
+
+def _cache_call(node, aliases=frozenset()) -> bool:
+    """Is node `lru_cache`, `cache`, `functools.<either>`, a name that
+    aliases one of them, or a call of one?"""
     if isinstance(node, ast.Call):
         node = node.func
     if isinstance(node, ast.Attribute):
         return node.attr in CACHE_NAMES
-    return isinstance(node, ast.Name) and node.id in CACHE_NAMES
+    return isinstance(node, ast.Name) and (node.id in CACHE_NAMES
+                                           or node.id in aliases)
 
 
 def caches(path: Path) -> list:
     """(module, function) of each function that a functools cache wraps,
     and (module, line) of each other use of one."""
     tree = ast.parse(path.read_text())
+    aliases = _cache_aliases(tree)
     found, decorators = [], set()
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for dec in fn.decorator_list:
-                if _cache_call(dec):
+                if _cache_call(dec, aliases):
                     found.append((path.stem, fn.name))
                     decorators.update(id(n) for n in ast.walk(dec))
     found += [(path.stem, node.lineno) for node in ast.walk(tree)
-              if isinstance(node, (ast.Name, ast.Attribute)) and _cache_call(node)
-              and id(node) not in decorators]
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and _cache_call(node, aliases) and id(node) not in decorators]
     return found
 
 
 def test_no_new_unbounded_caches():
     found = [c for path in PACKAGE for c in caches(path)]
     assert set(found) <= KNOWN_CACHES, sorted(set(found) - KNOWN_CACHES, key=str)
+
+
+@pytest.mark.parametrize("source", [
+    "from functools import lru_cache as _lru\n\n"
+    "@_lru(maxsize=64)\ndef expand(k):\n    return k\n",
+    "from functools import cache as remember\n\n"
+    "@remember\ndef expand(k):\n    return k\n",
+    "import functools as ft\n\n"
+    "@ft.lru_cache(maxsize=None)\ndef expand(k):\n    return k\n"])
+def test_an_aliased_cache_is_still_found(tmp_path, source):
+    path = tmp_path / "kinds.py"
+    path.write_text(source)
+    assert caches(path) == [("kinds", "expand")]
 
 
 def imported_modules(path: Path) -> set:

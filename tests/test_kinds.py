@@ -1,6 +1,7 @@
 """A family belongs to its kind: ``kind_of`` names a family up to the
 order of its traces and fragments, and a family's traces name no edge."""
 
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -89,3 +90,18 @@ def test_rigid_ends_are_kept_on_the_family_outside_its_fields():
     assert "rigid_ends" in vars(fam) and "rigid_ends" not in vars(twin)
     assert fam == twin and hash(fam) == hash(twin) and repr(fam) == text
     assert twin.rigid_ends is twin.rigid_ends  # built once
+
+
+def test_a_kind_keeps_its_family_and_hash_outside_its_fields():
+    """An ``n_stop`` kind expands into its family once; the family and
+    the hash live on the instance, and ``==``, ``repr`` and pickles do
+    not see them."""
+    k = K.n_stop(64)
+    text = repr(k)
+    assert K.kind_generators(k) is K.kind_generators(k)
+    assert hash(k) == hash(K.n_stop(64)) and "_hash" in vars(k)
+    assert k == K.n_stop(64) and repr(k) == text
+    back = pickle.loads(pickle.dumps(k))
+    assert "_family" not in vars(back) and "_hash" not in vars(back)
+    assert back == k and hash(back) == hash(k)
+    assert K.kind_generators(back) == K.kind_generators(k)

@@ -14,7 +14,7 @@ import pytest
 
 from cspaces import jsonio
 from cspaces import kinds as K
-from cspaces import membership, presentation
+from cspaces import membership, presentation, reach
 from cspaces.classify import is_flexible_path, is_rigid_path, is_splittable
 from cspaces.corpus import build, names
 from cspaces.construct import exclude_endpoints, hat
@@ -711,3 +711,60 @@ def test_parse_outcomes_are_unchanged():
             lines.append(f"{name} {k} {outcome!r}")
     assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
             == PARSE_DIGEST), len(lines)
+
+
+# ---------------------------------------------------------------------------
+# The integer rank against ranks found by sorting Fractions
+
+def _graph_parts(space):
+    """The graph presentations of a space's normal form."""
+    norm = presentation.normalize(space)
+    if isinstance(norm, GraphPresentation):
+        yield norm
+    else:
+        for factor in (norm.left, norm.right):
+            yield from _graph_parts(factor)
+
+
+def _rank_spaces():
+    for name in names():
+        sp = build(name)
+        for suffix, space in (("", sp), ("/hat", hat(sp))):
+            for k, pres in enumerate(_graph_parts(space)):
+                yield f"{name}{suffix}/{k}", pres
+    for seed in range(300):
+        yield f"spaces/{seed}", random_space(random.Random(f"spaces/{seed}"))
+
+
+def _sorted_rank(cs: tuple, v) -> int:
+    """The rank of v among the cut values cs: twice its place among them
+    when it is one, and one less than that when it lies between two."""
+    merged = sorted([*cs, v])
+    return 2 * merged.index(v) - (v not in cs)
+
+
+def test_rank_of_agrees_with_sorting():
+    """At every cut value, every segment midpoint and random rationals
+    with denominators up to 10**9, ``rank_of`` gives the rank that
+    sorting finds, for every entry of every parse index, and the cell
+    graph puts an inner point in the cell at that rank."""
+    checked = 0
+    for name, pres in _rank_spaces():
+        rng = random.Random(zlib.crc32(f"{name}/rank".encode()))
+        index = membership.parse_index(pres)
+        g = reach.compiled(pres)
+        edge_of = {ent: e for e, ent in index.edges.items()}
+        for ent in index.shared.values():
+            cs, e = ent.cuts, edge_of[ent]
+            values = [*cs, *((a + b) / 2 for a, b in zip(cs, cs[1:]))]
+            for _ in range(16):
+                q = rng.randint(1, 10 ** 9)
+                values.append(F(rng.randint(0, q), q))
+            for v in values:
+                r = _sorted_rank(cs, v)
+                assert membership.rank_of(ent, v) == r, (name, cs, v)
+                if 0 < v < 1:
+                    assert g.cell(EdgePoint(e, v)) == \
+                        g.cell_at[index.offset[e] + r], (name, e, v)
+                checked += 1
+    assert checked > 10 ** 4

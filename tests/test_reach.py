@@ -19,7 +19,7 @@ from cspaces.corpus import build, names
 from cspaces.kinds import Family, Fragment
 from cspaces.membership import is_controlled
 from cspaces.model import (EdgePoint, ModelError, PTuple, RigidTrace, Seg,
-                           TraceStep, Vertex)
+                           TraceStep, Vertex, assemble)
 from cspaces.presentation import (Edge, GraphPresentation, cuts, normalize,
                                   pos_point)
 from cspaces.reach import (c_reachable, d_reachable, exists_c_from,
@@ -1017,3 +1017,97 @@ def test_unavoidable_points_are_unchanged():
                   for mode in ("c", "d") for t in triples]
     assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
             == UNAVOIDABLE_DIGEST)
+
+
+# ---------------------------------------------------------------------------
+# Float parameters, and warm questions without Fraction arithmetic
+
+FLOATS = (0.1, 0.125, 0.25, 1 / 3, 0.5, 0.7, 0.75)
+
+
+def _exact(p):
+    return EdgePoint(p.edge, F(p.t))
+
+
+def _float_answers(pres, x, y, p, b):
+    try:
+        unavoidable = unavoidable_point(pres, x, y, p)
+    except ModelError:  # y is not reachable from x
+        unavoidable = None
+    run = assemble(x, [Seg(x.edge, x.t, b.t)], b)
+    return c_reachable(pres, x, y).ok, unavoidable, is_controlled(pres, run)
+
+
+@pytest.mark.parametrize("name, pres", GRAPH_MODELS,
+                         ids=[n for n, _ in GRAPH_MODELS])
+def test_float_parameters_answer_as_their_fractions(name, pres):
+    """``EdgePoint("e0", 0.3)`` is the point at the exact value of the
+    float: reach answers, unavoidable points and membership are the same
+    as at ``Fraction(0.3)``."""
+    rng = random.Random(zlib.crc32(f"{name}/floats".encode()))
+    points = [EdgePoint(e.id, t) for e in pres.edges for t in FLOATS]
+    for _ in range(40):
+        x, y, p = rng.sample(points, 3)
+        b = EdgePoint(x.edge, rng.choice([t for t in FLOATS if t != x.t]))
+        assert (_float_answers(pres, x, y, p, b)
+                == _float_answers(pres, *map(_exact, (x, y, p, b)))), (x, y, p)
+
+
+def _counting_fraction_work(monkeypatch) -> list:
+    """Make every comparison and hash of a Fraction append its name to
+    the list returned."""
+    calls = []
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+        def counted(*args, _name=name, _method=getattr(F, name)):
+            calls.append(_name)
+            return _method(*args)
+        monkeypatch.setattr(F, name, counted)
+    return calls
+
+
+def _fresh_t(rng):
+    return F(rng.randint(1, 10**6 - 1), 10**6)
+
+
+def _chain_questions(pres, rng):
+    """On a ``directed`` chain: x, p and y on three edges, x before y."""
+    for _ in range(20):
+        i, j, k = sorted(rng.sample(range(len(pres.edges)), 3))
+        x, y, p = (EdgePoint(f"e{n}", _fresh_t(rng)) for n in (i, k, j))
+        yield c_reachable, (pres, x, y)
+        yield d_reachable, (pres, x, y)
+        yield unavoidable_point, (pres, x, y, p)
+
+
+def _n_stop_questions(pres, rng):
+    """On ``n_stop(n)`` from v0 to v<n>: anchors x below y, and p on an
+    anchor between them or inside the segment above it.  The hat is one
+    ``directed`` edge, so d-questions go from and to its vertices."""
+    n = pres.edges[0].kind.n
+    for _ in range(20):
+        a, b, c = sorted(rng.sample(range(1, n), 3))
+        x, y = EdgePoint("e0", F(a, n)), EdgePoint("e0", F(c, n))
+        p = EdgePoint("e0", F(b, n) + F(rng.randrange(10**6), n * 10**6))
+        yield c_reachable, (pres, x, y)
+        yield unavoidable_point, (pres, x, y, p)
+        yield d_reachable, (pres, Vertex("v0"), p)
+        yield d_reachable, (pres, p, Vertex(f"v{n}"))
+
+
+@pytest.mark.parametrize("name, pres, questions", [
+    ("directed(150)", normalize(_directed_chain(150)), _chain_questions),
+    ("n_stop(64)", normalize(build("c_line_window", lo=0, hi=64)),
+     _n_stop_questions)])
+def test_warm_questions_make_no_fraction_comparison(monkeypatch, name, pres,
+                                                    questions):
+    """Once the graphs are compiled, reach questions at fresh points in
+    distinct cells rank each point with integers and test cells, not
+    points: no Fraction is compared or hashed."""
+    rng = random.Random(zlib.crc32(f"{name}/warm".encode()))
+    for ask, args in questions(pres, rng):  # compiles graphs and closures
+        ask(*args)
+    asks = list(questions(pres, rng))  # fresh points, built beforehand
+    calls = _counting_fraction_work(monkeypatch)
+    for ask, args in asks:
+        ask(*args)
+    assert calls == []
