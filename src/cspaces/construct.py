@@ -22,8 +22,8 @@ from .model import (ONE, ZERO, CanonicalPath, EdgePoint, ModelError, Pause,
 from .presentation import (ExcludeEndpoints, GraphPresentation,
                            Opposite, Product, ProductN, Quotient, Subspace,
                            Sum, bound_rigid, cuts, edge_map, family,
-                           flexible_point, in_support, normalize, pos_point,
-                           rekind, trace_end, trace_path, trace_start)
+                           flexible_point, flexible_points, in_support,
+                           normalize, pos_point, rekind, trace_path)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +86,8 @@ def hat_graph(g: GraphPresentation) -> GraphPresentation:
     edges, _ = rekind(
         g, lambda fam, *s: (K.add_windows(_hat_family(fam), s), None),
         lambda e: steps.get(e.id, ()))
-    return GraphPresentation(
-        vertices=g.vertices, edges=edges, flexible=g.flexible,
-        excluded=frozenset(), absorbing=g.absorbing, emitting=g.emitting,
-        blocked=g.blocked)
+    return GraphPresentation(vertices=g.vertices, edges=edges,
+                             flexible=g.flexible)
 
 
 def hat(space):
@@ -114,40 +112,13 @@ def hat(space):
 # ---------------------------------------------------------------------------
 # Flexible part
 
-def _kept_loops(fam: Family, ends) -> tuple:
-    """(fam, the positions among `ends` where no instance of fam starts or
-    ends): the trivial loops there stay controlled as flexible points."""
-    return fam, frozenset(t for t in ends if not fam.instance_end(t))
-
-
-def _flexible_points(g: GraphPresentation, positions, dropped) -> frozenset:
-    """g's flexible points, each edge's `positions` and the ends of the
-    `dropped` generators, less the excluded and blocked points."""
-    flex = {pos_point(g, e.id, t)
-            for e, ts in zip(g.edges, positions) for t in ts}
-    flex.update(x for tr in dropped
-                for x in (trace_start(g, tr), trace_end(g, tr)))
-    return frozenset((flex | g.flexible) - g.excluded - g.blocked)
-
-
 def _flexible_windows(frags) -> tuple:
     """The fragments cut at their interior ``start_not`` / ``end_not``
     points: a run across such a point has a portion that starts or ends
     there, so it is not flexible, while every sub-run of a piece is an
     instance of the fragment."""
-    out = []
-    for f in frags:
-        marks = sorted(x for x in f.start_not | f.end_not if f.lo < x < f.hi)
-        if not marks:
-            out.append(f)
-            continue
-        ends = [f.lo, *marks, f.hi]
-        out.extend(Fragment(
-            f.dir, lo, hi, f.lo_open and lo == f.lo, f.hi_open and hi == f.hi,
-            start_not=frozenset(x for x in f.start_not if lo <= x <= hi),
-            end_not=frozenset(x for x in f.end_not if lo <= x <= hi))
-            for lo, hi in zip(ends, ends[1:]))
-    return tuple(out)
+    return tuple(p for f in frags for p in K.cut_window(f, f.start_not
+                                                        | f.end_not))
 
 
 def flexible_part(space):
@@ -169,13 +140,14 @@ def flexible_part(space):
 
 
 def _flexible_graph(g: GraphPresentation) -> GraphPresentation:
-    edges, positions = rekind(g, lambda fam: _kept_loops(
+    """The flexible part before ``normalize``: no portion of a flexible
+    path starts or ends at an excluded point, so none touches one."""
+    edges, positions = rekind(g, lambda fam: K.kept_loops(
         Family(fragments=_flexible_windows(fam.fragments)), fam.rigid_ends))
     return GraphPresentation(
         vertices=g.vertices, edges=edges, excluded=g.excluded,
-        flexible=_flexible_points(g, positions, g.generators),
-        absorbing=g.absorbing, emitting=g.emitting,
-        blocked=frozenset(g.blocked | g.excluded))
+        flexible=flexible_points(g, positions, g.generators),
+        blocked=g.excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +224,10 @@ def _rp_family(fam: Family, *kept) -> tuple:
             if not f.dir or h.dir != -f.dir:
                 continue
             lo, hi = max(f.lo, h.lo), min(f.hi, h.hi)
-            if lo > hi:
+            if lo >= hi:  # a one-point window of a run direction is empty
                 continue
             lo_open = (f.lo_open and lo == f.lo) or (h.lo_open and lo == h.lo)
             hi_open = (f.hi_open and hi == f.hi) or (h.hi_open and hi == h.hi)
-            if lo == hi and (lo_open or hi_open):
-                continue
             frags.append(Fragment(
                 f.dir, lo, hi, lo_open, hi_open,
                 start_not=frozenset(f.start_not | h.end_not),
@@ -266,33 +236,31 @@ def _rp_family(fam: Family, *kept) -> tuple:
     loops = sorted((replace(_hat_window(w), dir=0) for w in _flexible_windows(
         fam.fragments) if w.lo < w.hi or not w.dir), key=lambda w: (w.lo, w.hi))
     dropped = Family(tuple(tr for tr in fam.rigid if tr not in rigid))
-    return _kept_loops(Family(rigid, tuple(frags) + K.merge_fragments(loops)),
-                       dropped.rigid_ends)
+    return K.kept_loops(Family(rigid, tuple(frags) + K.merge_fragments(loops)),
+                        dropped.rigid_ends)
 
 
 def reversible_part(space) -> GraphPresentation:
-    """The paths whose reverse is controlled too.  A reversible path
-    touches an absorbing or emitting point only as a constant path, so
-    every such point is made both, and each rigid trace is kept when its
-    reverse is controlled under those filters."""
+    """The paths whose reverse is controlled too: the overlaps of windows
+    of opposite directions, and each rigid trace whose reverse parses,
+    with that reverse.  The normal form's families obey its filters, so
+    what a filter kills one way is gone both ways."""
     g = normalize(space)
     if not isinstance(g, GraphPresentation):
         raise UnsupportedConstruction(
             "reversible part needs a graph presentation")
-    ends = g.absorbing | g.emitting
-    h = replace(g, absorbing=ends, emitting=ends)
 
     def reversible(tr: RigidTrace) -> bool:
-        return is_controlled(h, trace_path(h, tr.reversed()))
+        return is_controlled(g, trace_path(g, tr.reversed()))
 
-    edges, positions = rekind(h, _rp_family, lambda e: tuple(
+    edges, positions = rekind(g, _rp_family, lambda e: tuple(
         tr for tr in K.kind_generators(e.kind).rigid
         if reversible(tr.on(e.id))))
-    kept = [tr for tr in h.generators if reversible(tr)]
+    kept = [tr for tr in g.generators if reversible(tr)]
     gens = dict.fromkeys(x for tr in kept for x in (tr, tr.reversed()))
-    return replace(h, edges=edges, generators=tuple(gens),
-                   flexible=_flexible_points(h, positions, [
-                       tr for tr in h.generators if tr not in kept]))
+    return replace(g, edges=edges, generators=tuple(gens),
+                   flexible=flexible_points(g, positions, [
+                       tr for tr in g.generators if tr not in kept]))
 
 
 # ---------------------------------------------------------------------------

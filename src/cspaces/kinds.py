@@ -181,7 +181,15 @@ _FAMILIES = {
 _KIND_NAMES = {*_FAMILIES, "n_stop", "custom"}
 
 
+# one instance, hash and family per named kind of fixed arity
+_SHARED = {name: EdgeKind(name) for name in _FAMILIES}
+
+
 def kind(name: str, n: int = 0, family: Family = None) -> EdgeKind:
+    """The kind by name: the shared instance for a named kind of fixed
+    arity, a new one for ``n_stop(n)`` and ``custom``."""
+    if not n and family is None and name in _SHARED:
+        return _SHARED[name]
     return EdgeKind(name, n, family)
 
 
@@ -276,6 +284,66 @@ def add_windows(fam: Family, steps) -> Family:
     wins = tuple(Fragment(1, a, b) if a < b else Fragment(-1, b, a)
                  for a, b in steps)
     return Family(fam.rigid, merge_fragments(fam.fragments + wins))
+
+
+def kept_loops(fam: Family, ends) -> tuple:
+    """(fam, the positions among `ends` where no instance of fam starts or
+    ends): the trivial loops there stay controlled as flexible points."""
+    return fam, frozenset(t for t in ends if not fam.instance_end(t))
+
+
+def cut_window(f: Fragment, at, absorbing=frozenset(), emitting=frozenset(),
+               blocked=frozenset()) -> tuple:
+    """The pieces of window f between the positions `at` inside it, each
+    keeping the forbidden starts and ends that lie on it.  A piece is
+    open at a blocked end, and a run may not start at an absorbing end
+    or end at an emitting one."""
+    ends = [f.lo, *sorted(x for x in at if f.lo < x < f.hi), f.hi]
+    out = []
+    for lo, hi in zip(ends, ends[1:]):
+        lo_open = lo in blocked or f.lo_open and lo == f.lo
+        hi_open = hi in blocked or f.hi_open and hi == f.hi
+        if lo == hi and (lo_open or hi_open):
+            continue
+        first, last = (lo, hi) if f.dir > 0 else (hi, lo)
+        out.append(Fragment(
+            f.dir, lo, hi, lo_open, hi_open,
+            frozenset({x for x in f.start_not if lo <= x <= hi}
+                      | {first} & absorbing),
+            frozenset({x for x in f.end_not if lo <= x <= hi}
+                      | {last} & emitting)))
+    return tuple(out)
+
+
+def breaks_filters(steps, marks) -> bool:
+    """Does a motion over the steps (a, b), walked in order, touch a
+    blocked position, an absorbing one but at its last position or an
+    emitting one but at its first?  ``marks[n]``: the (absorbing,
+    emitting, blocked) positions of the edge of step n."""
+    last = len(steps) - 1
+    for n, ((a, b), (ab, em, bl)) in enumerate(zip(steps, marks)):
+        if any(min(a, b) <= v <= max(a, b) and (
+                v in bl or v in ab and (n, v) != (last, b)
+                or v in em and (n, v) != (0, a)) for v in ab | em | bl):
+            return True
+    return False
+
+
+def family_filtered(fam: Family, absorbing, emitting, blocked) -> tuple:
+    """(family, kept loops): the instances of fam that start at no
+    `absorbing` position, end at no `emitting` one, pass neither and
+    touch no `blocked` one; windows are cut there (direction 0 only at
+    blocked ones).  Kept loops: the positions, none blocked, where fam
+    controls the trivial loop and the new family does not."""
+    marks = (absorbing, emitting, blocked)
+    rigid = tuple(tr for tr in fam.rigid if not breaks_filters(
+        [(s.a, s.b) for s in tr.steps], [marks] * len(tr.steps)))
+    lost = Family(tuple(tr for tr in fam.rigid if tr not in rigid)).rigid_ends
+    frags = tuple(p for f in fam.fragments for p in (
+        cut_window(f, absorbing | emitting | blocked, *marks) if f.dir
+        else cut_window(f, blocked, blocked=blocked)))
+    return kept_loops(Family(rigid, frags), {
+        t for t in lost | absorbing | emitting if fam.instance_end(t)} - blocked)
 
 
 def _unordered(fam: Family) -> tuple:

@@ -23,10 +23,11 @@ over its edges: edges of one kind with the same cut values share one
 entry, each entry keeps its kind's rigid traces, and the index keeps
 apart only the presentation's generators.  The same pass numbers all
 edges' ranks one after another, so a rank plus its edge's offset is a
-position, and the index marks the positions of the filter points.
-``violation``, the one copy of the filter rule, reads those marks: the
-parse asks it of a path's motion tokens, and the cell graph of
-``reach``, laid out from the same entries, of each transition.
+position, from which the cell graph of ``reach`` lays out its edges.
+
+The parse reads only families: ``presentation.normalize`` compiles the
+absorbing, emitting and blocked points into them, so a path that a
+filter refuses fails like any other, at its longest parsed prefix.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
                     Pause, Rat, Seg, Track, Vertex)
 from .presentation import (GraphPresentation, ProductN, _point_of_seg,
                            canonicalize, cuts, edge_map, family,
-                           flexible_point, normalize, own_cut_values,
-                           pos_point, project)
+                           flexible_point, normalize, outside_support,
+                           own_cut_values, pos_point, project)
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,7 @@ class _EdgeIndex:
 
 class _ParseIndex:
     """A presentation's edge entries, built in one pass over its edges,
-    its generators by (edge, d, rank of their start), and the filter
-    marks of its positions.
+    and its generators by (edge, d, rank of their start).
 
     ``edges``: edge id -> its entry.  Edges of one kind with the same
     ``own_cut_values`` (most often none) have the same cut values, so they
@@ -121,10 +121,11 @@ class _ParseIndex:
     entry keeps its family's rigid traces; ``rigid`` holds only the
     presentation's generators, whose steps name their edges.
     ``offset``: edge id -> the position of its rank 0, the edges' ranks
-    numbered one after another; ``marks``: position -> filter bits.  The
-    cell graph (``reach.CellGraph``) lays out its edges from both.
+    numbered one after another.  The cell graph (``reach.CellGraph``)
+    lays out its edges from the entries and the offsets.  Raises
+    ModelError for an excluded point outside the support.
     """
-    __slots__ = ("edges", "shared", "rigid", "offset", "marks", "__weakref__")
+    __slots__ = ("edges", "shared", "rigid", "offset", "__weakref__")
 
     def __init__(self, pres: GraphPresentation):
         self.edges = edges = {}
@@ -150,35 +151,8 @@ class _ParseIndex:
                     raise ModelError(f"unknown edge {s.edge!r}")
                 steps.append((s.edge, s.dir, ent.rank[s.a], ent.rank[s.b]))
             _file(self.rigid, steps[0][:3], tuple(steps), tr)
-        self.marks = _marks(pres, self)
-
-
-# The filter bits of a position: a path may touch a blocked one nowhere,
-# an absorbing one only at its end, and an emitting one only at its start.
-BLOCKED, ABSORBING, EMITTING = 1, 2, 4
-
-
-def _marks(pres: GraphPresentation, index: _ParseIndex) -> dict:
-    """Position -> the filter bits of the point there, for the marked
-    positions only.  A vertex is marked at the end positions of every
-    edge that meets it.  Raises ModelError for a filter or excluded point
-    outside the support."""
-    marks, named = {}, {}  # named: vertex name -> its bits
-    for field, bit in (("blocked", BLOCKED), ("absorbing", ABSORBING),
-                       ("emitting", EMITTING), ("excluded", 0)):
-        for p in getattr(pres, field):
-            if isinstance(p, Vertex) and p.name in pres.vertices:
-                named[p.name] = named.get(p.name, 0) | bit
-            elif isinstance(p, EdgePoint) and p.edge in index.edges:
-                g = index.offset[p.edge] + index.edges[p.edge].rank[p.t]
-                marks[g] = marks.get(g, 0) | bit
-            else:
-                raise ModelError(f"{field} point {p!r} outside support")
-    for e in pres.edges if named else ():
-        off = index.offset[e.id]
-        for v, g in ((e.src, off), (e.dst, off + index.edges[e.id].top)):
-            marks[g] = marks.get(g, 0) | named.get(v, 0)
-    return {g: m for g, m in marks.items() if m}
+        for message in outside_support(pres, ("excluded",)):
+            raise ModelError(message)
 
 
 def rank_of(ent: _EdgeIndex, v) -> int:
@@ -192,22 +166,6 @@ def rank_of(ent: _EdgeIndex, v) -> int:
     nums = ent.nums
     i = bisect_right(nums, n)
     return 2 * i - 2 if not rest and nums[i - 1] == n else 2 * i - 1
-
-
-def violation(marks: dict, cover) -> Optional[tuple]:
-    """The first (step, position) where a motion over cover, steps (a,
-    b) each walked from a to b in order, touches a blocked position, an
-    absorbing one before its last position or an emitting one after its
-    first; None if there is none."""
-    last = len(cover) - 1
-    for n, (a, b) in enumerate(cover):
-        way = 1 if b >= a else -1
-        for g in range(a, b + way, way):
-            m = marks.get(g)
-            if m and (m & BLOCKED or m & ABSORBING and (n, g) != (last, b)
-                      or m & EMITTING and (n, g) != (0, a)):
-                return n, g
-    return None
 
 
 def parse_index(pres: GraphPresentation) -> _ParseIndex:
@@ -408,14 +366,6 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
         if p in pres.excluded:
             return ParseOutcome(False, fail_at=p)
     index = parse_index(pres)
-    if index.marks:
-        off, moves = index.offset, [tok for tok in toks if tok is not PAUSE]
-        bad = violation(index.marks, [(off[t.edge] + t.ra, off[t.edge] + t.rb)
-                                      for t in moves])
-        if bad is not None:
-            tok = moves[bad[0]]
-            at = tok.a if bad[1] == off[tok.edge] + tok.ra else tok.b
-            return ParseOutcome(False, fail_at=pos_point(pres, tok.edge, at))
     edges, gens = index.edges, index.rigid
     n = len(toks)
     INF = n + 10 ** 6

@@ -6,7 +6,9 @@ expression built from presentations: binary products and sums,
 quotients identifying vertices or anchor points, closed subspaces,
 opposites and endpoint exclusions.  ``normalize`` reduces expressions
 to a graph presentation where possible, or to a product of normal
-forms; the membership/classification engines work on normal forms.
+forms; the membership/classification engines work on normal forms.  A
+normal form has no absorbing, emitting or blocked point: they are
+compiled into its families, generators and flexible points.
 """
 from __future__ import annotations
 
@@ -47,7 +49,8 @@ class GraphPresentation:
     as ``_parse_index``, and the hat and flexible part that
     ``construct.hat`` and ``construct.flexible_part`` store as ``_hat``
     and ``_flexible``.  Pickles keep only the fields: string hashes are
-    salted per process, and the rest is rebuilt on demand.
+    salted per process, and the rest is rebuilt on demand.  A normal form
+    (``normalize``) has no absorbing, emitting or blocked point.
     """
     vertices: frozenset
     edges: tuple  # of Edge
@@ -274,8 +277,8 @@ def closed_traces(pres: GraphPresentation) -> tuple:
 
 
 def flexible_point(pres: GraphPresentation, p) -> bool:
-    """Is the trivial loop at p controlled?"""
-    if p in pres.excluded or p in pres.blocked:
+    """Is the trivial loop at p controlled?  pres is a normal form."""
+    if p in pres.excluded:
         return False
     if p in pres.flexible:
         return True
@@ -305,6 +308,8 @@ def normalize(space):
     """Reduce a space expression to a graph presentation or a product of
     normal forms."""
     if isinstance(space, GraphPresentation):
+        if space.absorbing or space.emitting or space.blocked:
+            return _filters_compiled(space)
         return space
     if isinstance(space, (Product, ProductN)):
         return ProductN(normalize(space.left), normalize(space.right))
@@ -342,10 +347,7 @@ def _sum_normal(l: GraphPresentation, r: GraphPresentation) -> GraphPresentation
         edges=l.edges + r.edges,
         generators=l.generators + r.generators,
         flexible=frozenset(l.flexible | r.flexible),
-        excluded=frozenset(l.excluded | r.excluded),
-        absorbing=frozenset(l.absorbing | r.absorbing),
-        emitting=frozenset(l.emitting | r.emitting),
-        blocked=frozenset(l.blocked | r.blocked))
+        excluded=frozenset(l.excluded | r.excluded))
 
 
 def _remap_point(p, vmap):
@@ -396,10 +398,7 @@ def _quotient_normal(g: GraphPresentation, classes) -> GraphPresentation:
         edges=tuple(Edge(e.id, vmap[e.src], vmap[e.dst], e.kind) for e in g.edges),
         generators=g.generators,
         flexible=frozenset(_remap_point(p, vmap) for p in g.flexible),
-        excluded=frozenset(_remap_point(p, vmap) for p in g.excluded),
-        absorbing=frozenset(_remap_point(p, vmap) for p in g.absorbing),
-        emitting=frozenset(_remap_point(p, vmap) for p in g.emitting),
-        blocked=frozenset(_remap_point(p, vmap) for p in g.blocked))
+        excluded=frozenset(_remap_point(p, vmap) for p in g.excluded))
 
 
 def _rescale(v: Rat, lo: Rat, hi: Rat) -> Rat:
@@ -592,26 +591,51 @@ def _subspace(g: GraphPresentation, region):
         vertices=frozenset(kept),
         edges=tuple(edges),
         generators=tuple(gens + moved),
-        flexible=remap_set(g.flexible | (lost | lonely) - g.excluded - g.blocked),
-        excluded=remap_set(g.excluded),
-        absorbing=remap_set(g.absorbing),
-        emitting=remap_set(g.emitting),
-        blocked=remap_set(g.blocked)), remap
+        flexible=remap_set(g.flexible | (lost | lonely) - g.excluded),
+        excluded=remap_set(g.excluded)), remap
 
 
 def _opposite_normal(norm):
     if isinstance(norm, ProductN):
         return ProductN(_opposite_normal(norm.left), _opposite_normal(norm.right))
     edges, _ = rekind(norm, lambda fam: (K.family_reversed(fam), None))
+    return replace(norm, edges=edges,
+                   generators=tuple(tr.reversed() for tr in norm.generators))
+
+
+FILTERS = ("absorbing", "emitting", "blocked")
+
+
+def flexible_points(g: GraphPresentation, positions, dropped) -> frozenset:
+    """g's flexible points, each edge's `positions` and the ends of the
+    `dropped` generators, less the excluded and blocked points."""
+    flex = {pos_point(g, e.id, t)
+            for e, ts in zip(g.edges, positions) for t in ts}
+    flex.update(x for tr in dropped
+                for x in (trace_start(g, tr), trace_end(g, tr)))
+    return frozenset((flex | g.flexible) - g.excluded - g.blocked)
+
+
+def _filters_compiled(g: GraphPresentation) -> GraphPresentation:
+    """g with its absorbing, emitting and blocked points compiled into
+    its edges' families (``kinds.family_filtered``), its generators and
+    its flexible points: a path obeys the filters exactly when each of
+    its generator instances does (README), so the instances that break
+    them go, and the trivial loops they gave stay."""
+    for message in outside_support(g, FILTERS):
+        raise ModelError(message)
+    # edge id -> per filter, the positions of the edge at its points
+    marks = {e.id: tuple(frozenset(
+        t for p in getattr(g, f) for t in {ZERO, ONE, getattr(p, "t", ONE)}
+        if pos_point(g, e.id, t) == p) for f in FILTERS) for e in g.edges}
+    edges, loops = rekind(g, K.family_filtered, lambda e: marks[e.id])
+    dropped = [tr for tr in g.generators if K.breaks_filters(
+        [(s.a, s.b) for s in tr.steps],
+        [marks.get(s.edge, (frozenset(),) * 3) for s in tr.steps])]
     return GraphPresentation(
-        vertices=norm.vertices,
-        edges=edges,
-        generators=tuple(tr.reversed() for tr in norm.generators),
-        flexible=norm.flexible,
-        excluded=norm.excluded,
-        absorbing=norm.emitting,
-        emitting=norm.absorbing,
-        blocked=norm.blocked)
+        vertices=g.vertices, edges=edges,
+        generators=tuple(tr for tr in g.generators if tr not in dropped),
+        flexible=flexible_points(g, loops, dropped), excluded=g.excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +696,13 @@ def _validate(space, out):
         out.append(f"unknown space expression {type(space).__name__}")
 
 
+def outside_support(g: GraphPresentation, labels) -> list:
+    """The message ``validate`` gives for each point of the named point
+    sets of g that g does not hold; the engines raise the first."""
+    return [f"{label} point {p!r} outside support" for label in labels
+            for p in getattr(g, label) if not in_support(g, p)]
+
+
 def _validate_graph(g: GraphPresentation, out):
     seen = set()
     for e in g.edges:
@@ -698,12 +729,7 @@ def _validate_graph(g: GraphPresentation, out):
             if prev is not None and prev != here:
                 out.append("generator steps are not consecutive")
             prev = pos_point(g, s.edge, s.b)
-    for label, pts in (("flexible", g.flexible), ("excluded", g.excluded),
-                       ("absorbing", g.absorbing), ("emitting", g.emitting),
-                       ("blocked", g.blocked)):
-        for p in pts:
-            if not in_support(g, p):
-                out.append(f"{label} point {p!r} outside support")
+    out.extend(outside_support(g, ("flexible", "excluded", *FILTERS)))
     if g.flexible & g.excluded:
         out.append("a point is both flexible-override and excluded")
 

@@ -16,8 +16,11 @@ position of a value is the offset plus its rank (``membership.rank_of``:
 one integer division and one bisection over ints), so a stretch of an
 edge is a range of positions and a point's cell is read with no
 ``Fraction`` arithmetic.  Questions test cells, not points: an excluded
-or blocked point is a cut value alone in its cell (``CellGraph.bad``),
-and two points are compared only when their cells are equal.
+point is a cut value alone in its cell (``CellGraph.bad``), and two
+points are compared only when their cells are equal.  The graph reads
+only families: ``presentation.normalize`` has compiled the absorbing,
+emitting and blocked points into them, so no transition leaves an
+absorbing cell and none touches a blocked one.
 
 Every generator contributes transitions ``(src, dst, cover)`` over ints:
 the cells the motion starts and ends in and the position ranges it
@@ -28,10 +31,9 @@ one kind with the same cut values share a parse-index entry
 gives one move for every pair of its positions, in its direction, and a
 pair that two windows give is one move; a rigid trace gives one for its
 whole traversal, unbound until a witness reads it.  Only on an edge
-that a filter mark or an excluded cell touches does each move go
-through the filter rule (``membership.violation``, which the parse asks
-too).  The window moves that cross no forbidden start or end
-of their window and pass no excluded cell are flagged flexible
+that an excluded cell touches are the moves read one by one, to flag
+the ones that pass it.  The window moves that cross no forbidden start
+or end of their window and pass no excluded cell are flagged flexible
 (``CellGraph.flex``): they are the moves of ``flexible_part``, so the
 flexible part is a mask over the one graph, not a second one.
 
@@ -78,7 +80,7 @@ from typing import Optional
 from weakref import WeakKeyDictionary
 
 from .construct import hat
-from .membership import parse_index, rank_of, violation
+from .membership import parse_index, rank_of
 from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, Pause,
                     ProdSeg, PTuple, Seg, UnsupportedConstruction, Vertex,
                     assemble)
@@ -150,7 +152,6 @@ class CellGraph:
         self.index = {e.id: i for i, e in enumerate(pres.edges)}
         self.ids = [e.id for e in pres.edges]  # edge number -> edge id
         self.offset = [index.offset[e] for e in self.ids]  # rank 0 there
-        self.marks = marks = index.marks  # position -> filter bits
         # Each edge on the next positions: its ends in its vertices' cells,
         # every other position in a cell of its own.
         self.pos_edge = pos_edge = []  # position -> edge number
@@ -164,18 +165,14 @@ class CellGraph:
             places[last].append(off + top)
             cell_at += (first, *range(c, c + top - 1), last)
             pos_edge.extend([i] * (top + 1))
-        # the index has checked that these points lie in the support
-        self.excluded, self.absorbing, self.blocked = (
-            frozenset(map(self.cell, pts))
-            for pts in (pres.excluded, pres.absorbing, pres.blocked))
-        # no path touches these cells: each holds one point, a cut value
-        self.bad = self.excluded | self.blocked
+        # the index has checked that these points lie in the support; no
+        # path starts or ends in these cells, each one point, a cut value
+        self.bad = frozenset(map(self.cell, pres.excluded))
         self.src, self.dst, self.cover = [], [], []
         self.flex = []  # transition -> is it a move of the flexible part?
         self.recipe = {}  # transition -> its rigid trace, traversed whole
-        # the edges whose moves a filter mark or an excluded cell touches
-        apart = {pos_edge[g] for g in chain(
-            marks, *(places[c] for c in self.excluded))}
+        # the edges whose moves an excluded cell touches
+        apart = {pos_edge[g] for c in self.bad for g in places[c]}
         stamps = {ent: _stamp(ent) for ent in index.shared.values()}
         # edge number -> its first transition; then the generators' first,
         # and the end of theirs
@@ -184,18 +181,15 @@ class CellGraph:
             self.first.append(len(self.src))
             pairs, flags, traces = stamps[ent]
             off = self.offset[i]
-            if i in apart:  # pair by pair: the filter rule, excluded cells
-                ex = [g for g in range(off, off + ent.top + 1)
-                      if cell_at[g] in self.excluded]
-                for (a, b), flex in zip(pairs, flags):
-                    a, b = off + a, off + b
-                    self._add(((a, b),), None, flex and not any(
-                        min(a, b) <= g <= max(a, b) for g in ex))
-            else:
-                self.src += [cell_at[off + a] for a, _ in pairs]
-                self.dst += [cell_at[off + b] for _, b in pairs]
-                self.cover += [((off + a, off + b),) for a, b in pairs]
-                self.flex += flags
+            self.src += [cell_at[off + a] for a, _ in pairs]
+            self.dst += [cell_at[off + b] for _, b in pairs]
+            self.cover += [((off + a, off + b),) for a, b in pairs]
+            # the ranks of the excluded cells: no move over one is flexible
+            ex = [r for r in range(ent.top + 1)
+                  if cell_at[off + r] in self.bad] if i in apart else ()
+            self.flex += [flex and not any(min(a, b) <= r <= max(a, b)
+                                           for r in ex)
+                          for (a, b), flex in zip(pairs, flags)] if ex else flags
             for steps, tr in traces:
                 self._add(tuple((off + a, off + b) for a, b in steps), tr)
         self.first.append(len(self.src))
@@ -244,9 +238,7 @@ class CellGraph:
     # -- transitions ---------------------------------------------------------
 
     def _add(self, cover: tuple, recipe, flex: bool = False) -> None:
-        """Add the transition over cover unless a filter drops it."""
-        if self.marks and violation(self.marks, cover) is not None:
-            return
+        """Add the transition over cover."""
         if recipe is not None:
             self.recipe[len(self.src)] = recipe
         self.src.append(self.cell_at[cover[0][0]])
@@ -394,23 +386,18 @@ class Closure:
         return self.bits[self.comp[a]] >> self.comp[b] & 1 == 1
 
     def ends(self, g: CellGraph) -> tuple:
-        """(stop, start, from_start), bitsets of components: those that
-        hold a cell where a path may end (one not excluded), those that
-        hold one where it may start (neither excluded nor absorbing), and
-        those a nonempty chain reaches from a start component."""
+        """(ends, from_start), bitsets of components: those that hold a
+        cell where a path may start or end (one not excluded), and those
+        a nonempty chain reaches from one of them."""
         if self._ends is None:
             comp, bits = self.comp, self.bits
-            every = stop = start = (1 << len(bits)) - 1
-            if g.excluded or g.absorbing:
-                stop = start = 0
-                for c, n in enumerate(comp):
-                    if c not in g.excluded:
-                        stop |= 1 << n
-                        if c not in g.absorbing:
-                            start |= 1 << n
-            from_start = reduce(or_, bits if start == every else (
-                b for n, b in enumerate(bits) if start >> n & 1), 0)
-            self._ends = stop, start, from_start
+            every = ends = (1 << len(bits)) - 1
+            if g.bad:
+                ends = reduce(or_, (1 << n for c, n in enumerate(comp)
+                                    if c not in g.bad), 0)
+            from_start = reduce(or_, bits if ends == every else (
+                b for n, b in enumerate(bits) if ends >> n & 1), 0)
+            self._ends = ends, from_start
         return self._ends
 
 
@@ -529,7 +516,7 @@ def _witness(g: CellGraph, x, chain, y) -> CanonicalPath:
 # Point-to-point queries
 
 def _reaches(g: CellGraph, x, y, cx: int, cy: int) -> bool:
-    """x ⤳ y, for x ≠ y neither excluded nor blocked in cells cx and cy,
+    """x ⤳ y, for x ≠ y, neither excluded, in cells cx and cy,
     from the closure of the compiled graph g."""
     if cx == cy:  # two points of one open segment
         return g.held(cx, 1 if y.t > x.t else -1) or g.reaches(cx, cx)
@@ -774,8 +761,8 @@ class ReachRelation:
         ``d`` several can share an open segment of the hat, and they come
         in the order of their parameters along it.  The representatives
         are kept on the space's graph and their cells on the graph that
-        answers.  Excluded and blocked points are cut values, each alone
-        in its cell.
+        answers.  Excluded points are cut values, each alone in its
+        cell.
         """
         reps = self.nodes()
         norm = normalize(hat(self.space) if self.mode == "d" else self.space)
@@ -813,32 +800,32 @@ def existence(pres: GraphPresentation, x, flexible: bool = False) -> tuple:
     Read from a closure of the compiled graph.  A point inside an open
     segment moves as the segment's cell c does, and a window holding
     the segment takes it on in its direction.  So x starts a path iff a
-    window holds c or c reaches a cell where a path may stop, and ends
-    one iff a window holds c or c is reached from a cell where a path
-    may start.  Only when neither holds does ``through`` look for a
-    transition over x (``CellGraph.over``) from a start cell, or a cell
-    it reaches, to a cell that is or reaches a stop cell: x then lies
+    window holds c or c reaches an end cell, where a path may start or
+    stop, and ends one iff a window holds c or c is reached from an end
+    cell.  Only when neither holds does ``through`` look for a
+    transition over x (``CellGraph.over``) from an end cell, or a cell
+    it reaches, to a cell that is or reaches an end cell: x then lies
     inside one motion.
     """
     g = compiled(pres)
     c = g.cell(x)
-    if c in g.blocked or flexible and c in g.excluded:
+    if flexible and c in g.bad:
         return False, False, False
     clo = g.closure(flexible)
     comp, bits = clo.comp, clo.bits
-    stop, start, from_start = clo.ends(g)
-    if c in g.excluded:
+    ends, from_start = clo.ends(g)
+    if c in g.bad:
         leaves = arrives = False
     else:
         held = g.held(c, 1) or g.held(c, -1)
-        leaves = held or bits[comp[c]] & stop != 0
+        leaves = held or bits[comp[c]] & ends != 0
         arrives = held or from_start >> comp[c] & 1 == 1
     if leaves or arrives:
         return True, leaves, arrives
-    begin, flags, src, dst = start | from_start, g.flex, g.src, g.dst
+    begin, flags, src, dst = ends | from_start, g.flex, g.src, g.dst
     return (any((flags[k] or not flexible)
                 and begin >> comp[src[k]] & 1
-                and (stop >> comp[dst[k]] & 1 or bits[comp[dst[k]]] & stop)
+                and (ends >> comp[dst[k]] & 1 or bits[comp[dst[k]]] & ends)
                 for k in g.over(c)),
             False, False)
 

@@ -14,6 +14,12 @@ Fragment instances therefore take their ends from that lattice joined
 with the path's own breakpoints.  The oracle agrees with
 ``is_controlled`` whenever the path admits a parse into at most
 ``depth`` instances whose fragment ends lie there.
+
+Both oracles read a graph presentation as it is given, with its
+absorbing, emitting and blocked points, and apply the filters to a
+whole path's motion (``_occurrences_ok``) or to each move
+(``brute_force_reach``).  ``presentation.normalize`` would compile those
+points into the families, so the oracles check that compilation.
 """
 
 from fractions import Fraction
@@ -21,19 +27,30 @@ from fractions import Fraction
 from cspaces import kinds as K
 from cspaces.model import (ONE, PAUSE, ZERO, EdgePoint, ModelError, Pause,
                            PTuple, Seg, Track, Vertex)
-from cspaces.presentation import (ProductN, bound_rigid, canonicalize,
-                                  normalize, project)
+from cspaces.presentation import (GraphPresentation, Product, ProductN,
+                                  bound_rigid, canonicalize, normalize,
+                                  project)
 
 
 def brute_force_controlled(space, path_or_track, depth: int = 5,
                            grid: int = 8) -> bool:
     """Is the path a concatenation of at most `depth` generator instances
     (pauses aside), with fragment ends on the lattice?"""
-    norm = normalize(space)
+    norm = _as_given(space)
     path = canonicalize(path_or_track, norm)
     if not isinstance(path_or_track, Track):
         _check_chain(norm, path)
     return _brute(norm, path, depth, grid)
+
+
+def _as_given(space):
+    """The space with its graph presentations as given, filters and all,
+    and anything else in normal form."""
+    if isinstance(space, GraphPresentation):
+        return space
+    if isinstance(space, (Product, ProductN)):
+        return ProductN(_as_given(space.left), _as_given(space.right))
+    return normalize(space)
 
 
 def _at(norm, seg, t):

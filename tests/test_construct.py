@@ -22,7 +22,8 @@ from cspaces.model import (PAUSE, EdgePoint, ModelError, ProdSeg, PTuple,
                            RigidTrace, Seg, TraceStep, UnsupportedConstruction,
                            Vertex, assemble, reverse_path)
 from cspaces.presentation import (Edge, GraphPresentation, ProductN,
-                                  Subspace, flexible_point, normalize,
+                                  Subspace, flexible_point,
+                                  is_flexible_point, normalize, pos_point,
                                   validate)
 from cspaces.reach import c_reachable, compiled, d_reachable
 
@@ -108,6 +109,14 @@ class TestHat:
         assert "_hat" not in vars(copy) and copy == sp
         assert hat(copy) == hat(sp)
 
+    @pytest.mark.parametrize("field", ["emitting", "blocked"])
+    def test_the_hat_adds_no_sub_run_of_a_killed_instance(self, field):
+        # the jump ends at v1, which the filter forbids: X controls no
+        # nonconstant path, so neither does the space it generates
+        sp = replace(interval(K.ONE_JUMP), **{field: frozenset({V1})})
+        assert not is_controlled(sp, UP)
+        assert not is_controlled(hat(sp), HALF_UP)
+
     def test_d_reachable_answers_are_unchanged(self):
         sp = build("dual_carriageway")
         pts = [Vertex(v) for v in sorted(sp.vertices)]
@@ -190,12 +199,19 @@ class TestOpposite:
                      emitting=frozenset({a}),
                      blocked=frozenset({EdgePoint("e0", F(7, 8))}))
         op = opposite(sp)
-        assert (op.absorbing, op.emitting) == (sp.emitting, sp.absorbing)
-        assert ((op.excluded, op.blocked, op.flexible)
-                == (sp.excluded, sp.blocked, sp.flexible))
         # the run from the emitting point to the absorbing one, reversed
         run = assemble(a, [Seg("e0", F(1, 4), F(3, 4))], b)
         assert is_controlled(sp, run) and is_controlled(op, reverse_path(run))
+        # every run between two marked points, and every trivial loop
+        ts = [Z, F(1, 8), F(1, 4), H, F(3, 4), F(7, 8), O]
+        pts = [pos_point(sp, "e0", t) for t in ts]
+        for x, s in zip(pts, ts):
+            assert is_flexible_point(op, x) == is_flexible_point(sp, x), x
+            for y, t in zip(pts, ts):
+                if s != t:
+                    p = assemble(x, [Seg("e0", s, t)], y)
+                    assert (is_controlled(op, reverse_path(p))
+                            == is_controlled(sp, p)), p
 
     def test_opposite_swaps_membership_with_reversal(self):
         for name in ("c_interval", "d_interval", "siphon", "delayed_minus"):
@@ -349,13 +365,19 @@ class TestEachKindRewrittenOnce:
         construction(_chain(K.ONE_JUMP, 100, name="once"))
         assert 1 <= len(kind_of_calls) <= 2
 
-    def test_the_part_names_a_kind_once_per_reversible_trace_set(
-            self, kind_of_calls):
-        # the part makes the absorbing vertex emitting too, so the edges
-        # on either side of it keep neither of their traces
-        reversible_part(_chain(K.REVERSIBLE_ONE_JUMP, 100, name="part",
-                               absorbing=frozenset({Vertex("part50")})))
-        assert len(kind_of_calls) == 2
+    def test_the_part_names_a_kind_once_per_reversible_trace_set(self):
+        # no path leaves the absorbing vertex, so the edges on either side
+        # of it keep neither of their traces, and the others keep both
+        sp = _chain(K.REVERSIBLE_ONE_JUMP, 100, name="part",
+                    absorbing=frozenset({Vertex("part50")}))
+        rp = reversible_part(sp)
+        for i in (48, 49, 50, 51):
+            a, b = Vertex(f"part{i}"), Vertex(f"part{i + 1}")
+            up = assemble(a, [Seg(f"e{i}", Z, O)], b)
+            kept = i not in (49, 50)
+            assert is_controlled(rp, up) is kept, i
+            assert is_controlled(rp, reverse_path(up)) is kept, i
+            assert is_flexible_point(rp, a) and is_flexible_point(rp, b), i
 
     def test_edges_of_one_kind_with_other_keys_get_their_own_kinds(self):
         back = RigidTrace((TraceStep("e2", H, Z),))

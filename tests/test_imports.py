@@ -1,11 +1,11 @@
 """No module of the package or of the test suite imports a name it never
 uses, and no function of the package imports anything: an import inside
 a function hides an import cycle.  The package adds no ``functools``
-cache to the seven it has, which grow without bound.  The oracles of
-the tests import nothing from the parse and the reachability they
-check.  Only ``ast`` reads the sources; ``__init__.py`` files (which
-re-export) and import lines marked ``# noqa: F401`` are exempt from the
-first rule."""
+cache to the seven it has, which grow without bound.  No engine reads
+an absorbing, emitting or blocked point set.  The oracles of the tests
+import nothing from the parse and the reachability they check.  Only
+``ast`` reads the sources; ``__init__.py`` files (which re-export) and
+import lines marked ``# noqa: F401`` are exempt from the first rule."""
 
 import ast
 from pathlib import Path
@@ -120,6 +120,45 @@ def test_an_aliased_cache_is_still_found(tmp_path, source):
     path = tmp_path / "kinds.py"
     path.write_text(source)
     assert caches(path) == [("kinds", "expand")]
+
+
+# ``presentation.normalize`` compiles these point sets into the families
+# of a normal form, so the engines never read them.
+FILTERS = {"absorbing", "emitting", "blocked"}
+ENGINES = ("membership", "reach", "construct")
+
+
+def filter_reads(path: Path) -> list:
+    """(line, name) of each read of a filter set: an attribute of that
+    name, or ``getattr`` with it as a constant."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in FILTERS
+                and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in FILTERS):
+            found.append((node.lineno, node.args[1].value))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", ENGINES)
+def test_no_engine_reads_a_filter_set(module):
+    assert filter_reads(ROOT / "src" / "cspaces" / f"{module}.py") == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def ends(g):\n    return g.absorbing | g.emitting\n",
+     [(2, "absorbing"), (2, "emitting")]),
+    ("def bad(g, c):\n    return c in getattr(g, 'blocked')\n",
+     [(2, "blocked")]),
+    ("def build(g):\n    return g.replace(blocked=g.excluded)\n", [])])
+def test_a_planted_filter_read_is_found(tmp_path, source, found):
+    path = tmp_path / "reach.py"
+    path.write_text(source)
+    assert filter_reads(path) == found
 
 
 def imported_modules(path: Path) -> set:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from cspaces import kinds as K
+from cspaces.jsonio import space_from_json
 from cspaces.kinds import Family, Fragment
 from cspaces.membership import parse_controlled
 from cspaces.model import ModelError, RigidTrace, TraceStep, Vertex
@@ -105,3 +106,25 @@ def test_a_kind_keeps_its_family_and_hash_outside_its_fields():
     assert "_family" not in vars(back) and "_hash" not in vars(back)
     assert back == k and hash(back) == hash(k)
     assert K.kind_generators(back) == K.kind_generators(k)
+
+
+def _chain_doc(kinds):
+    return {"graph": {
+        "vertices": [f"v{i}" for i in range(len(kinds) + 1)],
+        "edges": [{"id": f"e{i}", "from": f"v{i}", "to": f"v{i + 1}",
+                   "kind": k} for i, k in enumerate(kinds)]}}
+
+
+def test_a_named_kind_of_fixed_arity_is_one_shared_instance():
+    """``kind(name)`` gives the module's constant, so two chains read from
+    JSON share one instance, one hash and one family per kind, while
+    ``n_stop(n)`` and ``custom`` build new ones."""
+    assert K.kind("directed") is K.DIRECTED
+    assert all(K.kind(k.name) is k for k in NAMED)
+    doc = _chain_doc(["directed", "one_jump", "directed", "siphon"])
+    a, b = space_from_json(doc), space_from_json(doc)
+    kinds = {id(e.kind) for sp in (a, b) for e in sp.edges}
+    assert kinds == {id(K.DIRECTED), id(K.ONE_JUMP), id(K.SIPHON)}
+    assert K.n_stop(3) == K.n_stop(3) and K.n_stop(3) is not K.n_stop(3)
+    fam = K.kind_generators(K.DIRECTED)
+    assert K.custom(fam) is not K.custom(fam)

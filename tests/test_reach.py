@@ -941,10 +941,10 @@ def test_product_witnesses_are_unchanged():
             == PRODUCT_WITNESS_DIGEST)
 
 
-# SHA-256 of the relations below, written when ``pairs()`` in mode ``d``
-# cut the hat at every representative and searched from each.
-PAIRS_DIGEST = ("b2945d6e436138d2579f707b8c8e7353"
-                "c7481a63cfd067b0f665abc4425d5bb5")
+# SHA-256 of the relations below, written when the hat of a filtered
+# space first dropped the sub-runs of instances that its filters kill.
+PAIRS_DIGEST = ("7bc0464f8613b6f19cf227cf0aeceb9c"
+                "36bea9f07e3a737607d8d05e87265e84")
 
 
 def test_pairs_are_unchanged():
@@ -954,10 +954,11 @@ def test_pairs_are_unchanged():
             == PAIRS_DIGEST)
 
 
-# SHA-256 of the answers below, written when ``unavoidable_point`` cut
-# the graph at its three points and searched it breadth-first.
-UNAVOIDABLE_DIGEST = ("fb7e86d22e44f364a6b065fbddad2ee6"
-                      "27d8b6958d1b48d2c309081e3bce10a4")
+# SHA-256 of the answers below, written when the hat of a filtered space
+# first dropped the sub-runs of instances that its filters kill (mode
+# ``d``).
+UNAVOIDABLE_DIGEST = ("352392b418c87d15e9effdcaab6e0e74"
+                      "289581c7295fe25c01a6aee0317887c9")
 
 
 def _unavoidable_triples(pres, rng, count=40):

@@ -34,10 +34,14 @@ SEEDS = range(300)
 BATCHES = 6
 
 
-def _spaces(batch):
+def _spaces(batch, normal=True):
+    """(seed, space, rng): the normal form of each seeded space, or with
+    `normal` false the space as drawn, whose absorbing, emitting and
+    blocked points the oracles read for themselves."""
     for seed in SEEDS[batch::BATCHES]:
         rng = random.Random(f"spaces/{seed}")
-        yield seed, normalize(random_space(rng)), rng
+        sp = random_space(rng)
+        yield seed, normalize(sp) if normal else sp, rng
 
 
 def _points(pres, rng, fresh=1):
@@ -67,7 +71,8 @@ def _halves(sp, p):
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_the_constructions_keep_their_laws(batch):
     """On 10 sampled paths of each space X: X sits inside its hat and its
-    reversible closure, reversal maps X onto its opposite, the flexible
+    reversible closure, the closure holds a path exactly when it holds
+    its reverse, reversal maps X onto its opposite, the flexible
     part holds exactly the flexible paths, and the reversible part sits
     inside X, holds the reverse of each of its paths and keeps every
     trivial loop of X."""
@@ -82,6 +87,8 @@ def test_the_constructions_keep_their_laws(batch):
                 is_controlled(sp, q) for q in _halves(sp, p))), (seed, p)
             if inside:
                 assert is_controlled(h, p) and is_controlled(rc, p), (seed, p)
+            assert (is_controlled(rc, reverse_path(p))
+                    == is_controlled(rc, p)), (seed, p)
             if is_controlled(rp, p):
                 assert inside and is_controlled(rp, reverse_path(p)), (seed, p)
         for x in _points(sp, rng):
@@ -176,9 +183,10 @@ ORACLE_DEPTH = 5
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_membership_agrees_with_the_oracle(batch):
     """``is_controlled``, read from the parse, against
-    ``brute_force_controlled`` on seeded paths of each space and of its
-    hat; a parse longer than the oracle's depth is beyond its horizon."""
-    for seed, sp, rng in _spaces(batch):
+    ``brute_force_controlled`` on seeded paths of each space as drawn
+    and of its hat; a parse longer than the oracle's depth is beyond its
+    horizon."""
+    for seed, sp, rng in _spaces(batch, normal=False):
         for pres in (sp, normalize(hat(sp))):
             for _ in range(4):
                 p = random_graph_path(pres, rng)
@@ -203,7 +211,7 @@ def _witnesses_parse(pres, pts) -> None:
 
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_reach_agrees_with_the_oracle(batch):
-    for seed, sp, rng in _spaces(batch):
+    for seed, sp, rng in _spaces(batch, normal=False):
         pts = _points(sp, rng)
         pts = rng.sample(pts, min(5, len(pts)))
         reached = brute_force_reach(sp, pts)
@@ -239,7 +247,7 @@ def _triples(pres, rng, count=8):
 
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_unavoidable_points_agree_with_the_oracle(batch):
-    for seed, sp, rng in _spaces(batch):
+    for seed, sp, rng in _spaces(batch, normal=False):
         for x, y, p in _triples(sp, rng):
             try:
                 got = unavoidable_point(sp, x, y, p)
