@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .construct import flexible_part
-from .membership import _ensure_path, check_path_geometry, is_controlled
+from .membership import check_path_geometry, is_controlled
 from .model import (ONE, ZERO, CanonicalPath, ModelError, Position, ProdSeg,
                     PTuple, Run, Seg, UnsupportedConstruction)
-from .presentation import (GraphPresentation, ProductN, cuts, family,
-                           flexible_point, normalize, split_path, trace_path)
+from .presentation import (GraphPresentation, ProductN, canonicalize, cuts,
+                           family, flexible_point, normalize, split_path,
+                           trace_path)
 from .presentation import is_flexible_point  # noqa: F401  (public here too)
 from .reach import existence
 
@@ -76,7 +79,7 @@ def is_flexible_path(space, path_or_track) -> bool:
     """Is every contiguous portion of the path controlled?  Exactly when
     the flexible part of the space controls it."""
     norm = normalize(space)
-    path = _ensure_path(norm, path_or_track)
+    path = canonicalize(path_or_track, norm)
     if not is_controlled(norm, path):
         raise ModelError("path is not controlled")
     return is_controlled(flexible_part(norm), path)
@@ -85,7 +88,7 @@ def is_flexible_path(space, path_or_track) -> bool:
 def is_splittable(space, path_or_track, cut: Position) -> bool:
     """Are both portions of the path at the cut controlled?"""
     norm = normalize(space)
-    path = _ensure_path(norm, path_or_track)
+    path = canonicalize(path_or_track, norm)
     if not is_controlled(norm, path):
         raise ModelError("path is not controlled")
     left, right = split_path(norm, path, cut)
@@ -96,8 +99,9 @@ def _crossings(norm, seg) -> set:
     """The traversal fractions strictly inside a segment where it, or a
     coordinate of a product segment, is at a cut value of its edge."""
     if isinstance(seg, Seg):
-        return {(x - seg.a) / (seg.b - seg.a) for x in cuts(norm, seg.edge)
-                if seg.lo < x < seg.hi}
+        cs, a, b = cuts(norm, seg.edge), seg.a, seg.b
+        inside = cs[bisect_right(cs, min(a, b)):bisect_left(cs, max(a, b))]
+        return {(x - a) / (b - a) for x in inside}
     return set().union(*(_crossings(factor, part) for part, factor
                          in zip(seg.parts, (norm.left, norm.right))
                          if isinstance(part, (Seg, ProdSeg))))
@@ -117,8 +121,10 @@ def _candidate_cuts(norm, path: CanonicalPath):
             if si:
                 yield Position(k, si, seg.a if graph else ZERO)
             grid = sorted({ZERO, ONE, *_crossings(norm, seg)})
-            for lam in sorted({*grid[1:-1], *((a + b) / 2 for a, b
-                                              in zip(grid, grid[1:]))}):
+            # in order: each gap's midpoint, then the crossing that ends it
+            lams = chain.from_iterable(((a + b) / 2, b)
+                                       for a, b in zip(grid, grid[1:]))
+            for lam in islice(lams, 2 * len(grid) - 3):
                 yield Position(k, si, seg.a + lam * (seg.b - seg.a)
                                if graph else lam)
 
@@ -128,7 +134,7 @@ def is_rigid_path(space, path_or_track) -> bool:
     parts.  The cuts tried are exact: ``_candidate_cuts`` stands for every
     other one, on graphs and on products alike."""
     norm = normalize(space)
-    path = _ensure_path(norm, path_or_track)
+    path = canonicalize(path_or_track, norm)
     if path.is_trivial():
         check_path_geometry(norm, path)  # a broken path is not constant
         raise ModelError("path is constant")

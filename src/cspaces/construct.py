@@ -77,8 +77,10 @@ def _hat_family(fam: Family) -> Family:
 
 
 def hat_graph(g: GraphPresentation) -> GraphPresentation:
-    """The hat of a graph presentation.  Its generators' steps become
-    windows of their edges, so the hat has no generators."""
+    """The hat of a graph presentation in normal form.  Its generators'
+    steps become windows of their edges, so the hat has no generators; a
+    presentation whose hat changes no edge's kind, with no generators and
+    no excluded point, is its own hat, and is returned as it is."""
     steps = {}  # edge id -> (from, to) of each generator step on it
     for tr in g.generators:
         for s in tr.steps:
@@ -86,6 +88,8 @@ def hat_graph(g: GraphPresentation) -> GraphPresentation:
     edges, _ = rekind(
         g, lambda fam, *s: (K.add_windows(_hat_family(fam), s), None),
         lambda e: steps.get(e.id, ()))
+    if edges == g.edges and not g.generators and not g.excluded:
+        return g
     return GraphPresentation(vertices=g.vertices, edges=edges,
                              flexible=g.flexible)
 

@@ -19,8 +19,8 @@ from .construct import hat
 from .membership import check_path_geometry
 from .presentation import (Edge, ExcludeEndpoints, GraphPresentation,
                            Opposite, Product, ProductN, Quotient, Subspace,
-                           Sum, _point_of_seg, canonicalize, edge_map,
-                           normalize, pos_point)
+                           Sum, canonicalize, edge_map, normalize,
+                           pos_point, seg_ends)
 
 
 def dumps(obj) -> str:
@@ -397,14 +397,6 @@ def path_to_json(path: CanonicalPath) -> dict:
             "end": point_to_str(path.end)}
 
 
-def _atom_end(norm, atom):
-    """Where a motion atom of the right sort for norm ends, else None (a
-    pause, or a misplaced atom that the geometry check reports)."""
-    if isinstance(norm, GraphPresentation):
-        return pos_point(norm, atom.edge, atom.b) if isinstance(atom, Seg) else None
-    return _point_of_seg(norm, atom, ONE) if isinstance(atom, ProdSeg) else None
-
-
 def path_from_json(d: dict, space, check: bool = True):
     """Read a path document; returns a CanonicalPath.  With `check`, a
     path whose segments do not chain is a ModelError here; a caller that
@@ -430,12 +422,11 @@ def path_from_json(d: dict, space, check: bool = True):
             continue
         for j, sd in enumerate(_items(item, "run", (dict,), at)):
             atoms.append(_seg_from_json(sd, f"{at}.run[{j}]", norm))
-    end = start
-    for atom in reversed(atoms):
-        e = _atom_end(norm, atom)
-        if e is not None:
-            end = e
-            break
+    # by default where the last motion of the right sort for norm ends (a
+    # misplaced one is left to the geometry check)
+    moves = [a for a in atoms if isinstance(
+        a, Seg if isinstance(norm, GraphPresentation) else ProdSeg)]
+    end = seg_ends(norm, moves[-1])[1] if moves else start
     if "end" in d:
         end = point_from_str(_field(d, "end", (str,), "path"), norm)
     path = assemble(start, atoms, end)

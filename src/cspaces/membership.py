@@ -12,18 +12,19 @@ The parse compares integer ranks, not rationals.  On an edge whose cut
 values are c_0 < c_1 < ... < c_m, the value c_i has rank 2i and a point
 strictly between c_i and c_(i+1) has rank 2i + 1.  Every window bound,
 forbidden start or end, and trace step end is a cut value, so ranks
-decide each comparison exactly.  ``_ranks`` is the one place that
-defines this encoding, and ``rank_of`` its integer form for any value:
-an entry keeps its cut values as integer numerators ``nums`` over their
-common denominator ``den``, so one ``divmod`` of v·den and one
-``bisect`` over ints rank v, for ``explode`` and for the cells of
-``reach`` alike.  The ranked windows and rigid steps of an edge
-live in a parse index stored on the presentation and built in one pass
-over its edges: edges of one kind with the same cut values share one
-entry, each entry keeps its kind's rigid traces, and the index keeps
-apart only the presentation's generators.  The same pass numbers all
-edges' ranks one after another, so a rank plus its edge's offset is a
-position, from which the cell graph of ``reach`` lays out its edges.
+decide each comparison exactly.  ``rank_of`` is the one place that
+defines this encoding: an entry keeps its cut values as integer
+numerators ``nums`` over their common denominator ``den``, so one
+``divmod`` of v·den and one ``bisect`` over ints rank v, when the index
+is built and for ``explode`` and the cells of ``reach`` alike.  The
+ranked windows and rigid steps of an edge live in a parse index stored
+on the presentation and built in one pass over its edges: edges of one
+kind with the same cut values share one entry, each entry keeps its
+kind's rigid traces, and the index keeps apart only the presentation's
+generators.  It keeps each edge's entry with the edge's two ends, so
+the tokenizer checks and cuts a segment with one lookup, and each token
+carries its entry to the parse.  The cell graph of ``reach`` lays out
+its edges from the same entries.
 
 The parse reads only families: ``presentation.normalize`` compiles the
 absorbing, emitting and blocked points into them, so a path that a
@@ -33,15 +34,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .model import (ONE, PAUSE, ZERO, CanonicalPath, EdgePoint, ModelError,
-                    Pause, Rat, Seg, Track, Vertex)
-from .presentation import (GraphPresentation, ProductN, _point_of_seg,
-                           canonicalize, cuts, edge_map, family,
-                           flexible_point, normalize, outside_support,
-                           own_cut_values, pos_point, project)
+from .model import (PAUSE, CanonicalPath, EdgePoint, ModelError, Pause, Seg,
+                    Vertex)
+from .presentation import (GraphPresentation, ProductN, canonicalize, cuts,
+                           family, flexible_point, normalize, outside_support,
+                           own_cut_values, pos_point, projections)
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,7 @@ class ParseOutcome:
 # ---------------------------------------------------------------------------
 # Ranks and the parse index
 
-def _ranks(cs: tuple) -> dict:
-    """Each of the sorted cut values cs -> its rank."""
-    return {v: 2 * i for i, v in enumerate(cs)}
-
-
-def _file(table: dict, key: tuple, steps: tuple, tr) -> None:
+def _file(table: dict, key, steps: tuple, tr) -> None:
     """Add a trace with its ranked steps to table under key.  A step is
     (edge, d, rank a, rank b); the entry is (steps, dwell marks, trace,
     goal), where goal is the end rank of a one-step trace with no dwell
@@ -77,22 +73,22 @@ class _EdgeIndex:
     """The ranked generators of the edges of one kind and one set of cut
     values.
 
-    ``cuts``: the sorted cut values; ``rank``: each of them -> its rank;
-    ``den``, ``nums``: their common denominator and their numerators over
-    it, for ``rank_of``; ``top``: the rank of 1; ``fam``: the family of
-    the kind.
+    ``cuts``: the sorted cut values; ``den``, ``nums``: their common
+    denominator and their numerators over it, through which ``rank_of``
+    ranks every value, these included; ``top``: the rank of 1; ``fam``:
+    the family of the kind.
     ``wins[d]``: the windows of direction d as (lowest rank, highest rank,
     forbidden start ranks, forbidden end ranks), open ends already taken
     off; windows of direction 0 move nothing and are left out.
-    ``rigid``: the family's rigid traces, filed by ``_file`` under (d,
-    rank of the start); their steps name no edge, and None stands for
+    ``rigid``: the family's rigid traces, filed by ``_file`` under the
+    rank r of their start, or ~r when they fall, so that the parse looks
+    them up by one int; their steps name no edge, and None stands for
     the edge the trace starts on.
     """
-    __slots__ = ("cuts", "rank", "den", "nums", "top", "fam", "wins", "rigid")
+    __slots__ = ("cuts", "den", "nums", "top", "fam", "wins", "rigid")
 
     def __init__(self, fam, cs: tuple):
         self.cuts, self.fam = cs, fam
-        rank = self.rank = _ranks(cs)
         ratios = [v.as_integer_ratio() for v in cs]
         den = self.den = lcm(*(q for _, q in ratios))
         self.nums = tuple(p * (den // q) for p, q in ratios)
@@ -101,55 +97,55 @@ class _EdgeIndex:
         for f in fam.fragments:
             if f.dir:
                 self.wins[f.dir].append((
-                    rank[f.lo] + f.lo_open, rank[f.hi] - f.hi_open,
-                    frozenset(rank[x] for x in f.start_not),
-                    frozenset(rank[x] for x in f.end_not)))
+                    rank_of(self, f.lo) + f.lo_open,
+                    rank_of(self, f.hi) - f.hi_open,
+                    frozenset(rank_of(self, x) for x in f.start_not),
+                    frozenset(rank_of(self, x) for x in f.end_not)))
         self.rigid = {}
         for tr in fam.rigid:
-            steps = tuple((None, s.dir, rank[s.a], rank[s.b]) for s in tr.steps)
-            _file(self.rigid, steps[0][1:3], steps, tr)
+            steps = tuple((None, s.dir, rank_of(self, s.a), rank_of(self, s.b))
+                          for s in tr.steps)
+            d, r = steps[0][1:3]
+            _file(self.rigid, r if d > 0 else ~r, steps, tr)
 
 
 class _ParseIndex:
     """A presentation's edge entries, built in one pass over its edges,
     and its generators by (edge, d, rank of their start).
 
-    ``edges``: edge id -> its entry.  Edges of one kind with the same
-    ``own_cut_values`` (most often none) have the same cut values, so they
-    share one entry (``shared``: (kind, own cut values) -> entry), and
-    ``cuts`` and ``family`` run once per entry, not once per edge.  Each
-    entry keeps its family's rigid traces; ``rigid`` holds only the
-    presentation's generators, whose steps name their edges.
-    ``offset``: edge id -> the position of its rank 0, the edges' ranks
-    numbered one after another.  The cell graph (``reach.CellGraph``)
-    lays out its edges from the entries and the offsets.  Raises
+    ``edges``: edge id -> (its entry, its source, its target), so a
+    segment is checked and cut with one lookup.  Edges of one kind with
+    the same ``own_cut_values`` (most often none) have the same cut
+    values, so they share one entry (``shared``: (kind, own cut values),
+    or the kind alone for an edge with none, -> entry), and ``cuts`` and
+    ``family`` run once per entry, not once per edge.  Each entry keeps
+    its family's rigid traces; ``rigid`` holds only the presentation's
+    generators, whose steps name their edges.  The cell graph
+    (``reach.CellGraph``) lays out its edges from the entries.  Raises
     ModelError for an excluded point outside the support.
     """
-    __slots__ = ("edges", "shared", "rigid", "offset", "__weakref__")
+    __slots__ = ("edges", "shared", "rigid", "__weakref__")
 
     def __init__(self, pres: GraphPresentation):
         self.edges = edges = {}
         self.shared = shared = {}
-        self.offset = offset = {}
-        at = 0
         own = own_cut_values(pres)
         for e in pres.edges:
-            key = (e.kind, frozenset(own.get(e.id, ())))
+            key = (e.kind, frozenset(own[e.id])) if e.id in own else e.kind
             ent = shared.get(key)
             if ent is None:
                 ent = shared[key] = _EdgeIndex(family(pres, e.id),
                                                cuts(pres, e.id))
-            edges[e.id] = ent
-            offset[e.id] = at
-            at += ent.top + 1
+            edges[e.id] = ent, e.src, e.dst
         self.rigid = {}  # (edge, d, rank) -> the entries of _file
         for tr in pres.generators:
             steps = []
             for s in tr.steps:
-                ent = edges.get(s.edge)
-                if ent is None:
+                if s.edge not in edges:
                     raise ModelError(f"unknown edge {s.edge!r}")
-                steps.append((s.edge, s.dir, ent.rank[s.a], ent.rank[s.b]))
+                ent = edges[s.edge][0]
+                steps.append((s.edge, s.dir, rank_of(ent, s.a),
+                              rank_of(ent, s.b)))
             _file(self.rigid, steps[0][:3], tuple(steps), tr)
         for message in outside_support(pres, ("excluded",)):
             raise ModelError(message)
@@ -182,24 +178,15 @@ def parse_index(pres: GraphPresentation) -> _ParseIndex:
 # ---------------------------------------------------------------------------
 # Tokenization
 
-class Token(NamedTuple):
-    """Monotone motion from a to b on one edge that crosses no cut value;
-    ra and rb are the ranks of a and b."""
-    edge: str
-    dir: int
-    a: Rat
-    b: Rat
-    ra: int
-    rb: int
-
-
-_new = tuple.__new__  # builds a Token without its Python-level __new__
-
-
 def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
-    """Atomic tokens (PAUSE or Token), cut at every cut value of their edge;
-    raises ModelError when the path's segments do not chain in pres."""
-    edges, emap = parse_index(pres).edges, edge_map(pres)
+    """Atomic tokens, cut at every cut value of their edge; raises
+    ModelError when the path's segments do not chain in pres.
+
+    A token is PAUSE or a plain tuple (edge, d, a, b, ra, rb, ent):
+    monotone motion in direction d from a to b on one edge that crosses
+    no cut value, the ranks ra and rb of a and b, and the edge's entry in
+    the parse index."""
+    edges = parse_index(pres).edges
     toks = []
     add = toks.append
     # where the path is: at the vertex named `at`, or, with `at` None,
@@ -210,19 +197,19 @@ def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
         at, on, t, r = None, p.edge, p.t, None
     else:
         at, on, t, r = p.name if isinstance(p, Vertex) else p, None, None, None
-    prev = None
     for item in path.items:
         if isinstance(item, Pause):
             add(PAUSE)
             continue
         for seg in item.segs:
-            if type(seg) is not Seg:
-                raise ModelError("product segment in a graph path")
-            edge, a, b = seg.edge, seg.a, seg.b
-            ent = edges.get(edge)
-            if ent is None:
-                raise ModelError(f"unknown edge {edge!r}")
-            top, cs, e = ent.top, ent.cuts, emap[edge]
+            try:
+                edge, a, b = seg.edge, seg.a, seg.b
+                ent, src, dst = edges[edge]
+            except (AttributeError, KeyError):
+                if type(seg) is not Seg:
+                    raise ModelError("product segment in a graph path") from None
+                raise ModelError(f"unknown edge {edge!r}") from None
+            top = ent.top
             # the segment starts where the path is: inside the edge where
             # the last one stopped, or at an end of the edge, rank 0 at its
             # source vertex and the top rank at its target
@@ -231,41 +218,41 @@ def explode(pres: GraphPresentation, path: CanonicalPath) -> list:
                 if ok and r is None:
                     r = rank_of(ent, a)
                 ra = r
-            elif a == 0:
-                ok, ra = at == e.src, 0
-            else:
-                ok, ra = a == 1 and at == e.dst, top
+            else:  # a is 0 or 1, read off its integer ratio
+                p, q = a.as_integer_ratio()
+                ok, ra = (p == q and at == dst, top) if p else (at == src, 0)
             if not ok:
-                was = path.start if prev is None else pos_point(pres, prev.edge, prev.b)
+                was = _point_before(pres, path.start, toks, len(toks))
                 raise ModelError(f"path breaks at {was!r} -> "
                                  f"{pos_point(pres, edge, a)!r}")
             # an end inside an edge without interior cut values lies in
             # its one open segment, rank 1
-            if b == 1:
-                rb, at = top, e.dst
-            elif b == 0:
-                rb, at = 0, e.src
+            p, q = b.as_integer_ratio()
+            if p == q:
+                rb, at = top, dst
+            elif not p:
+                rb, at = 0, src
             else:
                 rb = 1 if top == 2 else rank_of(ent, b)
                 at, on, t, r = None, edge, b, rb
-            prev = seg
-            # the cut values strictly inside the segment are cs[i:j]
+            # the cut values strictly inside the segment are cuts[i:j]
             if ra < rb or (ra == rb and a < b):
                 d, i, j = 1, (ra + 2) >> 1, (rb + 1) >> 1
             else:
                 d, i, j = -1, (rb + 2) >> 1, (ra + 1) >> 1
             if i == j:
-                add(_new(Token, (edge, d, a, b, ra, rb)))
+                add((edge, d, a, b, ra, rb, ent))
                 continue
+            cs = ent.cuts
             if d > 0:
                 vals = [a, *cs[i:j], b]
                 ranks = [ra, *range(2 * i, 2 * j, 2), rb]
             else:
                 vals = [a, *cs[j - 1:i - 1:-1], b]
                 ranks = [ra, *range(2 * j - 2, 2 * i - 2, -2), rb]
-            toks.extend(_new(Token, (edge, d, vals[k], vals[k + 1],
-                                     ranks[k], ranks[k + 1]))
-                        for k in range(len(vals) - 1))
+            # one token per consecutive pair, built without a Python frame
+            toks.extend(zip(repeat(edge), repeat(d), vals, vals[1:], ranks,
+                            ranks[1:], repeat(ent)))
     end = path.end
     if isinstance(end, EdgePoint):
         ok = at is None and (on, t) == (end.edge, end.t)
@@ -281,27 +268,15 @@ def check_path_geometry(space, path: CanonicalPath):
     norm = normalize(space)
     if isinstance(norm, GraphPresentation):
         explode(norm, path)
-        return
-    cur = path.start
-    for item in path.items:
-        if isinstance(item, Pause):
-            continue
-        for seg in item.segs:
-            if isinstance(seg, Seg):
-                raise ModelError("graph segment in a product path")
-            here = _point_of_seg(norm, seg, ZERO)
-            if here != cur:
-                raise ModelError(f"path breaks at {cur!r} -> {here!r}")
-            cur = _point_of_seg(norm, seg, ONE)
-    if cur != path.end:
-        raise ModelError("path end point mismatch")
+    else:
+        projections(norm, path)
 
 
 def _point_before(pres, start, toks, k: int):
     """The point of the path before token k."""
     for tok in reversed(toks[:k]):
         if tok is not PAUSE:
-            return pos_point(pres, tok.edge, tok.b)
+            return pos_point(pres, tok[0], tok[3])
     return start
 
 
@@ -331,21 +306,21 @@ def _match(steps, pauses, toks, i: int, edge: str) -> Optional[int]:
                 pos += 1
             if pos >= n:
                 return None
-            tok = toks[pos]
+            te, td, _, _, ta, tb, _ = toks[pos]
             # the token must follow on from cur and stay within the step
-            if tok.edge != e or tok.dir != d or tok.ra != cur \
-                    or (tok.rb - rb) * d > 0:
+            if te != e or td != d or ta != cur or (tb - rb) * d > 0:
                 return None
-            cur = tok.rb
+            cur = tb
             pos += 1
     if len(steps) in pauses and not (pos < n and toks[pos] is PAUSE):
         return None
     return pos
 
 
-def _window_ok(wins, lo: int, hi: int, start: int, end: int) -> bool:
-    """Does one ranked window admit a stretch over ranks [lo, hi] that
-    starts at rank `start` and ends at rank `end`?"""
+def _window_ok(wins, start: int, end: int) -> bool:
+    """Does one ranked window admit a stretch that starts at rank `start`
+    and ends at rank `end`?"""
+    lo, hi = (start, end) if start < end else (end, start)
     for wlo, whi, start_not, end_not in wins:
         if wlo <= lo and hi <= whi and start not in start_not \
                 and end not in end_not:
@@ -365,47 +340,46 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
     for p in (path.start, path.end):
         if p in pres.excluded:
             return ParseOutcome(False, fail_at=p)
-    index = parse_index(pres)
-    edges, gens = index.edges, index.rigid
+    gens = parse_index(pres).rigid
     n = len(toks)
     INF = n + 10 ** 6
     dist = [INF] * (n + 1)
-    parent = [None] * (n + 1)
+    # the best instance found so far to end before token k starts at token
+    # back[k] and is found[k]: a trace, PAUSE, or None for a fragment run
+    back = [0] * (n + 1)
+    found = [None] * (n + 1)
     dist[0] = 0
     # every instance ends after the token it starts at, so token order is
     # a topological order and one forward pass finds the shortest parse
     for i, tok in enumerate(toks):
-        if dist[i] >= INF:
+        step = dist[i]
+        if step >= INF:
             continue
         if tok is PAUSE:
-            if dist[i] < dist[i + 1]:
-                dist[i + 1] = dist[i]
-                parent[i + 1] = (i, ("pause",))
+            if step < dist[i + 1]:
+                dist[i + 1], back[i + 1], found[i + 1] = step, i, PAUSE
             continue
-        step = dist[i] + 1
-        edge, d, start = tok.edge, tok.dir, tok.ra
-        ent = edges[edge]
+        step += 1
+        edge, d, _, _, start, rb, ent = tok
         wins = ent.wins[d]
         if wins:
             # flexible-fragment stretches: consecutive tokens on the edge
             # in direction d whose ranks chain (a loop edge's two ends,
             # 0 and 1, have different ranks)
-            j, last = i, tok
+            j, cur = i, rb
             while True:
                 j += 1
-                lo, hi = (start, last.rb) if d > 0 else (last.rb, start)
-                if step < dist[j] and _window_ok(wins, lo, hi, start, last.rb):
-                    dist[j] = step
-                    parent[j] = (i, ("fragment", edge, tok.a, last.b))
+                if step < dist[j] and _window_ok(wins, start, cur):
+                    dist[j], back[j], found[j] = step, i, None
                 if j == n:
                     break
                 nxt = toks[j]
-                if nxt is PAUSE or nxt.edge != edge or nxt.dir != d \
-                        or nxt.ra != last.rb:
+                if nxt is PAUSE or nxt[0] != edge or nxt[1] != d \
+                        or nxt[4] != cur:
                     break
-                last = nxt
+                cur = nxt[5]
         # rigid instances: the edge's own traces first, then the generators
-        traces = ent.rigid.get((d, start), ())
+        traces = ent.rigid.get(start if d > 0 else ~start, ())
         if gens:
             traces += gens.get((edge, d, start), ())
         for steps, pauses, tr, goal in traces:
@@ -416,58 +390,52 @@ def graph_parse(pres: GraphPresentation, path: CanonicalPath) -> ParseOutcome:
             else:
                 # one step, no dwell marks: tokens that follow on from
                 # this one, pauses aside, until they reach the goal rank
-                cur, end = tok.rb, i + 1
-                while cur != goal and (cur - goal) * d < 0:
+                cur, end = rb, i + 1
+                while (cur - goal) * d < 0:
                     while end < n and toks[end] is PAUSE:
                         end += 1
                     if end == n:
                         break
                     nxt = toks[end]
-                    if nxt.edge != edge or nxt.dir != d or nxt.ra != cur:
+                    if nxt[0] != edge or nxt[1] != d or nxt[4] != cur:
                         break
-                    cur = nxt.rb
+                    cur = nxt[5]
                     end += 1
                 if cur != goal:
                     continue
             if step < dist[end]:
-                dist[end] = step
-                parent[end] = (i, ("rigid", edge, tr))
-    if dist[n] >= INF:
-        far = max(k for k in range(n + 1) if dist[k] < INF)
-        return ParseOutcome(False, fail_at=_point_before(pres, path.start, toks, far))
-    steps = []
+                dist[end], back[end], found[end] = step, i, tr
     k = n
-    while k > 0:
-        i, desc = parent[k]
-        if desc[0] != "pause":
-            steps.append(desc)
+    if dist[n] >= INF:
+        while dist[k] >= INF:
+            k -= 1
+        return ParseOutcome(False, fail_at=_point_before(pres, path.start, toks, k))
+    # the descriptors of the winning chain alone, from the last back
+    out = []
+    while k:
+        i, what = back[k], found[k]
+        if what is None:
+            out.append(("fragment", toks[i][0], toks[i][2], toks[k - 1][3]))
+        elif what is not PAUSE:
+            out.append(("rigid", toks[i][0], what))
         k = i
-    return ParseOutcome(True, instances=tuple(reversed(steps)), count=dist[n])
+    return ParseOutcome(True, instances=tuple(reversed(out)), count=dist[n])
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 
-def _ensure_path(norm, path_or_track) -> CanonicalPath:
-    # explode checks a graph path; a product path's projections forget
-    # where a resting coordinate rests, so it is checked here
-    path = canonicalize(path_or_track, norm)
-    if isinstance(norm, ProductN) and not isinstance(path_or_track, Track):
-        check_path_geometry(norm, path)
-    return path
-
-
 def parse_controlled(space, path_or_track) -> ParseOutcome:
     norm = normalize(space)
-    path = _ensure_path(norm, path_or_track)
-    return _parse_normal(norm, path)
+    return _parse_normal(norm, canonicalize(path_or_track, norm))
 
 
 def _parse_normal(norm, path: CanonicalPath) -> ParseOutcome:
+    # explode checks a graph path, and projections a product path
     if isinstance(norm, ProductN):
         subs = []
-        for i, factor in enumerate((norm.left, norm.right)):
-            sub = _parse_normal(factor, project(path, norm, i))
+        for factor, part in zip((norm.left, norm.right), projections(norm, path)):
+            sub = _parse_normal(factor, part)
             if not sub.controlled:
                 return ParseOutcome(False, fail_at=sub.fail_at)
             subs.append(sub)

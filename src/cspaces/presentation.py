@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple
 
 from . import kinds as K
@@ -141,15 +142,17 @@ def family(pres: GraphPresentation, edge: str) -> Family:
 def rekind(pres: GraphPresentation, rewrite, key=None) -> tuple:
     """(edges, extras): ``rewrite(family of the kind, *key(edge))`` gives
     each edge a new family, whose kind it takes, and an extra value.  The
-    rewrite and ``kind_of`` run once per distinct (kind, key)."""
+    rewrite and ``kind_of`` run once per distinct (kind, key).  An edge
+    whose kind maps to itself is kept as it is."""
     done, edges, extras = {}, [], []
     for e in pres.edges:
         k = (e.kind, *key(e)) if key else (e.kind,)
         out = done.get(k)
         if out is None:
             fam, extra = rewrite(K.kind_generators(e.kind), *k[1:])
-            out = done[k] = K.kind_of(fam), extra
-        edges.append(Edge(e.id, e.src, e.dst, out[0]))
+            new = K.kind_of(fam)
+            out = done[k] = e.kind if new == e.kind else new, extra
+        edges.append(e if out[0] is e.kind else Edge(e.id, e.src, e.dst, out[0]))
         extras.append(out[1])
     return tuple(edges), extras
 
@@ -224,20 +227,24 @@ def cuts(pres: GraphPresentation, edge: str) -> tuple:
 
     They depend only on the edge's family and ``own_cut_values``, so two
     edges of one kind with the same own values have the same cuts."""
-    vals = {ZERO, ONE}
     fam = family(pres, edge)
+    vals = [ZERO, ONE]
     for tr in fam.rigid:
         for s in tr.steps:
-            vals.add(s.a)
-            vals.add(s.b)
+            vals += (s.a, s.b)
     for f in fam.fragments:
-        vals.update({f.lo, f.hi})
-        vals.update(f.start_not)
-        vals.update(f.end_not)
-    vals.update(own_cut_values(pres).get(edge, ()))
+        vals += (f.lo, f.hi, *f.start_not, *f.end_not)
+    vals += own_cut_values(pres).get(edge, ())
     if len(fam.fragments) > 1:
-        vals.update(_overlap_cuts(fam.fragments, vals))
-    return tuple(sorted(vals))
+        vals += _overlap_cuts(fam.fragments, vals)
+    # the distinct values, each as first listed, told apart and sorted as
+    # integer numerators over their common denominator: no Fraction hashed
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = lcm(*(q for _, q in ratios))
+    first = {}
+    for v, (p, q) in zip(vals, ratios):
+        first.setdefault(p * (den // q), v)
+    return tuple(first[n] for n in sorted(first))
 
 
 def _overlap_cuts(frags, vals) -> set:
@@ -811,42 +818,51 @@ def project(path_or_track, space, index: int) -> CanonicalPath:
     norm = normalize(space)
     if not isinstance(norm, ProductN):
         raise ModelError("project needs a product space")
-    factor = (norm.left, norm.right)[index]
     if isinstance(path_or_track, Track):
         pts = tuple((t, p.parts[index]) for t, p in path_or_track.points)
-        return canonicalize(Track(pts), factor)
-    path = path_or_track
-    atoms = []
+        return canonicalize(Track(pts), (norm.left, norm.right)[index])
+    return projections(norm, path_or_track)[index]
+
+
+def projections(norm: ProductN, path: CanonicalPath) -> tuple:
+    """Both projections of a path of the product norm, in one pass that
+    checks that its segments chain: a resting coordinate projects to a
+    pause, which forgets where it rests, so the pass checks each
+    segment's start (``seg_ends``) against where the path is."""
+    atoms = ([], [])
+    cur = path.start
     for item in path.items:
         if isinstance(item, Pause):
-            atoms.append(PAUSE)
+            for out in atoms:
+                out.append(PAUSE)
             continue
         for seg in item.segs:
             if not isinstance(seg, ProdSeg):
-                raise ModelError("not a product path")
-            part = seg.parts[index]
-            atoms.append(PAUSE if not isinstance(part, (Seg, ProdSeg)) else part)
-    return assemble(path.start.parts[index], atoms, path.end.parts[index])
+                raise ModelError("graph segment in a product path")
+            here, there = seg_ends(norm, seg)
+            if here != cur:
+                raise ModelError(f"path breaks at {cur!r} -> {here!r}")
+            cur = there
+            for out, part in zip(atoms, seg.parts):
+                out.append(part if isinstance(part, (Seg, ProdSeg)) else PAUSE)
+    if cur != path.end:
+        raise ModelError("path end point mismatch")
+    return tuple(assemble(path.start.parts[i], atoms[i], path.end.parts[i])
+                 for i in (0, 1))
 
 
 # ---------------------------------------------------------------------------
 # Path surgery
 
-def _point_of_seg(norm, seg, t):
-    """The point at parameter t of a segment-like (t in edge coordinates for
-    Seg, traversal fraction for ProdSeg)."""
+def seg_ends(norm, seg) -> tuple:
+    """The points where a segment-like starts and ends, read off the ends
+    of its coordinates."""
     if isinstance(seg, Seg):
-        return pos_point(norm, seg.edge, t)
-    lam = t
-    parts = []
-    for sub, fnorm in zip(seg.parts, (norm.left, norm.right)):
-        if isinstance(sub, Seg):
-            parts.append(pos_point(fnorm, sub.edge, sub.a + (sub.b - sub.a) * lam))
-        elif isinstance(sub, ProdSeg):
-            parts.append(_point_of_seg(fnorm, sub, lam))
-        else:
-            parts.append(sub)
-    return PTuple(tuple(parts))
+        return pos_point(norm, seg.edge, seg.a), pos_point(norm, seg.edge, seg.b)
+    (a0, b0), (a1, b1) = (
+        seg_ends(factor, sub) if isinstance(sub, (Seg, ProdSeg)) else (sub, sub)
+        for sub, factor in zip(seg.parts, (norm.left, norm.right)))
+    return PTuple((a0, a1)), PTuple((b0, b1))
 
 
 def split_path(space, path: CanonicalPath, pos: Position):
@@ -875,11 +891,11 @@ def split_path(space, path: CanonicalPath, pos: Position):
     else:
         if not (ZERO <= pos.t <= ONE):
             raise ModelError("product split parameter is a traversal fraction in [0,1]")
-        cut_pt = _point_of_seg(norm, seg, pos.t)
-        lsegs = list(run.segs[:pos.seg]) + ([_clip_prodseg(seg, ZERO, pos.t)]
-                                            if pos.t != ZERO else [])
-        rsegs = ([_clip_prodseg(seg, pos.t, ONE)] if pos.t != ONE else []) \
-            + list(run.segs[pos.seg + 1:])
+        before = [_clip_prodseg(seg, ZERO, pos.t)] if pos.t != ZERO else []
+        after = [_clip_prodseg(seg, pos.t, ONE)] if pos.t != ONE else []
+        cut_pt = seg_ends(norm, before[0])[1] if before else seg_ends(norm, seg)[0]
+        lsegs = list(run.segs[:pos.seg]) + before
+        rsegs = after + list(run.segs[pos.seg + 1:])
     left = assemble(path.start, items[:pos.item] + lsegs, cut_pt)
     right = assemble(cut_pt, rsegs + items[pos.item + 1:], path.end)
     return left, right
@@ -902,9 +918,7 @@ def _boundary_point(norm, path: CanonicalPath, item: int):
     cur = path.start
     for it in path.items[:item]:
         if isinstance(it, Run):
-            seg = it.segs[-1]
-            cur = (_point_of_seg(norm, seg, seg.b) if isinstance(seg, Seg)
-                   else _point_of_seg(norm, seg, ONE))
+            cur = seg_ends(norm, it.segs[-1])[1]
     return cur
 
 

@@ -148,17 +148,18 @@ class CellGraph:
         self.vertex = {v: c for c, v in enumerate(names)}
         index = parse_index(pres)
         # edge number -> its ranked entry: cut values, windows, traces
-        self.ent = [index.edges[e.id] for e in pres.edges]
+        self.ent = [index.edges[e.id][0] for e in pres.edges]
         self.index = {e.id: i for i, e in enumerate(pres.edges)}
         self.ids = [e.id for e in pres.edges]  # edge number -> edge id
-        self.offset = [index.offset[e] for e in self.ids]  # rank 0 there
+        self.offset = []  # edge number -> the position of its rank 0
         # Each edge on the next positions: its ends in its vertices' cells,
         # every other position in a cell of its own.
         self.pos_edge = pos_edge = []  # position -> edge number
         self.cell_at = cell_at = []    # position -> cell
         self.places = places = [[] for _ in names]  # cell -> its positions
         for i, e in enumerate(pres.edges):
-            off, top, c = self.offset[i], self.ent[i].top, len(places)
+            off, top, c = len(cell_at), self.ent[i].top, len(places)
+            self.offset.append(off)
             first, last = self.vertex[e.src], self.vertex[e.dst]
             places[first].append(off)
             places.extend([g] for g in range(off + 1, off + top))
@@ -193,7 +194,7 @@ class CellGraph:
             for steps, tr in traces:
                 self._add(tuple((off + a, off + b) for a, b in steps), tr)
         self.first.append(len(self.src))
-        at = index.offset
+        at = dict(zip(self.ids, self.offset))
         for steps, _, tr, _ in chain(*index.rigid.values()):
             self._add(tuple((at[s] + a, at[s] + b) for s, _, a, b in steps),
                       tr)

@@ -15,11 +15,13 @@ from cspaces.jsonio import (dumps, path_from_json, path_to_json,
 from cspaces.membership import is_controlled
 from cspaces.model import (PAUSE, EdgePoint, ModelError, PTuple, Seg, Vertex,
                            assemble)
-from cspaces.presentation import (GraphPresentation, flexible_point,
-                                  normalize, pos_point, validate)
+from cspaces.presentation import (Edge, ExcludeEndpoints, GraphPresentation,
+                                  Opposite, Product, Quotient, Subspace, Sum,
+                                  flexible_point, normalize, pos_point,
+                                  validate)
 
 from helpers import OPEN_WINDOWS, Z, O, H, interval
-from sampling import random_graph_path
+from sampling import random_graph_path, random_product_path
 
 
 class TestPoints:
@@ -108,6 +110,55 @@ class TestSpaces:
     def test_bad_document_rejected(self):
         with pytest.raises(ModelError):
             space_from_json({"neither": {}})
+
+    # a graph whose names no corpus model uses, for sums
+    SUMMAND = GraphPresentation(frozenset({"w0", "w1"}),
+                                (Edge("f0", "w0", "w1", K.NATURAL),))
+
+    def _expression_docs(self, sp):
+        """(op, document, the space it was written from) for each
+        expression op that applies to sp: all of them on a graph, and
+        product, opposite and hat on a product."""
+        doc = space_to_json(sp)
+        out = [("product", {"args": [doc, doc]}, Product(sp, sp)),
+               ("opposite", {"args": [doc]}, Opposite(sp)),
+               ("hat", {"args": [doc]}, hat(sp))]
+        norm = normalize(sp)
+        if isinstance(norm, GraphPresentation):
+            assert not norm.vertices & self.SUMMAND.vertices
+            a, b = sorted(norm.vertices)[0], sorted(norm.vertices)[-1]
+            e = norm.edges[0]
+            out += [
+                ("sum", {"args": [doc, space_to_json(self.SUMMAND)]},
+                 Sum(sp, self.SUMMAND)),
+                ("quotient", {"args": [doc], "classes": [[f"v:{a}", f"v:{b}"]]},
+                 Quotient(sp, (frozenset({Vertex(a), Vertex(b)}),))),
+                ("subspace", {"args": [doc], "region": [[e.id, "0", "1/2"]]},
+                 Subspace(sp, ((e.id, Z, H),))),
+                ("exclude", {"args": [doc], "points": [f"v:{a}"]},
+                 ExcludeEndpoints(sp, frozenset({Vertex(a)})))]
+        return [(op, {"expr": {"op": op, **d}}, written)
+                for op, d, written in out]
+
+    @pytest.mark.parametrize("name", sorted(names()))
+    def test_every_expression_op_reads_as_the_space_it_was_written_from(
+            self, name):
+        """Each op's document reads to a space that answers membership
+        like the expression it was written from, on paths sampled from
+        that expression's normal form."""
+        rng = random.Random(zlib.crc32(f"ops/{name}".encode()))
+        ops = set()
+        for op, doc, written in self._expression_docs(build(name)):
+            read, norm = space_from_json(doc), normalize(written)
+            sample = (random_graph_path if isinstance(norm, GraphPresentation)
+                      else random_product_path)
+            for _ in range(12):
+                p = sample(norm, rng)
+                assert is_controlled(read, p) == is_controlled(written, p), \
+                    (op, p)
+            ops.add(op)
+        graph = isinstance(normalize(build(name)), GraphPresentation)
+        assert len(ops) == (7 if graph else 3)
 
 
 EDGE = {"id": "e0", "from": "v0", "to": "v1", "kind": "directed"}

@@ -22,8 +22,8 @@ from cspaces.kinds import Fragment
 from cspaces.membership import (check_path_geometry, is_controlled,
                                 parse_controlled)
 from cspaces.model import (PAUSE, CanonicalPath, EdgePoint, ModelError,
-                           Position, ProdSeg, RigidTrace, Run, Seg, Track,
-                           TraceStep, Vertex, assemble)
+                           Position, ProdSeg, PTuple, RigidTrace, Run, Seg,
+                           Track, TraceStep, Vertex, assemble)
 from cspaces.presentation import (Edge, GraphPresentation, canonicalize, cuts,
                                   family, pos_point)
 from cspaces.reach import c_reachable
@@ -458,8 +458,9 @@ def _chain(n):
 
 
 class TestRankedParse:
-    """Tokens carry integer ranks among their edge's cut values: the cut
-    at index i has rank 2i, a point between cuts i and i + 1 rank 2i + 1."""
+    """Tokens carry integer ranks among their edge's cut values, ra and rb
+    at places 4 and 5 of (edge, d, a, b, ra, rb, entry): the cut at index
+    i has rank 2i, a point between cuts i and i + 1 rank 2i + 1."""
 
     def test_loop_stretch_breaks_at_the_vertex(self):
         # 1/2 -> 1 and 0 -> 1/2 rise on one loop edge but do not chain:
@@ -467,7 +468,7 @@ class TestRankedParse:
         sp = build("d_circle")
         m = EdgePoint("e0", H)
         p = path(Seg("e0", H, O), Seg("e0", Z, H), start=m, end=m)
-        assert [(t.ra, t.rb) for t in membership.explode(sp, p)] == [(1, 2), (0, 1)]
+        assert [t[4:6] for t in membership.explode(sp, p)] == [(1, 2), (0, 1)]
         out = parse_controlled(sp, p)
         assert (out.controlled, out.count) == (True, 2)
 
@@ -486,13 +487,13 @@ class TestRankedParse:
                    end=Vertex("v40"))
         toks = membership.explode(chain, run)
         assert len(toks) == 40
-        assert {(t.ra, t.rb) for t in toks} == {(0, 2)}
+        assert {t[4:6] for t in toks} == {(0, 2)}
         sweep = build("c_line_window", lo=0, hi=16)
         down = path(Seg("e0", O, F(1, 32)), start=Vertex("v16"),
                     end=EdgePoint("e0", F(1, 32)))
         toks = membership.explode(sweep, down)
         assert len(toks) == 16
-        assert (toks[0].ra, toks[0].rb, toks[-1].ra, toks[-1].rb) == (32, 30, 2, 1)
+        assert (*toks[0][4:6], *toks[-1][4:6]) == (32, 30, 2, 1)
 
     def test_pickle_drops_the_parse_index(self):
         sp = build("c_line_window", lo=0, hi=8)
@@ -563,8 +564,8 @@ class TestRankedParse:
         assert len(toks) == 6
         index = membership.parse_index(chain)
         assert len(index.edges) == 5 and len(index.shared) == 2
-        assert index.edges["e2"].cuts == cuts(chain, "e2") == (Z, H, O)
-        assert index.edges["e4"].cuts == cuts(chain, "e4") == (Z, O)
+        assert index.edges["e2"][0].cuts == cuts(chain, "e2") == (Z, H, O)
+        assert index.edges["e4"][0].cuts == cuts(chain, "e4") == (Z, O)
 
 
 class TestPathGeometry:
@@ -613,6 +614,45 @@ class TestPathGeometry:
         p, message = self.MALFORMED[case]
         with pytest.raises(ModelError) as err:
             self.CALLS[call](build("natural_interval"), p)
+        assert str(err.value) == message
+
+    # on products the message names whole product points: where the path
+    # was and where the faulty segment starts
+    E = EdgePoint("e0", H)
+    SQUARE_BREAK = "path breaks at PTuple(parts=({})) -> PTuple(parts=({}))"
+    PRODUCT_MALFORMED = {
+        "resting coordinate elsewhere": ("c_square", path(
+            ProdSeg((Seg("e0", Z, O), V0)), ProdSeg((V0, Seg("e0", Z, O))),
+            start=PTuple((V0, V0)), end=PTuple((V1, V1))), SQUARE_BREAK.format(
+                f"{V1!r}, {V0!r}", f"{V0!r}, {V0!r}")),
+        "moving coordinate starts elsewhere": ("c_square", path(
+            ProdSeg((Seg("e0", Z, H), V0)), PAUSE,
+            ProdSeg((Seg("e0", Z, O), Seg("e0", Z, O))),
+            start=PTuple((V0, V0)), end=PTuple((V1, V1))), SQUARE_BREAK.format(
+                f"{E!r}, {V0!r}", f"{V0!r}, {V0!r}")),
+        "end mismatch": ("c_square", path(
+            ProdSeg((Seg("e0", Z, O), V0)), start=PTuple((V0, V0)),
+            end=PTuple((V1, V1))), "path end point mismatch"),
+        "graph segment": ("c_square", path(
+            Seg("e0", Z, O), start=PTuple((V0, V0)), end=PTuple((V1, V0))),
+            "graph segment in a product path"),
+        "nested resting coordinate elsewhere": ("c_torus", path(
+            ProdSeg((ProdSeg((Seg("e0", Z, H), V0)), V0)),
+            ProdSeg((PTuple((V0, E)), Seg("e0", Z, O))),
+            start=PTuple((PTuple((V0, V0)), V0)),
+            end=PTuple((PTuple((E, V0)), V0))), SQUARE_BREAK.format(
+                f"PTuple(parts=({E!r}, {V0!r})), {V0!r}",
+                f"PTuple(parts=({V0!r}, {E!r})), {V0!r}")),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("case", PRODUCT_MALFORMED)
+    def test_malformed_product_paths_raise_one_message_everywhere(self, case,
+                                                                   call):
+        name, p, message = self.PRODUCT_MALFORMED[case]
+        sp = build(name, n=3) if name == "c_torus" else build(name)
+        with pytest.raises(ModelError) as err:
+            self.CALLS[call](sp, p)
         assert str(err.value) == message
 
 
@@ -756,7 +796,7 @@ def test_rank_of_agrees_with_sorting():
         rng = random.Random(zlib.crc32(f"{name}/rank".encode()))
         g = reach.compiled(pres)
         index = membership.parse_index(g.pres)
-        edge_of = {ent: e for e, ent in index.edges.items()}
+        edge_of = {ent: e for e, (ent, _, _) in index.edges.items()}
         for ent in index.shared.values():
             cs, e = ent.cuts, edge_of[ent]
             values = [*cs, *((a + b) / 2 for a, b in zip(cs, cs[1:]))]
@@ -768,6 +808,6 @@ def test_rank_of_agrees_with_sorting():
                 assert membership.rank_of(ent, v) == r, (name, cs, v)
                 if 0 < v < 1:
                     assert g.cell(EdgePoint(e, v)) == \
-                        g.cell_at[index.offset[e] + r], (name, e, v)
+                        g.cell_at[g.offset[g.index[e]] + r], (name, e, v)
                 checked += 1
     assert checked > 10 ** 4

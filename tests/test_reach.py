@@ -404,7 +404,8 @@ def _snapshot(g):
     return (len(g.src), list(g.cell_at), list(g.cover),
             [len(c) for c in g.fwd], [len(c) for c in g.rev],
             [len(c) for c in g.places], len(index.edges),
-            {key: (ent.cuts, dict(ent.rank))
+            {key: (ent.cuts,
+                   [membership.rank_of(ent, v) for v in ent.cuts])
              for key, ent in index.shared.items()})
 
 
